@@ -13,10 +13,7 @@
 //! `BENCH_figures.json`.
 
 use ilpc_core::level::Level;
-use ilpc_harness::figures::{
-    regs_histogram, render_histogram, render_summary, render_table1,
-    render_table2, speedup_histogram, Bins, Subset,
-};
+use ilpc_harness::figures::{render_summary, render_table1, render_table2, FIGURES};
 use ilpc_harness::grid::{run_grid, Grid, GridConfig};
 use ilpc_testkit::bench::Harness;
 use std::sync::OnceLock;
@@ -41,29 +38,8 @@ fn bench_tables(h: &mut Harness) {
 
 fn bench_figures(h: &mut Harness) {
     let grid = shared_grid();
-    let speedup_figs: &[(&str, &str, u32, Bins, Subset)] = &[
-        ("figures/fig08_speedups_issue2", "fig8", 2, Bins::fig8(), Subset::All),
-        ("figures/fig09_speedups_issue4", "fig9", 4, Bins::fig9(), Subset::All),
-        ("figures/fig10_speedups_issue8", "fig10", 8, Bins::fig10(), Subset::All),
-        ("figures/fig12_speedups_doall", "fig12", 8, Bins::fig10(), Subset::Doall),
-        ("figures/fig14_speedups_nondoall", "fig14", 8, Bins::fig10(), Subset::NonDoall),
-    ];
-    for (label, fig, width, bins, subset) in speedup_figs {
-        h.bench(label, || {
-            let hist = speedup_histogram(grid, *width, bins.clone(), *subset);
-            render_histogram(fig, &hist)
-        });
-    }
-    let regs_figs: &[(&str, &str, Subset)] = &[
-        ("figures/fig11_registers_issue8", "fig11", Subset::All),
-        ("figures/fig13_registers_doall", "fig13", Subset::Doall),
-        ("figures/fig15_registers_nondoall", "fig15", Subset::NonDoall),
-    ];
-    for (label, fig, subset) in regs_figs {
-        h.bench(label, || {
-            let hist = regs_histogram(grid, 8, *subset);
-            render_histogram(fig, &hist)
-        });
+    for fig in FIGURES {
+        h.bench(&format!("figures/{}", fig.id), || fig.render(grid));
     }
     h.bench("figures/summary_statistics", || render_summary(grid));
 }

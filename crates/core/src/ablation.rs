@@ -10,17 +10,9 @@
 //! arbitrary subset so the harness can regenerate those per-transformation
 //! claims as leave-one-out and only-one ablations.
 
-use crate::accum::accumulator_expand;
-use crate::combine::operation_combine;
-use crate::induct::induction_expand;
-use crate::level::{Level, TransformReport};
-use crate::rename::rename_loops;
-use crate::search::search_expand;
-use crate::strength::strength_reduce;
-use crate::threduce::tree_height_reduce;
-use crate::unroll::{unroll_inner_loops, UnrollConfig};
+use crate::level::{Level, Pass, TransformReport, PASSES};
+use crate::unroll::UnrollConfig;
 use ilpc_ir::Module;
-use ilpc_opt::{cleanup, conventional, dce, fold_add_chains, simplify_cfg};
 
 /// Which transformations to run (conventional optimization always runs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +56,10 @@ impl TransformSet {
         }
     }
 
-    /// The cumulative set of a paper level.
+    /// The cumulative set of a paper level, capped at Lev4: the set spans
+    /// the paper's eight transformations, so `of_level(Lev6)` equals
+    /// `of_level(Lev4)`. SLP vectorization is reached through
+    /// [`crate::level::passes`] only.
     pub fn of_level(level: Level) -> TransformSet {
         let mut s = TransformSet::none();
         if level >= Level::Lev1 {
@@ -106,6 +101,17 @@ impl TransformSet {
     pub const NAMES: [&'static str; 6] =
         ["combine", "strength", "threduce", "accum", "induct", "search"];
 
+    /// True if any of the three Lev4 expansions is on — the condition for
+    /// the cleanup and re-run rows that follow them in [`PASSES`].
+    pub(crate) fn expands(&self) -> bool {
+        self.accum || self.induct || self.search
+    }
+
+    /// The rows of [`PASSES`] this set enables, in table order.
+    pub fn passes(self) -> impl Iterator<Item = &'static Pass> {
+        PASSES.iter().filter(move |p| (p.enabled)(&self))
+    }
+
     fn field_mut(&mut self, name: &str) -> &mut bool {
         match name {
             "unroll" => &mut self.unroll,
@@ -121,61 +127,17 @@ impl TransformSet {
     }
 }
 
-/// Apply an arbitrary transformation subset to freshly lowered IR.
-/// Pass ordering matches [`crate::level::apply_level`].
+/// Apply an arbitrary transformation subset to freshly lowered IR: the
+/// enabled rows of [`PASSES`], in table order.
 pub fn apply_set(
     m: &mut Module,
     set: &TransformSet,
     ucfg: &UnrollConfig,
 ) -> TransformReport {
     let mut rep = TransformReport::default();
-    conventional(m);
-
-    if set.unroll {
-        let unrolled = unroll_inner_loops(m, ucfg);
-        rep.loops_unrolled = unrolled.len();
-        rep.unroll_factor_total = unrolled.iter().map(|u| u.factor).sum();
-        fold_add_chains(&mut m.func);
-        dce(&mut m.func);
-        simplify_cfg(&mut m.func);
-        cleanup(&mut m.func);
+    for pass in set.passes() {
+        pass.execute(m, ucfg, &mut rep);
     }
-    if set.rename {
-        rep.defs_renamed = rename_loops(m);
-        dce(&mut m.func);
-    }
-    if set.combine {
-        rep.combines = operation_combine(m);
-    }
-    if set.strength {
-        rep.strength_reductions = strength_reduce(m);
-    }
-    if set.threduce {
-        rep.trees_reduced = tree_height_reduce(m);
-    }
-    if set.combine || set.strength || set.threduce {
-        dce(&mut m.func);
-    }
-    if set.accum {
-        rep.accumulators_expanded = accumulator_expand(m);
-    }
-    if set.induct {
-        rep.inductions_expanded = induction_expand(m);
-    }
-    if set.search {
-        rep.searches_expanded = search_expand(m);
-    }
-    if set.accum || set.induct || set.search {
-        dce(&mut m.func);
-        if set.combine {
-            rep.combines += operation_combine(m);
-        }
-        if set.threduce {
-            rep.trees_reduced += tree_height_reduce(m);
-        }
-        dce(&mut m.func);
-    }
-
     debug_assert!(
         ilpc_ir::verify::verify_module(m).is_ok(),
         "ablation pipeline broke the IR: {:?}",
@@ -214,21 +176,22 @@ mod tests {
 
     #[test]
     fn of_level_matches_level_pipeline() {
-        for level in Level::ALL {
-            let mut via_level = lower(&dotprod()).module;
-            let r1 = apply_level(&mut via_level, level, &UnrollConfig::default());
-            let mut via_set = lower(&dotprod()).module;
-            let r2 = apply_set(
-                &mut via_set,
-                &TransformSet::of_level(level),
-                &UnrollConfig::default(),
-            );
-            assert_eq!(r1, r2, "{level}");
-            assert_eq!(
-                format!("{}", via_level.func),
-                format!("{}", via_set.func),
-                "{level}: code differs"
-            );
+        for vlen in [1, 4] {
+            let ucfg = UnrollConfig { vlen, ..UnrollConfig::default() };
+            // The set is capped at Lev4, so Lev6 matches it only while the
+            // SLP rows are no-ops (VLEN 1).
+            for level in Level::ALL.into_iter().filter(|l| vlen == 1 || *l <= Level::Lev4) {
+                let mut via_level = lower(&dotprod()).module;
+                let r1 = apply_level(&mut via_level, level, &ucfg);
+                let mut via_set = lower(&dotprod()).module;
+                let r2 = apply_set(&mut via_set, &TransformSet::of_level(level), &ucfg);
+                assert_eq!(r1, r2, "{level} vlen {vlen}");
+                assert_eq!(
+                    format!("{}", via_level.func),
+                    format!("{}", via_set.func),
+                    "{level} vlen {vlen}: code differs"
+                );
+            }
         }
     }
 

@@ -13,6 +13,7 @@
 //! "Each successive level includes all transformations from previous
 //! levels."
 
+use crate::ablation::TransformSet;
 use crate::accum::accumulator_expand;
 use crate::combine::operation_combine;
 use crate::induct::induction_expand;
@@ -87,14 +88,19 @@ pub struct TransformReport {
 ///
 /// The pipeline is expressed as data so external drivers — most notably the
 /// `ilpc-guard` transformation firewall — can interpose snapshotting,
-/// verification and rollback around every individual pass. [`apply_level`]
-/// runs the exact same pass sequence unguarded; the two must stay
-/// behaviourally identical.
+/// verification and rollback around every individual pass. Every route
+/// ([`apply_level`], [`crate::ablation::apply_set`], the harness pipeline,
+/// the guard) iterates this one table, selecting rows by `level` or by
+/// `enabled`; none writes pass order down again.
 pub struct Pass {
     /// Stable pass name (used in guard reports and fault-campaign output).
     pub name: &'static str,
     /// Lowest level whose pipeline includes this pass.
     pub level: Level,
+    /// Whether an ablation [`TransformSet`] runs this pass: a
+    /// transformation row follows its own toggle, a cleanup or re-run row
+    /// follows the toggles of the transformations it tidies up after.
+    pub(crate) enabled: fn(&TransformSet) -> bool,
     run: fn(&mut Module, &UnrollConfig, &mut TransformReport),
 }
 
@@ -105,14 +111,25 @@ impl Pass {
     }
 }
 
-/// The complete Lev4 pipeline, in execution order. Counters are accumulated
+/// The cleanup the `*-dce` rows share: sweep up what the rows before left dead.
+fn run_dce(m: &mut Module, _: &UnrollConfig, _: &mut TransformReport) {
+    dce(&mut m.func);
+}
+
+/// The complete Lev6 pipeline, in execution order. Counters are accumulated
 /// with `+=` so a pass stays well-defined if a driver re-runs or skips it.
 pub const PASSES: &[Pass] = &[
     // Conventional optimization is the baseline for every level.
-    Pass { name: "conventional", level: Level::Conv, run: |m, _, _| { conventional(m); } },
+    Pass {
+        name: "conventional",
+        level: Level::Conv,
+        enabled: |_| true,
+        run: |m, _, _| { conventional(m); },
+    },
     Pass {
         name: "unroll",
         level: Level::Lev1,
+        enabled: |s| s.unroll,
         run: |m, ucfg, rep| {
             let unrolled = unroll_inner_loops(m, ucfg);
             rep.loops_unrolled += unrolled.len();
@@ -126,6 +143,7 @@ pub const PASSES: &[Pass] = &[
     Pass {
         name: "post-unroll-cleanup",
         level: Level::Lev1,
+        enabled: |s| s.unroll,
         run: |m, _, _| {
             fold_add_chains(&mut m.func);
             dce(&mut m.func);
@@ -136,70 +154,86 @@ pub const PASSES: &[Pass] = &[
     Pass {
         name: "rename",
         level: Level::Lev2,
+        enabled: |s| s.rename,
         run: |m, _, rep| rep.defs_renamed += rename_loops(m),
     },
     // Renaming introduces no new redundancy; a DCE pass tidies up any
     // now-unused restored names.
-    Pass { name: "rename-dce", level: Level::Lev2, run: |m, _, _| { dce(&mut m.func); } },
+    Pass { name: "rename-dce", level: Level::Lev2, enabled: |s| s.rename, run: run_dce },
     Pass {
         name: "combine",
         level: Level::Lev3,
+        enabled: |s| s.combine,
         run: |m, _, rep| rep.combines += operation_combine(m),
     },
     Pass {
         name: "strength-reduce",
         level: Level::Lev3,
+        enabled: |s| s.strength,
         run: |m, _, rep| rep.strength_reductions += strength_reduce(m),
     },
     Pass {
         name: "tree-height-reduce",
         level: Level::Lev3,
+        enabled: |s| s.threduce,
         run: |m, _, rep| rep.trees_reduced += tree_height_reduce(m),
     },
-    Pass { name: "lev3-dce", level: Level::Lev3, run: |m, _, _| { dce(&mut m.func); } },
+    Pass {
+        name: "lev3-dce",
+        level: Level::Lev3,
+        enabled: |s| s.combine || s.strength || s.threduce,
+        run: run_dce,
+    },
     Pass {
         name: "accumulator-expand",
         level: Level::Lev4,
+        enabled: |s| s.accum,
         run: |m, _, rep| rep.accumulators_expanded += accumulator_expand(m),
     },
     Pass {
         name: "induction-expand",
         level: Level::Lev4,
+        enabled: |s| s.induct,
         run: |m, _, rep| rep.inductions_expanded += induction_expand(m),
     },
     Pass {
         name: "search-expand",
         level: Level::Lev4,
+        enabled: |s| s.search,
         run: |m, _, rep| rep.searches_expanded += search_expand(m),
     },
-    Pass { name: "expand-dce", level: Level::Lev4, run: |m, _, _| { dce(&mut m.func); } },
+    Pass { name: "expand-dce", level: Level::Lev4, enabled: TransformSet::expands, run: run_dce },
     // Expansion exposes more combinable pairs (paper §3.2: "the
     // effectiveness of other transformations ... becomes more apparent
     // with fewer dependences present").
     Pass {
         name: "re-combine",
         level: Level::Lev4,
+        enabled: |s| s.expands() && s.combine,
         run: |m, _, rep| rep.combines += operation_combine(m),
     },
     Pass {
         name: "re-tree-height-reduce",
         level: Level::Lev4,
+        enabled: |s| s.expands() && s.threduce,
         run: |m, _, rep| rep.trees_reduced += tree_height_reduce(m),
     },
-    Pass { name: "lev4-dce", level: Level::Lev4, run: |m, _, _| { dce(&mut m.func); } },
+    Pass { name: "lev4-dce", level: Level::Lev4, enabled: TransformSet::expands, run: run_dce },
     // SLP vectorization packs the isomorphic statement groups the unroll +
     // rename + expansion ladder manufactures. A no-op when `ucfg.vlen <= 1`,
-    // which keeps Lev6/VLEN=1 bit-identical to Lev4.
+    // which keeps Lev6/VLEN=1 bit-identical to Lev4. Not one of the paper's
+    // eight transformations, so no ablation set reaches it.
     Pass {
         name: "slp-vectorize",
         level: Level::Lev6,
+        enabled: |_| false,
         run: |m, ucfg, rep| {
             let r = ilpc_vec::slp_vectorize(m, ucfg.vlen);
             rep.packs_formed += r.packs_formed;
             rep.stmts_vectorized += r.stmts_vectorized;
         },
     },
-    Pass { name: "slp-dce", level: Level::Lev6, run: |m, _, _| { dce(&mut m.func); } },
+    Pass { name: "slp-dce", level: Level::Lev6, enabled: |_| false, run: run_dce },
 ];
 
 /// The passes `level` runs, in execution order.

@@ -140,7 +140,7 @@ pub struct GuardReport {
     pub steps_kept: usize,
     /// Contained failures, in execution order. Empty on a healthy run.
     pub incidents: Vec<Incident>,
-    /// Level the driver asked for (set by [`guarded_apply_level`]).
+    /// Level the driver asked for (set by [`GuardReport::settle_level`]).
     pub requested: Option<Level>,
     /// Highest level whose passes all ran clean — `None` if even the
     /// baseline conventional optimization had to be rolled back.
@@ -156,6 +156,21 @@ impl GuardReport {
     /// Names of the steps that were rolled back.
     pub fn skipped(&self) -> impl Iterator<Item = &'static str> + '_ {
         self.incidents.iter().map(|i| i.pass)
+    }
+
+    /// Record that the driver asked for `level`, and derive the level it
+    /// achieved: the highest one all of whose passes (at that and lower
+    /// levels) ran clean. A skipped Conv pass means not even the baseline
+    /// held. Call once every pass of the level pipeline has been stepped.
+    pub fn settle_level(&mut self, level: Level) {
+        self.requested = Some(level);
+        self.achieved = Level::ALL
+            .into_iter()
+            .take_while(|l| *l <= level)
+            .take_while(|l| {
+                !passes(level).any(|p| p.level == *l && self.skipped().any(|s| s == p.name))
+            })
+            .last();
     }
 
     /// Flat, owned incident records for wire formats and logs (the
@@ -470,8 +485,6 @@ pub fn guarded_apply_level(
     ucfg: &UnrollConfig,
     guard: &mut Guard,
 ) -> TransformReport {
-    guard.report.requested = Some(level);
-    let incidents_before = guard.report.incidents.len();
     let mut rep = TransformReport::default();
     for pass in passes(level) {
         let saved = rep.clone();
@@ -480,22 +493,7 @@ pub fn guarded_apply_level(
             rep = saved;
         }
     }
-    // Highest level all of whose passes (at that and lower levels) ran
-    // clean. A skipped Conv pass means not even the baseline held.
-    let skipped: Vec<&'static str> = guard.report.incidents[incidents_before..]
-        .iter()
-        .map(|i| i.pass)
-        .collect();
-    let mut achieved = None;
-    'levels: for l in Level::ALL.into_iter().take_while(|l| *l <= level) {
-        for pass in passes(level).filter(|p| p.level == l) {
-            if skipped.contains(&pass.name) {
-                break 'levels;
-            }
-        }
-        achieved = Some(l);
-    }
-    guard.report.achieved = achieved;
+    guard.report.settle_level(level);
     rep
 }
 

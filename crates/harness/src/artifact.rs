@@ -26,11 +26,11 @@
 //! configurations) and drop it with the sweep.
 
 use crate::compile::{compile, Compiled};
-use crate::run::{cycle_budget, verify_against_reference, EvalPoint};
+use crate::run::{run_decoded, EvalPoint};
 use ilpc_core::level::Level;
 use ilpc_ir::interp::{interpret, ExecState};
 use ilpc_machine::Machine;
-use ilpc_sim::{decode, memory_from_init, simulate_decoded, DecodedProgram, SimLimits};
+use ilpc_sim::{decode, DecodedProgram};
 use ilpc_workloads::Workload;
 use std::collections::HashMap;
 use std::fmt;
@@ -178,18 +178,7 @@ impl ArtifactCache {
     ) -> Result<EvalPoint, String> {
         let artifact = self.artifact(w, level, machine);
         let reference = self.reference(w);
-        let mem = memory_from_init(&artifact.compiled.module.symtab, &w.init);
-        let limits = SimLimits::cycles(cycle_budget(reference.stmts_executed));
-        let res = simulate_decoded(&artifact.decoded, machine, mem, limits)
-            .map_err(|e| format!("{}: {e}", w.meta.name))?;
-        verify_against_reference(w, &artifact.compiled, &reference, &res.memory)?;
-        Ok(EvalPoint {
-            cycles: res.cycles,
-            dyn_insts: res.dyn_insts,
-            regs: artifact.compiled.regs,
-            static_insts: artifact.compiled.static_insts,
-            mem: res.mem,
-        })
+        run_decoded(w, &artifact.compiled, &artifact.decoded, &reference, machine)
     }
 }
 

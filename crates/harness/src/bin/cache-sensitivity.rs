@@ -19,28 +19,15 @@
 
 use ilpc_core::level::Level;
 use ilpc_harness::artifact::ArtifactCache;
-use ilpc_harness::grid::{run_grid, Grid, GridConfig};
+use ilpc_harness::grid::Grid;
+use ilpc_harness::sweep::{run_sweep, Scenario, SweepConfig};
 use ilpc_machine::{CacheParams, MemConfig};
 use std::sync::Arc;
 
-fn grid_for(
-    mem: MemConfig,
-    scale: f64,
-    levels: &[Level],
-    widths: &[u32],
-    artifacts: &Arc<ArtifactCache>,
-) -> Grid {
-    let grid = run_grid(&GridConfig {
-        scale,
-        levels: levels.to_vec(),
-        widths: widths.to_vec(),
-        mem,
-        artifacts: Some(Arc::clone(artifacts)),
-        ..GridConfig::default()
-    })
-    .expect("grid config rejected");
+/// Acceptance invariants of one scenario's grid: no failed point, and
+/// consistent cache statistics on every point.
+fn check_grid(grid: &Grid, levels: &[Level], widths: &[u32]) {
     assert!(grid.errors.is_empty(), "{:#?}", grid.errors);
-    // Acceptance invariant: consistent cache statistics on every point.
     for m in &grid.meta {
         for &level in levels {
             for &width in widths {
@@ -54,7 +41,6 @@ fn grid_for(
             }
         }
     }
-    grid
 }
 
 /// Mean speedup of `(level, width)` in `g` over the shared perfect-memory
@@ -96,9 +82,9 @@ fn main() {
     println!("baseline: issue-1 Conv, perfect memory; scale {scale}");
     println!();
 
-    // Every grid carries the (Conv, issue-1) baseline axes: `run_grid`
-    // validates them, and a self-contained grid is what lets the perfect
-    // and cached runs share one artifact cache with a clean invariant.
+    // Every grid carries the (Conv, issue-1) baseline axes: `run_sweep`
+    // validates them, and self-contained grids are what give the shared
+    // artifact cache a clean invariant.
     let mut eval_widths = widths.clone();
     if !eval_widths.contains(&1) {
         eval_widths.push(1);
@@ -107,11 +93,28 @@ fn main() {
     if !eval_levels.contains(&Level::Conv) {
         eval_levels.push(Level::Conv);
     }
-    // One shared artifact cache across the whole sweep: compilation depends
-    // only on the machine's compile key, so every memory configuration
-    // below reuses the compiled + pre-decoded artifacts built here.
+    // One sweep over every memory configuration, perfect memory first:
+    // one work-stealing pool without a barrier per configuration, and one
+    // artifact cache — compilation depends only on the machine's compile
+    // key, so the cached configurations reuse what the first one built.
+    let params = |sets: u32, lat: u32| CacheParams::new(4, sets, 2, lat, lat);
+    let cached = sizes.iter().flat_map(|&(_, sets)| {
+        miss_lats.iter().map(move |&lat| MemConfig::Cache(params(sets, lat)))
+    });
     let artifacts = Arc::new(ArtifactCache::new());
-    let perfect = grid_for(MemConfig::Perfect, scale, &eval_levels, &eval_widths, &artifacts);
+    let sweep = run_sweep(&SweepConfig {
+        scale,
+        levels: eval_levels.clone(),
+        widths: eval_widths.clone(),
+        scenarios: std::iter::once(MemConfig::Perfect).chain(cached).map(Scenario::mem).collect(),
+        artifacts: Some(Arc::clone(&artifacts)),
+        ..SweepConfig::default()
+    })
+    .expect("sweep config rejected");
+    for grid in &sweep.grids {
+        check_grid(grid, &eval_levels, &eval_widths);
+    }
+    let (perfect, mut cached_grids) = (&sweep.grids[0], sweep.grids[1..].iter());
 
     let header = |tag: &str| {
         print!("{:<30} {:>5} {:>7}", tag, "width", "hit%");
@@ -124,7 +127,7 @@ fn main() {
     for &width in &widths {
         print!("{:<30} {:>5} {:>7}", "perfect (upper bound)", width, "100.0");
         for &level in &levels {
-            print!(" {:>6.2}x", mean_speedup(&perfect, &perfect, level, width));
+            print!(" {:>6.2}x", mean_speedup(perfect, perfect, level, width));
         }
         println!();
     }
@@ -132,10 +135,8 @@ fn main() {
 
     for &(size_name, sets) in sizes {
         for &lat in miss_lats {
-            let params = CacheParams::new(4, sets, 2, lat, lat);
-            let g =
-                grid_for(MemConfig::Cache(params), scale, &eval_levels, &eval_widths, &artifacts);
-            let tag = format!("L1 {size_name} ({}) m{lat}", params.name());
+            let g = cached_grids.next().expect("one grid per memory configuration");
+            let tag = format!("L1 {size_name} ({}) m{lat}", params(sets, lat).name());
             for &width in &widths {
                 let hit = g
                     .hit_rate(g.meta.iter().map(|m| m.name), *levels.last().unwrap(), width)
@@ -143,11 +144,11 @@ fn main() {
                     .expect("clean grid must aggregate completely");
                 print!("{:<30} {:>5} {:>7.1}", tag, width, hit * 100.0);
                 for &level in &levels {
-                    print!(" {:>6.2}x", mean_speedup(&g, &perfect, level, width));
+                    print!(" {:>6.2}x", mean_speedup(g, perfect, level, width));
                 }
                 let top = *levels.last().unwrap();
-                let retained = mean_speedup(&g, &perfect, top, width)
-                    / mean_speedup(&perfect, &perfect, top, width);
+                let retained = mean_speedup(g, perfect, top, width)
+                    / mean_speedup(perfect, perfect, top, width);
                 println!("   ({:.0}%)", retained * 100.0);
             }
         }

@@ -1,44 +1,56 @@
-//! Full evaluation report: every table and figure of the paper in one run.
+//! Full evaluation report: every table and figure of the paper in one run,
+//! or one of them with `--only <id>`.
 //!
 //! ```text
-//! cargo run --release -p ilpc-harness --bin report [-- --scale 1.0 --threads N]
+//! cargo run --release -p ilpc-harness --bin report [-- --scale 1.0 --threads N --only fig10]
 //! ```
 
-use ilpc_harness::figures::{
-    regs_histogram, render_histogram, render_per_loop, render_summary,
-    speedup_histogram, Bins, Subset,
-};
-use ilpc_harness::grid::{run_grid, GridConfig};
+use ilpc_harness::figures::{render_report, render_section, section_ids};
+use ilpc_harness::grid::{run_grid, Grid, GridConfig};
+use std::cell::OnceCell;
 
-fn parse_args() -> GridConfig {
-    let mut cfg = GridConfig::default();
-    let args: Vec<String> = std::env::args().collect();
-    let mut k = 1;
-    while k < args.len() {
-        match args[k].as_str() {
-            "--scale" => {
-                cfg.scale = args[k + 1].parse().expect("scale");
-                k += 2;
-            }
-            "--threads" => {
-                cfg.threads = args[k + 1].parse().expect("threads");
-                k += 2;
-            }
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    cfg
+/// Reject the command line: one `report:` line plus usage, exit status 2.
+fn usage(problem: &str) -> ! {
+    eprintln!("report: {problem}");
+    eprintln!("usage: report [--scale F] [--threads N] [--only ID]");
+    eprintln!("  ID: {}", section_ids().collect::<Vec<_>>().join(" "));
+    std::process::exit(2);
 }
 
-fn main() {
-    let cfg = parse_args();
+fn parse_args() -> (GridConfig, Option<String>) {
+    let mut cfg = GridConfig::default();
+    let mut only = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().unwrap_or_else(|| usage(&format!("{flag} needs a value")));
+        match flag.as_str() {
+            "--scale" => {
+                cfg.scale = value().parse().unwrap_or_else(|_| usage("--scale takes a number"))
+            }
+            "--threads" => {
+                cfg.threads = value().parse().unwrap_or_else(|_| usage("--threads takes a count"))
+            }
+            "--only" => {
+                let id = value();
+                if !section_ids().any(|s| s == id) {
+                    usage(&format!("unknown section `{id}`"));
+                }
+                only = Some(id);
+            }
+            other => usage(&format!("unknown argument {other}")),
+        }
+    }
+    (cfg, only)
+}
+
+fn run_or_exit(cfg: &GridConfig) -> Grid {
     eprintln!(
         "running grid: 40 loops x {} levels x {:?} (scale {})...",
         cfg.levels.len(),
         cfg.widths,
         cfg.scale
     );
-    let grid = match run_grid(&cfg) {
+    let grid = match run_grid(cfg) {
         Ok(g) => g,
         Err(e) => {
             eprintln!("CONFIG ERROR: {e}");
@@ -52,53 +64,15 @@ fn main() {
         }
         std::process::exit(1);
     }
+    grid
+}
 
-    println!("{}", ilpc_harness::figures::render_table1());
-    println!("{}", ilpc_harness::figures::render_table2());
-    for (title, width, bins) in [
-        ("Figure 8: speedup distribution, issue-2", 2u32, Bins::fig8()),
-        ("Figure 9: speedup distribution, issue-4", 4, Bins::fig9()),
-        ("Figure 10: speedup distribution, issue-8", 8, Bins::fig10()),
-    ] {
-        let h = speedup_histogram(&grid, width, bins, Subset::All);
-        println!("{}", render_histogram(title, &h));
+fn main() {
+    let (cfg, only) = parse_args();
+    let cell = OnceCell::new();
+    let grid = || cell.get_or_init(|| run_or_exit(&cfg));
+    match only {
+        Some(id) => println!("{}", render_section(&id, grid).expect("id was validated")),
+        None => print!("{}", render_report(grid())),
     }
-    println!(
-        "{}",
-        render_histogram(
-            "Figure 11: register usage distribution, issue-8",
-            &regs_histogram(&grid, 8, Subset::All)
-        )
-    );
-    println!(
-        "{}",
-        render_histogram(
-            "Figure 12: speedup distribution, DOALL loops, issue-8",
-            &speedup_histogram(&grid, 8, Bins::fig10(), Subset::Doall)
-        )
-    );
-    println!(
-        "{}",
-        render_histogram(
-            "Figure 13: register usage, DOALL loops, issue-8",
-            &regs_histogram(&grid, 8, Subset::Doall)
-        )
-    );
-    println!(
-        "{}",
-        render_histogram(
-            "Figure 14: speedup distribution, non-DOALL loops, issue-8",
-            &speedup_histogram(&grid, 8, Bins::fig10(), Subset::NonDoall)
-        )
-    );
-    println!(
-        "{}",
-        render_histogram(
-            "Figure 15: register usage, non-DOALL loops, issue-8",
-            &regs_histogram(&grid, 8, Subset::NonDoall)
-        )
-    );
-    println!("{}", render_summary(&grid));
-    println!("== Per-loop speedups (issue-8) ==");
-    println!("{}", render_per_loop(&grid, 8));
 }

@@ -1,17 +1,21 @@
-//! The full compilation pipeline: lower → transformation level →
+//! The full compilation pipeline: lower → transformation passes →
 //! superblock formation → list scheduling → register measurement.
 //!
-//! Two entry points produce runnable code: [`compile`] (the bare pipeline)
-//! and [`compile_guarded`], which routes every transformation pass *and*
-//! both backend steps through the `ilpc-guard` transformation firewall. On
-//! healthy input the two are bit-identical; on a faulty pass the guarded
-//! pipeline rolls back, degrades and reports instead of miscompiling.
+//! One driver, two step policies. [`pipeline`] is the only place the
+//! sequence is written; every public entry point picks *which* rows of
+//! `ilpc_core::level::PASSES` run and *how* each step (pass or backend
+//! stage) is run. [`compile`] and [`compile_set`] run steps directly;
+//! [`compile_guarded`] hands each one to `Guard::step`, which snapshots,
+//! checks and rolls back, so a faulty step degrades and is reported instead
+//! of miscompiling; `crate::profile::compile_with_profile` runs steps
+//! directly and annotates branch probabilities after the first. Because the
+//! routes share the driver, they cannot drift apart on healthy input.
 
 use crate::run::{cycle_budget, FLT_TOL};
-use ilpc_core::ablation::{apply_set, TransformSet};
-use ilpc_core::level::{apply_level, Level, TransformReport};
+use ilpc_core::ablation::TransformSet;
+use ilpc_core::level::{passes, Level, Pass, TransformReport};
 use ilpc_core::unroll::UnrollConfig;
-use ilpc_guard::{guarded_apply_level, Guard, GuardConfig, GuardReport, Oracle, StepHook};
+use ilpc_guard::{Guard, GuardConfig, GuardReport, Oracle, StepHook};
 use ilpc_ir::ast::VarId;
 use ilpc_ir::interp::interpret;
 use ilpc_ir::lower::{lower, Lowered};
@@ -46,35 +50,55 @@ pub struct Compiled {
     pub schedules: Vec<Option<BlockSchedule>>,
 }
 
-fn finish(
-    mut module: Module,
-    shadow: HashMap<VarId, SymId>,
-    report: TransformReport,
+/// The pipeline driver: run `passes` and the two backend stages over
+/// freshly lowered IR, each through `step(module, name, body)`. `step`
+/// must either run `body` and return `true`, or leave the module as it was
+/// on entry and return `false`; the driver then discards whatever that step
+/// reported (counts, superblocks, schedules).
+pub(crate) fn pipeline(
+    lowered: Lowered,
+    passes: impl Iterator<Item = &'static Pass>,
     machine: &Machine,
+    mut step: impl FnMut(&mut Module, &'static str, &mut dyn FnMut(&mut Module)) -> bool,
 ) -> Compiled {
-    let superblocks = form_superblocks(&mut module, &SuperblockConfig::default());
-    let schedules = schedule_module(&mut module, machine);
+    let Lowered { mut module, shadow_syms: shadow, .. } = lowered;
+    let ucfg = UnrollConfig { vlen: machine.vlen, ..Default::default() };
+    let mut report = TransformReport::default();
+    for pass in passes {
+        let mut counted = report.clone();
+        if step(&mut module, pass.name, &mut |m| pass.execute(m, &ucfg, &mut counted)) {
+            report = counted;
+        }
+    }
+    let mut superblocks = SuperblockReport::default();
+    if !step(&mut module, "superblock-formation", &mut |m| {
+        superblocks = form_superblocks(m, &SuperblockConfig::default());
+    }) {
+        superblocks = SuperblockReport::default();
+    }
+    let mut schedules = Vec::new();
+    if !step(&mut module, "list-schedule", &mut |m| schedules = schedule_module(m, machine)) {
+        schedules = Vec::new();
+    }
     let regs = ilpc_regalloc::measure(&module.func);
     let static_insts = module.func.num_insts();
     Compiled { module, shadow, report, superblocks, regs, static_insts, schedules }
 }
 
+/// The unguarded step policy: run the step and keep its output.
+fn direct(m: &mut Module, _: &'static str, body: &mut dyn FnMut(&mut Module)) -> bool {
+    body(m);
+    true
+}
+
 /// Compile `w` at `level` for `machine`.
 pub fn compile(w: &Workload, level: Level, machine: &Machine) -> Compiled {
-    let lowered = lower(&w.program);
-    let mut module = lowered.module;
-    let ucfg = UnrollConfig { vlen: machine.vlen, ..Default::default() };
-    let report = apply_level(&mut module, level, &ucfg);
-    finish(module, lowered.shadow_syms, report, machine)
+    pipeline(lower(&w.program), passes(level), machine, direct)
 }
 
 /// Compile `w` with an arbitrary transformation subset (ablation studies).
 pub fn compile_set(w: &Workload, set: &TransformSet, machine: &Machine) -> Compiled {
-    let lowered = lower(&w.program);
-    let mut module = lowered.module;
-    let ucfg = UnrollConfig { vlen: machine.vlen, ..Default::default() };
-    let report = apply_set(&mut module, set, &ucfg);
-    finish(module, lowered.shadow_syms, report, machine)
+    pipeline(lower(&w.program), set.passes(), machine, direct)
 }
 
 /// Differential-spot-check oracle for `w`: the AST interpreter's final
@@ -120,7 +144,7 @@ pub struct GuardedCompile {
 /// Number of guarded steps [`compile_guarded`] runs at `level`: every
 /// level-pipeline pass plus the two backend steps.
 pub fn guarded_step_count(level: Level) -> usize {
-    ilpc_core::level::passes(level).count() + 2
+    passes(level).count() + 2
 }
 
 /// Compile `w` at `level` through the transformation firewall.
@@ -148,40 +172,10 @@ pub fn compile_guarded(
     if let Some(h) = hook {
         guard = guard.with_hook(h);
     }
-
-    let mut module = lowered.module;
-    let ucfg = UnrollConfig { vlen: machine.vlen, ..Default::default() };
-    let report = guarded_apply_level(&mut module, level, &ucfg, &mut guard);
-
-    let mut superblocks = SuperblockReport::default();
-    let kept = guard.step(&mut module, "superblock-formation", |m| {
-        superblocks = form_superblocks(m, &SuperblockConfig::default());
-    });
-    if !kept {
-        superblocks = SuperblockReport::default();
-    }
-    let mut schedules = Vec::new();
-    let kept = guard.step(&mut module, "list-schedule", |m| {
-        schedules = schedule_module(m, machine);
-    });
-    if !kept {
-        schedules = Vec::new();
-    }
-
-    let regs = ilpc_regalloc::measure(&module.func);
-    let static_insts = module.func.num_insts();
-    GuardedCompile {
-        compiled: Compiled {
-            module,
-            shadow: lowered.shadow_syms,
-            report,
-            superblocks,
-            regs,
-            static_insts,
-            schedules,
-        },
-        guard: guard.report,
-    }
+    let compiled =
+        pipeline(lowered, passes(level), machine, |m, name, body| guard.step(m, name, body));
+    guard.report.settle_level(level);
+    GuardedCompile { compiled, guard: guard.report }
 }
 
 #[cfg(test)]

@@ -2,8 +2,10 @@
 //!
 //! Each figure in the paper is a histogram: the number of loops whose
 //! speedup (or register usage) falls into each range, with one series per
-//! transformation level. The binaries in `src/bin/` print these tables; the
-//! integration tests assert their qualitative shape.
+//! transformation level. [`FIGURES`] is the one place their titles, bins
+//! and loop subsets are written; the `report` binary prints every section
+//! (or one, with `--only <id>`) and the figures bench iterates the same
+//! table. The integration tests assert the figures' qualitative shape.
 
 use crate::grid::Grid;
 use ilpc_core::level::Level;
@@ -106,38 +108,138 @@ pub struct Histogram {
     pub counts: Vec<Vec<usize>>,
 }
 
-/// Build the speedup distribution histogram for `width` over `subset`.
-pub fn speedup_histogram(
-    grid: &Grid,
-    width: u32,
-    bins: Bins,
-    subset: Subset,
-) -> Histogram {
-    let levels = Level::ALL.to_vec();
-    let mut counts = vec![vec![0usize; bins.labels.len()]; levels.len()];
-    for m in grid.meta.iter().filter(|m| subset.includes(m)) {
-        for (li, &level) in levels.iter().enumerate() {
-            if let Some(s) = grid.speedup(m.name, level, width) {
-                counts[li][bins.bin_of(s)] += 1;
-            }
-        }
-    }
-    Histogram { bins, levels, counts }
+/// What a figure counts per loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Metric {
+    /// Speedup over the issue-1 Conv base configuration.
+    Speedup,
+    /// Total registers used by the scheduled code.
+    Registers,
 }
 
-/// Build the register usage histogram for `width` over `subset`.
-pub fn regs_histogram(grid: &Grid, width: u32, subset: Subset) -> Histogram {
-    let bins = Bins::fig11();
-    let levels = Level::ALL.to_vec();
-    let mut counts = vec![vec![0usize; bins.labels.len()]; levels.len()];
-    for m in grid.meta.iter().filter(|m| subset.includes(m)) {
-        for (li, &level) in levels.iter().enumerate() {
-            if let Some(p) = grid.point(m.name, level, width) {
-                counts[li][bins.bin_of(p.regs.total() as f64)] += 1;
+/// One of the paper's distribution figures.
+pub struct Figure {
+    /// Selector for `report --only` and the figures bench entry name.
+    pub id: &'static str,
+    pub title: &'static str,
+    /// Issue width the figure is drawn for.
+    pub width: u32,
+    pub metric: Metric,
+    pub bins: fn() -> Bins,
+    pub subset: Subset,
+}
+
+/// Figures 8-15, in paper order.
+pub const FIGURES: &[Figure] = &[
+    Figure {
+        id: "fig08",
+        title: "Figure 8: speedup distribution, issue-2",
+        width: 2,
+        metric: Metric::Speedup,
+        bins: Bins::fig8,
+        subset: Subset::All,
+    },
+    Figure {
+        id: "fig09",
+        title: "Figure 9: speedup distribution, issue-4",
+        width: 4,
+        metric: Metric::Speedup,
+        bins: Bins::fig9,
+        subset: Subset::All,
+    },
+    Figure {
+        id: "fig10",
+        title: "Figure 10: speedup distribution, issue-8",
+        width: 8,
+        metric: Metric::Speedup,
+        bins: Bins::fig10,
+        subset: Subset::All,
+    },
+    Figure {
+        id: "fig11",
+        title: "Figure 11: register usage distribution, issue-8",
+        width: 8,
+        metric: Metric::Registers,
+        bins: Bins::fig11,
+        subset: Subset::All,
+    },
+    Figure {
+        id: "fig12",
+        title: "Figure 12: speedup distribution, DOALL loops, issue-8",
+        width: 8,
+        metric: Metric::Speedup,
+        bins: Bins::fig10,
+        subset: Subset::Doall,
+    },
+    Figure {
+        id: "fig13",
+        title: "Figure 13: register usage, DOALL loops, issue-8",
+        width: 8,
+        metric: Metric::Registers,
+        bins: Bins::fig11,
+        subset: Subset::Doall,
+    },
+    Figure {
+        id: "fig14",
+        title: "Figure 14: speedup distribution, non-DOALL loops, issue-8",
+        width: 8,
+        metric: Metric::Speedup,
+        bins: Bins::fig10,
+        subset: Subset::NonDoall,
+    },
+    Figure {
+        id: "fig15",
+        title: "Figure 15: register usage, non-DOALL loops, issue-8",
+        width: 8,
+        metric: Metric::Registers,
+        bins: Bins::fig11,
+        subset: Subset::NonDoall,
+    },
+];
+
+impl Figure {
+    /// Count the figure's loops into its bins, one series per level.
+    pub fn histogram(&self, grid: &Grid) -> Histogram {
+        let bins = (self.bins)();
+        let levels = Level::ALL.to_vec();
+        let mut counts = vec![vec![0usize; bins.labels.len()]; levels.len()];
+        for m in grid.meta.iter().filter(|m| self.subset.includes(m)) {
+            for (li, &level) in levels.iter().enumerate() {
+                let value = match self.metric {
+                    Metric::Speedup => grid.speedup(m.name, level, self.width),
+                    Metric::Registers => grid
+                        .point(m.name, level, self.width)
+                        .map(|p| p.regs.total() as f64),
+                };
+                if let Some(v) = value {
+                    counts[li][bins.bin_of(v)] += 1;
+                }
             }
         }
+        Histogram { bins, levels, counts }
     }
-    Histogram { bins, levels, counts }
+
+    /// The figure as a text table.
+    pub fn render(&self, grid: &Grid) -> String {
+        render_histogram(self.title, &self.histogram(grid))
+    }
+}
+
+/// Ids of the report sections `report --only` can select, in report order.
+pub fn section_ids() -> impl Iterator<Item = &'static str> {
+    ["table1", "table2"].into_iter().chain(FIGURES.iter().map(|f| f.id)).chain(["summary"])
+}
+
+/// Render the report section `id`, or `None` for an unknown id. `grid` is
+/// only called by sections that plot measurements, so selecting a static
+/// table never runs one.
+pub fn render_section<'g>(id: &str, grid: impl FnOnce() -> &'g Grid) -> Option<String> {
+    Some(match id {
+        "table1" => render_table1(),
+        "table2" => render_table2(),
+        "summary" => render_summary(grid()),
+        _ => FIGURES.iter().find(|f| f.id == id)?.render(grid()),
+    })
 }
 
 /// Render a histogram as a text table (ranges as rows, levels as columns).
@@ -156,6 +258,18 @@ pub fn render_histogram(title: &str, h: &Histogram) -> String {
         }
         let _ = writeln!(out);
     }
+    out
+}
+
+/// The whole report: every section in order, then the per-loop dump.
+pub fn render_report(grid: &Grid) -> String {
+    let mut out = String::new();
+    for id in section_ids() {
+        let section = render_section(id, || grid).expect("id comes from section_ids");
+        let _ = writeln!(out, "{section}");
+    }
+    let _ = writeln!(out, "== Per-loop speedups (issue-8) ==");
+    let _ = writeln!(out, "{}", render_per_loop(grid, 8));
     out
 }
 
@@ -191,19 +305,10 @@ pub fn render_per_loop(grid: &Grid, width: u32) -> String {
 /// The paper's §3.2/§4 summary statistics.
 pub fn render_summary(grid: &Grid) -> String {
     let mut out = String::new();
-    let all = || grid.meta.iter().map(|m| m.name);
-    let doall = || {
-        grid.meta
-            .iter()
-            .filter(|m| m.ltype.is_doall())
-            .map(|m| m.name)
+    let names = |subset: Subset| {
+        grid.meta.iter().filter(move |m| subset.includes(m)).map(|m| m.name)
     };
-    let nondoall = || {
-        grid.meta
-            .iter()
-            .filter(|m| !m.ltype.is_doall())
-            .map(|m| m.name)
-    };
+    let all = || names(Subset::All);
 
     let _ = writeln!(out, "== Average speedups over issue-1 Conv ==");
     let _ = writeln!(
@@ -220,15 +325,10 @@ pub fn render_summary(grid: &Grid) -> String {
     }
 
     let _ = writeln!(out, "\n== Issue-8 by loop class (paper §4) ==");
-    for (label, iter) in [("DOALL", 0), ("non-DOALL", 1)] {
+    for (label, subset) in [("DOALL", Subset::Doall), ("non-DOALL", Subset::NonDoall)] {
         let _ = write!(out, "{label:<10}");
         for level in Level::ALL {
-            let v = if iter == 0 {
-                grid.mean_speedup(doall(), level, 8)
-            } else {
-                grid.mean_speedup(nondoall(), level, 8)
-            };
-            let _ = write!(out, " {v:>7.2}");
+            let _ = write!(out, " {:>7.2}", grid.mean_speedup(names(subset), level, 8));
         }
         let _ = writeln!(out);
     }

@@ -1,12 +1,13 @@
 //! The evaluation grid: every (loop, level, issue width) combination.
 //!
-//! Points are distributed over worker threads by the work-stealing
-//! scheduler in [`crate::steal`] (per-worker deques, steal-half), which
-//! handles the skewed per-point costs of multi-configuration sweeps; the
-//! original fork-join engine (one shared atomic counter) is retained as
-//! [`run_grid_forkjoin`], the scheduling oracle the differential suite
-//! compares against. Both engines produce an observably identical [`Grid`]:
-//! same points, same cycles, same memory statistics, same typed errors.
+//! A grid is the one-scenario case of a sweep: [`run_grid`] is a thin call
+//! into [`crate::sweep::run_sweep`], whose work-stealing pool
+//! ([`crate::steal`]: per-worker deques, steal-half) handles the skewed
+//! per-point costs of multi-configuration sweeps. The original fork-join
+//! engine (one shared atomic counter) is retained as [`run_grid_forkjoin`],
+//! the scheduling oracle the differential suite compares against. Both
+//! engines produce an observably identical [`Grid`]: same points, same
+//! cycles, same memory statistics, same typed errors.
 //!
 //! Each point is additionally **fault-isolated**: a panic inside one
 //! point's compile/simulate path is contained with `catch_unwind` and
@@ -24,7 +25,7 @@
 
 use crate::artifact::ArtifactCache;
 use crate::run::{evaluate, EvalPoint};
-use crate::steal;
+use crate::sweep::{run_sweep, Scenario, SweepConfig};
 use ilpc_core::level::Level;
 use ilpc_guard::panic_message;
 use ilpc_ir::{Module, Opcode};
@@ -55,29 +56,21 @@ pub struct GridConfig {
     pub mem: MemConfig,
     /// Deliberately break one point (fault drills and tests only).
     pub sabotage: Option<Sabotage>,
-    /// Shared compile-artifact cache. `None` (the default) compiles per
-    /// point; `Some` reuses compiled + pre-decoded artifacts and reference
-    /// executions across points — and across *grids*, which is the payoff:
-    /// a multi-memory-config sweep passes one cache to every `run_grid`
-    /// call and compiles each (workload, level, compile key) exactly once.
-    /// The cache's workload-name keying binds it to one catalog and scale
-    /// (see [`ArtifactCache`]); sabotaged points bypass it entirely.
+    /// Shared compile-artifact cache. `Some` reuses compiled + pre-decoded
+    /// artifacts and reference executions across grids of one catalog and
+    /// scale (the cache's workload-name keying binds it to both, see
+    /// [`ArtifactCache`]). With `None` (the default) [`run_grid`] uses a
+    /// cache private to the call and [`run_grid_forkjoin`] compiles per
+    /// point. Sabotaged points bypass the cache entirely.
     pub artifacts: Option<Arc<ArtifactCache>>,
 }
 
 impl Default for GridConfig {
+    /// The [`SweepConfig`] defaults, under perfect memory.
     fn default() -> GridConfig {
-        GridConfig {
-            scale: 1.0,
-            levels: Level::ALL.to_vec(),
-            widths: vec![1, 2, 4, 8],
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-            mem: MemConfig::Perfect,
-            sabotage: None,
-            artifacts: None,
-        }
+        let SweepConfig { scale, levels, widths, threads, sabotage, artifacts, .. } =
+            SweepConfig::default();
+        GridConfig { scale, levels, widths, threads, mem: MemConfig::Perfect, sabotage, artifacts }
     }
 }
 
@@ -132,7 +125,7 @@ impl fmt::Display for GridConfigError {
 
 impl std::error::Error for GridConfigError {}
 
-/// Validate grid axes shared by [`run_grid`] and the sweep engine:
+/// Validate grid axes for the sweep engine and [`run_grid_forkjoin`]:
 /// returns the deduplicated (order-preserving) levels and widths, or the
 /// first typed configuration error.
 pub(crate) fn validate_axes(
@@ -160,25 +153,16 @@ pub(crate) fn validate_axes(
     }
     // Dedupe preserving first-occurrence order: duplicates would
     // double-evaluate points and silently overwrite map entries.
-    let mut seen_l = Vec::new();
-    let levels = levels
-        .iter()
-        .copied()
-        .filter(|l| !seen_l.contains(l) && {
-            seen_l.push(*l);
-            true
-        })
-        .collect();
-    let mut seen_w = Vec::new();
-    let widths = widths
-        .iter()
-        .copied()
-        .filter(|w| !seen_w.contains(w) && {
-            seen_w.push(*w);
-            true
-        })
-        .collect();
-    Ok((levels, widths))
+    fn dedup<T: Copy + PartialEq>(xs: &[T]) -> Vec<T> {
+        let mut seen = Vec::new();
+        for &x in xs {
+            if !seen.contains(&x) {
+                seen.push(x);
+            }
+        }
+        seen
+    }
+    Ok((dedup(levels), dedup(widths)))
 }
 
 /// Deliberate sabotage of one grid point. Used by tests and fault drills
@@ -525,37 +509,18 @@ pub(crate) fn collect_grid(
     Grid { meta, levels, widths, points, errors }
 }
 
-/// Run the grid on the work-stealing engine.
+/// Run the grid on the work-stealing engine: a one-scenario [`run_sweep`].
 pub fn run_grid(cfg: &GridConfig) -> Result<Grid, GridConfigError> {
-    let (levels, widths) = validate_axes(cfg.scale, &cfg.levels, &cfg.widths)?;
-    let workloads: Vec<Workload> = build_all(cfg.scale);
-    let meta: Vec<WorkloadMeta> = workloads.iter().map(|w| w.meta.clone()).collect();
-
-    // Work items: (workload idx, level, width).
-    let mut items: Vec<(usize, Level, u32)> = Vec::new();
-    for (i, _) in workloads.iter().enumerate() {
-        for &level in &levels {
-            for &width in &widths {
-                items.push((i, level, width));
-            }
-        }
-    }
-
-    let (results, _stats) = steal::execute(&items, cfg.threads.max(1), |_, &(wi, level, width)| {
-        let w = &workloads[wi];
-        let machine = Machine::issue(width).with_mem(cfg.mem);
-        let r = eval_point_contained(
-            w,
-            level,
-            width,
-            &machine,
-            cfg.sabotage.as_ref(),
-            cfg.artifacts.as_deref(),
-        );
-        ((w.meta.name.to_string(), level, width), r)
-    });
-
-    Ok(collect_grid(meta, levels, widths, results))
+    let sweep = run_sweep(&SweepConfig {
+        scale: cfg.scale,
+        levels: cfg.levels.clone(),
+        widths: cfg.widths.clone(),
+        threads: cfg.threads,
+        scenarios: vec![Scenario::mem(cfg.mem)],
+        sabotage: cfg.sabotage.clone(),
+        artifacts: cfg.artifacts.clone(),
+    })?;
+    Ok(sweep.grids.into_iter().next().expect("one scenario yields one grid"))
 }
 
 /// Run the grid on the original fork-join engine (one shared atomic work

@@ -13,14 +13,13 @@
 //! and tail duplicates inherit the measured probability of the branch they
 //! were cloned from.
 
-use crate::compile::Compiled;
+use crate::compile::{pipeline, Compiled};
 use crate::run::run_compiled;
-use ilpc_core::level::{apply_level, Level};
+use ilpc_core::level::{apply_level, passes, Level, PASSES};
 use ilpc_core::unroll::UnrollConfig;
 use ilpc_ir::lower::lower;
 use ilpc_ir::{Module, Opcode};
 use ilpc_machine::Machine;
-use ilpc_sched::{form_superblocks, schedule_module, SuperblockConfig};
 use ilpc_sim::{memory_from_init, simulate};
 use ilpc_workloads::Workload;
 use std::collections::HashMap;
@@ -90,65 +89,23 @@ pub fn apply_profile(m: &mut Module, profile: &BranchProfile) {
 
 /// Full profile-driven compilation: train at Conv/issue-1, then compile at
 /// `level` with the measured branch probabilities steering superblock
-/// formation. The profile is applied right after Conv (block ids at that
-/// point match the training module's), before the ILP transformations
-/// clone the branches.
+/// formation. The profile is applied right after the first table pass
+/// (`conventional`: block ids at that point match the training module's),
+/// before the ILP transformations clone the branches.
 pub fn compile_with_profile(
     w: &Workload,
     level: Level,
     machine: &Machine,
 ) -> Result<(Compiled, BranchProfile), String> {
     let (_, profile) = collect_profile(w)?;
-
-    let lowered = lower(&w.program);
-    let mut module = lowered.module;
-    // Conv first (deterministic: same block ids as the training module).
-    apply_level(&mut module, Level::Conv, &UnrollConfig::default());
-    apply_profile(&mut module, &profile);
-    // The remaining levels run on the profile-annotated module.
-    if level > Level::Conv {
-        let report = {
-            use ilpc_core::ablation::{apply_set, TransformSet};
-            let mut set = TransformSet::of_level(level);
-            // Conv already ran; apply_set re-runs it harmlessly
-            // (idempotent on optimized code).
-            let _ = &mut set;
-            apply_set(&mut module, &set, &UnrollConfig::default())
-        };
-        let superblocks =
-            form_superblocks(&mut module, &SuperblockConfig::default());
-        let schedules = schedule_module(&mut module, machine);
-        let regs = ilpc_regalloc::measure(&module.func);
-        let static_insts = module.func.num_insts();
-        return Ok((
-            Compiled {
-                module,
-                shadow: lowered.shadow_syms,
-                report,
-                superblocks,
-                regs,
-                static_insts,
-                schedules,
-            },
-            profile,
-        ));
-    }
-    let superblocks = form_superblocks(&mut module, &SuperblockConfig::default());
-    let schedules = schedule_module(&mut module, machine);
-    let regs = ilpc_regalloc::measure(&module.func);
-    let static_insts = module.func.num_insts();
-    Ok((
-        Compiled {
-            module,
-            shadow: lowered.shadow_syms,
-            report: Default::default(),
-            superblocks,
-            regs,
-            static_insts,
-            schedules,
-        },
-        profile,
-    ))
+    let compiled = pipeline(lower(&w.program), passes(level), machine, |m, name, body| {
+        body(m);
+        if name == PASSES[0].name {
+            apply_profile(m, &profile);
+        }
+        true
+    });
+    Ok((compiled, profile))
 }
 
 /// Evaluate a workload with profile-driven compilation.
@@ -206,5 +163,13 @@ mod tests {
                 stat.cycles
             );
         }
+        // The profile route is the shared pipeline: it honours
+        // `machine.vlen` and reaches the SLP rows at Lev6 like `compile`.
+        let meta = table2().into_iter().find(|m| m.name == "add").unwrap();
+        let w = build(&meta, 0.05);
+        let machine = Machine::issue(8).with_vlen(4);
+        let (compiled, _) = compile_with_profile(&w, Level::Lev6, &machine).unwrap();
+        assert!(compiled.report.packs_formed > 0, "{:?}", compiled.report);
+        run_compiled(&w, &compiled, &machine).unwrap();
     }
 }

@@ -9,7 +9,9 @@ use ilpc_ir::SymId;
 use ilpc_machine::Machine;
 use ilpc_mem::MemStats;
 use ilpc_regalloc::RegUsage;
-use ilpc_sim::{memory_from_init, read_symbol, simulate_limited, SimLimits};
+use ilpc_sim::{
+    decode, memory_from_init, read_symbol, simulate_decoded, DecodedProgram, SimLimits,
+};
 use ilpc_workloads::Workload;
 
 /// Relative tolerance for floating point result comparison. Expansion
@@ -38,9 +40,7 @@ pub struct EvalPoint {
 
 /// Differentially verify a simulated memory image against the AST
 /// interpreter's reference execution: every array, and every assigned
-/// scalar via its shadow symbol. Shared by the compile-per-point path
-/// ([`run_compiled`]) and the artifact-cache path
-/// (`crate::artifact::ArtifactCache::evaluate`).
+/// scalar via its shadow symbol.
 pub fn verify_against_reference(
     w: &Workload,
     compiled: &Compiled,
@@ -81,22 +81,26 @@ pub fn verify_against_reference(
     Ok(())
 }
 
-/// Simulate `compiled` and check its results against the interpreter.
-pub fn run_compiled(
+/// Simulate `decoded` (the pre-decoded form of `compiled`) under `machine`
+/// and check its results against `reference`: the one simulate-and-verify
+/// tail, shared by the compile-per-point path ([`run_compiled`]) and the
+/// artifact-cache path (`crate::artifact::ArtifactCache::evaluate`).
+pub(crate) fn run_decoded(
     w: &Workload,
     compiled: &Compiled,
+    decoded: &DecodedProgram,
+    reference: &ExecState,
     machine: &Machine,
 ) -> Result<EvalPoint, String> {
     let mem = memory_from_init(&compiled.module.symtab, &w.init);
-    let reference = interpret(&w.program, &w.init);
     // Explicit budgets: the cycle limit bounds wall-clock, the derived
     // dynamic-instruction watchdog catches runaway wide-issue work that
     // burns few cycles but unbounded instructions.
     let limits = SimLimits::cycles(cycle_budget(reference.stmts_executed));
-    let res = simulate_limited(&compiled.module, machine, mem, limits)
+    let res = simulate_decoded(decoded, machine, mem, limits)
         .map_err(|e| format!("{}: {e}", w.meta.name))?;
 
-    verify_against_reference(w, compiled, &reference, &res.memory)?;
+    verify_against_reference(w, compiled, reference, &res.memory)?;
 
     Ok(EvalPoint {
         cycles: res.cycles,
@@ -105,6 +109,16 @@ pub fn run_compiled(
         static_insts: compiled.static_insts,
         mem: res.mem,
     })
+}
+
+/// Simulate `compiled` and check its results against the interpreter.
+pub fn run_compiled(
+    w: &Workload,
+    compiled: &Compiled,
+    machine: &Machine,
+) -> Result<EvalPoint, String> {
+    let decoded = decode(&compiled.module, machine);
+    run_decoded(w, compiled, &decoded, &interpret(&w.program, &w.init), machine)
 }
 
 /// Compile + simulate + verify one ablation point.

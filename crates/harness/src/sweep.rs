@@ -2,8 +2,8 @@
 //!
 //! A **sweep** crosses the evaluation grid (40 loops × levels × widths)
 //! with N *scenarios* — memory configurations and/or latency tables — in
-//! one call. Compared with calling [`crate::grid::run_grid`] once per
-//! scenario it differs in two ways that matter at scale:
+//! one call ([`crate::grid::run_grid`] is the one-scenario case). Compared
+//! with one call per scenario it differs in two ways that matter at scale:
 //!
 //! * **one scheduler, no barriers**: every (scenario, loop, level, width)
 //!   point goes into a single work-stealing pool, so a scenario whose
@@ -67,7 +67,8 @@ impl Scenario {
 pub struct SweepConfig {
     /// Trip-count scale (1.0 = the paper's Table 2 counts).
     pub scale: f64,
-    /// Levels to evaluate (validated exactly like [`crate::grid::GridConfig`]).
+    /// Levels to evaluate. [`Level::Conv`] is required: it anchors the
+    /// speedup baseline. Duplicates are deduplicated up front.
     pub levels: Vec<Level>,
     /// Issue widths to evaluate (must include the base width 1).
     pub widths: Vec<u32>,
@@ -148,7 +149,8 @@ impl Sweep {
 }
 
 /// Run a multi-scenario sweep on one work-stealing pool with one shared
-/// artifact cache. Grid axes are validated exactly like [`crate::grid::run_grid`].
+/// artifact cache. Rejects invalid axes with a typed error before any
+/// point runs.
 pub fn run_sweep(cfg: &SweepConfig) -> Result<Sweep, GridConfigError> {
     let (levels, widths) = validate_axes(cfg.scale, &cfg.levels, &cfg.widths)?;
     if cfg.scenarios.is_empty() {
@@ -212,15 +214,16 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<Sweep, GridConfigError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{run_grid, GridConfig, PointError, SabotageMode};
+    use crate::grid::{run_grid_forkjoin, GridConfig, PointError, SabotageMode};
     use ilpc_machine::CacheParams;
 
     fn mini_axes() -> (Vec<Level>, Vec<u32>) {
         (vec![Level::Conv, Level::Lev2], vec![1, 8])
     }
 
-    /// A two-scenario sweep equals two independent grid runs, while
-    /// compiling each (workload, level, width) exactly once across both.
+    /// A two-scenario sweep equals two independent runs of the fork-join
+    /// oracle, while compiling each (workload, level, width) exactly once
+    /// across both.
     #[test]
     fn sweep_matches_independent_grids_and_shares_artifacts() {
         let (levels, widths) = mini_axes();
@@ -242,7 +245,7 @@ mod tests {
         assert_eq!(sweep.total_errors(), 0);
 
         for (i, scenario) in scenarios.iter().enumerate() {
-            let alone = run_grid(&GridConfig {
+            let alone = run_grid_forkjoin(&GridConfig {
                 scale: 0.02,
                 levels: levels.clone(),
                 widths: widths.clone(),

@@ -42,6 +42,9 @@ cargo build --release --offline --workspace
 
 echo "== offline workspace check (incl. benches, warnings are errors) =="
 RUSTFLAGS="-D warnings" cargo check --workspace --all-targets --offline
+# benchmark/ is its own workspace on path deps into crates/*: a change to
+# the crates' public surface can break the ledger without tier-1 noticing.
+cargo check --offline --manifest-path benchmark/Cargo.toml
 
 echo "== offline test suite =="
 cargo test -q --offline
