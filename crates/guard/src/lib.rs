@@ -44,8 +44,7 @@
 
 pub mod inject;
 
-use ilpc_core::level::{passes, Level, TransformReport};
-use ilpc_core::unroll::UnrollConfig;
+use ilpc_core::level::{passes, Level};
 use ilpc_ir::value::ArrayVal;
 use ilpc_ir::verify::verify_module;
 use ilpc_ir::{Module, SymId};
@@ -475,31 +474,11 @@ impl<'a> Guard<'a> {
     }
 }
 
-/// Apply `level` to `m` through the firewall: every pass of the level
-/// pipeline runs as a guarded step. Failed passes are rolled back and
-/// skipped; the module always leaves this function verifiable and (given an
-/// oracle) architecturally correct.
-pub fn guarded_apply_level(
-    m: &mut Module,
-    level: Level,
-    ucfg: &UnrollConfig,
-    guard: &mut Guard,
-) -> TransformReport {
-    let mut rep = TransformReport::default();
-    for pass in passes(level) {
-        let saved = rep.clone();
-        let kept = guard.step(m, pass.name, |m| pass.execute(m, ucfg, &mut rep));
-        if !kept {
-            rep = saved;
-        }
-    }
-    guard.report.settle_level(level);
-    rep
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ilpc_core::level::TransformReport;
+    use ilpc_core::unroll::UnrollConfig;
     use ilpc_ir::ast::{Bound, Expr, Index, Program, Stmt};
     use ilpc_ir::interp::{interpret, DataInit};
     use ilpc_ir::lower::lower;
@@ -507,6 +486,27 @@ mod tests {
     use ilpc_ir::value::Value;
     use ilpc_ir::Opcode;
     use ilpc_sim::memory_from_init;
+
+    /// Apply `level` to `m` through the firewall, every pass of the level
+    /// pipeline as a guarded step: the driver of these tests (the real one
+    /// is `ilpc_harness::compile`'s pipeline, which needs a workload).
+    fn guarded_apply_level(
+        m: &mut Module,
+        level: Level,
+        ucfg: &UnrollConfig,
+        guard: &mut Guard,
+    ) -> TransformReport {
+        let mut rep = TransformReport::default();
+        for pass in passes(level) {
+            let saved = rep.clone();
+            let kept = guard.step(m, pass.name, |m| pass.execute(m, ucfg, &mut rep));
+            if !kept {
+                rep = saved;
+            }
+        }
+        guard.report.settle_level(level);
+        rep
+    }
 
     fn dotprod() -> (Program, DataInit) {
         let mut p = Program::new("dotprod");

@@ -14,6 +14,7 @@ use ilpc_core::level::Level;
 use ilpc_harness::compile::compile_set;
 use ilpc_harness::run::{evaluate_set, run_compiled};
 use ilpc_machine::Machine;
+use ilpc_testkit::cli::Args;
 use ilpc_workloads::{build_all, Workload};
 
 fn mean_speedup(workloads: &[Workload], bases: &[u64], set: &TransformSet) -> f64 {
@@ -28,11 +29,9 @@ fn mean_speedup(workloads: &[Workload], bases: &[u64], set: &TransformSet) -> f6
 }
 
 fn main() {
-    let mut scale = 1.0f64;
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(k) = args.iter().position(|a| a == "--scale") {
-        scale = args[k + 1].parse().expect("scale");
-    }
+    let mut args = Args::from_env("ablation", "ablation [--scale F]");
+    let scale: f64 = args.opt("--scale").unwrap_or(1.0);
+    args.finish();
     let workloads = build_all(scale);
     eprintln!("measuring baselines...");
     let machine1 = Machine::base();

@@ -22,6 +22,7 @@ use ilpc_harness::artifact::ArtifactCache;
 use ilpc_harness::grid::Grid;
 use ilpc_harness::sweep::{run_sweep, Scenario, SweepConfig};
 use ilpc_machine::{CacheParams, MemConfig};
+use ilpc_testkit::cli::Args;
 use std::sync::Arc;
 
 /// Acceptance invariants of one scenario's grid: no failed point, and
@@ -56,12 +57,10 @@ fn mean_speedup(g: &Grid, base: &Grid, level: Level, width: u32) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut scale = 0.25f64;
-    if let Some(k) = args.iter().position(|a| a == "--scale") {
-        scale = args[k + 1].parse().expect("scale");
-    }
-    let quick = args.iter().any(|a| a == "--quick");
+    let mut args = Args::from_env("cache-sensitivity", "cache-sensitivity [--scale F] [--quick]");
+    let scale: f64 = args.opt("--scale").unwrap_or(0.25);
+    let quick = args.switch("--quick");
+    args.finish();
 
     let levels: Vec<Level> = if quick {
         vec![Level::Conv, Level::Lev2, Level::Lev4]

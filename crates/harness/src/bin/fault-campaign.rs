@@ -9,26 +9,21 @@
 //! results with nothing flagged.
 
 use ilpc_harness::campaign::{run_campaign, CampaignConfig};
+use ilpc_testkit::cli::Args;
 
 fn main() {
     let mut cfg = CampaignConfig::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut take = |name: &str| {
-            args.next().unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--quick" => cfg.faults = 120,
-            "--faults" => cfg.faults = take("--faults").parse().expect("--faults N"),
-            "--seed" => cfg.seed = take("--seed").parse().expect("--seed S"),
-            "--scale" => cfg.scale = take("--scale").parse().expect("--scale F"),
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: fault-campaign [--quick] [--faults N] [--seed S] [--scale F]");
-                std::process::exit(2);
-            }
-        }
+    let mut args = Args::from_env(
+        "fault-campaign",
+        "fault-campaign [--quick] [--faults N] [--seed S] [--scale F]",
+    );
+    if args.switch("--quick") {
+        cfg.faults = 120;
     }
+    args.set("--faults", &mut cfg.faults);
+    args.set("--seed", &mut cfg.seed);
+    args.set("--scale", &mut cfg.scale);
+    args.finish();
 
     let report = run_campaign(&cfg);
     print!("{}", report.render());

@@ -21,32 +21,17 @@ use ilpc_harness::compile::compile;
 use ilpc_lint::json::{obj, Json};
 use ilpc_lint::{audit_schedules, count_severity, lint_module, sort_diagnostics, Severity};
 use ilpc_machine::Machine;
+use ilpc_testkit::cli::Args;
 use ilpc_workloads::build_all;
 
 fn main() {
-    let mut scale = 0.02_f64;
-    let mut quick = false;
-    let mut json = false;
-    let mut verbose = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--json" => json = true,
-            "--verbose" => verbose = true,
-            "--scale" => {
-                scale = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--scale F");
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: ilpc-lint [--quick] [--json] [--verbose] [--scale F]");
-                std::process::exit(2);
-            }
-        }
-    }
+    let mut args =
+        Args::from_env("ilpc-lint", "ilpc-lint [--quick] [--json] [--verbose] [--scale F]");
+    let scale: f64 = args.opt("--scale").unwrap_or(0.02);
+    let quick = args.switch("--quick");
+    let json = args.switch("--json");
+    let verbose = args.switch("--verbose");
+    args.finish();
 
     let widths: &[u32] = if quick { &[4] } else { &[1, 4, 8] };
     let workloads = build_all(scale);

@@ -19,6 +19,7 @@ use ilpc_harness::run::run_compiled;
 use ilpc_machine::Machine;
 use ilpc_sched::schedule_insts;
 use ilpc_sim::simulate;
+use ilpc_testkit::cli;
 use ilpc_workloads::{build, table2};
 
 struct Args {
@@ -30,68 +31,36 @@ struct Args {
     scale: f64,
 }
 
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.is_empty() {
-        usage();
-    }
-    let mut args = Args {
-        cmd: argv[0].clone(),
-        target: None,
-        level: Level::Lev4,
-        width: 8,
-        vlen: 1,
-        scale: 1.0,
-    };
-    let mut k = 1;
-    while k < argv.len() {
-        match argv[k].as_str() {
-            "--level" => {
-                args.level = match argv[k + 1].as_str() {
-                    "conv" | "Conv" => Level::Conv,
-                    "lev1" | "Lev1" => Level::Lev1,
-                    "lev2" | "Lev2" => Level::Lev2,
-                    "lev3" | "Lev3" => Level::Lev3,
-                    "lev4" | "Lev4" => Level::Lev4,
-                    "lev6" | "Lev6" => Level::Lev6,
-                    other => die(&format!("unknown level {other}")),
-                };
-                k += 2;
-            }
-            "--width" => {
-                args.width = argv[k + 1].parse().unwrap_or_else(|_| die("bad width"));
-                if args.width == 0 {
-                    die("width must be at least 1");
-                }
-                k += 2;
-            }
-            "--vlen" => {
-                args.vlen = argv[k + 1].parse().unwrap_or_else(|_| die("bad vlen"));
-                if args.vlen == 0 {
-                    die("vlen must be at least 1");
-                }
-                k += 2;
-            }
-            "--scale" => {
-                args.scale = argv[k + 1].parse().unwrap_or_else(|_| die("bad scale"));
-                k += 2;
-            }
-            other if args.target.is_none() && !other.starts_with("--") => {
-                args.target = Some(other.to_string());
-                k += 1;
-            }
-            other => die(&format!("unknown argument {other}")),
-        }
-    }
-    args
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: ilpc <list|emit|run|trace|exec> [target] \
-         [--level conv|lev1..lev4|lev6] [--width N] [--vlen N] [--scale S]"
+/// Parse the command line; the cursor comes back too so `main` can reject
+/// a missing target or an unknown command the same way.
+fn parse_args() -> (Args, cli::Args) {
+    let mut cli = cli::Args::from_env(
+        "ilpc",
+        "ilpc <list|emit|run|trace|exec> [target] \
+         [--level conv|lev1..lev4|lev6] [--width N] [--vlen N] [--scale S]",
     );
-    std::process::exit(2);
+    let level = match cli.opt::<String>("--level").as_deref() {
+        Some("conv" | "Conv") => Level::Conv,
+        Some("lev1" | "Lev1") => Level::Lev1,
+        Some("lev2" | "Lev2") => Level::Lev2,
+        Some("lev3" | "Lev3") => Level::Lev3,
+        None | Some("lev4" | "Lev4") => Level::Lev4,
+        Some("lev6" | "Lev6") => Level::Lev6,
+        Some(other) => cli.fail(&format!("unknown level {other}")),
+    };
+    let width = cli.opt("--width").unwrap_or(8);
+    if width == 0 {
+        cli.fail("width must be at least 1");
+    }
+    let vlen = cli.opt("--vlen").unwrap_or(1);
+    if vlen == 0 {
+        cli.fail("vlen must be at least 1");
+    }
+    let scale = cli.opt("--scale").unwrap_or(1.0);
+    let cmd = cli.positional().unwrap_or_else(|| cli.fail("missing command"));
+    let target = cli.positional();
+    cli.finish();
+    (Args { cmd, target, level, width, vlen, scale }, cli)
 }
 
 fn die(msg: &str) -> ! {
@@ -99,8 +68,8 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn workload(args: &Args) -> ilpc_workloads::Workload {
-    let name = args.target.as_deref().unwrap_or_else(|| usage());
+fn workload(args: &Args, cli: &cli::Args) -> ilpc_workloads::Workload {
+    let name = args.target.as_deref().unwrap_or_else(|| cli.fail("missing loop nest name"));
     let meta = table2()
         .into_iter()
         .find(|m| m.name == name)
@@ -109,7 +78,7 @@ fn workload(args: &Args) -> ilpc_workloads::Workload {
 }
 
 fn main() {
-    let args = parse_args();
+    let (args, cli) = parse_args();
     let machine = Machine::issue(args.width).with_vlen(args.vlen);
     match args.cmd.as_str() {
         "list" => {
@@ -131,12 +100,12 @@ fn main() {
             }
         }
         "emit" => {
-            let w = workload(&args);
+            let w = workload(&args, &cli);
             let c = compile(&w, args.level, &machine);
             print!("{}", ilpc_ir::text::serialize(&c.module));
         }
         "run" => {
-            let w = workload(&args);
+            let w = workload(&args, &cli);
             let c = compile(&w, args.level, &machine);
             match run_compiled(&w, &c, &machine) {
                 Ok(p) => {
@@ -155,7 +124,7 @@ fn main() {
             }
         }
         "trace" => {
-            let w = workload(&args);
+            let w = workload(&args, &cli);
             let c = compile(&w, args.level, &machine);
             let lv = ilpc_analysis::Liveness::compute(&c.module.func);
             for &bid in c.module.func.layout_order() {
@@ -169,7 +138,7 @@ fn main() {
             }
         }
         "exec" => {
-            let path = args.target.as_deref().unwrap_or_else(|| usage());
+            let path = args.target.as_deref().unwrap_or_else(|| cli.fail("missing file"));
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
             let module = ilpc_ir::text::parse(&text)
@@ -189,6 +158,6 @@ fn main() {
                 Err(e) => die(&format!("simulation failed: {e}")),
             }
         }
-        _ => usage(),
+        other => cli.fail(&format!("unknown command {other}")),
     }
 }

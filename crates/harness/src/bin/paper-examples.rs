@@ -5,9 +5,12 @@
 use ilpc_harness::examples_paper::{all_examples, measure};
 use ilpc_machine::Machine;
 use ilpc_sched::schedule_insts;
+use ilpc_testkit::cli::Args;
 
 fn main() {
-    let verbose = std::env::args().any(|a| a == "--verbose");
+    let mut args = Args::from_env("paper-examples", "paper-examples [--verbose]");
+    let verbose = args.switch("--verbose");
+    args.finish();
     println!(
         "{:<8} {:>8} {:>8} {:>6}  description",
         "example", "measured", "paper", "iters"

@@ -11,14 +11,13 @@ use ilpc_core::level::Level;
 use ilpc_harness::profile::evaluate_with_profile;
 use ilpc_harness::run::evaluate;
 use ilpc_machine::Machine;
+use ilpc_testkit::cli::Args;
 use ilpc_workloads::build_all;
 
 fn main() {
-    let mut scale = 1.0f64;
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(k) = args.iter().position(|a| a == "--scale") {
-        scale = args[k + 1].parse().expect("scale");
-    }
+    let mut args = Args::from_env("profile-study", "profile-study [--scale F]");
+    let scale: f64 = args.opt("--scale").unwrap_or(1.0);
+    args.finish();
     let machine = Machine::issue(8);
 
     println!(

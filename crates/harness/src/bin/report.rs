@@ -7,39 +7,23 @@
 
 use ilpc_harness::figures::{render_report, render_section, section_ids};
 use ilpc_harness::grid::{run_grid, Grid, GridConfig};
+use ilpc_testkit::cli::Args;
 use std::cell::OnceCell;
-
-/// Reject the command line: one `report:` line plus usage, exit status 2.
-fn usage(problem: &str) -> ! {
-    eprintln!("report: {problem}");
-    eprintln!("usage: report [--scale F] [--threads N] [--only ID]");
-    eprintln!("  ID: {}", section_ids().collect::<Vec<_>>().join(" "));
-    std::process::exit(2);
-}
 
 fn parse_args() -> (GridConfig, Option<String>) {
     let mut cfg = GridConfig::default();
-    let mut only = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || args.next().unwrap_or_else(|| usage(&format!("{flag} needs a value")));
-        match flag.as_str() {
-            "--scale" => {
-                cfg.scale = value().parse().unwrap_or_else(|_| usage("--scale takes a number"))
-            }
-            "--threads" => {
-                cfg.threads = value().parse().unwrap_or_else(|_| usage("--threads takes a count"))
-            }
-            "--only" => {
-                let id = value();
-                if !section_ids().any(|s| s == id) {
-                    usage(&format!("unknown section `{id}`"));
-                }
-                only = Some(id);
-            }
-            other => usage(&format!("unknown argument {other}")),
-        }
+    let ids = section_ids().collect::<Vec<_>>().join(" ");
+    let mut args = Args::from_env(
+        "report",
+        format!("report [--scale F] [--threads N] [--only ID]\n  ID: {ids}"),
+    );
+    args.set("--scale", &mut cfg.scale);
+    args.set("--threads", &mut cfg.threads);
+    let only: Option<String> = args.opt("--only");
+    if let Some(id) = only.as_deref().filter(|id| !section_ids().any(|s| s == *id)) {
+        args.fail(&format!("unknown section `{id}`"));
     }
+    args.finish();
     (cfg, only)
 }
 

@@ -24,14 +24,13 @@ use ilpc_harness::compile::compile;
 use ilpc_machine::Machine;
 use ilpc_sched::modulo::{modulo_schedule, pipelinable_loops};
 use ilpc_sched::schedule_insts;
+use ilpc_testkit::cli::Args;
 use ilpc_workloads::build_all;
 
 fn main() {
-    let mut scale = 1.0f64;
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(k) = args.iter().position(|a| a == "--scale") {
-        scale = args[k + 1].parse().expect("scale");
-    }
+    let mut args = Args::from_env("swp", "swp [--scale F]");
+    let scale: f64 = args.opt("--scale").unwrap_or(1.0);
+    args.finish();
     let machine = Machine::issue(8);
 
     println!(

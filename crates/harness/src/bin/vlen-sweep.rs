@@ -28,15 +28,14 @@ use ilpc_core::level::Level;
 use ilpc_harness::compile::compile;
 use ilpc_harness::sweep::{run_sweep, Scenario, Sweep, SweepConfig};
 use ilpc_machine::Machine;
+use ilpc_testkit::cli::Args;
 use ilpc_workloads::build_all;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut scale = if quick { 0.05 } else { 0.25f64 };
-    if let Some(k) = args.iter().position(|a| a == "--scale") {
-        scale = args[k + 1].parse().expect("scale");
-    }
+    let mut args = Args::from_env("vlen-sweep", "vlen-sweep [--scale F] [--quick]");
+    let quick = args.switch("--quick");
+    let scale: f64 = args.opt("--scale").unwrap_or(if quick { 0.05 } else { 0.25 });
+    args.finish();
     let vlens: Vec<u32> = if quick { vec![1, 4] } else { vec![1, 2, 4, 8] };
     let widths: Vec<u32> = if quick { vec![1, 8] } else { vec![1, 4, 8] };
     let levels = vec![Level::Conv, Level::Lev4, Level::Lev6];

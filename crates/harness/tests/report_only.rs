@@ -2,6 +2,7 @@
 
 use ilpc_harness::figures::{render_report, render_section, section_ids, FIGURES};
 use ilpc_harness::grid::{run_grid, GridConfig};
+use ilpc_testkit::cli::assert_rejected;
 use std::process::{Command, Output};
 
 fn report(args: &[&str]) -> Output {
@@ -30,8 +31,9 @@ fn only_sections_tile_the_full_report() {
     assert!(rest.starts_with("== Per-loop speedups (issue-8) =="), "{rest}");
 }
 
-/// The binary's argument handling: bad input is a typed exit-2 rejection
-/// (never a panic), and a static table prints without running a grid.
+/// The binaries' argument handling: bad input is a typed exit-2 rejection
+/// (never a panic) — `report`'s in detail, every other binary of the crate
+/// by table — and a static table prints without running a grid.
 #[test]
 fn cli_rejects_bad_arguments_and_selects_sections() {
     let unknown = report(&["--only", "fig99"]);
@@ -50,6 +52,29 @@ fn cli_rejects_bad_arguments_and_selects_sections() {
     }
     assert_eq!(report(&["--scale", "fast"]).status.code(), Some(2));
     assert_eq!(report(&["--bogus"]).status.code(), Some(2));
+
+    // Every other binary of this crate rejects a trailing value-taking
+    // flag, an unparsable value and an unknown flag the same way: one
+    // `<bin>: …` line, the usage, exit status 2 — never a panic (101).
+    // (To `paper-examples`, which takes no value, all three are unknown.)
+    let bins = [
+        ("ablation", env!("CARGO_BIN_EXE_ablation")),
+        ("cache-sensitivity", env!("CARGO_BIN_EXE_cache-sensitivity")),
+        ("fault-campaign", env!("CARGO_BIN_EXE_fault-campaign")),
+        ("ilpc", env!("CARGO_BIN_EXE_ilpc")),
+        ("ilpc-lint", env!("CARGO_BIN_EXE_ilpc-lint")),
+        ("paper-examples", env!("CARGO_BIN_EXE_paper-examples")),
+        ("profile-study", env!("CARGO_BIN_EXE_profile-study")),
+        ("sensitivity", env!("CARGO_BIN_EXE_sensitivity")),
+        ("swp", env!("CARGO_BIN_EXE_swp")),
+        ("vlen-sweep", env!("CARGO_BIN_EXE_vlen-sweep")),
+    ];
+    for (name, exe) in bins {
+        for args in [&["--scale"][..], &["--scale", "fast"], &["--scal", "0.1"]] {
+            assert_rejected(name, exe, args);
+        }
+    }
+    assert_rejected("ilpc", env!("CARGO_BIN_EXE_ilpc"), &["run", "dotprod", "--width"]);
 
     let table1 = report(&["--only", "table1"]);
     assert!(table1.status.success());

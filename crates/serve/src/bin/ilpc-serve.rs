@@ -36,66 +36,40 @@
 //! queue rejects with `overloaded` instead of buffering without bound.
 
 use ilpc_serve::{pool_lines, serve_lines, serve_tcp, ChaosPlan, PoolConfig, ServeConfig};
+use ilpc_testkit::cli::Args;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
     let mut cfg = ServeConfig::default();
     let mut pool = PoolConfig::default();
-    let mut tcp: Option<String> = None;
-    let mut shards: Option<usize> = None;
-    let mut chaos: Option<String> = None;
-    let mut k = 1;
-    let num = |args: &[String], k: usize, what: &str| -> u64 {
-        args.get(k + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| die(&format!("{what} needs an integer value")))
-    };
-    while k < args.len() {
-        match args[k].as_str() {
-            "--workers" => cfg.workers = num(&args, k, "--workers") as usize,
-            "--queue" => cfg.queue = num(&args, k, "--queue") as usize,
-            "--sweep-threads" => cfg.sweep_threads = num(&args, k, "--sweep-threads") as usize,
-            "--tcp" => {
-                tcp = Some(args.get(k + 1).cloned().unwrap_or_else(|| die("--tcp ADDR")))
-            }
-            "--pool" => shards = Some(num(&args, k, "--pool") as usize),
-            "--chaos" => {
-                chaos = Some(args.get(k + 1).cloned().unwrap_or_else(|| die("--chaos SPEC")))
-            }
-            "--deadline-ms" => pool.deadline_ms = num(&args, k, "--deadline-ms"),
-            "--ping-interval-ms" => pool.ping_interval_ms = num(&args, k, "--ping-interval-ms"),
-            "--ping-misses" => pool.ping_misses = num(&args, k, "--ping-misses") as u32,
-            "--retry" => pool.max_attempts = num(&args, k, "--retry") as u32,
-            "--backoff-base-ms" => pool.backoff.base_ms = num(&args, k, "--backoff-base-ms"),
-            "--backoff-max-ms" => pool.backoff.max_ms = num(&args, k, "--backoff-max-ms"),
-            "--backoff-jitter-ms" => {
-                pool.backoff.jitter_ms = num(&args, k, "--backoff-jitter-ms")
-            }
-            "--breaker-max" => pool.breaker.max_restarts = num(&args, k, "--breaker-max") as u32,
-            "--breaker-window-ms" => {
-                pool.breaker.window_ms = num(&args, k, "--breaker-window-ms")
-            }
-            "--breaker-cooloff-ms" => {
-                pool.breaker.cooloff_ms = num(&args, k, "--breaker-cooloff-ms")
-            }
-            "--seed" => pool.backoff.seed = num(&args, k, "--seed"),
-            other => {
-                eprintln!("unknown argument {other}");
-                eprintln!(
-                    "usage: ilpc-serve [--workers N] [--queue N] [--sweep-threads N] \
-                     [--tcp ADDR] [--chaos SPEC] [--pool N ...pool knobs...]"
-                );
-                std::process::exit(2);
-            }
-        }
-        k += 2;
-    }
+    let mut args = Args::from_env(
+        "ilpc-serve",
+        "ilpc-serve [--workers N] [--queue N] [--sweep-threads N] \
+         [--tcp ADDR] [--chaos SPEC] [--pool N ...pool knobs...]",
+    );
+    args.set("--workers", &mut cfg.workers);
+    args.set("--queue", &mut cfg.queue);
+    args.set("--sweep-threads", &mut cfg.sweep_threads);
+    let tcp: Option<String> = args.opt("--tcp");
+    let shards: Option<usize> = args.opt("--pool");
+    let chaos: Option<String> = args.opt("--chaos");
+    args.set("--deadline-ms", &mut pool.deadline_ms);
+    args.set("--ping-interval-ms", &mut pool.ping_interval_ms);
+    args.set("--ping-misses", &mut pool.ping_misses);
+    args.set("--retry", &mut pool.max_attempts);
+    args.set("--backoff-base-ms", &mut pool.backoff.base_ms);
+    args.set("--backoff-max-ms", &mut pool.backoff.max_ms);
+    args.set("--backoff-jitter-ms", &mut pool.backoff.jitter_ms);
+    args.set("--breaker-max", &mut pool.breaker.max_restarts);
+    args.set("--breaker-window-ms", &mut pool.breaker.window_ms);
+    args.set("--breaker-cooloff-ms", &mut pool.breaker.cooloff_ms);
+    args.set("--seed", &mut pool.backoff.seed);
+    args.finish();
 
     match (tcp, shards) {
-        (Some(_), Some(_)) => die("--tcp and --pool are mutually exclusive"),
+        (Some(_), Some(_)) => args.fail("--tcp and --pool are mutually exclusive"),
         (Some(addr), None) => {
             if chaos.is_some() {
-                die("--chaos is a stdin-mode flag (workers and pool drills), not TCP");
+                args.fail("--chaos is a stdin-mode flag (workers and pool drills), not TCP");
             }
             let (local, accept_loop) = serve_tcp(&cfg, &addr, None).expect("bind TCP listener");
             eprintln!("ilpc-serve listening on {local}");
@@ -117,7 +91,7 @@ fn main() {
                 // Validate here so a typo'd spec fails fast instead of
                 // crash-looping every worker it is forwarded to.
                 if let Err(e) = ChaosPlan::parse(spec) {
-                    die(&e);
+                    args.fail(&e);
                 }
                 pool.worker_args.push("--chaos".into());
                 pool.worker_args.push(format!("{spec},salt={{shard}}g{{gen}}"));
@@ -134,7 +108,7 @@ fn main() {
         }
         (None, None) => {
             if let Some(spec) = chaos {
-                cfg.chaos = Some(ChaosPlan::parse(&spec).unwrap_or_else(|e| die(&e)));
+                cfg.chaos = Some(ChaosPlan::parse(&spec).unwrap_or_else(|e| args.fail(&e)));
             }
             let stdin = std::io::stdin();
             let mut input = stdin.lock();
@@ -149,9 +123,4 @@ fn main() {
             }
         }
     }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("ilpc-serve: {msg}");
-    std::process::exit(2)
 }

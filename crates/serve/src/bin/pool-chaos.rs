@@ -26,6 +26,7 @@
 
 use ilpc_serve::json::{parse, Json};
 use ilpc_serve::{pool_lines, serve_script, PoolConfig, ServeConfig};
+use ilpc_testkit::cli;
 use ilpc_testkit::stream::{ChannelReader, SharedBuf};
 use ilpc_testkit::TestRng;
 use std::collections::BTreeMap;
@@ -40,26 +41,21 @@ struct Args {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
     let mut a = Args { shards: 3, requests: 60, seed: 42, scale: 0.02, deadline_ms: 20_000 };
-    let mut k = 1;
-    while k < argv.len() {
-        let val = |k: usize| argv.get(k + 1).cloned().unwrap_or_default();
-        match argv[k].as_str() {
-            "--quick" => {
-                a.requests = 24;
-                k += 1;
-                continue;
-            }
-            "--shards" => a.shards = val(k).parse().unwrap_or_else(|_| usage()),
-            "--requests" => a.requests = val(k).parse().unwrap_or_else(|_| usage()),
-            "--seed" => a.seed = val(k).parse().unwrap_or_else(|_| usage()),
-            "--scale" => a.scale = val(k).parse().unwrap_or_else(|_| usage()),
-            "--deadline-ms" => a.deadline_ms = val(k).parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
-        }
-        k += 2;
+    let mut cli = cli::Args::from_env(
+        "pool-chaos",
+        "pool-chaos [--quick] [--shards N] [--requests N] [--seed S] \
+         [--scale F] [--deadline-ms MS]",
+    );
+    if cli.switch("--quick") {
+        a.requests = 24;
     }
+    cli.set("--shards", &mut a.shards);
+    cli.set("--requests", &mut a.requests);
+    cli.set("--seed", &mut a.seed);
+    cli.set("--scale", &mut a.scale);
+    cli.set("--deadline-ms", &mut a.deadline_ms);
+    cli.finish();
 
     let script = build_script(&a);
     let ids = a.requests + 2; // + sweep + status
@@ -307,12 +303,4 @@ fn check_agreement(id: &str, got: &str, want: &str, violations: &mut Vec<String>
             }
         }
     }
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: pool-chaos [--quick] [--shards N] [--requests N] [--seed S] \
-         [--scale F] [--deadline-ms MS]"
-    );
-    std::process::exit(2)
 }

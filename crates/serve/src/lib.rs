@@ -13,6 +13,10 @@
 //! breaker, bounded retry), verified by the seeded [`chaos`] harness
 //! (`pool-chaos` bin).
 //!
+//! All three front doors — stdin, TCP, the pool router — share one
+//! framing module ([`wire`]: line cap, one write per reply), one admission
+//! function (`proto::admit`) and one session loop (`server::session`).
+//!
 //! See `crates/serve/src/proto.rs` for the wire format and DESIGN.md §15
 //! (protocol) / §18 (pool supervision) for the full contract.
 
@@ -22,10 +26,12 @@ pub mod pool;
 pub mod proto;
 pub mod server;
 pub mod supervisor;
+pub mod wire;
 
 pub use chaos::{ChaosPlan, ChaosVerdict};
 pub use json::{obj, parse, Json};
 pub use pool::{pool_lines, pool_script, PoolConfig};
 pub use proto::{err_reply, ok_reply, parse_request, ErrorKind, Op, Request};
-pub use server::{serve_lines, serve_script, serve_tcp, ServeConfig, Server, MAX_LINE_BYTES};
+pub use server::{serve_lines, serve_script, serve_tcp, ServeConfig, Server};
 pub use supervisor::{BackoffCfg, BreakerCfg, ShardPhase, ShardSupervisor};
+pub use wire::MAX_LINE_BYTES;

@@ -41,9 +41,11 @@
 //! all state — no locks, no reply interleaving hazards.
 
 use crate::json::{obj, parse, Json};
-use crate::proto::{err_reply, ok_reply, parse_request, ErrorKind, Op};
-use crate::server::{is_disconnect, read_line_capped};
+use crate::proto::{
+    admit, err_reply, incident_json, ok_reply, oversized_reply, Admission, ErrorKind, Op,
+};
 use crate::supervisor::{BackoffCfg, BreakerCfg, ShardPhase, ShardSupervisor};
+use crate::wire::{frames, is_disconnect, write_line, Frame};
 use ilpc_guard::{IncidentRecord, ShardIncidentKind};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
@@ -128,15 +130,14 @@ pub fn default_worker_exe() -> PathBuf {
 
 /// Everything that can wake the router.
 enum Event {
-    /// One complete request line from the client.
-    Client(String),
-    /// The client sent a line past the size cap (already drained).
-    ClientOversized,
+    /// One frame from the client: a request line, or the marker of a line
+    /// past the size cap (already drained).
+    Client(Frame),
     /// Client input ended.
     ClientEof,
-    /// One line from worker `shard`'s stdout, tagged with the generation
+    /// One frame from worker `shard`'s stdout, tagged with the generation
     /// whose reader produced it (stale generations are ignored).
-    Worker(usize, u64, String),
+    Worker(usize, u64, Frame),
     /// Worker `shard`'s stdout closed (process death), same tagging.
     WorkerGone(usize, u64),
     /// Supervision timer.
@@ -275,44 +276,21 @@ impl Pool {
     // ---- admission ------------------------------------------------------
 
     fn admit_line(&mut self, line: &str) {
-        let line = line.trim();
-        if line.is_empty() {
-            return;
-        }
+        let (req, parsed) = match admit(line) {
+            Admission::Blank => return,
+            Admission::Reply(line) => {
+                self.requested += 1;
+                return self.emit(line);
+            }
+            Admission::Request(req, parsed) => (req, parsed),
+        };
         self.requested += 1;
-        let parsed = match parse(line) {
-            Ok(v) => v,
-            Err(e) => {
-                self.emit(err_reply(
-                    &Json::Null,
-                    ErrorKind::BadRequest,
-                    &format!("invalid JSON: {e}"),
-                ));
-                return;
-            }
-        };
-        let req = match parse_request(&parsed) {
-            Ok(r) => r,
-            Err((kind, detail)) => {
-                let id = parsed.get("id").cloned().unwrap_or(Json::Null);
-                self.emit(err_reply(&id, kind, &detail));
-                return;
-            }
-        };
-        // The pool answers health/introspection itself: these must work
-        // even with every shard down — that is precisely when the
-        // operator needs them.
-        match req.op {
-            Op::Ping => {
-                self.emit(ok_reply(&req.id, obj([("pong", Json::Bool(true))])));
-                return;
-            }
-            Op::Status => {
-                let status = self.build_status();
-                self.emit(ok_reply(&req.id, status));
-                return;
-            }
-            _ => {}
+        // The pool answers introspection itself, like `ping`: it must
+        // work even with every shard down — that is precisely when the
+        // operator needs it.
+        if matches!(req.op, Op::Status) {
+            let status = self.build_status();
+            return self.emit(ok_reply(&req.id, status));
         }
         if self
             .slots
@@ -335,16 +313,7 @@ impl Pool {
             .map(|m| m.to_vec());
         if let Some(mems) = mems {
             if self.jobs.len() + mems.len() > self.cfg.queue {
-                self.emit(err_reply(
-                    &req.id,
-                    ErrorKind::Overloaded,
-                    &format!(
-                        "pool queue full ({} outstanding, cap {}); retry later",
-                        self.jobs.len(),
-                        self.cfg.queue
-                    ),
-                ));
-                return;
+                return self.overloaded(&req.id);
             }
             let parent = self.next_sweep;
             self.next_sweep += 1;
@@ -371,21 +340,25 @@ impl Pool {
             }
         } else {
             if self.jobs.len() >= self.cfg.queue {
-                self.emit(err_reply(
-                    &req.id,
-                    ErrorKind::Overloaded,
-                    &format!(
-                        "pool queue full ({} outstanding, cap {}); retry later",
-                        self.jobs.len(),
-                        self.cfg.queue
-                    ),
-                ));
-                return;
+                return self.overloaded(&req.id);
             }
             let idempotent = req.is_idempotent();
             self.enqueue(req.id, parsed, idempotent, JobKind::Direct);
         }
         self.dispatch();
+    }
+
+    /// Backpressure by rejection: the pool's memory stays bounded.
+    fn overloaded(&mut self, id: &Json) {
+        self.emit(err_reply(
+            id,
+            ErrorKind::Overloaded,
+            &format!(
+                "pool queue full ({} outstanding, cap {}); retry later",
+                self.jobs.len(),
+                self.cfg.queue
+            ),
+        ));
     }
 
     fn enqueue(&mut self, client_id: Json, mut body: Json, idempotent: bool, kind: JobKind) {
@@ -448,11 +421,8 @@ impl Pool {
             job.body.to_string()
         };
         self.slots[shard].busy = Some(jid);
-        let ok = {
-            let stdin = self.slots[shard].stdin.as_mut().expect("picked shard has stdin");
-            writeln!(stdin, "{line}").and_then(|_| stdin.flush()).is_ok()
-        };
-        if !ok {
+        let stdin = self.slots[shard].stdin.as_mut().expect("picked shard has stdin");
+        if write_line(stdin, line).is_err() {
             // The busy job (this one) is requeued or failed by the
             // crash path; its attempt is already counted.
             self.fail_worker(shard, ShardIncidentKind::Crash, "write to worker stdin failed");
@@ -461,25 +431,20 @@ impl Pool {
 
     // ---- worker events --------------------------------------------------
 
-    fn worker_line(&mut self, shard: usize, gen: u64, line: String) {
+    fn worker_line(&mut self, shard: usize, gen: u64, frame: Frame) {
         if self.slots[shard].generation != gen {
             return; // stale reader of a reaped generation
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            self.slots[shard].garbage += 1;
-            self.incident(shard, ShardIncidentKind::Garbage, "empty or oversized reply line");
-            return;
+        let line = match &frame {
+            Frame::Line(line) => line.trim(),
+            Frame::Oversized => "",
+        };
+        if line.is_empty() {
+            return self.garbage(shard, "empty or oversized reply line");
         }
-        let Ok(reply) = parse(trimmed) else {
-            self.slots[shard].garbage += 1;
-            let head: String = trimmed.chars().take(80).collect();
-            self.incident(
-                shard,
-                ShardIncidentKind::Garbage,
-                &format!("unparseable reply line: {head:?}"),
-            );
-            return;
+        let Ok(reply) = parse(line) else {
+            let head: String = line.chars().take(80).collect();
+            return self.garbage(shard, &format!("unparseable reply line: {head:?}"));
         };
         match reply.get("id") {
             Some(Json::Str(s)) if s == "hb" => {
@@ -499,15 +464,13 @@ impl Pool {
                     self.deliver(jid, reply);
                 }
             }
-            _ => {
-                self.slots[shard].garbage += 1;
-                self.incident(
-                    shard,
-                    ShardIncidentKind::Garbage,
-                    "reply with missing or foreign id",
-                );
-            }
+            _ => self.garbage(shard, "reply with missing or foreign id"),
         }
+    }
+
+    fn garbage(&mut self, shard: usize, detail: &str) {
+        self.slots[shard].garbage += 1;
+        self.incident(shard, ShardIncidentKind::Garbage, detail);
     }
 
     fn deliver(&mut self, jid: u64, mut reply: Json) {
@@ -688,12 +651,16 @@ impl Pool {
             self.cfg.max_attempts,
             if job.idempotent { "" } else { "; op is not idempotent" },
         );
+        self.fail_job(&job, ErrorKind::Unavailable, detail);
+    }
+
+    /// Answer a job the pool gave up on: a typed error reply to the
+    /// client, or a typed `shard_error` part of the sweep it belongs to.
+    fn fail_job(&mut self, job: &PoolJob, kind: ErrorKind, detail: String) {
         match job.kind {
-            JobKind::Direct => {
-                self.emit(err_reply(&job.client_id, ErrorKind::Unavailable, &detail))
-            }
+            JobKind::Direct => self.emit(err_reply(&job.client_id, kind, &detail)),
             JobKind::SweepShard { parent, idx } => {
-                self.sweep_part(parent, idx, Err((ErrorKind::Unavailable.name().into(), detail)))
+                self.sweep_part(parent, idx, Err((kind.name().into(), detail)))
             }
         }
     }
@@ -731,14 +698,7 @@ impl Pool {
                 "deadline {}ms expired after {} attempt(s)",
                 self.cfg.deadline_ms, job.attempts
             );
-            match job.kind {
-                JobKind::Direct => {
-                    self.emit(err_reply(&job.client_id, ErrorKind::Timeout, &detail))
-                }
-                JobKind::SweepShard { parent, idx } => {
-                    self.sweep_part(parent, idx, Err((ErrorKind::Timeout.name().into(), detail)))
-                }
-            }
+            self.fail_job(&job, ErrorKind::Timeout, detail);
             if let Some(shard) = job.shard {
                 if self.slots[shard].child.is_some() {
                     self.fail_worker(
@@ -770,11 +730,8 @@ impl Pool {
                 );
                 continue;
             }
-            let ok = {
-                let stdin = self.slots[shard].stdin.as_mut().expect("due shard has stdin");
-                writeln!(stdin, "{PING_LINE}").and_then(|_| stdin.flush()).is_ok()
-            };
-            if ok {
+            let stdin = self.slots[shard].stdin.as_mut().expect("due shard has stdin");
+            if write_line(stdin, PING_LINE.to_string()).is_ok() {
                 self.slots[shard].pings_outstanding += 1;
                 self.slots[shard].last_ping_ms = now;
             } else {
@@ -812,7 +769,15 @@ impl Pool {
             Ok(mut child) => {
                 let stdin = child.stdin.take().expect("piped stdin");
                 let stdout = child.stdout.take().expect("piped stdout");
-                spawn_reader(self.tx.clone(), shard, gen, stdout);
+                // Detached (not scoped): it parks in a blocking read on
+                // the child pipe and exits on EOF — which the router
+                // forces by killing the child.
+                let tx = self.tx.clone();
+                std::thread::spawn(move || {
+                    let mut stdout = std::io::BufReader::new(stdout);
+                    let event = move |frame| Event::Worker(shard, gen, frame);
+                    pump(&mut stdout, &tx, event, Event::WorkerGone(shard, gen));
+                });
                 let respawn = {
                     let s = &mut self.slots[shard];
                     s.child = Some(child);
@@ -873,18 +838,7 @@ impl Pool {
         let healthy =
             self.slots.iter().filter(|s| matches!(s.sup.phase(), ShardPhase::Up)).count();
         let inflight = self.slots.iter().filter(|s| s.busy.is_some()).count();
-        let incidents: Vec<Json> = self
-            .incidents
-            .iter()
-            .map(|r| {
-                obj([
-                    ("step", Json::num(r.step as f64)),
-                    ("pass", Json::str(&r.pass)),
-                    ("kind", Json::str(&r.kind)),
-                    ("detail", Json::str(&r.detail)),
-                ])
-            })
-            .collect();
+        let incidents: Vec<Json> = self.incidents.iter().map(incident_json).collect();
         obj([
             ("role", Json::str("pool")),
             ("shards", Json::Arr(shards)),
@@ -913,35 +867,21 @@ impl Pool {
     }
 }
 
-/// Pump one worker generation's stdout into the event channel. Detached
-/// (not scoped): it parks in a blocking read on the child pipe and exits
-/// on EOF — which the router forces by killing the child.
-fn spawn_reader(
-    tx: mpsc::Sender<Event>,
-    shard: usize,
-    gen: u64,
-    stdout: std::process::ChildStdout,
+/// Pump the frames of one stream into the router, then `eof` — the reader
+/// loop of the client side and of every worker generation's stdout.
+fn pump(
+    input: &mut impl BufRead,
+    tx: &mpsc::Sender<Event>,
+    event: impl Fn(Frame) -> Event,
+    eof: Event,
 ) {
-    std::thread::spawn(move || {
-        let mut reader = std::io::BufReader::new(stdout);
-        loop {
-            match read_line_capped(&mut reader, false) {
-                Ok(Some((line, true))) => {
-                    if tx.send(Event::Worker(shard, gen, line)).is_err() {
-                        return;
-                    }
-                }
-                Ok(Some((_, false))) => {
-                    // Oversized reply: surfaced as a garbage line.
-                    if tx.send(Event::Worker(shard, gen, String::new())).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) | Err(_) => break,
-            }
+    for frame in frames(input, false) {
+        let Ok(frame) = frame else { break };
+        if tx.send(event(frame)).is_err() {
+            return;
         }
-        let _ = tx.send(Event::WorkerGone(shard, gen));
-    });
+    }
+    let _ = tx.send(eof);
 }
 
 /// Run the supervised pool over arbitrary client streams (the `--pool`
@@ -964,40 +904,15 @@ pub fn pool_lines(
                 return;
             }
         });
-        let read_tx = tx;
-        scope.spawn(move || loop {
-            match read_line_capped(input, false) {
-                Ok(Some((line, true))) => {
-                    if read_tx.send(Event::Client(line)).is_err() {
-                        return;
-                    }
-                }
-                Ok(Some((_, false))) => {
-                    if read_tx.send(Event::ClientOversized).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) | Err(_) => {
-                    let _ = read_tx.send(Event::ClientEof);
-                    return;
-                }
-            }
-        });
+        scope.spawn(move || pump(input, &tx, Event::Client, Event::ClientEof));
 
         pool.spawn_ready();
         let mut write_err: Option<std::io::Error> = None;
         let mut client_gone = false;
         for ev in &rx {
             match ev {
-                Event::Client(line) => pool.admit_line(&line),
-                Event::ClientOversized => pool.emit(err_reply(
-                    &Json::Null,
-                    ErrorKind::BadRequest,
-                    &format!(
-                        "request line exceeds {} bytes",
-                        crate::server::MAX_LINE_BYTES
-                    ),
-                )),
+                Event::Client(Frame::Line(line)) => pool.admit_line(&line),
+                Event::Client(Frame::Oversized) => pool.emit(oversized_reply()),
                 Event::ClientEof => pool.client_eof = true,
                 Event::Worker(shard, gen, line) => pool.worker_line(shard, gen, line),
                 Event::WorkerGone(shard, gen) => pool.worker_gone(shard, gen),
@@ -1007,7 +922,7 @@ pub fn pool_lines(
                 if client_gone {
                     continue;
                 }
-                if let Err(e) = writeln!(output, "{line}").and_then(|_| output.flush()) {
+                if let Err(e) = write_line(output, line) {
                     // A vanished client stops replies, not supervision:
                     // outstanding work still drains so workers end clean.
                     client_gone = true;

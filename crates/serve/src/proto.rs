@@ -27,8 +27,10 @@
 //! parse is answered with `id: null` and `kind: "bad-request"` — the
 //! process never exits on bad input.
 
-use crate::json::{obj, Json};
+use crate::json::{obj, parse, Json};
+use crate::wire::MAX_LINE_BYTES;
 use ilpc_core::level::Level;
+use ilpc_guard::IncidentRecord;
 use ilpc_harness::grid::{Sabotage, SabotageMode};
 use ilpc_machine::{CacheParams, MemConfig};
 use std::fmt;
@@ -327,13 +329,77 @@ fn parse_sabotage(v: &Json) -> Result<Sabotage, ReqError> {
     Ok(Sabotage { workload, level, width, mode })
 }
 
-/// Success reply line.
-pub fn ok_reply(id: &Json, result: Json) -> String {
-    obj([("id", id.clone()), ("ok", Json::Bool(true)), ("result", result)]).to_string()
+/// What one raw input line turns into before anything is queued.
+pub(crate) enum Admission {
+    /// A blank line: no request, no reply.
+    Blank,
+    /// Answered on the spot: a typed rejection, or a `ping`'s pong.
+    Reply(String),
+    /// A well-formed request, with the JSON it was parsed from (the pool
+    /// re-serializes that, id rewritten, for its workers).
+    Request(Request, Json),
 }
 
-/// Typed error reply line.
-pub fn err_reply(id: &Json, kind: ErrorKind, detail: &str) -> String {
+/// The one admission point: every front end hands its raw lines here, so
+/// garbage is rejected with the same typed reply whichever door it came
+/// through. `ping` is answered here as well — a health probe must work
+/// with a full queue and with every shard down.
+pub(crate) fn admit(line: &str) -> Admission {
+    let line = line.trim();
+    if line.is_empty() {
+        return Admission::Blank;
+    }
+    let parsed = match parse(line) {
+        Ok(v) => v,
+        Err(e) => {
+            return Admission::Reply(err_reply(
+                &Json::Null,
+                ErrorKind::BadRequest,
+                &format!("invalid JSON: {e}"),
+            ))
+        }
+    };
+    match parse_request(&parsed) {
+        Ok(Request { id, op: Op::Ping }) => Admission::Reply(ok_reply(&id, pong())),
+        Ok(req) => Admission::Request(req, parsed),
+        Err((kind, detail)) => {
+            let id = parsed.get("id").unwrap_or(&Json::Null);
+            Admission::Reply(err_reply(id, kind, &detail))
+        }
+    }
+}
+
+/// The reply to a line past [`MAX_LINE_BYTES`] (its id was never read).
+pub(crate) fn oversized_reply() -> String {
+    err_reply(
+        &Json::Null,
+        ErrorKind::BadRequest,
+        &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+    )
+}
+
+/// Result of a `ping`.
+pub(crate) fn pong() -> Json {
+    obj([("pong", Json::Bool(true))])
+}
+
+/// Wire shape of one guard or shard incident.
+pub(crate) fn incident_json(r: &IncidentRecord) -> Json {
+    obj([
+        ("step", Json::num(r.step as f64)),
+        ("pass", Json::str(r.pass.as_str())),
+        ("kind", Json::str(r.kind.as_str())),
+        ("detail", Json::str(r.detail.as_str())),
+    ])
+}
+
+/// Success reply object.
+pub(crate) fn ok_json(id: &Json, result: Json) -> Json {
+    obj([("id", id.clone()), ("ok", Json::Bool(true)), ("result", result)])
+}
+
+/// Typed error reply object.
+pub(crate) fn err_json(id: &Json, kind: ErrorKind, detail: &str) -> Json {
     obj([
         ("id", id.clone()),
         ("ok", Json::Bool(false)),
@@ -342,13 +408,21 @@ pub fn err_reply(id: &Json, kind: ErrorKind, detail: &str) -> String {
             obj([("kind", Json::str(kind.name())), ("detail", Json::str(detail))]),
         ),
     ])
-    .to_string()
+}
+
+/// Success reply line.
+pub fn ok_reply(id: &Json, result: Json) -> String {
+    ok_json(id, result).to_string()
+}
+
+/// Typed error reply line.
+pub fn err_reply(id: &Json, kind: ErrorKind, detail: &str) -> String {
+    err_json(id, kind, detail).to_string()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
 
     #[test]
     fn parses_the_three_ops_and_batch() {

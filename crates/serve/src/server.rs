@@ -10,8 +10,8 @@
 //! * **never OOM**: admission happens through a bounded queue — when it is
 //!   full the request is *rejected immediately* with an `overloaded`
 //!   reply (backpressure by rejection, not by buffering), and incoming
-//!   lines are length-capped ([`MAX_LINE_BYTES`]) with the oversized
-//!   remainder drained, not stored;
+//!   lines are length-capped ([`crate::wire::MAX_LINE_BYTES`]) with the
+//!   oversized remainder drained, not stored;
 //! * **reuse work**: one [`ArtifactCache`] per trip-count scale, shared by
 //!   every worker, so repeated `simulate`/`sweep` requests against the
 //!   same scale skip recompilation entirely (the cache's contract binds it
@@ -19,7 +19,11 @@
 
 use crate::chaos::{ChaosPlan, ChaosVerdict};
 use crate::json::{obj, parse, Json};
-use crate::proto::{err_reply, ok_reply, parse_request, ErrorKind, Op, Request};
+use crate::proto::{
+    admit, err_json, err_reply, incident_json, ok_json, oversized_reply, pong, Admission,
+    ErrorKind, Op, Request,
+};
+use crate::wire::{frames, write_line, Frame};
 use ilpc_guard::GuardConfig;
 use ilpc_harness::grid::PointError;
 use ilpc_harness::sweep::{run_sweep, Scenario, SweepConfig};
@@ -31,10 +35,6 @@ use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
-
-/// Hard cap on one request line. A line larger than this is answered with
-/// a typed `bad-request` and drained from the stream without buffering.
-pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -165,10 +165,10 @@ impl Server {
                 let engine = Arc::clone(&engine);
                 std::thread::spawn(move || {
                     while let Some(job) = queue.pop() {
-                        let line = handle_job(&engine, &job.req);
+                        let reply = handle_job(&engine, &job.req);
                         // A gone receiver means the client hung up; drop
                         // the reply and keep serving.
-                        let _ = job.reply.send(line);
+                        let _ = job.reply.send(reply.to_string());
                     }
                 })
             })
@@ -180,34 +180,19 @@ impl Server {
     /// with a typed error. Replies (including the typed rejections
     /// produced here) arrive on `reply`.
     pub fn submit_line(&self, line: &str, reply: &mpsc::Sender<String>) {
-        let line = line.trim();
-        if line.is_empty() {
-            return;
-        }
-        let parsed = match parse(line) {
-            Ok(v) => v,
-            Err(e) => {
-                let _ = reply.send(err_reply(
-                    &Json::Null,
-                    ErrorKind::BadRequest,
-                    &format!("invalid JSON: {e}"),
-                ));
+        let req = match admit(line) {
+            Admission::Blank => return,
+            Admission::Reply(line) => {
+                let _ = reply.send(line);
                 return;
             }
+            Admission::Request(req, _) => req,
         };
-        let req = match parse_request(&parsed) {
-            Ok(r) => r,
-            Err((kind, detail)) => {
-                let id = parsed.get("id").cloned().unwrap_or(Json::Null);
-                let _ = reply.send(err_reply(&id, kind, &detail));
-                return;
-            }
-        };
-        // Health probes bypass the bounded queue: a busy-but-alive server
-        // must still pong, and introspection must not bounce off a full
-        // queue with `overloaded`. Both handlers are O(1).
-        if matches!(req.op, Op::Ping | Op::Status) {
-            let _ = reply.send(handle_job(&self.engine, &req));
+        // Introspection bypasses the bounded queue like `ping` does: it
+        // must not bounce off a full queue with `overloaded`, and its
+        // handler is O(1).
+        if matches!(req.op, Op::Status) {
+            let _ = reply.send(handle_job(&self.engine, &req).to_string());
             return;
         }
         if let Err(job) = self.queue.push(Job { req, reply: reply.clone() }) {
@@ -228,13 +213,13 @@ impl Server {
     }
 }
 
-/// Execute one job with panic containment: a crash in a handler becomes a
-/// typed `internal` reply, never a dead worker or a dead process.
-fn handle_job(engine: &Engine, req: &Request) -> String {
+/// Execute one request with panic containment: a crash in a handler becomes
+/// a typed `internal` reply, never a dead worker or a dead process.
+fn handle_job(engine: &Engine, req: &Request) -> Json {
     match catch_unwind(AssertUnwindSafe(|| handle_op(engine, &req.op))) {
-        Ok(Ok(result)) => ok_reply(&req.id, result),
-        Ok(Err((kind, detail))) => err_reply(&req.id, kind, &detail),
-        Err(payload) => err_reply(
+        Ok(Ok(result)) => ok_json(&req.id, result),
+        Ok(Err((kind, detail))) => err_json(&req.id, kind, &detail),
+        Err(payload) => err_json(
             &req.id,
             ErrorKind::Internal,
             &format!("handler panicked (contained): {}", ilpc_guard::panic_message(payload)),
@@ -256,19 +241,7 @@ fn handle_op(engine: &Engine, op: &Op) -> Result<Json, (ErrorKind, String)> {
             );
             // Per-request incident reporting: every contained firewall
             // incident rides the reply as a typed record.
-            let incidents: Vec<Json> = g
-                .guard
-                .records()
-                .into_iter()
-                .map(|r| {
-                    obj([
-                        ("step", Json::num(r.step as f64)),
-                        ("pass", Json::str(r.pass)),
-                        ("kind", Json::str(r.kind)),
-                        ("detail", Json::str(r.detail)),
-                    ])
-                })
-                .collect();
+            let incidents: Vec<Json> = g.guard.records().iter().map(incident_json).collect();
             let mut reply = obj([
                 ("workload", Json::str(workload.as_str())),
                 ("level", Json::str(level.name())),
@@ -410,36 +383,17 @@ fn handle_op(engine: &Engine, op: &Op) -> Result<Json, (ErrorKind, String)> {
                 ),
             ]))
         }
-        Op::Ping => Ok(obj([("pong", Json::Bool(true))])),
+        Op::Ping => Ok(pong()),
         Op::Status => Ok(obj([
             ("role", Json::str("single")),
             ("workers", Json::num(engine.workers as f64)),
             ("queue_depth", Json::num(engine.queue.len() as f64)),
             ("queue_cap", Json::num(engine.queue.cap as f64)),
         ])),
+        // One job, several requests: replies in submission order, each
+        // with its own id and ok/error envelope.
         Op::Batch(reqs) => {
-            // One job, several requests: replies in submission order,
-            // each with its own id and ok/error envelope.
-            let replies: Vec<Json> = reqs
-                .iter()
-                .map(|r| {
-                    let line = match catch_unwind(AssertUnwindSafe(|| handle_op(engine, &r.op)))
-                    {
-                        Ok(Ok(result)) => ok_reply(&r.id, result),
-                        Ok(Err((kind, detail))) => err_reply(&r.id, kind, &detail),
-                        Err(p) => err_reply(
-                            &r.id,
-                            ErrorKind::Internal,
-                            &format!(
-                                "handler panicked (contained): {}",
-                                ilpc_guard::panic_message(p)
-                            ),
-                        ),
-                    };
-                    parse(&line).expect("replies are valid JSON")
-                })
-                .collect();
-            Ok(obj([("replies", Json::Arr(replies))]))
+            Ok(obj([("replies", Json::Arr(reqs.iter().map(|r| handle_job(engine, r)).collect()))]))
         }
     }
 }
@@ -457,74 +411,27 @@ fn find_workload(name: &str, scale: f64) -> Result<Workload, (ErrorKind, String)
         })
 }
 
-/// Read one line with the [`MAX_LINE_BYTES`] cap. Returns `Ok(None)` at
-/// EOF, `Ok(Some((line, true)))` for an in-budget line and
-/// `Ok(Some(("", false)))` when the line was oversized — its remainder is
-/// drained in bounded chunks and discarded, so a hostile multi-gigabyte
-/// line costs O(chunk) memory, never an allocation proportional to it.
-///
-/// With `strict_eol`, a final line with no terminating newline is treated
-/// as a mid-line disconnect and *discarded* (clean EOF, no reply): that is
-/// the TCP contract, where a client dying halfway through a request must
-/// not be answered with a `bad-request` fired into a dead socket. Stream
-/// mode keeps `strict_eol` off so a trailing unterminated request typed at
-/// an interactive stdin still gets served.
-pub(crate) fn read_line_capped(
-    r: &mut impl BufRead,
-    strict_eol: bool,
-) -> std::io::Result<Option<(String, bool)>> {
-    use std::io::Read;
-    let mut buf: Vec<u8> = Vec::new();
-    let n = r.by_ref().take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut buf)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    if buf.len() > MAX_LINE_BYTES && !buf.ends_with(b"\n") {
-        // Drain to the newline in fixed-size bites; `read_until` through
-        // a `take` stops exactly at the newline, never consuming the
-        // start of the next line.
-        loop {
-            let mut junk: Vec<u8> = Vec::new();
-            let k = r.by_ref().take(8192).read_until(b'\n', &mut junk)?;
-            if k == 0 || junk.ends_with(b"\n") {
-                break;
-            }
-        }
-        return Ok(Some((String::new(), false)));
-    }
-    if strict_eol && !buf.ends_with(b"\n") {
-        return Ok(None);
-    }
-    Ok(Some((String::from_utf8_lossy(&buf).into_owned(), true)))
-}
-
-/// True for the error kinds a peer produces by going away: these end a
-/// connection cleanly instead of surfacing as an internal error.
-pub(crate) fn is_disconnect(kind: std::io::ErrorKind) -> bool {
-    use std::io::ErrorKind::*;
-    matches!(kind, ConnectionReset | ConnectionAborted | BrokenPipe | UnexpectedEof)
-}
-
 /// Private sentinel prefix carried over the reply channel for the chaos
 /// `partial` verdict: the writer thread emits the payload *without* a
 /// newline, flushes the torn bytes, then aborts the process.
 const CHAOS_PARTIAL_MARK: &str = "\u{1}chaos-partial\u{1}";
 
-/// Serve JSON-lines over arbitrary reader/writer streams (the stdin mode
-/// of the binary, and directly testable). A dedicated writer thread
-/// flushes every reply the moment it completes — the pool front end paces
-/// requests off replies, so buffering replies until the next input line
-/// would deadlock a one-in-flight client. At EOF the queue is drained
-/// before returning.
-pub fn serve_lines(
-    cfg: &ServeConfig,
+/// One client session, the same for every transport: read frames off
+/// `input` and submit them, while a dedicated writer thread sends each
+/// reply the moment it completes — a one-in-flight client paces requests
+/// off replies, so holding a reply until the next input line would
+/// deadlock it. After EOF (or a read error) the writer drains: it ends
+/// when the last queued job of this session has dropped its reply sender.
+/// Isolation is by channel — a reply can only reach the session whose
+/// request produced it.
+fn session(
+    server: &Server,
     input: &mut impl BufRead,
     output: &mut (impl Write + Send),
+    strict_eol: bool,
+    mut chaos: Option<ChaosPlan>,
 ) -> std::io::Result<()> {
-    let server = Server::start(cfg);
-    let mut chaos = cfg.chaos.clone();
     let (tx, rx) = mpsc::channel::<String>();
-
     std::thread::scope(|scope| {
         let writer = scope.spawn(move || -> std::io::Result<()> {
             for line in rx {
@@ -533,49 +440,37 @@ pub fn serve_lines(
                     let _ = output.flush();
                     std::process::abort();
                 }
-                writeln!(output, "{line}")?;
-                output.flush()?;
+                write_line(output, line)?;
             }
-            output.flush()
+            Ok(())
         });
 
-        let read_result = (|| -> std::io::Result<()> {
-            loop {
-                match read_line_capped(input, false)? {
-                    None => return Ok(()),
-                    Some((_, false)) => {
-                        let _ = tx.send(err_reply(
-                            &Json::Null,
-                            ErrorKind::BadRequest,
-                            &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                        ));
-                    }
-                    Some((line, true)) => match chaos_verdict(&mut chaos, &line) {
-                        ChaosVerdict::Forward => server.submit_line(&line, &tx),
-                        ChaosVerdict::Kill => std::process::abort(),
-                        ChaosVerdict::Stall => loop {
-                            // The SIGSTOP analogue: stop reading forever.
-                            // Pongs cease with everything else; only the
-                            // supervisor can recover this process.
-                            std::thread::sleep(std::time::Duration::from_secs(3600));
-                        },
-                        ChaosVerdict::Garbage => {
-                            let _ = tx.send("#chaos garbage {{{not json".to_string());
-                        }
-                        ChaosVerdict::Partial => {
-                            let _ = tx.send(format!(
-                                "{CHAOS_PARTIAL_MARK}{{\"id\":4242,\"ok\":tru"
-                            ));
-                        }
-                        ChaosVerdict::Drop => {}
-                    },
+        let read_result = frames(input, strict_eol).try_for_each(|frame| {
+            match frame? {
+                Frame::Oversized => {
+                    let _ = tx.send(oversized_reply());
                 }
+                Frame::Line(line) => match chaos_verdict(&mut chaos, &line) {
+                    ChaosVerdict::Forward => server.submit_line(&line, &tx),
+                    ChaosVerdict::Kill => std::process::abort(),
+                    ChaosVerdict::Stall => loop {
+                        // The SIGSTOP analogue: stop reading forever.
+                        // Pongs cease with everything else; only the
+                        // supervisor can recover this process.
+                        std::thread::sleep(std::time::Duration::from_secs(3600));
+                    },
+                    ChaosVerdict::Garbage => {
+                        let _ = tx.send("#chaos garbage {{{not json".to_string());
+                    }
+                    ChaosVerdict::Partial => {
+                        let _ = tx.send(format!("{CHAOS_PARTIAL_MARK}{{\"id\":4242,\"ok\":tru"));
+                    }
+                    ChaosVerdict::Drop => {}
+                },
             }
-        })();
+            Ok(())
+        });
 
-        // EOF (or a read error): finish queued work, close the reply
-        // channel, and let the writer drain everything that remains.
-        server.shutdown();
         drop(tx);
         let write_result = writer.join().expect("reply writer thread");
         read_result.and(write_result)
@@ -594,10 +489,33 @@ fn chaos_verdict(chaos: &mut Option<ChaosPlan>, line: &str) -> ChaosVerdict {
     }
 }
 
-/// Serve JSON-lines over TCP: one reader thread and one writer channel per
-/// connection, all feeding the shared bounded queue. Returns the bound
-/// address; serving continues on background threads for `conn_limit`
-/// connections (`None` = forever — the binary's mode).
+/// Serve JSON-lines over arbitrary reader/writer streams (the stdin mode
+/// of the binary, and directly testable): one [`session`] on a server of
+/// its own, with `cfg.chaos` armed. Returns once every reply is written.
+pub fn serve_lines(
+    cfg: &ServeConfig,
+    input: &mut impl BufRead,
+    output: &mut (impl Write + Send),
+) -> std::io::Result<()> {
+    let server = Server::start(cfg);
+    let result = session(&server, input, output, false, cfg.chaos.clone());
+    server.shutdown();
+    result
+}
+
+/// How long the accept loop sleeps after a failed `accept`: a persistent
+/// failure (EMFILE) must not turn the loop into a busy spin.
+const ACCEPT_BACKOFF: std::time::Duration = std::time::Duration::from_millis(50);
+
+/// Serve JSON-lines over TCP: one [`session`] per connection, all feeding
+/// one shared server. Returns the bound address; serving continues on
+/// background threads for `conn_limit` connections (`None` = forever —
+/// the binary's mode), after which the server is shut down.
+///
+/// A client that goes away is a normal end of its session, not a failure:
+/// EOF, a mid-line disconnect (unterminated final fragment — `strict_eol`)
+/// and reset/abort errors all close the connection with no error reply
+/// attempted at the dead socket, and there is nobody to report them to.
 pub fn serve_tcp(
     cfg: &ServeConfig,
     addr: &str,
@@ -607,63 +525,31 @@ pub fn serve_tcp(
     let local = listener.local_addr()?;
     let cfg = cfg.clone();
     let accept_loop = std::thread::spawn(move || {
-        let server = Arc::new(Server::start(&cfg));
-        let mut handles = Vec::new();
-        let mut accepted = 0usize;
-        for stream in listener.incoming() {
-            let Ok(stream) = stream else { continue };
-            accepted += 1;
-            let server = Arc::clone(&server);
-            handles.push(std::thread::spawn(move || {
-                let _ = serve_connection(&server, stream);
-            }));
-            if conn_limit.is_some_and(|n| accepted >= n) {
-                break;
+        let server = Server::start(&cfg);
+        // Scoped threads: a finished connection frees its own bookkeeping
+        // (a listener that runs forever keeps no handle per connection),
+        // and the scope joins the ones still open before shutdown.
+        std::thread::scope(|scope| {
+            let mut accepted = 0usize;
+            for stream in listener.incoming() {
+                let Ok(stream) = stream else {
+                    std::thread::sleep(ACCEPT_BACKOFF);
+                    continue;
+                };
+                accepted += 1;
+                let server = &server;
+                scope.spawn(move || {
+                    let mut input = std::io::BufReader::new(&stream);
+                    let _ = session(server, &mut input, &mut &stream, true, None);
+                });
+                if conn_limit.is_some_and(|n| accepted >= n) {
+                    break;
+                }
             }
-        }
-        for h in handles {
-            let _ = h.join();
-        }
+        });
+        server.shutdown();
     });
     Ok((local, accept_loop))
-}
-
-/// One TCP connection: requests in, replies out, isolation by channel —
-/// a reply can only ever reach the connection whose request produced it.
-///
-/// A client that goes away is a normal end of session, not a failure:
-/// EOF, a mid-line disconnect (unterminated final fragment) and
-/// reset/abort errors all close the connection cleanly with no error
-/// reply attempted at the dead socket.
-fn serve_connection(server: &Server, stream: std::net::TcpStream) -> std::io::Result<()> {
-    let mut reader = std::io::BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let (tx, rx) = mpsc::channel::<String>();
-    let writer_thread = std::thread::spawn(move || -> std::io::Result<()> {
-        for line in rx {
-            writeln!(writer, "{line}")?;
-            writer.flush()?;
-        }
-        Ok(())
-    });
-    let result = loop {
-        match read_line_capped(&mut reader, true) {
-            Err(e) if is_disconnect(e.kind()) => break Ok(()),
-            Err(e) => break Err(e),
-            Ok(None) => break Ok(()),
-            Ok(Some((_, false))) => {
-                let _ = tx.send(err_reply(
-                    &Json::Null,
-                    ErrorKind::BadRequest,
-                    &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                ));
-            }
-            Ok(Some((line, true))) => server.submit_line(&line, &tx),
-        }
-    };
-    drop(tx);
-    let _ = writer_thread.join();
-    result
 }
 
 /// Convenience for tests: run one batch of lines through a fresh server

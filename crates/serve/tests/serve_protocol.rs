@@ -2,8 +2,11 @@
 //! well-formed, malformed, hostile or overloading — with a typed JSON
 //! reply, and must never die or cross-deliver between clients.
 
-use ilpc_serve::{parse, serve_script, serve_tcp, Json, ServeConfig};
+mod contract;
+
+use ilpc_serve::{parse, serve_lines, serve_script, serve_tcp, Json, ServeConfig};
 use std::io::{BufRead, BufReader, Write};
+use std::sync::{Arc, Mutex};
 
 fn cfg_small() -> ServeConfig {
     ServeConfig { workers: 2, queue: 8, sweep_threads: 4, ..Default::default() }
@@ -396,4 +399,89 @@ fn concurrent_tcp_clients_are_isolated() {
         assert_eq!(ids.len(), 5, "{tag}");
     }
     accept_loop.join().unwrap();
+}
+
+/// One contract, two of the three front doors (the pool's turn is in the
+/// root `tests/pool_chaos.rs`): the table of `contract` — valid, garbage,
+/// oversized, blank, `ping`, ids of every shape — draws the same reply
+/// lines over one TCP connection as over stdin.
+#[test]
+fn stdin_and_tcp_answer_the_contract_table_identically() {
+    let cfg = ServeConfig { workers: 1, queue: 32, sweep_threads: 1, ..Default::default() };
+    let stdin = contract::sorted(serve_script(&cfg, &contract::script()));
+    contract::assert_answers_table("stdin", &stdin);
+
+    let (addr, accept_loop) = serve_tcp(&cfg, "127.0.0.1:0", Some(1)).unwrap();
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    // Sent from a second thread: a megabyte of input must not wait on
+    // replies nobody is reading yet.
+    let sender = std::thread::spawn(move || {
+        writer.write_all(contract::script().as_bytes()).unwrap();
+        writer.shutdown(std::net::Shutdown::Write).unwrap();
+    });
+    let tcp: Vec<String> = BufReader::new(stream).lines().map(Result::unwrap).collect();
+    sender.join().unwrap();
+    accept_loop.join().unwrap();
+    assert_eq!(contract::sorted(tcp), stdin);
+}
+
+/// A `Write` that records every `write` call it receives.
+#[derive(Clone, Default)]
+struct WriteLog(Arc<Mutex<Vec<Vec<u8>>>>);
+
+impl Write for WriteLog {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Every reply leaves as exactly ONE write ending in its newline. Payload
+/// and newline as two writes on an unbuffered socket meet Nagle and
+/// delayed ACK (~40 ms per reply); TCP and the pool send through the same
+/// `wire::write_line`, so this pins that stall with no socket or clock.
+#[test]
+fn every_reply_is_a_single_write_ending_in_a_newline() {
+    let script = [
+        r#"{"id":1,"op":"ping"}"#,
+        "not json",
+        r#"{"id":2,"op":"simulate","workload":"add","level":"Lev2","width":4,"scale":0.02}"#,
+        r#"{"id":3,"op":"status"}"#,
+    ]
+    .join("\n");
+    let log = WriteLog::default();
+    let mut input = std::io::Cursor::new(script.as_bytes());
+    serve_lines(&cfg_small(), &mut input, &mut log.clone()).unwrap();
+    let writes = log.0.lock().unwrap();
+    assert_eq!(writes.len(), 4, "one write per reply");
+    for w in writes.iter() {
+        let text = String::from_utf8_lossy(w);
+        assert!(text.ends_with('\n') && text.matches('\n').count() == 1, "torn reply: {text:?}");
+        parse(text.trim_end()).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+    }
+}
+
+/// Both binaries reject a bad command line with one `<bin>: …` line, the
+/// usage and exit status 2 — never a panic (status 101).
+#[test]
+fn binaries_reject_bad_command_lines_with_usage() {
+    let serve = env!("CARGO_BIN_EXE_ilpc-serve");
+    let chaos = env!("CARGO_BIN_EXE_pool-chaos");
+    let cases: [(&str, &str, &[&str]); 7] = [
+        ("ilpc-serve", serve, &["--workers"]),
+        ("ilpc-serve", serve, &["--queue", "8", "--tcp"]),
+        ("ilpc-serve", serve, &["--pool", "two"]),
+        ("ilpc-serve", serve, &["--bogus"]),
+        ("pool-chaos", chaos, &["--seed"]),
+        ("pool-chaos", chaos, &["--seed", "x"]),
+        ("pool-chaos", chaos, &["--bogus"]),
+    ];
+    for (name, exe, args) in cases {
+        ilpc_testkit::cli::assert_rejected(name, exe, args);
+    }
 }

@@ -19,8 +19,11 @@
 
 //! * [`stream`] — channel-backed `Read`/`Write` streams for driving
 //!   line-protocol services interactively (pace requests off replies).
+//! * [`cli`] — the one command-line cursor every binary parses its flags
+//!   with (bad flags exit 2 with usage, never a panic).
 
 pub mod bench;
+pub mod cli;
 pub mod prop;
 pub mod rng;
 pub mod stream;

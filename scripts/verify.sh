@@ -110,6 +110,59 @@ print(f"ok: 4 typed replies (simulate cycles={by_id[1]['result']['cycles']}, "
 EOF
 rm -f "$serve_replies"
 
+echo "== TCP smoke (--tcp over loopback) =="
+# The same protocol through the TCP front door: a simulate, a garbage
+# line and a ping on one connection must come back as three typed
+# replies, a reply must not stall (one write per reply — two writes meet
+# Nagle + delayed ACK and cost ~44 ms per round trip), and a client that
+# dies mid-line must not take the listener with it.
+tcp_banner=$(mktemp)
+./target/release/ilpc-serve --tcp 127.0.0.1:0 --workers 1 2> "$tcp_banner" &
+tcp_pid=$!
+trap 'kill "$tcp_pid" 2>/dev/null || true' EXIT
+for _ in $(seq 100); do
+  grep -q "listening on" "$tcp_banner" && break
+  sleep 0.05
+done
+tcp_addr=$(sed -n '1s/.* //p' "$tcp_banner")
+python3 - "$tcp_addr" <<'EOF'
+import json, socket, statistics, sys, time
+host, port = sys.argv[1].rsplit(":", 1)
+def connect():
+    sock = socket.create_connection((host, int(port)), timeout=30)
+    return sock, sock.makefile("rw", newline="\n")
+def ask(f, line):
+    f.write(line + "\n")
+    f.flush()
+    return json.loads(f.readline())
+sock, f = connect()
+sim = ask(f, '{"id":1,"op":"simulate","workload":"dotprod","level":"Lev4","width":8,"scale":0.02}')
+bad = ask(f, 'this is not json')
+pong = ask(f, '{"id":3,"op":"ping"}')
+assert sim["id"] == 1 and sim["ok"] and sim["result"]["cycles"] > 0, sim
+assert bad["id"] is None and bad["error"]["kind"] == "bad-request", bad
+assert pong["id"] == 3 and pong["result"]["pong"], pong
+rtts = []
+for k in range(20):
+    t0 = time.perf_counter()
+    assert ask(f, '{"id":%d,"op":"ping"}' % k)["ok"]
+    rtts.append((time.perf_counter() - t0) * 1e3)
+median = statistics.median(rtts)
+assert median < 10.0, f"ping round trip median {median:.2f} ms: replies are stalling"
+torn, _ = connect()
+torn.sendall(b'{"id":"torn","op":"comp')
+torn.close()
+_, g = connect()
+after = ask(g, '{"id":"after","op":"ping"}')
+assert after["id"] == "after" and after["ok"], after
+print(f"ok: 3 typed replies over TCP, ping round trip median {median:.3f} ms, "
+      "listener survived a mid-line disconnect")
+EOF
+kill "$tcp_pid"
+wait "$tcp_pid" 2>/dev/null || true
+trap - EXIT
+rm -f "$tcp_banner"
+
 echo "== pool smoke (--pool 2 over stdin) =="
 # The shard-pool supervisor end-to-end on the happy path: three requests
 # through two real worker processes. Every id must come back exactly

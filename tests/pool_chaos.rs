@@ -10,8 +10,11 @@
 //! harness didn't build it (root `cargo test` only builds the root
 //! package), we build it once via `cargo build -p ilpc-serve`.
 
+#[path = "../crates/serve/tests/contract/mod.rs"]
+mod contract;
+
 use ilpc_serve::json::{parse, Json};
-use ilpc_serve::{pool_lines, pool_script, BackoffCfg, PoolConfig};
+use ilpc_serve::{pool_lines, pool_script, serve_script, BackoffCfg, PoolConfig, ServeConfig};
 use ilpc_testkit::{ChannelReader, SharedBuf};
 use std::collections::BTreeMap;
 use std::io::BufReader;
@@ -289,4 +292,22 @@ fn garbage_client_line_gets_a_typed_bad_request() {
     assert_eq!(bad.get("ok"), Some(&Json::Bool(false)));
     assert_eq!(error_kind(bad).as_deref(), Some("bad-request"));
     assert_eq!(by_id["9"][0].get("ok"), Some(&Json::Bool(true)), "pool keeps serving after");
+}
+
+/// One contract, the third front door: the table `serve_protocol.rs` runs
+/// over stdin and TCP draws the same reply lines from the pool — its own
+/// admission (garbage, oversized, blank, `ping`) and the worker round trip
+/// with every id shape rewritten and restored.
+#[test]
+fn pool_answers_the_contract_table_like_a_single_process() {
+    ensure_worker_built();
+    let cfg = PoolConfig {
+        shards: 2,
+        worker_args: vec!["--workers".into(), "1".into(), "--queue".into(), "8".into()],
+        ..fast_cfg()
+    };
+    let pool = contract::sorted(pool_script(&cfg, &contract::script()));
+    contract::assert_answers_table("pool", &pool);
+    let single = ServeConfig { workers: 1, queue: 32, sweep_threads: 1, ..Default::default() };
+    assert_eq!(pool, contract::sorted(serve_script(&single, &contract::script())));
 }
