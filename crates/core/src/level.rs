@@ -350,6 +350,10 @@ mod tests {
             prev = n;
         }
         assert_eq!(passes(Level::Lev6).count(), PASSES.len());
+        // The table is sorted by level, so a level's plan is the previous
+        // level's followed by its own rows: drivers may run the table one
+        // level's rows at a time and resume from where a lower level ended.
+        assert!(PASSES.windows(2).all(|p| p[0].level <= p[1].level));
         // Driving the pass table by hand reproduces apply_level exactly.
         let mut via_table = lower(&dotprod());
         let mut rep_table = TransformReport::default();
@@ -384,6 +388,8 @@ mod tests {
         assert!(Level::Conv < Level::Lev1);
         assert!(Level::Lev3 < Level::Lev4);
         assert!(Level::Lev4 < Level::Lev6);
+        // `ALL` lists every level at the index of its discriminant.
+        assert!(Level::ALL.iter().enumerate().all(|(i, &l)| l as usize == i));
         assert_eq!(Level::Lev2.name(), "Lev2");
         assert_eq!(Level::Lev6.name(), "Lev6");
     }

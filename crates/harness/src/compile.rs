@@ -2,14 +2,20 @@
 //! superblock formation → list scheduling → register measurement.
 //!
 //! One driver, two step policies. [`pipeline`] is the only place the
-//! sequence is written; every public entry point picks *which* rows of
-//! `ilpc_core::level::PASSES` run and *how* each step (pass or backend
-//! stage) is run. [`compile`] and [`compile_set`] run steps directly;
-//! [`compile_guarded`] hands each one to `Guard::step`, which snapshots,
-//! checks and rolls back, so a faulty step degrades and is reported instead
-//! of miscompiling; `crate::profile::compile_with_profile` runs steps
-//! directly and annotates branch probabilities after the first. Because the
-//! routes share the driver, they cannot drift apart on healthy input.
+//! sequence is written, as its two halves: [`run_rows`] (the middle end:
+//! rows of `ilpc_core::level::PASSES`, which read nothing of the machine
+//! but `vlen`) and [`backend`] (superblocks, list schedule, register
+//! measurement, for one machine). Every public entry point picks *which*
+//! rows run and *how* each step (pass or backend stage) is run. [`compile`]
+//! and [`compile_set`] run steps directly; [`compile_guarded`] hands each
+//! one to `Guard::step`, which snapshots, checks and rolls back, so a
+//! faulty step degrades and is reported instead of miscompiling;
+//! `crate::profile::compile_with_profile` runs steps directly and annotates
+//! branch probabilities after the first. Because the routes share the
+//! driver, they cannot drift apart on healthy input. All four start from
+//! freshly lowered IR; `crate::artifact::ArtifactCache` alone calls the two
+//! halves separately, to run the middle end once per workload and the
+//! backend once per machine.
 
 use crate::run::{cycle_budget, FLT_TOL};
 use ilpc_core::ablation::TransformSet;
@@ -50,26 +56,57 @@ pub struct Compiled {
     pub schedules: Vec<Option<BlockSchedule>>,
 }
 
-/// The pipeline driver: run `passes` and the two backend stages over
-/// freshly lowered IR, each through `step(module, name, body)`. `step`
-/// must either run `body` and return `true`, or leave the module as it was
-/// on entry and return `false`; the driver then discards whatever that step
-/// reported (counts, superblocks, schedules).
+/// How a step (a `PASSES` row or a backend stage) is run: called as
+/// `step(module, name, body)`, it must either run `body` and return `true`,
+/// or leave the module as it was on entry and return `false`; the driver
+/// then discards whatever that step reported (counts, superblocks,
+/// schedules).
+pub(crate) trait Step: FnMut(&mut Module, &'static str, &mut dyn FnMut(&mut Module)) -> bool {}
+impl<F: FnMut(&mut Module, &'static str, &mut dyn FnMut(&mut Module)) -> bool> Step for F {}
+
+/// The pipeline driver: [`run_rows`] then [`backend`] over freshly lowered
+/// IR, each step through `step`.
 pub(crate) fn pipeline(
     lowered: Lowered,
     passes: impl Iterator<Item = &'static Pass>,
     machine: &Machine,
-    mut step: impl FnMut(&mut Module, &'static str, &mut dyn FnMut(&mut Module)) -> bool,
+    mut step: impl Step,
 ) -> Compiled {
     let Lowered { mut module, shadow_syms: shadow, .. } = lowered;
-    let ucfg = UnrollConfig { vlen: machine.vlen, ..Default::default() };
     let mut report = TransformReport::default();
-    for pass in passes {
+    run_rows(&mut module, &mut report, passes, machine.vlen, &mut step);
+    backend(module, shadow, report, machine, &mut step)
+}
+
+/// The middle end: run `rows` of the pass table over `module`, adding what
+/// each kept step counted to `report`. Reads nothing of the machine but
+/// `vlen`, which is what lets `crate::artifact` share its output across
+/// issue widths and latency tables.
+pub(crate) fn run_rows(
+    module: &mut Module,
+    report: &mut TransformReport,
+    rows: impl Iterator<Item = &'static Pass>,
+    vlen: u32,
+    step: &mut impl Step,
+) {
+    let ucfg = UnrollConfig { vlen, ..Default::default() };
+    for pass in rows {
         let mut counted = report.clone();
-        if step(&mut module, pass.name, &mut |m| pass.execute(m, &ucfg, &mut counted)) {
-            report = counted;
+        if step(module, pass.name, &mut |m| pass.execute(m, &ucfg, &mut counted)) {
+            *report = counted;
         }
     }
+}
+
+/// The backend: superblock formation, list scheduling and register
+/// measurement of a module the middle end is done with.
+pub(crate) fn backend(
+    mut module: Module,
+    shadow: HashMap<VarId, SymId>,
+    report: TransformReport,
+    machine: &Machine,
+    step: &mut impl Step,
+) -> Compiled {
     let mut superblocks = SuperblockReport::default();
     if !step(&mut module, "superblock-formation", &mut |m| {
         superblocks = form_superblocks(m, &SuperblockConfig::default());
@@ -86,7 +123,7 @@ pub(crate) fn pipeline(
 }
 
 /// The unguarded step policy: run the step and keep its output.
-fn direct(m: &mut Module, _: &'static str, body: &mut dyn FnMut(&mut Module)) -> bool {
+pub(crate) fn direct(m: &mut Module, _: &'static str, body: &mut dyn FnMut(&mut Module)) -> bool {
     body(m);
     true
 }

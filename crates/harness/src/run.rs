@@ -1,18 +1,19 @@
 //! Execution-driven evaluation of one (workload, level, machine) point,
 //! with differential verification against the AST interpreter.
 
+use crate::artifact::Artifact;
 use crate::compile::{compile, Compiled};
 use ilpc_core::level::Level;
+use ilpc_ir::ast::VarId;
 use ilpc_ir::interp::{interpret, ExecState};
 use ilpc_ir::value::{ArrayVal, Value};
-use ilpc_ir::SymId;
+use ilpc_ir::{SymId, SymTab};
 use ilpc_machine::Machine;
 use ilpc_mem::MemStats;
 use ilpc_regalloc::RegUsage;
-use ilpc_sim::{
-    decode, memory_from_init, read_symbol, simulate_decoded, DecodedProgram, SimLimits,
-};
+use ilpc_sim::{memory_from_init, read_symbol, simulate_decoded, SimLimits};
 use ilpc_workloads::Workload;
+use std::collections::HashMap;
 
 /// Relative tolerance for floating point result comparison. Expansion
 /// transformations reassociate reductions (exactly as the paper's do), so
@@ -47,9 +48,22 @@ pub fn verify_against_reference(
     reference: &ExecState,
     memory: &[u64],
 ) -> Result<(), String> {
+    verify_memory(w, &compiled.module.symtab, &compiled.shadow, reference, memory)
+}
+
+/// [`verify_against_reference`] on the two things it reads of a
+/// compilation: where the symbols lie in `memory`, and which of them
+/// shadow an assigned scalar.
+fn verify_memory(
+    w: &Workload,
+    symtab: &SymTab,
+    shadow: &HashMap<VarId, SymId>,
+    reference: &ExecState,
+    memory: &[u64],
+) -> Result<(), String> {
     // Differential check: arrays...
     for (k, want) in reference.arrays.iter().enumerate() {
-        let got = read_symbol(&compiled.module.symtab, memory, SymId(k as u32));
+        let got = read_symbol(symtab, memory, SymId(k as u32));
         let diff = got.max_rel_diff(want);
         if diff > FLT_TOL {
             return Err(format!(
@@ -60,8 +74,8 @@ pub fn verify_against_reference(
         }
     }
     // ... and assigned scalars via their shadow symbols.
-    for (var, sym) in &compiled.shadow {
-        let got = read_symbol(&compiled.module.symtab, memory, *sym);
+    for (var, sym) in shadow {
+        let got = read_symbol(symtab, memory, *sym);
         let want = reference.scalars[var.0 as usize];
         let ok = match (&got, want) {
             (ArrayVal::I(v), Value::I(x)) => v[0] == x,
@@ -81,32 +95,31 @@ pub fn verify_against_reference(
     Ok(())
 }
 
-/// Simulate `decoded` (the pre-decoded form of `compiled`) under `machine`
-/// and check its results against `reference`: the one simulate-and-verify
-/// tail, shared by the compile-per-point path ([`run_compiled`]) and the
-/// artifact-cache path (`crate::artifact::ArtifactCache::evaluate`).
+/// Simulate `artifact` under `machine` and check its results against
+/// `reference`: the one simulate-and-verify tail, shared by the
+/// compile-per-point path ([`run_compiled`]) and the artifact-cache path
+/// (`crate::artifact::ArtifactCache::evaluate`).
 pub(crate) fn run_decoded(
     w: &Workload,
-    compiled: &Compiled,
-    decoded: &DecodedProgram,
+    artifact: &Artifact,
     reference: &ExecState,
     machine: &Machine,
 ) -> Result<EvalPoint, String> {
-    let mem = memory_from_init(&compiled.module.symtab, &w.init);
+    let mem = memory_from_init(&artifact.symtab, &w.init);
     // Explicit budgets: the cycle limit bounds wall-clock, the derived
     // dynamic-instruction watchdog catches runaway wide-issue work that
     // burns few cycles but unbounded instructions.
     let limits = SimLimits::cycles(cycle_budget(reference.stmts_executed));
-    let res = simulate_decoded(decoded, machine, mem, limits)
+    let res = simulate_decoded(&artifact.decoded, machine, mem, limits)
         .map_err(|e| format!("{}: {e}", w.meta.name))?;
 
-    verify_against_reference(w, compiled, reference, &res.memory)?;
+    verify_memory(w, &artifact.symtab, &artifact.shadow, reference, &res.memory)?;
 
     Ok(EvalPoint {
         cycles: res.cycles,
         dyn_insts: res.dyn_insts,
-        regs: compiled.regs,
-        static_insts: compiled.static_insts,
+        regs: artifact.regs,
+        static_insts: artifact.static_insts,
         mem: res.mem,
     })
 }
@@ -117,8 +130,8 @@ pub fn run_compiled(
     compiled: &Compiled,
     machine: &Machine,
 ) -> Result<EvalPoint, String> {
-    let decoded = decode(&compiled.module, machine);
-    run_decoded(w, compiled, &decoded, &interpret(&w.program, &w.init), machine)
+    let artifact = Artifact::new(compiled, machine);
+    run_decoded(w, &artifact, &interpret(&w.program, &w.init), machine)
 }
 
 /// Compile + simulate + verify one ablation point.

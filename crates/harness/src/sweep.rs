@@ -330,10 +330,30 @@ mod tests {
         // Two latency tables → two compile keys per (workload, level, width).
         assert_eq!(sweep.cache.compiles, 2 * 40 * 2 * 2, "{:?}", sweep.cache);
         assert_eq!(sweep.cache.hits, 0, "{:?}", sweep.cache);
+        // The table forks artifacts, not rungs — no pass row reads it: Conv,
+        // Lev1 and Lev2 of each nest are built once and serve both tables.
+        assert_eq!(sweep.cache.rungs, 40 * 3, "{:?}", sweep.cache);
         // Slower FP must cost cycles somewhere (dotprod is FP-bound).
         let fast = sweep.grids[0].point("dotprod", Level::Lev2, 8).unwrap().cycles;
         let slow = sweep.grids[1].point("dotprod", Level::Lev2, 8).unwrap().cycles;
         assert!(slow > fast, "slow-fp {slow} vs table1 {fast}");
+    }
+
+    /// A cold full-ladder sweep lowers each loop nest and runs each pass row
+    /// over it exactly once, whatever the pool's interleaving: 480 artifacts
+    /// are cut from 240 rungs.
+    #[test]
+    fn cold_sweep_climbs_each_ladder_once() {
+        let sweep = run_sweep(&SweepConfig {
+            scale: 0.02,
+            widths: vec![1, 8],
+            threads: 4,
+            ..SweepConfig::default()
+        })
+        .unwrap();
+        assert_eq!(sweep.total_errors(), 0);
+        let c = sweep.cache;
+        assert_eq!((c.compiles, c.hits, c.rungs, c.ref_runs), (480, 0, 240, 40), "{c:?}");
     }
 
     /// A sabotaged point degrades in every scenario it matches while the

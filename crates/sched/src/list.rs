@@ -18,7 +18,7 @@ use ilpc_machine::{fu_kind, FuKind, Machine};
 
 /// Result of scheduling one block: the new instruction order plus the issue
 /// time of each instruction (parallel arrays).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockSchedule {
     pub insts: Vec<Inst>,
     pub times: Vec<u32>,

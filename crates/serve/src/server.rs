@@ -15,7 +15,11 @@
 //! * **reuse work**: one [`ArtifactCache`] per trip-count scale, shared by
 //!   every worker, so repeated `simulate`/`sweep` requests against the
 //!   same scale skip recompilation entirely (the cache's contract binds it
-//!   to one catalog + scale — hence the per-scale map).
+//!   to one catalog + scale — hence one entry per scale, which also keeps
+//!   the workloads built at that scale). At most [`MAX_SCALES`] entries are
+//!   kept, least recently used out first: `scale` is client input, and an
+//!   entry per value ever sent would be the unbounded buffer the first two
+//!   invariants rule out.
 
 use crate::chaos::{ChaosPlan, ChaosVerdict};
 use crate::json::{obj, parse, Json};
@@ -125,20 +129,60 @@ impl BoundedQueue {
     }
 }
 
-/// Shared evaluation state: one artifact cache per trip-count scale.
+/// How many trip-count scales the engine keeps state for at once. Clients
+/// use a handful (the paper's 1.0, a few reduced ones for smoke runs); the
+/// bound is what matters, not its value.
+pub const MAX_SCALES: usize = 8;
+
+/// Everything the engine keeps for one trip-count scale: the artifact cache
+/// (bound by its contract to one catalog at one scale) and the catalog's
+/// workloads at that scale, each built on first use.
+struct ScaleState {
+    scale: f64,
+    artifacts: Arc<ArtifactCache>,
+    workloads: Mutex<HashMap<&'static str, Arc<Workload>>>,
+}
+
+impl ScaleState {
+    fn workload(&self, name: &str) -> Result<Arc<Workload>, (ErrorKind, String)> {
+        let mut built = self.workloads.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some(w) = built.get(name) {
+            return Ok(Arc::clone(w));
+        }
+        let w = Arc::new(find_workload(name, self.scale)?);
+        built.insert(w.meta.name, Arc::clone(&w));
+        Ok(w)
+    }
+}
+
+/// Shared evaluation state.
 struct Engine {
     sweep_threads: usize,
     workers: usize,
     /// Back-reference to the admission queue so `status` can report
     /// depth/capacity (introspection only — the queue owns admission).
     queue: Arc<BoundedQueue>,
-    caches: Mutex<HashMap<u64, Arc<ArtifactCache>>>,
+    /// Per-scale state, most recently used first, at most [`MAX_SCALES`].
+    scales: Mutex<Vec<Arc<ScaleState>>>,
 }
 
 impl Engine {
-    fn cache_for(&self, scale: f64) -> Arc<ArtifactCache> {
-        let mut m = self.caches.lock().unwrap_or_else(|p| p.into_inner());
-        Arc::clone(m.entry(scale.to_bits()).or_insert_with(|| Arc::new(ArtifactCache::new())))
+    /// The state for `scale`, created on first use. A request in flight
+    /// holds its own handle, so evicting an entry never pulls state from
+    /// under it.
+    fn scale(&self, scale: f64) -> Arc<ScaleState> {
+        let mut scales = self.scales.lock().unwrap_or_else(|p| p.into_inner());
+        let state = match scales.iter().position(|s| s.scale.to_bits() == scale.to_bits()) {
+            Some(k) => scales.remove(k),
+            None => Arc::new(ScaleState {
+                scale,
+                artifacts: Arc::new(ArtifactCache::new()),
+                workloads: Mutex::new(HashMap::new()),
+            }),
+        };
+        scales.insert(0, Arc::clone(&state));
+        scales.truncate(MAX_SCALES);
+        state
     }
 }
 
@@ -157,7 +201,7 @@ impl Server {
             sweep_threads: cfg.sweep_threads.max(1),
             workers: cfg.workers.max(1),
             queue: Arc::clone(&queue),
-            caches: Mutex::new(HashMap::new()),
+            scales: Mutex::new(Vec::new()),
         });
         let workers = (0..cfg.workers.max(1))
             .map(|_| {
@@ -283,10 +327,11 @@ fn handle_op(engine: &Engine, op: &Op) -> Result<Json, (ErrorKind, String)> {
             Ok(reply)
         }
         Op::Simulate { workload, level, width, vlen, scale, mem } => {
-            let w = find_workload(workload, *scale)?;
+            let state = engine.scale(*scale);
+            let w = state.workload(workload)?;
             let machine = Machine::issue(*width).with_mem(*mem).with_vlen(*vlen);
-            let cache = engine.cache_for(*scale);
-            let p = cache
+            let p = state
+                .artifacts
                 .evaluate(&w, *level, &machine)
                 .map_err(|e| (ErrorKind::EvalFailed, e))?;
             Ok(obj([
@@ -315,7 +360,7 @@ fn handle_op(engine: &Engine, op: &Op) -> Result<Json, (ErrorKind, String)> {
                 threads: engine.sweep_threads,
                 scenarios: mems.iter().copied().map(Scenario::mem).collect(),
                 sabotage: sabotage.clone(),
-                artifacts: Some(engine.cache_for(*scale)),
+                artifacts: Some(Arc::clone(&engine.scale(*scale).artifacts)),
             };
             let sweep =
                 run_sweep(&cfg).map_err(|e| (ErrorKind::BadConfig, e.to_string()))?;
@@ -389,6 +434,10 @@ fn handle_op(engine: &Engine, op: &Op) -> Result<Json, (ErrorKind, String)> {
             ("workers", Json::num(engine.workers as f64)),
             ("queue_depth", Json::num(engine.queue.len() as f64)),
             ("queue_cap", Json::num(engine.queue.cap as f64)),
+            (
+                "scales",
+                Json::num(engine.scales.lock().unwrap_or_else(|p| p.into_inner()).len() as f64),
+            ),
         ])),
         // One job, several requests: replies in submission order, each
         // with its own id and ok/error envelope.

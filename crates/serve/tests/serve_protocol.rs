@@ -4,6 +4,7 @@
 
 mod contract;
 
+use ilpc_serve::server::MAX_SCALES;
 use ilpc_serve::{parse, serve_lines, serve_script, serve_tcp, Json, ServeConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::sync::{Arc, Mutex};
@@ -291,6 +292,37 @@ fn ping_and_status_bypass_a_full_queue() {
     assert_eq!(r.get("role").and_then(Json::as_str), Some("single"));
     assert_eq!(r.get("queue_cap").and_then(Json::as_u64), Some(1));
     assert!(r.get("queue_depth").and_then(Json::as_u64).is_some());
+}
+
+/// `scale` is client input: a client cycling through distinct values must
+/// not grow the server without bound. The engine keeps state for at most
+/// `MAX_SCALES` of them, `status` says how many, and an evicted scale is
+/// simply rebuilt when asked for again.
+#[test]
+fn per_scale_state_is_bounded() {
+    let sim = |k: usize| {
+        format!(
+            r#"{{"id":{k},"op":"simulate","workload":"add","level":"Lev2","width":4,"scale":{}}}"#,
+            0.02 + k as f64 * 1e-4
+        )
+    };
+    // One batch is one job: its requests run in order, `status` last.
+    let mut reqs: Vec<String> = (0..MAX_SCALES + 2).map(sim).collect();
+    reqs.push(r#"{"id":"st","op":"status"}"#.to_string());
+    reqs.push(sim(0));
+    reqs.push(r#"{"id":"st2","op":"status"}"#.to_string());
+    let script = format!(r#"{{"id":"b","op":"batch","requests":[{}]}}"#, reqs.join(","));
+    let replies = index_replies(&serve_script(&cfg_small(), &script));
+    let inner = replies[0].2.get("replies").and_then(Json::as_arr).unwrap();
+    assert_eq!(inner.len(), MAX_SCALES + 5);
+    let result = |k: usize| {
+        assert_eq!(inner[k].get("ok"), Some(&Json::Bool(true)), "{:?}", inner[k]);
+        inner[k].get("result").unwrap()
+    };
+    let scales = |k: usize| result(k).get("scales").and_then(Json::as_u64);
+    assert_eq!(scales(MAX_SCALES + 2), Some(MAX_SCALES as u64));
+    assert_eq!(result(MAX_SCALES + 3).get("cycles"), result(0).get("cycles"));
+    assert_eq!(scales(MAX_SCALES + 4), Some(MAX_SCALES as u64));
 }
 
 /// A TCP client that dies mid-line (unterminated final fragment, then

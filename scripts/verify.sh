@@ -110,6 +110,39 @@ print(f"ok: 4 typed replies (simulate cycles={by_id[1]['result']['cycles']}, "
 EOF
 rm -f "$serve_replies"
 
+echo "== served sweep smoke (cold ladder vs warm cache) =="
+# The researcher's path through the built binary: one 6-level x [1,8]
+# sweep sent twice to the same server, then a simulate of a point it
+# covers. The first sweep climbs every level ladder cold (480 artifacts
+# compiled, none reused); the second is served entirely from the cache
+# and must report the bit-same mean speedup. One worker, so the three
+# requests run in order.
+sweep_replies=$(mktemp)
+sweep='"op":"sweep","scale":0.02,"levels":["Conv","Lev1","Lev2","Lev3","Lev4","Lev6"],"widths":[1,8]'
+printf '%s\n' \
+  "{\"id\":1,$sweep}" \
+  "{\"id\":2,$sweep}" \
+  '{"id":3,"op":"simulate","workload":"dotprod","level":"Lev4","width":8,"scale":0.02}' \
+  | ./target/release/ilpc-serve --workers 1 --queue 8 > "$sweep_replies"
+python3 - "$sweep_replies" <<'EOF'
+import json, sys
+replies = {r["id"]: r for r in map(json.loads, open(sys.argv[1]))}
+assert len(replies) == 3 and all(r["ok"] for r in replies.values()), replies
+cold, warm = replies[1]["result"], replies[2]["result"]
+for name, r in (("cold", cold), ("warm", warm)):
+    (scenario,) = r["scenarios"]
+    assert scenario["completed"] == 480 and not scenario["errors"], (name, scenario)
+assert cold["cache"] == {"compiles": 480, "hits": 0}, cold["cache"]
+assert warm["cache"] == {"compiles": 480, "hits": 480}, warm["cache"]
+speedup = lambda r: r["scenarios"][0]["mean_speedup"]["value"]
+assert speedup(cold) == speedup(warm), (speedup(cold), speedup(warm))
+assert replies[3]["result"]["cycles"] > 0, replies[3]
+print(f"ok: cold sweep 480 compiles / 0 hits, warm sweep 480 hits, "
+      f"mean speedup {speedup(cold)} both times, simulate cycles="
+      f"{replies[3]['result']['cycles']}")
+EOF
+rm -f "$sweep_replies"
+
 echo "== TCP smoke (--tcp over loopback) =="
 # The same protocol through the TCP front door: a simulate, a garbage
 # line and a ping on one connection must come back as three typed

@@ -105,6 +105,8 @@ fn worksteal_equals_forkjoin_on_full_grid() {
         counters.hits >= counters.compiles,
         "cross-run artifact reuse missing: {counters:?}"
     );
+    // Nor is issue width: every level of every nest was climbed once.
+    assert_eq!(counters.rungs, (40 * Level::ALL.len()) as u64, "{counters:?}");
 
     // A sabotaged point must degrade both engines to the same typed error
     // while every other point stays identical.
