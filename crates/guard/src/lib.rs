@@ -5,23 +5,27 @@
 //! silently produces wrong architectural results would invalidate every
 //! number downstream. This crate makes per-transformation validation a
 //! first-class subsystem: a [`Guard`] wraps every step of the compilation
-//! pipeline and, around each one,
+//! pipeline. It keeps a **record** of the last good module and, after each
+//! step,
 //!
-//! 1. **snapshots** the IR,
-//! 2. runs the [`ilpc_ir::verify`] verifier — in release builds too (the
+//! 1. runs the [`ilpc_ir::verify`] verifier — in release builds too (the
 //!    bare pipeline only verifies under `debug_assertions`),
-//! 3. runs the **static pass-delta lints** (`ilpc_lint::delta`) over the
-//!    snapshot/output pair — translation-validation rules that need no
+//! 2. runs the **static pass-delta lints** (`ilpc_lint::delta`) over the
+//!    record/output pair — translation-validation rules that need no
 //!    execution at all,
-//! 4. **spot-checks architectural results** against a reference oracle
+//! 3. **spot-checks architectural results** against a reference oracle
 //!    (the AST interpreter's output) by executing the module on the cycle
 //!    simulator, and
-//! 5. isolates pass **panics** with `catch_unwind`.
+//! 4. isolates **panics** — of the pass and of the checks themselves —
+//!    with `catch_unwind`.
 //!
-//! On any failure the guard rolls the module back to the last good
-//! snapshot, records a typed incident, and the driver continues with the
-//! remaining passes — graceful degradation to the highest achievable
-//! transformation level instead of a crashed or silently-wrong run.
+//! On any failure the guard rolls the module back to the record, records a
+//! typed incident, and the driver continues with the remaining passes —
+//! graceful degradation to the highest achievable transformation level
+//! instead of a crashed or silently-wrong run. A kept step refreshes the
+//! record; a step whose output is bit-identical to a record that already
+//! passed the checks is kept without running them again (see
+//! [`Guard::step`]).
 //!
 //! The error taxonomy ([`GuardErrorKind`]) is deliberately small:
 //!
@@ -64,7 +68,8 @@ pub enum GuardErrorKind {
     /// The pass output computes wrong architectural results (or the
     /// simulator rejected it at execution time).
     DifferentialMismatch,
-    /// The pass panicked; the panic was contained by the firewall.
+    /// The pass — or a check of its output — panicked; the panic was
+    /// contained by the firewall.
     PassPanic,
     /// A resource budget was exhausted: runaway code growth, the cycle
     /// budget, or the dynamic-instruction watchdog.
@@ -137,6 +142,9 @@ pub struct GuardReport {
     pub steps_attempted: usize,
     /// Steps whose output was kept.
     pub steps_kept: usize,
+    /// Kept steps whose output was bit-identical to a module that had
+    /// already passed every check, and so were not checked again.
+    pub steps_unchanged: usize,
     /// Contained failures, in execution order. Empty on a healthy run.
     pub incidents: Vec<Incident>,
     /// Level the driver asked for (set by [`GuardReport::settle_level`]).
@@ -306,6 +314,12 @@ impl Oracle {
                     format!("symbol @{} changed class", sym.0),
                 ));
             }
+            if got.len() != want.len() {
+                return Err(GuardError::new(
+                    GuardErrorKind::DifferentialMismatch,
+                    format!("symbol @{} changed size", sym.0),
+                ));
+            }
             let diff = got.max_rel_diff(want);
             if !(diff <= self.tol) {
                 return Err(GuardError::new(
@@ -370,19 +384,32 @@ pub struct StepHook<'a> {
 }
 
 /// The transformation firewall. Drive it with [`Guard::step`] around every
-/// mutation of the module; it snapshots, checks, rolls back and records.
+/// mutation of the module; it checks, rolls back and records.
 pub struct Guard<'a> {
-    pub cfg: GuardConfig,
+    cfg: GuardConfig,
     oracle: Option<&'a Oracle>,
     hook: Option<StepHook<'a>>,
     pub report: GuardReport,
+    /// The last good module: what a failed step is rolled back to, and the
+    /// "before" side of the delta lints. Filled with `clone_from`, so a
+    /// guard allocates one snapshot in its lifetime, not one per step.
+    record: Module,
+    /// True once `record` has passed every enabled check.
+    record_checked: bool,
 }
 
 impl<'a> Guard<'a> {
     /// New firewall. Without an oracle the differential spot-check is
     /// skipped (the verifier, panic containment and budgets still apply).
     pub fn new(cfg: GuardConfig, oracle: Option<&'a Oracle>) -> Guard<'a> {
-        Guard { cfg, oracle, hook: None, report: GuardReport::default() }
+        Guard {
+            cfg,
+            oracle,
+            hook: None,
+            report: GuardReport::default(),
+            record: Module::new(""),
+            record_checked: false,
+        }
     }
 
     /// Install a fault-injection hook (see [`StepHook`]).
@@ -394,6 +421,15 @@ impl<'a> Guard<'a> {
     /// Run one guarded step. Returns `true` if the step's output was kept,
     /// `false` if it failed a check and the module was rolled back to its
     /// state on entry.
+    ///
+    /// The module on entry is compared with the record and, where they
+    /// differ (the first step, or a caller that edited the module between
+    /// steps), becomes the new, unchecked record. An output bit-identical
+    /// ([`Module::identical`]) to a checked record is kept as it is: the
+    /// verifier and the spot-check are deterministic functions of the
+    /// module alone, and every delta lint is an "after ⊆ before" relation
+    /// that a module satisfies against itself. Debug builds run the checks
+    /// on such a step all the same and assert that they pass.
     pub fn step(
         &mut self,
         m: &mut Module,
@@ -402,76 +438,103 @@ impl<'a> Guard<'a> {
     ) -> bool {
         let idx = self.report.steps_attempted;
         self.report.steps_attempted += 1;
-        let snapshot = m.clone();
+        if !m.identical(&self.record) {
+            self.record.clone_from(m);
+            self.record_checked = false;
+        }
 
         let hook = match &mut self.hook {
             Some(h) if h.at_step == idx => Some(&mut h.action),
             _ => None,
         };
-        let body = move |m: &mut Module| {
+        let (cfg, oracle, record, record_checked) =
+            (self.cfg, self.oracle, &self.record, self.record_checked);
+        // Set when the output is the checked record again, bit for bit.
+        let mut unchanged = false;
+        // The checks run under the same containment as the body: a
+        // corrupted module can panic the simulator or a lint, and that is
+        // an incident like any other.
+        let run = |m: &mut Module| {
             f(m);
             if let Some(action) = hook {
                 action(m);
             }
-        };
-        let error = if self.cfg.catch_panics {
-            match catch_unwind(AssertUnwindSafe(|| body(m))) {
-                Ok(()) => self.check(m, &snapshot, name),
-                Err(payload) => Some(GuardError::new(
-                    GuardErrorKind::PassPanic,
-                    panic_message(payload),
-                )),
+            unchanged = record_checked && m.identical(record);
+            if unchanged {
+                None
+            } else {
+                check(&cfg, oracle, m, record, name)
             }
+        };
+        let error = if cfg.catch_panics {
+            catch_unwind(AssertUnwindSafe(|| run(m))).unwrap_or_else(|payload| {
+                Some(GuardError::new(GuardErrorKind::PassPanic, panic_message(payload)))
+            })
         } else {
-            body(m);
-            self.check(m, &snapshot, name)
+            run(m)
         };
 
         match error {
             None => {
+                if unchanged {
+                    self.report.steps_unchanged += 1;
+                    debug_assert!(
+                        check(&cfg, oracle, m, &self.record, name).is_none(),
+                        "step {idx} ({name}): a module identical to the checked record fails a check"
+                    );
+                } else {
+                    self.record.clone_from(m);
+                    self.record_checked = true;
+                }
                 self.report.steps_kept += 1;
                 true
             }
             Some(error) => {
-                *m = snapshot;
+                m.clone_from(&self.record);
                 self.report.incidents.push(Incident { step: idx, pass: name, error });
                 false
             }
         }
     }
+}
 
-    /// Post-step checks, in escalating cost order: growth budget, then the
-    /// verifier, then the static pass-delta lints (the snapshot taken for
-    /// rollback doubles as the "before" module), then the differential
-    /// spot-check — the only one that has to execute anything.
-    fn check(&self, m: &Module, before: &Module, pass: &'static str) -> Option<GuardError> {
-        let insts = m.func.num_insts();
-        if insts > self.cfg.max_insts {
-            return Some(GuardError::new(
-                GuardErrorKind::BudgetExceeded,
-                format!("module grew to {insts} instructions (budget {})", self.cfg.max_insts),
-            ));
-        }
-        if self.cfg.verify {
-            if let Err(e) = verify_module(m) {
-                return Some(GuardError::new(GuardErrorKind::VerifierReject, e.to_string()));
-            }
-        }
-        if self.cfg.static_lints {
-            let diags = ilpc_lint::delta::check_step(before, m, pass);
-            if let Some(d) = diags.first() {
-                return Some(GuardError::new(GuardErrorKind::StaticLintReject, d.to_string()));
-            }
-        }
-        if self.cfg.differential {
-            if let Some(oracle) = self.oracle {
-                if let Err(e) = oracle.check(m) {
-                    return Some(e);
-                }
-            }
-        }
-        None
+/// Post-step checks, in escalating cost order: growth budget, then the
+/// verifier, then the static pass-delta lints against the `before` module,
+/// then the differential spot-check — the only one that has to execute
+/// anything.
+fn check(
+    cfg: &GuardConfig,
+    oracle: Option<&Oracle>,
+    m: &Module,
+    before: &Module,
+    pass: &'static str,
+) -> Option<GuardError> {
+    let insts = m.func.num_insts();
+    if insts > cfg.max_insts {
+        return Some(GuardError::new(
+            GuardErrorKind::BudgetExceeded,
+            format!("module grew to {insts} instructions (budget {})", cfg.max_insts),
+        ));
     }
+    if cfg.verify {
+        if let Err(e) = verify_module(m) {
+            return Some(GuardError::new(GuardErrorKind::VerifierReject, e.to_string()));
+        }
+    }
+    if cfg.static_lints {
+        let diags = ilpc_lint::delta::check_step(before, m, pass);
+        if let Some(d) = diags.first() {
+            return Some(GuardError::new(GuardErrorKind::StaticLintReject, d.to_string()));
+        }
+    }
+    if cfg.differential {
+        if let Some(oracle) = oracle {
+            if let Err(e) = oracle.check(m) {
+                return Some(e);
+            }
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -615,6 +678,33 @@ mod tests {
         // The surviving module is verifiable and architecturally correct.
         verify_module(&l.module).unwrap();
         oracle.check(&l.module).unwrap();
+    }
+
+    #[test]
+    fn panicking_check_is_contained_like_a_panicking_pass() {
+        let (p, init) = dotprod();
+        let mut l = lower(&p);
+        let mut oracle = oracle_for(&p, &init, &l);
+        // An expectation for a symbol no module declares: the spot-check
+        // itself panics (an out-of-range index in `read_symbol`), on every
+        // step, whatever the pass did.
+        oracle.expect.push((SymId(99), ArrayVal::I(vec![0])));
+        let lowered = serialize(&l.module);
+        let mut guard = Guard::new(GuardConfig::default(), Some(&oracle));
+        let rep = guarded_apply_level(
+            &mut l.module,
+            Level::Lev1,
+            &UnrollConfig::default(),
+            &mut guard,
+        );
+        let incidents = &guard.report.incidents;
+        assert_eq!(incidents.len(), guard.report.steps_attempted, "{incidents:#?}");
+        assert!(incidents.iter().all(|i| i.error.kind == GuardErrorKind::PassPanic));
+        assert!(incidents[0].error.detail.contains("index out of bounds"), "{}", incidents[0]);
+        assert_eq!(guard.report.steps_unchanged, 0, "nothing was ever proved");
+        assert_eq!(guard.report.achieved, None);
+        assert_eq!(rep, TransformReport::default());
+        assert_eq!(serialize(&l.module), lowered);
     }
 
     #[test]

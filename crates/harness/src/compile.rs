@@ -8,7 +8,7 @@
 //! measurement, for one machine). Every public entry point picks *which*
 //! rows run and *how* each step (pass or backend stage) is run. [`compile`]
 //! and [`compile_set`] run steps directly; [`compile_guarded`] hands each
-//! one to `Guard::step`, which snapshots, checks and rolls back, so a
+//! one to `Guard::step`, which checks it and rolls back on failure, so a
 //! faulty step degrades and is reported instead of miscompiling;
 //! `crate::profile::compile_with_profile` runs steps directly and annotates
 //! branch probabilities after the first. Because the routes share the

@@ -25,7 +25,7 @@ impl fmt::Display for BlockId {
 
 /// A basic block: a label plus a straight sequence of instructions
 /// (conditional branches inside the sequence are *side exits*).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Block {
     /// Debug label.
     pub label: String,
@@ -33,7 +33,29 @@ pub struct Block {
     pub insts: Vec<Inst>,
 }
 
+// `Clone` is written out for `Block`, `Function` and `Module` so that
+// `clone_from` reuses the destination's buffers: the derived one is
+// `*self = source.clone()`.
+impl Clone for Block {
+    fn clone(&self) -> Block {
+        Block { label: self.label.clone(), insts: self.insts.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Block) {
+        self.label.clone_from(&source.label);
+        self.insts.clone_from(&source.insts);
+    }
+}
+
 impl Block {
+    /// Bit-level identity. See [`Module::identical`].
+    pub(crate) fn identical(&self, other: &Block) -> bool {
+        let Block { label, insts } = self;
+        *label == other.label
+            && insts.len() == other.insts.len()
+            && insts.iter().zip(&other.insts).all(|(a, b)| a.identical(b))
+    }
+
     /// True if the final instruction unconditionally leaves the block.
     pub fn ends_in_transfer(&self) -> bool {
         matches!(
@@ -44,7 +66,7 @@ impl Block {
 }
 
 /// A function: blocks + layout + virtual register counters.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Function {
     /// Function name (workload id).
     pub name: String,
@@ -55,7 +77,36 @@ pub struct Function {
     next_vreg: [u32; 3],
 }
 
+impl Clone for Function {
+    fn clone(&self) -> Function {
+        Function {
+            name: self.name.clone(),
+            blocks: self.blocks.clone(),
+            layout: self.layout.clone(),
+            next_vreg: self.next_vreg,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Function) {
+        self.name.clone_from(&source.name);
+        self.blocks.clone_from(&source.blocks);
+        self.layout.clone_from(&source.layout);
+        self.next_vreg = source.next_vreg;
+    }
+}
+
 impl Function {
+    /// Bit-level identity, detached blocks included. See
+    /// [`Module::identical`].
+    pub(crate) fn identical(&self, other: &Function) -> bool {
+        let Function { name, blocks, layout, next_vreg } = self;
+        *name == other.name
+            && *layout == other.layout
+            && *next_vreg == other.next_vreg
+            && blocks.len() == other.blocks.len()
+            && blocks.iter().zip(&other.blocks).all(|(a, b)| a.identical(b))
+    }
+
     /// New empty function.
     pub fn new(name: &str) -> Function {
         Function {
@@ -192,13 +243,42 @@ impl Function {
 
 /// A module: one function plus its data symbols. Workloads compile to one
 /// module each (the paper evaluates isolated loop nests).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Module {
     pub symtab: SymTab,
     pub func: Function,
 }
 
+impl Clone for Module {
+    fn clone(&self) -> Module {
+        Module { symtab: self.symtab.clone(), func: self.func.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Module) {
+        // Passes hardly ever touch the symbol table, and its derived
+        // `clone_from` would reallocate every name.
+        if self.symtab != source.symtab {
+            self.symtab = source.symtab.clone();
+        }
+        self.func.clone_from(&source.func);
+    }
+}
+
 impl Module {
+    /// True if `other` is this module bit for bit: symbol table, function
+    /// name, every block's label and every field of every instruction,
+    /// layout and register counters, with floats (`Operand::ImmF`,
+    /// `Inst::prob`) compared by bit pattern — `0.0` and `-0.0` differ, a
+    /// NaN equals itself. Deliberately not `PartialEq`: the passes' own
+    /// operand comparisons rely on its IEEE semantics, under which a
+    /// `0.0 → -0.0` rewrite is no change at all. Two identical modules are
+    /// interchangeable for every deterministic consumer (verifier, lints,
+    /// simulator), which is what lets `ilpc-guard` skip re-checking one.
+    pub fn identical(&self, other: &Module) -> bool {
+        let Module { symtab, func } = self;
+        *symtab == other.symtab && func.identical(&other.func)
+    }
+
     /// New module with an empty function of the given name.
     pub fn new(name: &str) -> Module {
         Module { symtab: SymTab::new(), func: Function::new(name) }
@@ -248,6 +328,73 @@ mod tests {
         assert_eq!(c.id, 0);
         assert_eq!(f.vreg_count(RegClass::Int), 2);
         assert_eq!(f.vreg_count(RegClass::Flt), 1);
+    }
+
+    /// One block: a float move, a branch back to itself, a halt.
+    fn small_module(imm: f64) -> Module {
+        let mut m = Module::new("t");
+        m.symtab.declare("A", 4, RegClass::Flt);
+        let b = m.func.add_block("entry");
+        let r = m.func.new_reg(RegClass::Flt);
+        m.func.block_mut(b).insts.extend([
+            Inst::mov(r, Operand::ImmF(imm)),
+            Inst::br(Cond::Lt, Operand::ImmI(0), Operand::ImmI(1), b),
+            Inst::halt(),
+        ]);
+        m
+    }
+
+    #[test]
+    fn identical_reads_every_field_and_floats_by_bit_pattern() {
+        let m = small_module(0.0);
+        assert!(m.identical(&m.clone()));
+        let b = m.func.entry();
+
+        // `PartialEq` cannot see this one: 0.0 == -0.0.
+        let neg_zero = small_module(-0.0);
+        assert_eq!(neg_zero.func.block(b).insts, m.func.block(b).insts);
+        assert!(!m.identical(&neg_zero));
+
+        let changed: [fn(&mut Module); 7] = [
+            |m| m.func.block_mut(BlockId(0)).insts[1].prob = 0.25,
+            |m| m.func.block_mut(BlockId(0)).label.push('x'),
+            |m| _ = m.func.new_reg(RegClass::Int),
+            |m| {
+                let mut t = SymTab::new();
+                t.declare("A", 3, RegClass::Flt);
+                m.symtab = t;
+            },
+            |m| m.func.name.push('x'),
+            |m| _ = m.func.add_block_detached("spare"),
+            |m| m.func.layout.clear(),
+        ];
+        for (k, change) in changed.iter().enumerate() {
+            let mut other = m.clone();
+            change(&mut other);
+            assert!(!m.identical(&other), "change {k} went unseen");
+            assert!(!other.identical(&m), "change {k} went unseen");
+        }
+
+        // `PartialEq` cannot see this one either: NaN != NaN.
+        let nan = small_module(f64::NAN);
+        assert_ne!(nan.func.block(b).insts, nan.clone().func.block(b).insts);
+        assert!(nan.identical(&nan.clone()));
+    }
+
+    #[test]
+    fn clone_from_makes_an_identical_module_of_any_destination() {
+        let small = small_module(1.5);
+        let mut big = small.clone();
+        big.symtab.declare("B", 9, RegClass::Int);
+        let extra = big.func.add_block("extra");
+        big.func.block_mut(extra).insts.push(Inst::halt());
+        big.func.new_reg(RegClass::Vec);
+
+        let mut dst = big.clone();
+        dst.clone_from(&small);
+        assert!(dst.identical(&small));
+        dst.clone_from(&big);
+        assert!(dst.identical(&big));
     }
 
     #[test]

@@ -51,6 +51,17 @@ impl Operand {
             Operand::None => None,
         }
     }
+
+    /// Bit-level identity: like `==`, except that a floating point
+    /// immediate is compared by bit pattern (`0.0` and `-0.0` differ, a NaN
+    /// equals itself). See [`crate::Module::identical`].
+    #[inline]
+    pub(crate) fn identical(self, other: Operand) -> bool {
+        match (self, other) {
+            (Operand::ImmF(a), Operand::ImmF(b)) => a.to_bits() == b.to_bits(),
+            (a, b) => a == b,
+        }
+    }
 }
 
 impl From<Reg> for Operand {
@@ -305,6 +316,21 @@ impl Inst {
             lanes,
             ..Inst::new(Opcode::VStore)
         }
+    }
+
+    /// Bit-level identity over every field (floats by bit pattern). See
+    /// [`crate::Module::identical`].
+    pub(crate) fn identical(&self, other: &Inst) -> bool {
+        // Destructured so that a new field cannot be left out silently.
+        let Inst { op, dst, src, target, mem, prob, ext, lanes } = self;
+        *op == other.op
+            && *dst == other.dst
+            && src.iter().zip(&other.src).all(|(a, b)| a.identical(*b))
+            && *target == other.target
+            && *mem == other.mem
+            && prob.to_bits() == other.prob.to_bits()
+            && *ext == other.ext
+            && *lanes == other.lanes
     }
 
     /// Registers read by this instruction.

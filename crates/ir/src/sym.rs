@@ -19,7 +19,7 @@ impl fmt::Display for SymId {
 }
 
 /// Declaration of one data symbol.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Symbol {
     /// Source-level name (`A`, `C`, ...).
     pub name: String,
@@ -30,7 +30,7 @@ pub struct Symbol {
 }
 
 /// Symbol table: names, sizes and the flat address layout of data memory.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SymTab {
     syms: Vec<Symbol>,
 }

@@ -110,6 +110,14 @@ pub fn verify_inst(
         );
     }
 
+    // A memory tag names a declared symbol (the class checks below index
+    // the table with it).
+    if let (Some(module), Some(mem)) = (m, inst.mem) {
+        if mem.sym.0 as usize >= module.symtab.len() {
+            return err("mem-tag", b, i, format!("mem tag names undeclared symbol {}", mem.sym));
+        }
+    }
+
     match inst.op {
         Mov => {
             let d = inst.dst.ok_or_else(|| VerifyError {
@@ -336,6 +344,7 @@ mod tests {
     use super::*;
     use crate::inst::MemLoc;
     use crate::reg::Reg;
+    use crate::sym::SymId;
 
     #[test]
     fn accepts_wellformed() {
@@ -349,6 +358,21 @@ mod tests {
         blk.insts.push(Inst::load(v, base.into(), Operand::ImmI(0), MemLoc::opaque(a)));
         blk.insts.push(Inst::halt());
         verify_module(&m).unwrap();
+    }
+
+    #[test]
+    fn rejects_mem_tag_naming_undeclared_symbol() {
+        let mut m = Module::new("bad");
+        let a = m.symtab.declare("A", 4, RegClass::Flt);
+        let b = m.func.add_block("entry");
+        let v = m.func.new_reg(RegClass::Flt);
+        let tag = MemLoc::opaque(SymId(7));
+        m.func.block_mut(b).insts.extend([
+            Inst::load(v, Operand::Sym(a), Operand::ImmI(0), tag),
+            Inst::store(Operand::Sym(a), Operand::ImmI(1), v.into(), tag),
+            Inst::halt(),
+        ]);
+        assert_eq!(verify_module(&m).unwrap_err().code, "mem-tag");
     }
 
     #[test]

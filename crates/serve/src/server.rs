@@ -134,6 +134,27 @@ impl BoundedQueue {
 /// bound is what matters, not its value.
 pub const MAX_SCALES: usize = 8;
 
+/// Largest trip-count `scale` a request may ask for: sixteen times the
+/// largest any harness binary or ledger workload uses. `scale` is client
+/// input and every array of a workload is sized by it — an unbounded one
+/// asks the allocator for petabytes, which aborts the process where no
+/// `catch_unwind` can answer for it.
+pub const MAX_SCALE: f64 = 64.0;
+
+/// `scale` as a request may use it: finite, positive, at most
+/// [`MAX_SCALE`]. Each op resolves its scale through here before anything
+/// is sized by it.
+fn checked_scale(scale: f64) -> Result<f64, (ErrorKind, String)> {
+    if scale.is_finite() && scale > 0.0 && scale <= MAX_SCALE {
+        Ok(scale)
+    } else {
+        Err((
+            ErrorKind::BadConfig,
+            format!("scale {scale} must be finite, > 0 and <= {MAX_SCALE}"),
+        ))
+    }
+}
+
 /// Everything the engine keeps for one trip-count scale: the artifact cache
 /// (bound by its contract to one catalog at one scale) and the catalog's
 /// workloads at that scale, each built on first use.
@@ -274,7 +295,7 @@ fn handle_job(engine: &Engine, req: &Request) -> Json {
 fn handle_op(engine: &Engine, op: &Op) -> Result<Json, (ErrorKind, String)> {
     match op {
         Op::Compile { workload, level, width, vlen, scale, lint } => {
-            let w = find_workload(workload, *scale)?;
+            let w = find_workload(workload, checked_scale(*scale)?)?;
             let machine = Machine::issue(*width).with_vlen(*vlen);
             let g = ilpc_harness::compile_guarded(
                 &w,
@@ -327,7 +348,7 @@ fn handle_op(engine: &Engine, op: &Op) -> Result<Json, (ErrorKind, String)> {
             Ok(reply)
         }
         Op::Simulate { workload, level, width, vlen, scale, mem } => {
-            let state = engine.scale(*scale);
+            let state = engine.scale(checked_scale(*scale)?);
             let w = state.workload(workload)?;
             let machine = Machine::issue(*width).with_mem(*mem).with_vlen(*vlen);
             let p = state
@@ -353,14 +374,15 @@ fn handle_op(engine: &Engine, op: &Op) -> Result<Json, (ErrorKind, String)> {
             ]))
         }
         Op::Sweep { scale, levels, widths, mems, sabotage } => {
+            let scale = checked_scale(*scale)?;
             let cfg = SweepConfig {
-                scale: *scale,
+                scale,
                 levels: levels.clone(),
                 widths: widths.clone(),
                 threads: engine.sweep_threads,
                 scenarios: mems.iter().copied().map(Scenario::mem).collect(),
                 sabotage: sabotage.clone(),
-                artifacts: Some(Arc::clone(&engine.scale(*scale).artifacts)),
+                artifacts: Some(Arc::clone(&engine.scale(scale).artifacts)),
             };
             let sweep =
                 run_sweep(&cfg).map_err(|e| (ErrorKind::BadConfig, e.to_string()))?;
@@ -447,10 +469,8 @@ fn handle_op(engine: &Engine, op: &Op) -> Result<Json, (ErrorKind, String)> {
     }
 }
 
+/// Build Table 2 nest `name` at an already [`checked_scale`].
 fn find_workload(name: &str, scale: f64) -> Result<Workload, (ErrorKind, String)> {
-    if !(scale.is_finite() && scale > 0.0) {
-        return Err((ErrorKind::BadConfig, format!("scale {scale} must be finite and > 0")));
-    }
     table2()
         .into_iter()
         .find(|m| m.name == name)

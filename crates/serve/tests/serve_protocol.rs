@@ -75,6 +75,36 @@ fn malformed_input_yields_typed_errors_not_a_crash() {
     assert_eq!(r.get("achieved").and_then(Json::as_str), Some("Conv"));
 }
 
+/// `scale` sizes every array a workload allocates, so a hostile one is an
+/// allocator abort no `catch_unwind` contains: it must be refused before
+/// anything is built. All three ops that take one, then a compile through
+/// the same queue and workers (`ping` bypasses both and would prove
+/// nothing).
+#[test]
+fn absurd_scale_is_refused_and_the_server_lives() {
+    let script = [
+        r#"{"id":1,"op":"compile","workload":"add","level":"Conv","width":1,"scale":1e12}"#,
+        r#"{"id":2,"op":"simulate","workload":"add","level":"Conv","width":1,"scale":1e12}"#,
+        r#"{"id":3,"op":"sweep","scale":1e12,"levels":["Conv"],"widths":[1]}"#,
+        r#"{"id":4,"op":"compile","workload":"add","level":"Conv","width":1,"scale":64.5}"#,
+        r#"{"id":5,"op":"compile","workload":"add","level":"Conv","width":1,"scale":0.02}"#,
+    ]
+    .join("\n");
+    let replies = index_replies(&serve_script(&cfg_small(), &script));
+    assert_eq!(replies.len(), 5);
+    for (id, ok, payload) in &replies {
+        if *id == Json::Num(5.0) {
+            assert!(ok, "{payload:?}");
+            assert_eq!(payload.get("achieved").and_then(Json::as_str), Some("Conv"));
+        } else {
+            assert!(!ok, "{id:?}: {payload:?}");
+            assert_eq!(error_kind(payload), "bad-config", "{id:?}");
+            let detail = payload.get("detail").and_then(Json::as_str).unwrap();
+            assert!(detail.contains("<= 64"), "{id:?}: {detail}");
+        }
+    }
+}
+
 /// An oversized request line is rejected with a typed error and bounded
 /// memory; the next line is served normally.
 #[test]

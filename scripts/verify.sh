@@ -64,8 +64,15 @@ echo "== fault-injection campaign smoke =="
 # The transformation firewall end-to-end: 120 seeded faults injected into
 # guarded compilations across the 40 workloads. Deterministic (fixed seed)
 # and self-checking: the bin exits nonzero if any fault silently escapes
-# (wrong architectural results with nothing flagged).
-cargo run --release --offline -p ilpc-harness --bin fault-campaign -- --quick --seed 7
+# (wrong architectural results with nothing flagged). Its table is the
+# firewall's verdict record — classification per fault class, static vs
+# dynamic catches — so it is also held to the committed golden: a guard
+# change that moves one cell must say so by changing that file.
+campaign_table=$(mktemp)
+cargo run --release --offline -p ilpc-harness --bin fault-campaign -- --quick --seed 7 \
+  | tee "$campaign_table"
+cmp "$campaign_table" tests/golden/fault_campaign_quick_seed7.txt
+rm -f "$campaign_table"
 
 echo "== vlen-sweep smoke (VLEN x width) =="
 # The SLP vectorization subsystem end-to-end: Lev6 across VLEN {1,4} and
@@ -82,21 +89,25 @@ echo "== static lint audit (reduced grid) =="
 cargo run --release --offline -p ilpc-harness --bin ilpc-lint -- --quick --scale 0.02
 
 echo "== ilpc-serve smoke (JSON-lines over stdin) =="
-# The evaluation service end-to-end: three requests — a simulate, a
-# malformed line, and a compile — piped through the built binary. Every
-# line must come back as a typed reply (the bad one as kind=bad-request)
-# and the process must exit cleanly at EOF.
+# The evaluation service end-to-end: a simulate, a malformed line, two
+# compiles, and a compile whose `scale` would size its arrays in petabytes
+# followed by one more compile — piped through the built binary. Every
+# line must come back as a typed reply (the bad line as kind=bad-request,
+# the absurd scale as kind=bad-config with the server still serving) and
+# the process must exit cleanly at EOF.
 serve_replies=$(mktemp)
 printf '%s\n' \
   '{"id":1,"op":"simulate","workload":"dotprod","level":"Lev4","width":8,"scale":0.02}' \
   'this is not json' \
   '{"id":3,"op":"compile","workload":"add","level":"Lev2","width":4,"scale":0.02}' \
   '{"id":4,"op":"compile","workload":"dotprod","level":"Lev6","width":8,"vlen":4,"scale":0.02}' \
+  '{"id":5,"op":"compile","workload":"add","level":"Conv","width":1,"scale":1e12}' \
+  '{"id":6,"op":"compile","workload":"add","level":"Conv","width":1,"scale":0.02}' \
   | ./target/release/ilpc-serve --workers 2 --queue 8 > "$serve_replies"
 python3 - "$serve_replies" <<'EOF'
 import json, sys
 replies = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
-assert len(replies) == 4, f"expected 4 replies, got {len(replies)}"
+assert len(replies) == 6, f"expected 6 replies, got {len(replies)}"
 by_id = {r["id"]: r for r in replies}
 assert by_id[1]["ok"] and by_id[1]["result"]["cycles"] > 0, by_id[1]
 assert not by_id[None]["ok"], by_id[None]
@@ -104,9 +115,12 @@ assert by_id[None]["error"]["kind"] == "bad-request", by_id[None]
 assert by_id[3]["ok"] and by_id[3]["result"]["achieved"] == "Lev2", by_id[3]
 assert by_id[4]["ok"] and by_id[4]["result"]["achieved"] == "Lev6", by_id[4]
 assert by_id[4]["result"]["clean"], by_id[4]
-print(f"ok: 4 typed replies (simulate cycles={by_id[1]['result']['cycles']}, "
+assert not by_id[5]["ok"] and by_id[5]["error"]["kind"] == "bad-config", by_id[5]
+assert by_id[6]["ok"] and by_id[6]["result"]["achieved"] == "Conv", by_id[6]
+print(f"ok: 6 typed replies (simulate cycles={by_id[1]['result']['cycles']}, "
       f"bad line rejected, compile achieved={by_id[3]['result']['achieved']}, "
-      f"vectorized compile achieved={by_id[4]['result']['achieved']})")
+      f"vectorized compile achieved={by_id[4]['result']['achieved']}, "
+      f"scale 1e12 refused as {by_id[5]['error']['kind']} and the next compile served)")
 EOF
 rm -f "$serve_replies"
 
