@@ -4,8 +4,8 @@
 //! speedup (or register usage) falls into each range, with one series per
 //! transformation level. [`FIGURES`] is the one place their titles, bins
 //! and loop subsets are written; the `report` binary prints every section
-//! (or one, with `--only <id>`) and the figures bench iterates the same
-//! table. The integration tests assert the figures' qualitative shape.
+//! (or one, with `--only <id>`). The integration tests assert the figures'
+//! qualitative shape.
 
 use crate::grid::Grid;
 use ilpc_core::level::Level;
@@ -119,7 +119,7 @@ pub enum Metric {
 
 /// One of the paper's distribution figures.
 pub struct Figure {
-    /// Selector for `report --only` and the figures bench entry name.
+    /// Selector for `report --only`.
     pub id: &'static str,
     pub title: &'static str,
     /// Issue width the figure is drawn for.

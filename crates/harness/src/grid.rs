@@ -302,7 +302,7 @@ pub struct Grid {
     pub widths: Vec<u32>,
     /// Workload name → completed points. Two-level map so lookups borrow
     /// the caller's `&str` instead of allocating a fresh `String` per
-    /// probe (the lookup sits inside figure bins and bench hot loops).
+    /// probe (the lookup sits inside the figure bins' loops).
     points: HashMap<String, HashMap<(Level, u32), EvalPoint>>,
     /// Per-point failures, if any (fail loudly in reports). The grid
     /// itself always completes: failed points are typed entries here, not
@@ -525,8 +525,8 @@ pub fn run_grid(cfg: &GridConfig) -> Result<Grid, GridConfigError> {
 
 /// Run the grid on the original fork-join engine (one shared atomic work
 /// counter, one item per claim). Retained as the scheduling oracle: the
-/// differential suite and the sweep benchmark prove the work-stealing
-/// engine's [`Grid`] is observably identical to this one.
+/// differential suite proves the work-stealing engine's [`Grid`] is
+/// observably identical to this one.
 pub fn run_grid_forkjoin(cfg: &GridConfig) -> Result<Grid, GridConfigError> {
     let (levels, widths) = validate_axes(cfg.scale, &cfg.levels, &cfg.widths)?;
     let workloads: Vec<Workload> = build_all(cfg.scale);

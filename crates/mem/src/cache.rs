@@ -26,18 +26,29 @@ impl CacheGeometry {
     }
 
     /// Power-of-two / non-zero normalization applied before use.
+    ///
+    /// # Panics
+    /// If `line_words` or `sets` is above 2³¹ (no `u32` power of two holds
+    /// it) — a caller's bug, never a silently different cache.
     pub fn normalized(self) -> CacheGeometry {
+        let pow2 = |n: u32| {
+            n.max(1)
+                .checked_next_power_of_two()
+                .unwrap_or_else(|| panic!("{self:?}: no u32 power of two holds {n}"))
+        };
         CacheGeometry {
-            line_words: self.line_words.max(1).next_power_of_two(),
-            sets: self.sets.max(1).next_power_of_two(),
+            line_words: pow2(self.line_words),
+            sets: pow2(self.sets),
             ways: self.ways.max(1),
         }
     }
 
-    /// Total capacity in words (after normalization).
+    /// Total capacity in words (after normalization); panics past `u64`.
     pub fn size_words(&self) -> u64 {
         let g = self.normalized();
-        g.line_words as u64 * g.sets as u64 * g.ways as u64
+        (u64::from(g.line_words) * u64::from(g.sets))
+            .checked_mul(u64::from(g.ways))
+            .unwrap_or_else(|| panic!("{g:?}: capacity overflows u64"))
     }
 }
 
@@ -138,11 +149,14 @@ struct Level {
 impl Level {
     fn new(geom: CacheGeometry) -> Level {
         let g = geom.normalized();
+        let lines = (g.sets as usize)
+            .checked_mul(g.ways as usize)
+            .unwrap_or_else(|| panic!("{g:?}: line count overflows usize"));
         Level {
             line_shift: g.line_words.trailing_zeros(),
             set_mask: (g.sets - 1) as u64,
             ways: g.ways as usize,
-            lines: vec![Line::default(); (g.sets * g.ways) as usize],
+            lines: vec![Line::default(); lines],
         }
     }
 
@@ -343,6 +357,19 @@ mod tests {
         let g = CacheGeometry::new(3, 12, 2).normalized();
         assert_eq!((g.line_words, g.sets, g.ways), (4, 16, 2));
         assert_eq!(CacheGeometry::new(3, 12, 2).size_words(), 128);
+        // In-range powers of two are taken as given.
+        let g = CacheGeometry::new(4, 16, 2);
+        assert_eq!(g.normalized(), g);
+        assert_eq!(CacheParams::small().l1.normalized(), g);
+        // The largest geometry `ilpc-serve` admits (`proto::MAX_CACHE_*`).
+        let mut c = CacheMem::new(CacheParams::new(1 << 10, 1 << 20, 1, 30, 10));
+        assert_eq!(loads(&mut c, &[0, 1023, 1024, 0]), vec![30, 0, 30, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no u32 power of two holds 4294967295")]
+    fn geometry_past_the_last_power_of_two_panics_instead_of_wrapping() {
+        CacheMem::new(CacheParams::new(4, u32::MAX, 2, 30, 10));
     }
 
     #[test]

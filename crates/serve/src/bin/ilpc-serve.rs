@@ -13,21 +13,20 @@
 //! cargo run --release -p ilpc-serve --bin ilpc-serve -- --pool 4
 //! ```
 //!
-//! Flags: `--workers N` (job workers, default 2), `--queue N` (bounded
-//! queue capacity, default 64), `--sweep-threads N` (stealing pool per
-//! sweep, default = cores), `--tcp ADDR` (serve TCP instead of stdin),
-//! `--chaos SPEC` (seeded fault injection, stdin worker mode only — see
-//! `ilpc_serve::chaos`).
+//! Flags (all seven): `--workers N` (job workers, default 2), `--queue N`
+//! (bounded queue capacity, default 64), `--sweep-threads N` (stealing
+//! pool per sweep, default = cores), `--tcp ADDR` (serve TCP instead of
+//! stdin), `--pool N` (below), `--deadline-ms N` (pool per-request
+//! deadline), `--chaos SPEC` (seeded fault injection, stdin worker mode
+//! only — see `ilpc_serve::chaos`).
 //!
 //! Pool mode (`--pool N`) re-execs this binary N times as worker shards
 //! and supervises them: health pings, per-request deadlines (typed
 //! `timeout` replies), crash respawn under seeded exponential backoff
 //! with a restart-storm circuit breaker, and bounded retry of idempotent
-//! requests on a different worker. Pool knobs: `--deadline-ms`,
-//! `--ping-interval-ms`, `--ping-misses`, `--retry N` (total attempts),
-//! `--backoff-base-ms`, `--backoff-max-ms`, `--backoff-jitter-ms`,
-//! `--breaker-max`, `--breaker-window-ms`, `--breaker-cooloff-ms`,
-//! `--seed`. With `--chaos`, the spec is forwarded to every worker with
+//! requests on a different worker — all at `PoolConfig::default()`'s
+//! values except the deadline, which depends on what the operator serves.
+//! With `--chaos`, the spec is forwarded to every worker with
 //! `salt={shard}g{gen}` appended, so each worker generation draws its own
 //! deterministic fault stream.
 //!
@@ -44,7 +43,7 @@ fn main() {
     let mut args = Args::from_env(
         "ilpc-serve",
         "ilpc-serve [--workers N] [--queue N] [--sweep-threads N] \
-         [--tcp ADDR] [--chaos SPEC] [--pool N ...pool knobs...]",
+         [--tcp ADDR] [--chaos SPEC] [--pool N [--deadline-ms N]]",
     );
     args.set("--workers", &mut cfg.workers);
     args.set("--queue", &mut cfg.queue);
@@ -53,16 +52,6 @@ fn main() {
     let shards: Option<usize> = args.opt("--pool");
     let chaos: Option<String> = args.opt("--chaos");
     args.set("--deadline-ms", &mut pool.deadline_ms);
-    args.set("--ping-interval-ms", &mut pool.ping_interval_ms);
-    args.set("--ping-misses", &mut pool.ping_misses);
-    args.set("--retry", &mut pool.max_attempts);
-    args.set("--backoff-base-ms", &mut pool.backoff.base_ms);
-    args.set("--backoff-max-ms", &mut pool.backoff.max_ms);
-    args.set("--backoff-jitter-ms", &mut pool.backoff.jitter_ms);
-    args.set("--breaker-max", &mut pool.breaker.max_restarts);
-    args.set("--breaker-window-ms", &mut pool.breaker.window_ms);
-    args.set("--breaker-cooloff-ms", &mut pool.breaker.cooloff_ms);
-    args.set("--seed", &mut pool.backoff.seed);
     args.finish();
 
     match (tcp, shards) {

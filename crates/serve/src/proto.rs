@@ -280,6 +280,17 @@ fn parse_level(v: &Json) -> Result<Level, ReqError> {
         .ok_or_else(|| bad(format!("unknown level {s:?} (Conv, Lev1..Lev4, Lev6)")))
 }
 
+/// Largest cache a request may describe, in lines (`sets × ways`): a
+/// thousand times the 1 024 lines of the largest geometry any harness
+/// binary, test or ledger workload builds. The geometry is client input
+/// and the model allocates one record per line — an unbounded one asks
+/// the allocator for gigabytes, which aborts the process where no
+/// `catch_unwind` can answer for it.
+pub const MAX_CACHE_LINES: u32 = 1 << 20;
+
+/// Largest `line_words` a request may ask for.
+pub const MAX_CACHE_LINE_WORDS: u32 = 1 << 10;
+
 fn parse_mem(v: &Json) -> Result<MemConfig, ReqError> {
     let kind = v
         .get("kind")
@@ -297,10 +308,23 @@ fn parse_mem(v: &Json) -> Result<MemConfig, ReqError> {
                         .ok_or_else(|| bad(format!("cache \"{key}\" must be an integer"))),
                 }
             };
+            let (line_words, sets, ways) =
+                (field("line_words", 4)?, field("sets", 16)?, field("ways", 2)?);
+            // `max(1)`, as the model clamps: a zero must not hide its factor.
+            let lines = u64::from(sets.max(1)) * u64::from(ways.max(1));
+            if line_words > MAX_CACHE_LINE_WORDS || lines > u64::from(MAX_CACHE_LINES) {
+                return Err((
+                    ErrorKind::BadConfig,
+                    format!(
+                        "cache {line_words}x{sets}x{ways} out of range: line_words <= \
+                         {MAX_CACHE_LINE_WORDS}, sets x ways <= {MAX_CACHE_LINES}"
+                    ),
+                ));
+            }
             Ok(MemConfig::Cache(CacheParams::new(
-                field("line_words", 4)?,
-                field("sets", 16)?,
-                field("ways", 2)?,
+                line_words,
+                sets,
+                ways,
                 field("load_miss", 30)?,
                 field("store_miss", 30)?,
             )))

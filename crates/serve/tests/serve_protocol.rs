@@ -5,7 +5,9 @@
 mod contract;
 
 use ilpc_serve::server::MAX_SCALES;
-use ilpc_serve::{parse, serve_lines, serve_script, serve_tcp, Json, ServeConfig};
+use ilpc_serve::{
+    parse, pool_script, serve_lines, serve_script, serve_tcp, Json, PoolConfig, ServeConfig,
+};
 use std::io::{BufRead, BufReader, Write};
 use std::sync::{Arc, Mutex};
 
@@ -101,6 +103,52 @@ fn absurd_scale_is_refused_and_the_server_lives() {
             assert_eq!(error_kind(payload), "bad-config", "{id:?}");
             let detail = payload.get("detail").and_then(Json::as_str).unwrap();
             assert!(detail.contains("<= 64"), "{id:?}: {detail}");
+        }
+    }
+}
+
+/// Cache geometry sizes the model's line array, so a hostile one is the
+/// same allocator abort as a hostile `scale` — or, wrapping in `u32`, a
+/// cache that is not the one asked for. Each is refused at admission
+/// (`mem` and every entry of `mems`), single-process and through the pool
+/// router, and the simulate queued behind each is still served.
+#[test]
+fn absurd_cache_geometry_is_refused_and_the_server_lives() {
+    let sim = r#""op":"simulate","workload":"add","level":"Conv","width":1,"scale":0.02"#;
+    let mem = |geom: &str| format!(r#"{sim},"mem":{{"kind":"cache",{geom}}}"#);
+    let hostile = [
+        mem(r#""sets":1073741824,"ways":3"#),
+        mem(r#""sets":65536,"ways":65536"#),
+        mem(r#""sets":4294967295"#),
+        mem(r#""line_words":4294967295"#),
+        r#""op":"sweep","scale":0.02,"levels":["Conv"],"widths":[1],"mems":[{"kind":"perfect"},{"kind":"cache","sets":1073741824,"ways":3}]"#.to_string(),
+    ];
+    // Even ids must be refused; the odd id behind each is a plain simulate
+    // through the same queue and workers (`ping` bypasses both and would
+    // prove nothing).
+    let script: String = hostile
+        .iter()
+        .enumerate()
+        .map(|(k, body)| format!("{{\"id\":{},{body}}}\n{{\"id\":{},{sim}}}\n", 2 * k, 2 * k + 1))
+        .collect();
+
+    let pool = PoolConfig {
+        shards: 1,
+        worker_exe: env!("CARGO_BIN_EXE_ilpc-serve").into(),
+        ..Default::default()
+    };
+    for (door, lines) in [
+        ("stdin", serve_script(&cfg_small(), &script)),
+        ("pool", pool_script(&pool, &script)),
+    ] {
+        let replies = index_replies(&lines);
+        assert_eq!(replies.len(), 10, "{door}");
+        for (id, ok, payload) in &replies {
+            let served = matches!(id, Json::Num(n) if *n as u64 % 2 == 1);
+            assert_eq!(*ok, served, "{door} {id:?}: {payload:?}");
+            if !served {
+                assert_eq!(error_kind(payload), "bad-config", "{door} {id:?}: {payload:?}");
+            }
         }
     }
 }
@@ -534,11 +582,14 @@ fn every_reply_is_a_single_write_ending_in_a_newline() {
 fn binaries_reject_bad_command_lines_with_usage() {
     let serve = env!("CARGO_BIN_EXE_ilpc-serve");
     let chaos = env!("CARGO_BIN_EXE_pool-chaos");
-    let cases: [(&str, &str, &[&str]); 7] = [
+    let cases: [(&str, &str, &[&str]); 9] = [
         ("ilpc-serve", serve, &["--workers"]),
         ("ilpc-serve", serve, &["--queue", "8", "--tcp"]),
         ("ilpc-serve", serve, &["--pool", "two"]),
         ("ilpc-serve", serve, &["--bogus"]),
+        // Supervision tuning is `PoolConfig::default()`, not a flag.
+        ("ilpc-serve", serve, &["--pool", "2", "--retry", "3"]),
+        ("ilpc-serve", serve, &["--seed", "7"]),
         ("pool-chaos", chaos, &["--seed"]),
         ("pool-chaos", chaos, &["--seed", "x"]),
         ("pool-chaos", chaos, &["--bogus"]),

@@ -42,10 +42,10 @@
 //!   perfect-memory path inlines to two counter increments instead of a
 //!   virtual call per access.
 //!
-//! The legacy interpreter survives behind the `oracle` feature (default
-//! on) as `reference::simulate_limited_reference`; the differential test
-//! suite proves the two engines cycle- and result-identical across the
-//! full evaluation grid.
+//! The legacy interpreter survives behind the `oracle` feature (off by
+//! default) as `reference::simulate_limited_reference`; the differential
+//! test suite proves the two engines cycle- and result-identical across
+//! the full evaluation grid.
 
 use crate::{SimError, SimLimits, SimResult};
 use ilpc_ir::inst::MAX_VLEN;

@@ -40,10 +40,11 @@
 //! one-time [`decode`] pass lowers the module to flat struct-of-arrays
 //! records with pre-resolved operand indices, latencies and FU classes, and
 //! the hot loop runs over those with index-addressed scoreboards. The
-//! original tree-walking interpreter survives unchanged in [`reference`]
-//! (cargo feature `oracle`, default on) as the executable specification;
-//! the differential suite proves both engines cycle- and result-identical
-//! across the full evaluation grid.
+//! original tree-walking interpreter survives unchanged in `reference`
+//! (compiled for this crate's tests and under cargo feature `oracle`, off
+//! by default) as the executable specification; the differential suite
+//! proves both engines cycle- and result-identical across the full
+//! evaluation grid.
 
 use ilpc_ir::interp::DataInit;
 use ilpc_ir::value::ArrayVal;
@@ -168,7 +169,7 @@ pub fn read_symbol(symtab: &SymTab, memory: &[u64], sym: SymId) -> ArrayVal {
 }
 
 pub mod decoded;
-#[cfg(feature = "oracle")]
+#[cfg(any(test, feature = "oracle"))]
 pub mod reference;
 
 pub use decoded::{decode, simulate_decoded, DecodedProgram};
@@ -658,7 +659,6 @@ mod tests {
     /// stats — under perfect and cached memory alike. (The exhaustive
     /// version of this check runs over the full grid in
     /// `tests/engine_differential.rs`.)
-    #[cfg(feature = "oracle")]
     #[test]
     fn decoded_engine_matches_reference_oracle() {
         use ilpc_machine::CacheParams;

@@ -4,8 +4,8 @@
 //! dynamic instruction, resolving operands, latencies and structural
 //! validity on every visit. Superseded as the default engine by the
 //! pre-decoded engine in [`crate::decoded`] (~10× faster on the grid hot
-//! path), it is kept — feature-gated behind `oracle`, default on — as the
-//! executable specification: the differential suite
+//! path), it is kept — feature-gated behind `oracle`, off by default — as
+//! the executable specification: the differential suite
 //! (`tests/engine_differential.rs` at the workspace root) asserts the two
 //! engines agree cycle-for-cycle and result-for-result across the full
 //! evaluation grid under both perfect and cached memory.

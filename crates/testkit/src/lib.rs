@@ -3,7 +3,8 @@
 //! The workspace builds and tests with **zero external crates** so the
 //! tier-1 verify (`cargo build --release --offline && cargo test -q
 //! --offline`) works in fully sandboxed environments. This crate vendors
-//! the three pieces of infrastructure that used to come from crates.io:
+//! the two pieces of infrastructure that used to come from crates.io,
+//! and two the workspace's binaries and service tests share:
 //!
 //! * [`rng`] — a deterministic, seedable SplitMix64/xoshiro256++ PRNG
 //!   replacing `rand::StdRng` for workload data synthesis. Output is
@@ -13,16 +14,11 @@
 //!   combinators over a recorded choice sequence, bounded shrinking,
 //!   seed reporting on failure) replacing `proptest` for the random
 //!   differential and scheduler suites.
-//! * [`bench`] — a wall-clock bench harness (warmup + N iterations,
-//!   median/p95, machine-readable JSON output) replacing `criterion`
-//!   for the `ilpc-bench` targets.
-
 //! * [`stream`] — channel-backed `Read`/`Write` streams for driving
 //!   line-protocol services interactively (pace requests off replies).
 //! * [`cli`] — the one command-line cursor every binary parses its flags
 //!   with (bad flags exit 2 with usage, never a panic).
 
-pub mod bench;
 pub mod cli;
 pub mod prop;
 pub mod rng;

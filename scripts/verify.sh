@@ -36,11 +36,11 @@ echo "ok: all Cargo.toml dependencies are workspace-local (ilpc-*)"
 echo "== offline release build =="
 # --workspace: the root manifest is a package AND a workspace, so a bare
 # `cargo build` would build only the root package and its dependencies —
-# leaving non-dependency members (ilpc-serve, ilpc-bench) stale, and the
-# serve smoke below runs the built binary.
+# leaving non-dependency members (ilpc-serve) stale, and the serve smoke
+# below runs the built binary.
 cargo build --release --offline --workspace
 
-echo "== offline workspace check (incl. benches, warnings are errors) =="
+echo "== offline workspace check (all targets, warnings are errors) =="
 RUSTFLAGS="-D warnings" cargo check --workspace --all-targets --offline
 # benchmark/ is its own workspace on path deps into crates/*: a change to
 # the crates' public surface can break the ledger without tier-1 noticing.
@@ -49,10 +49,26 @@ cargo check --offline --manifest-path benchmark/Cargo.toml
 echo "== offline test suite =="
 cargo test -q --offline
 
-echo "== bench regression gate =="
-# Re-runs the grid bench and fails if simulator cycles/sec regresses >25%
-# against the committed BENCH_grid.json (tolerance via ILPC_BENCH_TOLERANCE).
-scripts/bench_check.sh
+echo "== ledger smoke (BENCHMARK.json's command, each workload, --quick) =="
+# The benchmark the pipeline judges a change by, invoked as the driver
+# invokes it (one workload, tracing off, last stdout line = result JSON) on
+# a fraction of the work: the real ilpc-serve through stdin, TCP and
+# --pool 2, every reply checked against an in-process reference. Exit
+# status and `"correct": true` are what is checked; its timings compare
+# with nothing, here or anywhere in this script. (The all-workload summary,
+# `-- --quick`, adds a traced replay whose spans must sum to 0.9..1.1 of an
+# untraced wall: host-dependent, so informative but no gate.)
+workloads=$(python3 -c 'import json; print(*[w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]])')
+for w in $workloads; do
+  rc=0
+  result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload "$w" --quick --trace 0 | tail -n 1) || rc=$?
+  echo "$w: exit $rc ${result%%, \"metrics\"*}"
+  if [ "$rc" -ne 0 ] || [[ "$result" != '{"correct": true, '* ]]; then
+    echo "ERROR: ledger smoke failed on $w"
+    exit 1
+  fi
+done
 
 echo "== cache-sensitivity smoke (reduced grid) =="
 # The new memory-hierarchy subsystem end-to-end: a quick cache sweep over
@@ -90,11 +106,12 @@ cargo run --release --offline -p ilpc-harness --bin ilpc-lint -- --quick --scale
 
 echo "== ilpc-serve smoke (JSON-lines over stdin) =="
 # The evaluation service end-to-end: a simulate, a malformed line, two
-# compiles, and a compile whose `scale` would size its arrays in petabytes
-# followed by one more compile — piped through the built binary. Every
-# line must come back as a typed reply (the bad line as kind=bad-request,
-# the absurd scale as kind=bad-config with the server still serving) and
-# the process must exit cleanly at EOF.
+# compiles, a compile whose `scale` would size its arrays in petabytes
+# and a simulate whose cache would hold 3 Gi lines, each followed by one
+# more request — piped through the built binary. Every line must come
+# back as a typed reply (the bad line as kind=bad-request, the absurd
+# scale and geometry as kind=bad-config with the server still serving)
+# and the process must exit cleanly at EOF.
 serve_replies=$(mktemp)
 printf '%s\n' \
   '{"id":1,"op":"simulate","workload":"dotprod","level":"Lev4","width":8,"scale":0.02}' \
@@ -103,11 +120,13 @@ printf '%s\n' \
   '{"id":4,"op":"compile","workload":"dotprod","level":"Lev6","width":8,"vlen":4,"scale":0.02}' \
   '{"id":5,"op":"compile","workload":"add","level":"Conv","width":1,"scale":1e12}' \
   '{"id":6,"op":"compile","workload":"add","level":"Conv","width":1,"scale":0.02}' \
+  '{"id":7,"op":"simulate","workload":"add","level":"Conv","width":1,"scale":0.02,"mem":{"kind":"cache","sets":1073741824,"ways":3}}' \
+  '{"id":8,"op":"simulate","workload":"add","level":"Conv","width":1,"scale":0.02}' \
   | ./target/release/ilpc-serve --workers 2 --queue 8 > "$serve_replies"
 python3 - "$serve_replies" <<'EOF'
 import json, sys
 replies = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
-assert len(replies) == 6, f"expected 6 replies, got {len(replies)}"
+assert len(replies) == 8, f"expected 8 replies, got {len(replies)}"
 by_id = {r["id"]: r for r in replies}
 assert by_id[1]["ok"] and by_id[1]["result"]["cycles"] > 0, by_id[1]
 assert not by_id[None]["ok"], by_id[None]
@@ -117,10 +136,13 @@ assert by_id[4]["ok"] and by_id[4]["result"]["achieved"] == "Lev6", by_id[4]
 assert by_id[4]["result"]["clean"], by_id[4]
 assert not by_id[5]["ok"] and by_id[5]["error"]["kind"] == "bad-config", by_id[5]
 assert by_id[6]["ok"] and by_id[6]["result"]["achieved"] == "Conv", by_id[6]
-print(f"ok: 6 typed replies (simulate cycles={by_id[1]['result']['cycles']}, "
+assert not by_id[7]["ok"] and by_id[7]["error"]["kind"] == "bad-config", by_id[7]
+assert by_id[8]["ok"] and by_id[8]["result"]["cycles"] > 0, by_id[8]
+print(f"ok: 8 typed replies (simulate cycles={by_id[1]['result']['cycles']}, "
       f"bad line rejected, compile achieved={by_id[3]['result']['achieved']}, "
       f"vectorized compile achieved={by_id[4]['result']['achieved']}, "
-      f"scale 1e12 refused as {by_id[5]['error']['kind']} and the next compile served)")
+      f"scale 1e12 refused as {by_id[5]['error']['kind']} and the next compile served, "
+      f"3 Gi-line cache refused as {by_id[7]['error']['kind']} and the next simulate served)")
 EOF
 rm -f "$serve_replies"
 
