@@ -6,6 +6,8 @@
 //! (`ilpc-regalloc`): register sets, liveness, def/use summaries,
 //! dominators, natural/counted loops, and intra-block dependence graphs.
 
+#![forbid(unsafe_code)]
+
 pub mod defuse;
 pub mod deps;
 pub mod dom;

@@ -30,6 +30,17 @@ impl Loop {
     pub fn contains(&self, b: BlockId) -> bool {
         self.blocks.binary_search(&b).is_ok()
     }
+
+    /// The unique predecessor of the loop header outside the loop, if any.
+    pub fn preheader(&self, f: &Function) -> Option<BlockId> {
+        let preds = f.preds();
+        let mut outside = preds[self.header.0 as usize].iter().filter(|p| !self.contains(**p));
+        let ph = *outside.next()?;
+        if outside.next().is_some() {
+            return None;
+        }
+        Some(ph)
+    }
 }
 
 /// All natural loops of a function.

@@ -15,7 +15,7 @@
 
 use crate::chains::{find_chains, Chain};
 use ilpc_analysis::{DefUse, Liveness, Loop, LoopForest};
-use ilpc_ir::{BlockId, Function, Inst, Module, Reg};
+use ilpc_ir::{Function, Inst, Module, Reg};
 
 /// Additional legality for accumulator expansion: the carried value may be
 /// referenced *only* by the chain itself inside the loop (paper condition 2:
@@ -43,36 +43,14 @@ fn accum_conditions(f: &Function, lp: &Loop, c: &Chain, du: &DefUse) -> bool {
     uses_in_loop == 1
 }
 
-/// Insertion point before a trailing control transfer.
-fn insert_point(f: &Function, b: BlockId) -> usize {
-    let insts = &f.block(b).insts;
-    match insts.last() {
-        Some(i) if i.op.is_control() => insts.len() - 1,
-        _ => insts.len(),
-    }
-}
-
-/// The unique out-of-loop predecessor of the loop header.
-fn preheader(f: &Function, lp: &Loop) -> Option<BlockId> {
-    let preds = f.preds();
-    let mut outside = preds[lp.header.0 as usize]
-        .iter()
-        .filter(|p| !lp.contains(**p));
-    let ph = *outside.next()?;
-    if outside.next().is_some() {
-        return None;
-    }
-    Some(ph)
-}
-
 /// Expand one chain; assumes conditions hold.
 fn expand_chain(f: &mut Function, lp: &Loop, c: &Chain) {
     let k = c.len();
     let temps: Vec<Reg> = (0..k).map(|_| f.new_reg(c.kind.class())).collect();
 
     // Preheader seeding: t0 = v0, t_p = identity.
-    let ph = preheader(f, lp).expect("checked by caller");
-    let at = insert_point(f, ph);
+    let ph = lp.preheader(f).expect("checked by caller");
+    let at = f.block(ph).insert_point();
     let mut seed = vec![Inst::mov(temps[0], c.carried.into())];
     for &t in &temps[1..] {
         seed.push(Inst::mov(t, c.kind.identity()));
@@ -112,7 +90,7 @@ pub fn accumulator_expand(m: &mut Module) -> usize {
     let inner: Vec<Loop> = forest.inner_loops().into_iter().cloned().collect();
     let mut count = 0;
     for lp in &inner {
-        if preheader(&m.func, lp).is_none() || lp.exits.len() != 1 {
+        if lp.preheader(&m.func).is_none() || lp.exits.len() != 1 {
             continue;
         }
         // Re-derive analyses per loop (previous expansions change code).
@@ -149,7 +127,7 @@ pub fn accumulator_expand(m: &mut Module) -> usize {
 mod tests {
     use super::*;
     use ilpc_ir::inst::MemLoc;
-    use ilpc_ir::{Cond, Opcode, Operand, RegClass};
+    use ilpc_ir::{BlockId, Cond, Opcode, Operand, RegClass};
 
     /// Renamed, 3×-unrolled dot-product-like accumulation.
     fn accum_module() -> (Module, BlockId, BlockId, Reg) {

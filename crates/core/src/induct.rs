@@ -46,33 +46,13 @@ fn nonbranch_uses_after(f: &Function, b: BlockId, idx: usize, r: Reg) -> usize {
         .count()
 }
 
-fn insert_point(f: &Function, b: BlockId) -> usize {
-    let insts = &f.block(b).insts;
-    match insts.last() {
-        Some(i) if i.op.is_control() => insts.len() - 1,
-        _ => insts.len(),
-    }
-}
-
-fn preheader(f: &Function, lp: &Loop) -> Option<BlockId> {
-    let preds = f.preds();
-    let mut outside = preds[lp.header.0 as usize]
-        .iter()
-        .filter(|p| !lp.contains(**p));
-    let ph = *outside.next()?;
-    if outside.next().is_some() {
-        return None;
-    }
-    Some(ph)
-}
-
 /// Expand one induction chain.
 fn expand_chain(f: &mut Function, lp: &Loop, c: &Chain, m_op: Operand) {
     let k = c.len();
-    let ph = preheader(f, lp).expect("checked by caller");
+    let ph = lp.preheader(f).expect("checked by caller");
 
     // Preheader: v_p = v0 + p·m (p = 1..k-1) and z = k·m.
-    let at = insert_point(f, ph);
+    let at = f.block(ph).insert_point();
     let mut init: Vec<Inst> = Vec::new();
     let z_op: Operand = match m_op {
         Operand::ImmI(mc) => {
@@ -114,7 +94,7 @@ fn expand_chain(f: &mut Function, lp: &Loop, c: &Chain, m_op: Operand) {
     }
 
     // Increment every temporary right before the block's trailing branch.
-    let at = insert_point(f, c.block);
+    let at = f.block(c.block).insert_point();
     for (i, &r) in c.regs.iter().enumerate() {
         f.block_mut(c.block)
             .insts
@@ -129,7 +109,7 @@ pub fn induction_expand(m: &mut Module) -> usize {
     let inner: Vec<Loop> = forest.inner_loops().into_iter().cloned().collect();
     let mut count = 0;
     for lp in &inner {
-        if preheader(&m.func, lp).is_none() {
+        if lp.preheader(&m.func).is_none() {
             continue;
         }
         loop {

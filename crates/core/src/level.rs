@@ -59,6 +59,11 @@ impl Level {
             Level::Lev6 => "Lev6",
         }
     }
+
+    /// The level with this [`Level::name`], ASCII case ignored.
+    pub fn from_name(name: &str) -> Option<Level> {
+        Level::ALL.into_iter().find(|l| l.name().eq_ignore_ascii_case(name))
+    }
 }
 
 impl fmt::Display for Level {
@@ -285,7 +290,9 @@ mod tests {
 
     #[test]
     fn levels_are_cumulative_and_verify() {
+        assert_eq!(Level::from_name("Lev5"), None);
         for level in Level::ALL {
+            assert_eq!(Level::from_name(&level.name().to_lowercase()), Some(level));
             let mut l = lower(&dotprod());
             let rep = apply_level(&mut l.module, level, &UnrollConfig::default());
             ilpc_ir::verify::verify_module(&l.module).unwrap();

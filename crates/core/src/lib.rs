@@ -16,6 +16,8 @@
 //! [`level`] assembles them into the paper's cumulative configuration
 //! levels Conv, Lev1..Lev4.
 
+#![forbid(unsafe_code)]
+
 pub mod ablation;
 pub mod accum;
 pub mod chains;

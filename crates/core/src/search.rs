@@ -34,26 +34,6 @@ struct Update {
     s_slot: usize,
 }
 
-fn preheader(f: &Function, lp: &Loop) -> Option<BlockId> {
-    let preds = f.preds();
-    let mut outside = preds[lp.header.0 as usize]
-        .iter()
-        .filter(|p| !lp.contains(**p));
-    let ph = *outside.next()?;
-    if outside.next().is_some() {
-        return None;
-    }
-    Some(ph)
-}
-
-fn insert_point(f: &Function, b: BlockId) -> usize {
-    let insts = &f.block(b).insts;
-    match insts.last() {
-        Some(i) if i.op.is_control() => insts.len() - 1,
-        _ => insts.len(),
-    }
-}
-
 /// Try to detect the guarded-update pattern for carried register `s`.
 /// Returns the updates in linear (layout) order, or `None` if any def/use
 /// of `s` in the loop falls outside the pattern.
@@ -134,8 +114,8 @@ fn expand(
     let temps: Vec<Reg> = (0..k).map(|_| f.new_reg(s.class)).collect();
 
     // Preheader: every temp starts at the incoming search value.
-    let ph = preheader(f, lp).expect("checked by caller");
-    let at = insert_point(f, ph);
+    let ph = lp.preheader(f).expect("checked by caller");
+    let at = f.block(ph).insert_point();
     for (p, &t) in temps.iter().enumerate() {
         f.block_mut(ph).insts.insert(at + p, Inst::mov(t, s.into()));
     }
@@ -178,7 +158,7 @@ pub fn search_expand(m: &mut Module) -> usize {
     let inner: Vec<Loop> = forest.inner_loops().into_iter().cloned().collect();
     let mut count = 0;
     for lp in &inner {
-        if preheader(&m.func, lp).is_none() || lp.exits.len() != 1 {
+        if lp.preheader(&m.func).is_none() || lp.exits.len() != 1 {
             continue;
         }
         let lv = Liveness::compute(&m.func);

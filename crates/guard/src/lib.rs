@@ -46,6 +46,8 @@
 //! harness to demonstrate the headline invariant: **zero silent escapes**
 //! — no corrupted run reports a wrong architectural result unflagged.
 
+#![forbid(unsafe_code)]
+
 pub mod inject;
 
 use ilpc_core::level::{passes, Level};

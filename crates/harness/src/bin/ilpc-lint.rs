@@ -18,7 +18,7 @@
 
 use ilpc_core::level::Level;
 use ilpc_harness::compile::compile;
-use ilpc_lint::json::{obj, Json};
+use ilpc_testkit::json::{obj, Json};
 use ilpc_lint::{audit_schedules, count_severity, lint_module, sort_diagnostics, Severity};
 use ilpc_machine::Machine;
 use ilpc_testkit::cli::Args;

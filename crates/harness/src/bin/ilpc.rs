@@ -39,14 +39,10 @@ fn parse_args() -> (Args, cli::Args) {
         "ilpc <list|emit|run|trace|exec> [target] \
          [--level conv|lev1..lev4|lev6] [--width N] [--vlen N] [--scale S]",
     );
-    let level = match cli.opt::<String>("--level").as_deref() {
-        Some("conv" | "Conv") => Level::Conv,
-        Some("lev1" | "Lev1") => Level::Lev1,
-        Some("lev2" | "Lev2") => Level::Lev2,
-        Some("lev3" | "Lev3") => Level::Lev3,
-        None | Some("lev4" | "Lev4") => Level::Lev4,
-        Some("lev6" | "Lev6") => Level::Lev6,
-        Some(other) => cli.fail(&format!("unknown level {other}")),
+    let level = match cli.opt::<String>("--level") {
+        None => Level::Lev4,
+        Some(name) => Level::from_name(&name)
+            .unwrap_or_else(|| cli.fail(&format!("unknown level {name}"))),
     };
     let width = cli.opt("--width").unwrap_or(8);
     if width == 0 {

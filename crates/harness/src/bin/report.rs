@@ -1,31 +1,17 @@
-//! Full evaluation report: every table and figure of the paper in one run,
-//! or one of them with `--only <id>`.
+//! The one binary that prints a result: every table and figure of the
+//! paper in one run, or with `--only <id>` one of them or one of the
+//! studies of `ilpc_harness::studies`.
 //!
 //! ```text
 //! cargo run --release -p ilpc-harness --bin report [-- --scale 1.0 --threads N --only fig10]
+//! cargo run --release -p ilpc-harness --bin report -- --only cache-sensitivity --quick
 //! ```
 
 use ilpc_harness::figures::{render_report, render_section, section_ids};
 use ilpc_harness::grid::{run_grid, Grid, GridConfig};
+use ilpc_harness::studies::{StudyCtx, STUDIES};
 use ilpc_testkit::cli::Args;
 use std::cell::OnceCell;
-
-fn parse_args() -> (GridConfig, Option<String>) {
-    let mut cfg = GridConfig::default();
-    let ids = section_ids().collect::<Vec<_>>().join(" ");
-    let mut args = Args::from_env(
-        "report",
-        format!("report [--scale F] [--threads N] [--only ID]\n  ID: {ids}"),
-    );
-    args.set("--scale", &mut cfg.scale);
-    args.set("--threads", &mut cfg.threads);
-    let only: Option<String> = args.opt("--only");
-    if let Some(id) = only.as_deref().filter(|id| !section_ids().any(|s| s == *id)) {
-        args.fail(&format!("unknown section `{id}`"));
-    }
-    args.finish();
-    (cfg, only)
-}
 
 fn run_or_exit(cfg: &GridConfig) -> Grid {
     eprintln!(
@@ -34,13 +20,10 @@ fn run_or_exit(cfg: &GridConfig) -> Grid {
         cfg.widths,
         cfg.scale
     );
-    let grid = match run_grid(cfg) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("CONFIG ERROR: {e}");
-            std::process::exit(2);
-        }
-    };
+    let grid = run_grid(cfg).unwrap_or_else(|e| {
+        eprintln!("CONFIG ERROR: {e}");
+        std::process::exit(2)
+    });
     if !grid.errors.is_empty() {
         eprintln!("EVALUATION ERRORS:");
         for e in &grid.errors {
@@ -52,7 +35,44 @@ fn run_or_exit(cfg: &GridConfig) -> Grid {
 }
 
 fn main() {
-    let (cfg, only) = parse_args();
+    let mut cfg = GridConfig::default();
+    let ids = section_ids().collect::<Vec<_>>().join(" ");
+    let mut args = Args::from_env(
+        "report",
+        format!("report [--scale F] [--threads N] [--only ID] [--quick] [--verbose]\n  ID: {ids}"),
+    );
+    let scale: Option<f64> = args.opt("--scale");
+    args.set("--threads", &mut cfg.threads);
+    let only: Option<String> = args.opt("--only");
+    let quick = args.switch("--quick");
+    let verbose = args.switch("--verbose");
+    args.finish();
+    if let Some(id) = only.as_deref().filter(|id| !section_ids().any(|s| s == *id)) {
+        args.fail(&format!("unknown section `{id}`"));
+    }
+    // A switch is an error wherever nothing reads it.
+    let study = STUDIES.iter().find(|s| Some(s.id) == only.as_deref());
+    if quick && study.is_none_or(|s| s.quick_scale.is_none()) {
+        args.fail("--quick is not read by what was selected");
+    }
+    if verbose && study.is_none_or(|s| !s.verbose) {
+        args.fail("--verbose is not read by what was selected");
+    }
+
+    if let Some(study) = study {
+        let ctx = StudyCtx::new(study, scale, cfg.threads, quick, verbose)
+            .unwrap_or_else(|e| args.fail(&e.to_string()));
+        eprintln!("{}: {} (scale {})...", study.id, study.title, ctx.scale);
+        match (study.run)(&ctx) {
+            Ok(text) => print!("{text}"),
+            Err(e) => {
+                eprintln!("{} FAILED: {e}", study.id);
+                std::process::exit(1);
+            }
+        }
+        return;
+    }
+    cfg.scale = scale.unwrap_or(cfg.scale);
     let cell = OnceCell::new();
     let grid = || cell.get_or_init(|| run_or_exit(&cfg));
     match only {

@@ -25,7 +25,7 @@ use ilpc_core::{
 use ilpc_ir::inst::MemLoc;
 use ilpc_ir::{BlockId, Cond, Inst, Module, Opcode, Operand, Reg, RegClass};
 use ilpc_machine::Machine;
-use ilpc_sched::schedule_insts;
+use ilpc_sched::{schedule_insts, BlockSchedule};
 
 /// One worked example: name, module, loop-body block, paper's cycle counts.
 pub struct PaperExample {
@@ -39,14 +39,17 @@ pub struct PaperExample {
     pub iterations: u32,
 }
 
-/// Completion cycles of the example's loop body on the unlimited machine.
-pub fn measure(e: &PaperExample) -> u32 {
-    let machine = Machine::unlimited();
+/// The example's loop body scheduled on the unlimited machine.
+pub fn schedule(e: &PaperExample) -> BlockSchedule {
     let lv = ilpc_analysis::Liveness::compute(&e.module.func);
-    let sched = schedule_insts(&e.module.func.block(e.body).insts, &machine, &|t| {
+    schedule_insts(&e.module.func.block(e.body).insts, &Machine::unlimited(), &|t| {
         lv.live_in(t).clone()
-    });
-    sched.completion(&machine)
+    })
+}
+
+/// Completion cycles of that schedule.
+pub fn measure(e: &PaperExample) -> u32 {
+    schedule(e).completion(&Machine::unlimited())
 }
 
 /// Figure 1's vector-add loop: `do j: C(j) = A(j) + B(j)`.

@@ -4,10 +4,13 @@
 //! speedup (or register usage) falls into each range, with one series per
 //! transformation level. [`FIGURES`] is the one place their titles, bins
 //! and loop subsets are written; the `report` binary prints every section
-//! (or one, with `--only <id>`). The integration tests assert the figures'
+//! (or one, with `--only <id>` — which also selects the
+//! [`crate::studies`]). The integration tests assert the figures'
 //! qualitative shape.
 
 use crate::grid::Grid;
+use crate::run::EvalPoint;
+use crate::studies::STUDIES;
 use ilpc_core::level::Level;
 use ilpc_workloads::WorkloadMeta;
 use std::fmt::Write;
@@ -225,12 +228,19 @@ impl Figure {
     }
 }
 
-/// Ids of the report sections `report --only` can select, in report order.
-pub fn section_ids() -> impl Iterator<Item = &'static str> {
+/// Ids of the paper's own sections — what `report` prints without
+/// `--only` — in report order.
+pub fn paper_ids() -> impl Iterator<Item = &'static str> {
     ["table1", "table2"].into_iter().chain(FIGURES.iter().map(|f| f.id)).chain(["summary"])
 }
 
-/// Render the report section `id`, or `None` for an unknown id. `grid` is
+/// Every id `report --only` can select: the paper's sections, then the
+/// [`STUDIES`].
+pub fn section_ids() -> impl Iterator<Item = &'static str> {
+    paper_ids().chain(STUDIES.iter().map(|s| s.id))
+}
+
+/// Render the paper section `id`, or `None` for any other id. `grid` is
 /// only called by sections that plot measurements, so selecting a static
 /// table never runs one.
 pub fn render_section<'g>(id: &str, grid: impl FnOnce() -> &'g Grid) -> Option<String> {
@@ -264,8 +274,8 @@ pub fn render_histogram(title: &str, h: &Histogram) -> String {
 /// The whole report: every section in order, then the per-loop dump.
 pub fn render_report(grid: &Grid) -> String {
     let mut out = String::new();
-    for id in section_ids() {
-        let section = render_section(id, || grid).expect("id comes from section_ids");
+    for id in paper_ids() {
+        let section = render_section(id, || grid).expect("id comes from paper_ids");
         let _ = writeln!(out, "{section}");
     }
     let _ = writeln!(out, "== Per-loop speedups (issue-8) ==");
@@ -336,31 +346,15 @@ pub fn render_summary(grid: &Grid) -> String {
     // Transformation cost: dynamic and static instruction overhead.
     let _ = writeln!(out, "\n== Instruction overhead vs Conv (issue-8) ==");
     let _ = writeln!(out, "{:<5} {:>10} {:>10}", "level", "dyn", "static");
-    let conv_dyn: f64 = grid
-        .meta
-        .iter()
-        .filter_map(|m| grid.point(m.name, Level::Conv, 8))
-        .map(|p| p.dyn_insts as f64)
-        .sum();
-    let conv_static: f64 = grid
-        .meta
-        .iter()
-        .filter_map(|m| grid.point(m.name, Level::Conv, 8))
-        .map(|p| p.static_insts as f64)
-        .sum();
+    let total = |level, insts: fn(&EvalPoint) -> f64| -> f64 {
+        grid.meta.iter().filter_map(|m| grid.point(m.name, level, 8)).map(insts).sum()
+    };
+    let dyn_insts: fn(&EvalPoint) -> f64 = |p| p.dyn_insts as f64;
+    let static_insts: fn(&EvalPoint) -> f64 = |p| p.static_insts as f64;
+    let conv_dyn = total(Level::Conv, dyn_insts);
+    let conv_static = total(Level::Conv, static_insts);
     for level in Level::ALL {
-        let dynsum: f64 = grid
-            .meta
-            .iter()
-            .filter_map(|m| grid.point(m.name, level, 8))
-            .map(|p| p.dyn_insts as f64)
-            .sum();
-        let stsum: f64 = grid
-            .meta
-            .iter()
-            .filter_map(|m| grid.point(m.name, level, 8))
-            .map(|p| p.static_insts as f64)
-            .sum();
+        let (dynsum, stsum) = (total(level, dyn_insts), total(level, static_insts));
         let _ = writeln!(
             out,
             "{:<5} {:>9.2}x {:>9.2}x",

@@ -6,6 +6,8 @@
 //! figures (Tables 1-2, Figures 8-15, the §3.2/§4 summary statistics, and
 //! the §2 worked examples).
 
+#![forbid(unsafe_code)]
+
 pub mod artifact;
 pub mod campaign;
 pub mod compile;
@@ -15,6 +17,7 @@ pub mod grid;
 pub mod profile;
 pub mod run;
 pub mod steal;
+pub mod studies;
 pub mod sweep;
 
 pub use artifact::{Artifact, ArtifactCache, CacheCounters};

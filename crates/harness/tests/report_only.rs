@@ -1,7 +1,9 @@
-//! `report --only <id>` prints exactly the section the full report prints.
+//! `report --only <id>` prints exactly the section the full report prints,
+//! or exactly the study the golden under `tests/golden/` records.
 
-use ilpc_harness::figures::{render_report, render_section, section_ids, FIGURES};
+use ilpc_harness::figures::{paper_ids, render_report, render_section, section_ids, FIGURES};
 use ilpc_harness::grid::{run_grid, GridConfig};
+use ilpc_harness::studies::{StudyCtx, STUDIES};
 use ilpc_testkit::cli::assert_rejected;
 use std::process::{Command, Output};
 
@@ -9,18 +11,26 @@ fn report(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_report")).args(args).output().expect("spawn report")
 }
 
-/// On one grid: the full report is the `--only` renderings back to back
-/// (each followed by the blank line `println!` adds), then the per-loop
-/// dump — so no id can drift from its section of the full text.
+fn golden(name: &str) -> String {
+    let path = format!("{}/tests/golden/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// On one grid: the full report is the `--only` renderings of the paper's
+/// sections back to back (each followed by the blank line `println!`
+/// adds), then the per-loop dump — so no id can drift from its section of
+/// the full text, no study is appended to it, and the text is the one the
+/// parent of the `STUDIES` table printed.
 #[test]
 fn only_sections_tile_the_full_report() {
     let grid = run_grid(&GridConfig { scale: 0.05, ..GridConfig::default() }).unwrap();
     assert!(grid.errors.is_empty(), "{:#?}", grid.errors);
-    let ids: Vec<&str> = section_ids().collect();
+    let ids: Vec<&str> = paper_ids().collect();
     for wanted in FIGURES.iter().map(|f| f.id).chain(["table1", "table2", "summary"]) {
         assert!(ids.contains(&wanted), "{wanted} is not selectable");
     }
     let full = render_report(&grid);
+    assert_eq!(full, golden("report"), "report --scale 0.05");
     let mut rest = full.as_str();
     for id in ids {
         let only = render_section(id, || &grid).unwrap() + "\n";
@@ -29,20 +39,53 @@ fn only_sections_tile_the_full_report() {
             .unwrap_or_else(|| panic!("--only {id} differs from its section:\n{only}\nvs\n{rest}"));
     }
     assert!(rest.starts_with("== Per-loop speedups (issue-8) =="), "{rest}");
+    let per_loop = rest.lines().count();
+    assert_eq!(per_loop, 1 + 1 + 40 + 1, "something follows the per-loop dump:\n{rest}");
+}
+
+/// Every `STUDIES` row prints what the binary of its name printed before
+/// the table existed (goldens captured from those binaries; `vlen-sweep`'s
+/// without the scheduling-dependent steal count, which left stdout).
+#[test]
+fn every_study_matches_its_golden() {
+    // (id, --scale, --quick, --verbose, golden)
+    let runs = [
+        ("paper-examples", None, false, false, "paper-examples"),
+        ("paper-examples", None, false, true, "paper-examples_verbose"),
+        ("ablation", Some(0.05), false, false, "ablation"),
+        ("sensitivity", Some(0.05), false, false, "sensitivity"),
+        ("cache-sensitivity", Some(0.02), true, false, "cache-sensitivity_quick"),
+        ("vlen-sweep", None, true, false, "vlen-sweep_quick"),
+        ("profile-study", Some(0.05), false, false, "profile-study"),
+        ("swp", Some(0.05), false, false, "swp"),
+    ];
+    for s in STUDIES {
+        assert!(runs.iter().any(|r| r.0 == s.id), "study `{}` has no golden", s.id);
+    }
+    for (id, scale, quick, verbose, name) in runs {
+        let study = STUDIES.iter().find(|s| s.id == id).unwrap_or_else(|| panic!("no study `{id}`"));
+        let ctx = StudyCtx::new(study, scale, 2, quick, verbose).unwrap();
+        let text = (study.run)(&ctx).unwrap_or_else(|e| panic!("{id}: {e}"));
+        assert_eq!(text, golden(name), "{id} (golden {name})");
+    }
 }
 
 /// The binaries' argument handling: bad input is a typed exit-2 rejection
 /// (never a panic) — `report`'s in detail, every other binary of the crate
-/// by table — and a static table prints without running a grid.
+/// by table — a static table prints without running a grid, and a study
+/// selected through the binary prints its in-process rendering.
 #[test]
 fn cli_rejects_bad_arguments_and_selects_sections() {
     let unknown = report(&["--only", "fig99"]);
     assert_eq!(unknown.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&unknown.stderr);
     assert!(stderr.contains("unknown section `fig99`"), "{stderr}");
-    for id in section_ids() {
+    let selectable: Vec<&str> = section_ids().collect();
+    for id in paper_ids().chain(STUDIES.iter().map(|s| s.id)) {
+        assert!(selectable.contains(&id), "{id} is not selectable");
         assert!(stderr.contains(id), "usage must list {id}: {stderr}");
     }
+    assert_eq!(selectable.len(), paper_ids().count() + 7);
     assert!(unknown.stdout.is_empty());
 
     for trailing in ["--only", "--scale", "--threads"] {
@@ -50,24 +93,24 @@ fn cli_rejects_bad_arguments_and_selects_sections() {
         assert_eq!(out.status.code(), Some(2), "trailing {trailing}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("needs a value"));
     }
-    assert_eq!(report(&["--scale", "fast"]).status.code(), Some(2));
-    assert_eq!(report(&["--bogus"]).status.code(), Some(2));
+    let exe = env!("CARGO_BIN_EXE_report");
+    assert_rejected("report", exe, &["--scale", "fast"]);
+    assert_rejected("report", exe, &["--bogus"]);
+    // A switch is rejected wherever nothing reads it.
+    assert_rejected("report", exe, &["--quick"]);
+    assert_rejected("report", exe, &["--only", "fig10", "--quick"]);
+    assert_rejected("report", exe, &["--only", "ablation", "--quick"]);
+    assert_rejected("report", exe, &["--only", "summary", "--verbose"]);
+    assert_rejected("report", exe, &["--only", "vlen-sweep", "--quick", "--verbose"]);
+    assert_rejected("report", exe, &["--only", "swp", "--scale", "-1"]);
 
     // Every other binary of this crate rejects a trailing value-taking
     // flag, an unparsable value and an unknown flag the same way: one
     // `<bin>: …` line, the usage, exit status 2 — never a panic (101).
-    // (To `paper-examples`, which takes no value, all three are unknown.)
     let bins = [
-        ("ablation", env!("CARGO_BIN_EXE_ablation")),
-        ("cache-sensitivity", env!("CARGO_BIN_EXE_cache-sensitivity")),
         ("fault-campaign", env!("CARGO_BIN_EXE_fault-campaign")),
         ("ilpc", env!("CARGO_BIN_EXE_ilpc")),
         ("ilpc-lint", env!("CARGO_BIN_EXE_ilpc-lint")),
-        ("paper-examples", env!("CARGO_BIN_EXE_paper-examples")),
-        ("profile-study", env!("CARGO_BIN_EXE_profile-study")),
-        ("sensitivity", env!("CARGO_BIN_EXE_sensitivity")),
-        ("swp", env!("CARGO_BIN_EXE_swp")),
-        ("vlen-sweep", env!("CARGO_BIN_EXE_vlen-sweep")),
     ];
     for (name, exe) in bins {
         for args in [&["--scale"][..], &["--scale", "fast"], &["--scal", "0.1"]] {
@@ -81,4 +124,8 @@ fn cli_rejects_bad_arguments_and_selects_sections() {
     let expected = render_section("table1", || unreachable!("table1 needs no grid")).unwrap();
     assert_eq!(String::from_utf8_lossy(&table1.stdout), expected + "\n");
     assert!(table1.stderr.is_empty(), "no grid should have run");
+
+    let examples = report(&["--only", "paper-examples", "--verbose"]);
+    assert!(examples.status.success(), "{}", String::from_utf8_lossy(&examples.stderr));
+    assert_eq!(String::from_utf8_lossy(&examples.stdout), golden("paper-examples_verbose"));
 }

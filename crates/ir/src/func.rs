@@ -56,6 +56,15 @@ impl Block {
             && insts.iter().zip(&other.insts).all(|(a, b)| a.identical(b))
     }
 
+    /// Where to insert at the end of the block: before a trailing control
+    /// transfer, if there is one.
+    pub fn insert_point(&self) -> usize {
+        match self.insts.last() {
+            Some(i) if i.op.is_control() => self.insts.len() - 1,
+            _ => self.insts.len(),
+        }
+    }
+
     /// True if the final instruction unconditionally leaves the block.
     pub fn ends_in_transfer(&self) -> bool {
         matches!(

@@ -12,6 +12,8 @@
 //! *"Compiler Code Transformations for Superscalar-Based High-Performance
 //! Systems"*, Supercomputing 1992.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod display;
 pub mod func;

@@ -7,7 +7,7 @@
 //! always renders byte-identical output — the property the grid auditor
 //! and the guard firewall both rely on.
 
-use crate::json::{obj, Json};
+use ilpc_testkit::json::{obj, Json};
 use ilpc_ir::BlockId;
 use std::fmt;
 
@@ -178,7 +178,7 @@ mod tests {
         let d = Diagnostic::new("uninit-read", Severity::Error, "dotprod", "r3 read before init")
             .at_inst(BlockId(2), 5);
         let line = d.to_json().to_string();
-        let v = crate::json::parse(&line).unwrap();
+        let v = ilpc_testkit::json::parse(&line).unwrap();
         assert_eq!(v.get("lint").and_then(Json::as_str), Some("uninit-read"));
         assert_eq!(v.get("severity").and_then(Json::as_str), Some("error"));
         assert_eq!(v.get("block").and_then(Json::as_str), Some("B2"));

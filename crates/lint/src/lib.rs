@@ -18,14 +18,15 @@
 //!   pre-check ahead of the differential spot-check.
 //!
 //! Findings are [`diag::Diagnostic`]s: typed, located, deterministically
-//! ordered, and serializable as JSON lines via the shared [`json`] codec
-//! (which `ilpc-serve` re-exports for its wire protocol).
+//! ordered, and serializable as JSON lines via `ilpc_testkit::json`, the
+//! codec `ilpc-serve`'s wire protocol uses too.
+
+#![forbid(unsafe_code)]
 
 pub mod audit;
 pub mod dataflow;
 pub mod delta;
 pub mod diag;
-pub mod json;
 
 pub use audit::audit_schedules;
 pub use dataflow::lint_module;

@@ -7,6 +7,8 @@
 //! loads (so the compiler may schedule them above branches), and an unlimited
 //! register supply.
 
+#![forbid(unsafe_code)]
+
 use ilpc_ir::{Inst, Opcode};
 pub use ilpc_mem::{CacheGeometry, CacheParams, L2Params, MemConfig};
 

@@ -26,6 +26,8 @@
 //! `ilpc_machine::Machine` so a machine description fully determines
 //! timing. [`MemConfig::build`] instantiates the model it describes.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod stats;
 

@@ -13,27 +13,6 @@ use ilpc_analysis::{as_counted_loop, LoopForest};
 use ilpc_ir::{BlockId, Function, Inst, Opcode, Operand};
 use std::collections::HashMap;
 
-/// The unique out-of-loop predecessor of the loop header.
-fn preheader(f: &Function, blocks: &[BlockId], header: BlockId) -> Option<BlockId> {
-    let preds = f.preds();
-    let mut outside = preds[header.0 as usize]
-        .iter()
-        .filter(|p| blocks.binary_search(p).is_err());
-    let ph = *outside.next()?;
-    if outside.next().is_some() {
-        return None;
-    }
-    Some(ph)
-}
-
-fn insert_point(f: &Function, b: BlockId) -> usize {
-    let insts = &f.block(b).insts;
-    match insts.last() {
-        Some(i) if i.op.is_control() => insts.len() - 1,
-        _ => insts.len(),
-    }
-}
-
 /// Apply strength reduction to every counted loop; returns true on change.
 pub fn iv_strength_reduce(f: &mut Function) -> bool {
     let forest = LoopForest::compute(f);
@@ -41,7 +20,7 @@ pub fn iv_strength_reduce(f: &mut Function) -> bool {
 
     for lp in &forest.loops {
         let Some(cl) = as_counted_loop(f, lp) else { continue };
-        let Some(ph) = preheader(f, &cl.blocks, cl.header) else { continue };
+        let Some(ph) = lp.preheader(f) else { continue };
 
         // Collect eligible multiplies: `t = mul iv, #c` (either operand
         // order), positioned before the iv update when inside the latch.
@@ -79,7 +58,7 @@ pub fn iv_strength_reduce(f: &mut Function) -> bool {
         }
 
         // Preheader initialization (iv holds its initial value there).
-        let at = insert_point(f, ph);
+        let at = f.block(ph).insert_point();
         let mut coefs: Vec<i64> = reduced.keys().copied().collect();
         coefs.sort_unstable();
         for (k, &c) in coefs.iter().enumerate() {

@@ -6,6 +6,8 @@
 //! 1b, 3b, 5b) from the naive IR that `ilpc-ir::lower` emits; the ILP
 //! transformations of `ilpc-core` then operate on that code.
 
+#![forbid(unsafe_code)]
+
 pub mod cfg;
 pub mod constprop;
 pub mod copyprop;

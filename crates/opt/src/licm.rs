@@ -14,28 +14,6 @@ use ilpc_analysis::{invariant_in, Liveness, Loop, LoopForest};
 use ilpc_ir::{BlockId, Function, Inst, Opcode, Reg};
 use std::collections::{HashMap, HashSet};
 
-/// The unique predecessor of the loop header outside the loop, if any.
-fn preheader(f: &Function, lp: &Loop) -> Option<BlockId> {
-    let preds = f.preds();
-    let mut outside = preds[lp.header.0 as usize]
-        .iter()
-        .filter(|p| !lp.contains(**p));
-    let ph = *outside.next()?;
-    if outside.next().is_some() {
-        return None;
-    }
-    Some(ph)
-}
-
-/// Insertion point at the end of `b`, before a trailing control transfer.
-fn insert_point(f: &Function, b: BlockId) -> usize {
-    let insts = &f.block(b).insts;
-    match insts.last() {
-        Some(i) if i.op.is_control() => insts.len() - 1,
-        _ => insts.len(),
-    }
-}
-
 /// Number of defs of each register within the loop.
 fn defs_in_loop(f: &Function, lp: &Loop) -> HashMap<Reg, u32> {
     let mut m = HashMap::new();
@@ -58,7 +36,7 @@ pub fn licm(f: &mut Function) -> bool {
 
     let mut changed = false;
     for lp in &loops {
-        let Some(ph) = preheader(f, lp) else { continue };
+        let Some(ph) = lp.preheader(f) else { continue };
         let lv = Liveness::compute(f);
         let defs = defs_in_loop(f, lp);
 
@@ -153,7 +131,7 @@ pub fn licm(f: &mut Function) -> bool {
         for key in &order {
             moved.push(removed.remove(key).unwrap());
         }
-        let at = insert_point(f, ph);
+        let at = f.block(ph).insert_point();
         let ph_insts = &mut f.block_mut(ph).insts;
         for (k, inst) in moved.into_iter().enumerate() {
             ph_insts.insert(at + k, inst);
@@ -171,7 +149,7 @@ pub fn promote_registers(f: &mut Function) -> bool {
     let mut changed = false;
 
     for lp in &inner {
-        let Some(ph) = preheader(f, lp) else { continue };
+        let Some(ph) = lp.preheader(f) else { continue };
         // Exit blocks must only be reachable from this loop or its preheader.
         let preds = f.preds();
         let exits_ok = lp.exits.iter().all(|e| {
@@ -261,7 +239,7 @@ pub fn promote_registers(f: &mut Function) -> bool {
                 };
             }
             // Preheader load.
-            let at = insert_point(f, ph);
+            let at = f.block(ph).insert_point();
             f.block_mut(ph)
                 .insts
                 .insert(at, Inst::load(p, base, offop, tag));

@@ -11,6 +11,8 @@
 //! per register class with precise per-instruction liveness. Figure 11/13/15
 //! report the sum of the integer and floating point counts.
 
+#![forbid(unsafe_code)]
+
 use ilpc_analysis::{Liveness, RegSet};
 use ilpc_ir::{Function, Operand, Reg};
 use std::collections::{HashMap, HashSet};

@@ -5,6 +5,8 @@
 //! dependence-DAG list scheduling with critical-path priority, modeling the
 //! target's in-order multi-issue constraints.
 
+#![forbid(unsafe_code)]
+
 pub mod list;
 pub mod modulo;
 pub mod validate;

@@ -20,7 +20,9 @@
 //! See `crates/serve/src/proto.rs` for the wire format and DESIGN.md §15
 //! (protocol) / §18 (pool supervision) for the full contract.
 
-pub use ilpc_lint::json;
+#![forbid(unsafe_code)]
+
+pub use ilpc_testkit::json;
 pub mod chaos;
 pub mod pool;
 pub mod proto;

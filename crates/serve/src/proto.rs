@@ -274,9 +274,7 @@ fn opt_f64(v: &Json, key: &str) -> Result<Option<f64>, ReqError> {
 
 fn parse_level(v: &Json) -> Result<Level, ReqError> {
     let s = v.as_str().ok_or_else(|| bad("level must be a string"))?;
-    Level::ALL
-        .into_iter()
-        .find(|l| l.name().eq_ignore_ascii_case(s))
+    Level::from_name(s)
         .ok_or_else(|| bad(format!("unknown level {s:?} (Conv, Lev1..Lev4, Lev6)")))
 }
 

@@ -46,6 +46,8 @@
 //! proves both engines cycle- and result-identical across the full
 //! evaluation grid.
 
+#![forbid(unsafe_code)]
+
 use ilpc_ir::interp::DataInit;
 use ilpc_ir::value::ArrayVal;
 use ilpc_ir::{BlockId, Module, RegClass, SymId, SymTab};

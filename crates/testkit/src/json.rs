@@ -1,8 +1,8 @@
 //! Minimal JSON shared by the lint diagnostics writer and the serve
 //! protocol — the workspace is hermetic (no serde), and both consumers
 //! need only objects, arrays, strings, numbers, booleans and null.
-//! (`ilpc-serve` re-exports this module; it lives here so diagnostics
-//! and the wire format share one codec without a dependency cycle.)
+//! (`ilpc-serve` re-exports this module; it lives in the std-only leaf
+//! crate so both depend on a codec, not on each other.)
 //!
 //! The parser is recursive-descent with a hard depth limit (a hostile
 //! `[[[[…` line must not blow the stack of a serving process) and

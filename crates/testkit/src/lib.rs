@@ -4,7 +4,7 @@
 //! tier-1 verify (`cargo build --release --offline && cargo test -q
 //! --offline`) works in fully sandboxed environments. This crate vendors
 //! the two pieces of infrastructure that used to come from crates.io,
-//! and two the workspace's binaries and service tests share:
+//! and three the workspace's binaries and service tests share:
 //!
 //! * [`rng`] — a deterministic, seedable SplitMix64/xoshiro256++ PRNG
 //!   replacing `rand::StdRng` for workload data synthesis. Output is
@@ -18,8 +18,13 @@
 //!   line-protocol services interactively (pace requests off replies).
 //! * [`cli`] — the one command-line cursor every binary parses its flags
 //!   with (bad flags exit 2 with usage, never a panic).
+//! * [`json`] — the minimal JSON codec of the lint diagnostics writer and
+//!   the `ilpc-serve` wire protocol.
+
+#![forbid(unsafe_code)]
 
 pub mod cli;
+pub mod json;
 pub mod prop;
 pub mod rng;
 pub mod stream;

@@ -54,6 +54,8 @@
 //! The pass is a no-op for `vlen <= 1`, which keeps Lev6 at VLEN=1
 //! bit-identical to Lev4.
 
+#![forbid(unsafe_code)]
+
 use ilpc_ir::inst::{Inst, MAX_VLEN};
 use ilpc_ir::{BlockId, Module, Opcode, Operand, Reg, RegClass};
 use std::collections::HashMap;

@@ -6,6 +6,8 @@
 //! and conditional-branch structure, together with deterministic input
 //! data.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod programs;
 

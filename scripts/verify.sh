@@ -32,6 +32,11 @@ if [ "$fail" -ne 0 ]; then
   exit 1
 fi
 echo "ok: all Cargo.toml dependencies are workspace-local (ilpc-*)"
+# Every library crate is compiler-held to safe Rust: no root without the lint.
+if grep -L 'forbid(unsafe_code)' crates/*/src/lib.rs src/lib.rs | grep .; then
+  echo "ERROR: the crate roots above lack #![forbid(unsafe_code)]"
+  exit 1
+fi
 
 echo "== offline release build =="
 # --workspace: the root manifest is a package AND a workspace, so a bare
@@ -70,11 +75,22 @@ for w in $workloads; do
   fi
 done
 
-echo "== cache-sensitivity smoke (reduced grid) =="
-# The new memory-hierarchy subsystem end-to-end: a quick cache sweep over
-# the 40-workload grid. Deterministic, offline, and self-checking (the bin
-# asserts accesses == hits + misses on every grid point).
-cargo run --release --offline -p ilpc-harness --bin cache-sensitivity -- --scale 0.02 --quick
+echo "== study smokes (report --only, held to their goldens) =="
+# Three sections of the one results binary end-to-end: the paper's worked
+# examples cycle for cycle, a quick cache sweep (accesses == hits + misses
+# on every point, one compile per artifact) and Lev6 across VLEN {1,4} x
+# width {1,8} (VLEN=1 cycle-identical to Lev4). Each is deterministic,
+# fails its own checks with a nonzero exit, and must `cmp` equal to the
+# golden `cargo test` holds it to as well.
+study_smoke() { # <golden> <report args...>
+  golden=crates/harness/tests/golden/$1.txt
+  shift
+  cargo run --release --offline --quiet -p ilpc-harness --bin report -- "$@" | cmp - "$golden"
+  echo "ok: report $* == $golden"
+}
+study_smoke paper-examples --only paper-examples
+study_smoke cache-sensitivity_quick --only cache-sensitivity --scale 0.02 --quick
+study_smoke vlen-sweep_quick --only vlen-sweep --quick
 
 echo "== fault-injection campaign smoke =="
 # The transformation firewall end-to-end: 120 seeded faults injected into
@@ -89,13 +105,6 @@ cargo run --release --offline -p ilpc-harness --bin fault-campaign -- --quick --
   | tee "$campaign_table"
 cmp "$campaign_table" tests/golden/fault_campaign_quick_seed7.txt
 rm -f "$campaign_table"
-
-echo "== vlen-sweep smoke (VLEN x width) =="
-# The SLP vectorization subsystem end-to-end: Lev6 across VLEN {1,4} and
-# widths {1,8} on the 40-loop grid. Deterministic, offline, and
-# self-checking (the bin aborts on any grid error and asserts VLEN=1 is
-# cycle-identical to Lev4 on every point).
-cargo run --release --offline -p ilpc-harness --bin vlen-sweep -- --quick
 
 echo "== static lint audit (reduced grid) =="
 # The static legality analyzer over the healthy pipeline: all 40 workloads

@@ -26,6 +26,8 @@
 //! assert!(fast.cycles < base.cycles);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use ilpc_analysis as analysis;
 pub use ilpc_core as core_transforms;
 pub use ilpc_guard as guard;
