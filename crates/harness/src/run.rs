@@ -6,12 +6,12 @@ use crate::compile::{compile, Compiled};
 use ilpc_core::level::Level;
 use ilpc_ir::ast::VarId;
 use ilpc_ir::interp::{interpret, ExecState};
-use ilpc_ir::value::{ArrayVal, Value};
-use ilpc_ir::{SymId, SymTab};
+use ilpc_ir::value::{rel_diff, ArrayVal, Value};
+use ilpc_ir::{RegClass, SymId, SymTab};
 use ilpc_machine::Machine;
 use ilpc_mem::MemStats;
 use ilpc_regalloc::RegUsage;
-use ilpc_sim::{memory_from_init, read_symbol, simulate_decoded, SimLimits};
+use ilpc_sim::{memory_from_init, simulate_decoded, SimLimits};
 use ilpc_workloads::Workload;
 use std::collections::HashMap;
 
@@ -54,6 +54,10 @@ pub fn verify_against_reference(
 /// [`verify_against_reference`] on the two things it reads of a
 /// compilation: where the symbols lie in `memory`, and which of them
 /// shadow an assigned scalar.
+///
+/// Words are compared where they lie in `memory`, against the layout
+/// computed once; a symbol whose class or size no longer matches the
+/// reference (a miscompile) is an `Err` naming it, never a panic.
 fn verify_memory(
     w: &Workload,
     symtab: &SymTab,
@@ -61,35 +65,48 @@ fn verify_memory(
     reference: &ExecState,
     memory: &[u64],
 ) -> Result<(), String> {
+    let (bases, _) = symtab.layout();
+    let name = w.meta.name;
+    // The words of `sym`, provided it still holds `len` elements of `class`.
+    let words = |sym: SymId, class: RegClass, len: usize, what: &dyn Fn() -> String| {
+        let k = sym.0 as usize;
+        (k < symtab.len())
+            .then(|| symtab.get(sym))
+            .filter(|s| s.class == class && s.elems == len)
+            .and_then(|_| memory.get(bases[k]..bases[k] + len))
+            .ok_or_else(|| format!("{name}: {} is not {len} {class:?} words", what()))
+    };
     // Differential check: arrays...
     for (k, want) in reference.arrays.iter().enumerate() {
-        let got = read_symbol(symtab, memory, SymId(k as u32));
-        let diff = got.max_rel_diff(want);
+        let what = || format!("array {}", w.program.arrays[k].name);
+        let got = words(SymId(k as u32), want.class(), want.len(), &what)?;
+        let diff = match want {
+            ArrayVal::I(v) => {
+                if v.iter().zip(got).all(|(&x, &g)| x as u64 == g) { 0.0 } else { 1.0 }
+            }
+            ArrayVal::F(v) => {
+                // Most arrays are bit-equal (only reassociated reductions are
+                // not): one branch-free pass, which vectorizes, settles those.
+                let exact = v.iter().zip(got).fold(true, |eq, (x, &g)| eq & (x.to_bits() == g));
+                let diffs = v.iter().zip(got).map(|(&x, &g)| rel_diff(f64::from_bits(g), x));
+                if exact { 0.0 } else { diffs.fold(0.0, f64::max) }
+            }
+        };
         if diff > FLT_TOL {
-            return Err(format!(
-                "{}: array {} differs by {diff:.2e}",
-                w.meta.name,
-                w.program.arrays[k].name
-            ));
+            return Err(format!("{name}: {} differs by {diff:.2e}", what()));
         }
     }
     // ... and assigned scalars via their shadow symbols.
     for (var, sym) in shadow {
-        let got = read_symbol(symtab, memory, *sym);
+        let what = || format!("scalar {}", w.program.vars[var.0 as usize].name);
         let want = reference.scalars[var.0 as usize];
-        let ok = match (&got, want) {
-            (ArrayVal::I(v), Value::I(x)) => v[0] == x,
-            (ArrayVal::F(v), Value::F(x)) => {
-                let scale = v[0].abs().max(x.abs()).max(1.0);
-                (v[0] - x).abs() / scale <= FLT_TOL
-            }
-            _ => false,
+        let got = Value::from_bits(words(*sym, want.class(), 1, &what)?[0], want.class());
+        let ok = match (got, want) {
+            (Value::F(g), Value::F(x)) => rel_diff(g, x) <= FLT_TOL,
+            _ => got == want,
         };
         if !ok {
-            return Err(format!(
-                "{}: scalar {} = {got:?}, expected {want:?}",
-                w.meta.name, w.program.vars[var.0 as usize].name
-            ));
+            return Err(format!("{name}: {} = {got:?}, expected {want:?}", what()));
         }
     }
     Ok(())
@@ -211,6 +228,53 @@ mod tests {
         let err = run_compiled(&w, &compiled, &machine)
             .expect_err("runaway loop must not verify");
         assert!(err.contains("cycle limit"), "{err}");
+    }
+
+    /// A NaN where the reference holds a number fails verification, and a
+    /// symbol whose class no longer matches the reference is an `Err`
+    /// naming it rather than a panic.
+    #[test]
+    fn verify_memory_rejects_nan_and_shape_changes() {
+        let meta = table2().into_iter().find(|m| m.name == "dotprod").unwrap();
+        let w = build(&meta, 0.04);
+        let machine = Machine::issue(4);
+        let compiled = compile(&w, Level::Lev2, &machine);
+        let reference = interpret(&w.program, &w.init);
+        let symtab = &compiled.module.symtab;
+        let mem = memory_from_init(symtab, &w.init);
+        let limits = SimLimits::cycles(cycle_budget(reference.stmts_executed));
+        let image = ilpc_sim::simulate_limited(&compiled.module, &machine, mem, limits)
+            .unwrap()
+            .memory;
+        let verify = |symtab: &SymTab, image: &[u64]| {
+            verify_memory(&w, symtab, &compiled.shadow, &reference, image)
+        };
+        assert_eq!(verify(symtab, &image), Ok(()));
+
+        let (bases, _) = symtab.layout();
+        let (&var, &shadow) = compiled.shadow.iter().next().expect("dotprod assigns a scalar");
+        let k = reference.arrays.iter().position(|a| a.class() == RegClass::Flt).unwrap();
+        for (word, what) in [
+            (bases[k], format!("array {}", w.program.arrays[k].name)),
+            (bases[shadow.0 as usize], format!("scalar {}", w.program.vars[var.0 as usize].name)),
+        ] {
+            let mut bad = image.clone();
+            bad[word] = f64::NAN.to_bits();
+            let err = verify(symtab, &bad).unwrap_err();
+            assert!(err.contains(&what), "{err}");
+        }
+
+        let mut retyped = SymTab::new();
+        for (id, s) in symtab.iter() {
+            let class = match s.class {
+                RegClass::Int if id.0 == 0 => RegClass::Flt,
+                _ if id.0 == 0 => RegClass::Int,
+                class => class,
+            };
+            retyped.declare(&s.name, s.elems, class);
+        }
+        let err = verify(&retyped, &image).unwrap_err();
+        assert!(err.contains(&format!("array {} is not", w.program.arrays[0].name)), "{err}");
     }
 
     /// Speedups behave sanely: higher level + wider issue never makes the

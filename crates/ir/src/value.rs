@@ -125,9 +125,10 @@ impl ArrayVal {
         }
     }
 
-    /// Maximum relative difference against `other` (0.0 when identical).
-    /// Used by differential tests with an FP tolerance, since the expansion
-    /// transformations reassociate reductions.
+    /// Maximum relative difference against `other` (0.0 when identical),
+    /// by [`rel_diff`] per element. Used by differential tests with an FP
+    /// tolerance, since the expansion transformations reassociate
+    /// reductions.
     pub fn max_rel_diff(&self, other: &ArrayVal) -> f64 {
         match (self, other) {
             (ArrayVal::I(a), ArrayVal::I(b)) => {
@@ -139,17 +140,25 @@ impl ArrayVal {
             }
             (ArrayVal::F(a), ArrayVal::F(b)) => {
                 assert_eq!(a.len(), b.len());
-                a.iter()
-                    .zip(b)
-                    .map(|(x, y)| {
-                        let d = (x - y).abs();
-                        let scale = x.abs().max(y.abs()).max(1.0);
-                        d / scale
-                    })
-                    .fold(0.0, f64::max)
+                a.iter().zip(b).map(|(&x, &y)| rel_diff(x, y)).fold(0.0, f64::max)
             }
             _ => panic!("comparing arrays of different classes"),
         }
+    }
+}
+
+/// Relative difference of two floats, never NaN: 0 when they are equal
+/// (`-0.0` and `0.0` included) or both NaN, ∞ when exactly one side is
+/// non-finite or they are infinities of opposite sign, else
+/// `|x − y| / max(|x|, |y|, 1)`. A NaN here would vanish in the
+/// `f64::max` fold every caller applies and pass any tolerance.
+pub fn rel_diff(x: f64, y: f64) -> f64 {
+    if x == y || (x.is_nan() && y.is_nan()) {
+        0.0
+    } else if !x.is_finite() || !y.is_finite() {
+        f64::INFINITY
+    } else {
+        (x - y).abs() / x.abs().max(y.abs()).max(1.0)
     }
 }
 
@@ -182,5 +191,32 @@ mod tests {
         assert!(a.max_rel_diff(&b) < 1e-9);
         let c = ArrayVal::F(vec![1.0, 3.0]);
         assert!(a.max_rel_diff(&c) > 0.3);
+    }
+
+    /// NaN and ∞ never pass a tolerance by accident: the old per-element
+    /// formula gave NaN for them, which the `f64::max` fold discarded.
+    #[test]
+    fn rel_diff_of_non_finite_values() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        for (x, y, want) in [
+            (nan, 1.0, f64::INFINITY),
+            (1.0, nan, f64::INFINITY),
+            (inf, 1.0, f64::INFINITY),
+            (-inf, 1.0, f64::INFINITY),
+            (inf, -inf, f64::INFINITY),
+            (inf, nan, f64::INFINITY),
+            (nan, nan, 0.0),
+            (inf, inf, 0.0),
+            (-inf, -inf, 0.0),
+            (-0.0, 0.0, 0.0),
+            (-0.0, -0.0, 0.0),
+            (2.0, 1.0, 0.5),
+        ] {
+            assert_eq!(super::rel_diff(x, y), want, "rel_diff({x}, {y})");
+        }
+        let want = ArrayVal::F(vec![1.0, 2.0]);
+        assert_eq!(ArrayVal::F(vec![1.0, nan]).max_rel_diff(&want), f64::INFINITY);
+        assert_eq!(ArrayVal::F(vec![inf, 2.0]).max_rel_diff(&want), f64::INFINITY);
+        assert_eq!(ArrayVal::F(vec![nan]).max_rel_diff(&ArrayVal::F(vec![nan])), 0.0);
     }
 }

@@ -248,6 +248,11 @@ fn point_fields(v: &Json) -> Result<(String, Level, u32, u32, f64), ReqError> {
         .and_then(Json::as_u64)
         .and_then(|n| u32::try_from(n).ok())
         .ok_or_else(|| bad("missing or invalid \"width\""))?;
+    if width == 0 {
+        // `Machine::issue` would clamp it to 1 under a key of its own, as
+        // `sweep` refuses for the same reason (`GridConfigError::ZeroWidth`).
+        return Err(bad("width 0 is invalid (it would alias the base width 1)"));
+    }
     // Optional vector length for Lev6 points (1 = scalar machine; the
     // SLP pass itself clamps to the IR's MAX_VLEN).
     let vlen = match v.get("vlen") {
@@ -539,6 +544,7 @@ mod tests {
             (r#"{"op":"warp"}"#, "unknown op"),
             (r#"{"op":"compile","workload":"add","level":"Lev9","width":8}"#, "unknown level"),
             (r#"{"op":"compile","workload":"add","level":"Lev2"}"#, "width"),
+            (r#"{"op":"simulate","workload":"add","level":"Lev2","width":0}"#, "width 0"),
             (r#"{"op":"compile","workload":"add","level":"Lev6","width":8,"vlen":0}"#, "vlen"),
             (r#"{"op":"compile","level":"Lev2","width":8}"#, "workload"),
             (r#"{"op":"sweep","mems":[{"kind":"quantum"}]}"#, "mem kind"),

@@ -25,6 +25,12 @@ pub fn table() -> Vec<(String, Option<&'static str>)> {
         ("   ".to_string(), None),
         (String::new(), None),
         (r#"{"id":5,"op":"ping"}"#.to_string(), Some("ok")),
+        // Width 0 would alias width 1 under a key of its own.
+        (
+            r#"{"id":6,"op":"compile","workload":"add","level":"Lev2","width":0,"scale":0.02}"#
+                .to_string(),
+            Some("bad-request"),
+        ),
     ];
     // An id of every JSON shape, echoed verbatim — through the pool that
     // means rewritten to an internal id and restored on the way out.

@@ -41,6 +41,13 @@
 //!   [`ilpc_mem::MemModel`] and monomorphized per configuration, so the
 //!   perfect-memory path inlines to two counter increments instead of a
 //!   virtual call per access.
+//! * **Steady-state fast path.** Under perfect memory, a loop iteration
+//!   that starts from the timing state the previous one started from, and
+//!   takes the same branch path, issues on the same cycles shifted by a
+//!   constant. Once two arrivals at a loop header agree, later iterations
+//!   along that path compute values only and add the learned cycle and
+//!   instruction deltas; any other path is rewound and stepped (see
+//!   `Steady`, and DESIGN §14).
 //!
 //! The legacy interpreter survives behind the `oracle` feature (off by
 //! default) as `reference::simulate_limited_reference`; the differential
@@ -54,7 +61,7 @@ use ilpc_ir::{BlockId, Cond, MemLoc, Module, Opcode, Operand, RegClass, SymId};
 /// Vector register stride in the unified file (words per vector register).
 const VL: u32 = MAX_VLEN as u32;
 use ilpc_machine::{fu_kind, FuKind, LatencyTable, Machine, MemConfig};
-use ilpc_mem::{Access, CacheMem, MemModel, PerfectMem};
+use ilpc_mem::{Access, CacheMem, MemModel, MemStats, PerfectMem};
 use std::collections::HashMap;
 
 // Trap reasons — the exact strings the legacy engine reports.
@@ -187,6 +194,9 @@ pub struct DecodedProgram {
     coord: Vec<(u32, u32)>,
     /// Initial unified register file: `int vregs ++ flt vregs ++ consts`.
     file_init: Vec<u64>,
+    /// Words of the file before the constant pool (the only entries a
+    /// program writes).
+    regs: usize,
     /// Total data-memory words (symbol-table layout size).
     mem_words: usize,
     /// Latency table the program was decoded against.
@@ -700,6 +710,7 @@ pub fn decode(m: &Module, machine: &Machine) -> DecodedProgram {
         tags: Vec::with_capacity(recs.len()),
         coord: Vec::with_capacity(recs.len()),
         file_init,
+        regs: base_len as usize,
         mem_words,
         latency: machine.latency,
     };
@@ -738,14 +749,19 @@ pub fn simulate_decoded(
         "decoded program was built for a different latency table"
     );
     // Monomorphize per memory model: the perfect path inlines to two
-    // counter bumps, the cache path skips the Box<dyn> indirection.
+    // counter bumps, the cache path skips the Box<dyn> indirection. Only
+    // perfect memory takes the steady-state fast path: a miss retimes an
+    // iteration by the cache's LRU state, which values-only replay neither
+    // models nor could rewind.
     match machine.mem {
-        MemConfig::Perfect => run(p, machine, init_mem, limits, PerfectMem::new()),
-        MemConfig::Cache(params) => run(p, machine, init_mem, limits, CacheMem::new(params)),
+        MemConfig::Perfect => run::<_, true>(p, machine, init_mem, limits, PerfectMem::new()),
+        MemConfig::Cache(params) => {
+            run::<_, false>(p, machine, init_mem, limits, CacheMem::new(params))
+        }
     }
 }
 
-fn run<M: MemModel>(
+fn run<M: MemModel, const STEADY: bool>(
     p: &DecodedProgram,
     machine: &Machine,
     mem: Vec<u64>,
@@ -765,17 +781,128 @@ fn run<M: MemModel>(
         machine.fu.vec,
     ];
     if fu.iter().all(|&l| l >= issue_width) {
-        engine::<M, false>(p, machine, mem, limits, memsys)
+        engine::<M, false, STEADY>(p, machine, mem, limits, memsys)
     } else {
-        engine::<M, true>(p, machine, mem, limits, memsys)
+        engine::<M, true, STEADY>(p, machine, mem, limits, memsys)
     }
+}
+
+// ---- Value semantics ----------------------------------------------------
+//
+// What each `DOp` computes, written once: the stepping engine wraps these
+// in issue timing, the steady-state fast path calls them bare. Each takes
+// the op as a value and is `#[inline(always)]`, so a call with a constant
+// op folds to its one expression.
+
+/// Result of a register-to-register scalar op on raw 64-bit images (the
+/// one-source ops ignore `b`).
+#[inline(always)]
+fn scalar(op: DOp, a: u64, b: u64) -> u64 {
+    let (x, y) = (f64::from_bits(a), f64::from_bits(b));
+    match op {
+        DOp::Add => (a as i64).wrapping_add(b as i64) as u64,
+        DOp::Sub => (a as i64).wrapping_sub(b as i64) as u64,
+        DOp::And => a & b,
+        DOp::Or => a | b,
+        DOp::Xor => a ^ b,
+        DOp::Shl => (a as i64).wrapping_shl((b & 63) as u32) as u64,
+        DOp::Shr => (a as i64).wrapping_shr((b & 63) as u32) as u64,
+        DOp::Mul => (a as i64).wrapping_mul(b as i64) as u64,
+        DOp::Div if b == 0 => 0,
+        DOp::Div => (a as i64).wrapping_div(b as i64) as u64,
+        DOp::Rem if b == 0 => 0,
+        DOp::Rem => (a as i64).wrapping_rem(b as i64) as u64,
+        DOp::FAdd => (x + y).to_bits(),
+        DOp::FSub => (x - y).to_bits(),
+        DOp::FMul => (x * y).to_bits(),
+        DOp::FDiv => (x / y).to_bits(),
+        DOp::Mov => a,
+        DOp::CvtIF => ((a as i64) as f64).to_bits(),
+        DOp::CvtFI => (x as i64) as u64,
+        _ => unreachable!("{op:?} is not a scalar register op"),
+    }
+}
+
+/// Outcome of a conditional branch on its two operand images.
+#[inline(always)]
+fn branch(op: DOp, a: u64, b: u64) -> bool {
+    match op {
+        DOp::BrI(c) => c.eval(a as i64, b as i64),
+        DOp::BrF(c) => c.eval(f64::from_bits(a), f64::from_bits(b)),
+        _ => unreachable!("{op:?} is not a conditional branch"),
+    }
+}
+
+/// Effective word address of a memory op with displacement `ext`.
+#[inline(always)]
+fn address(file: &[u64], s: &Slot, ext: i64) -> i64 {
+    (file[s.a as usize] as i64)
+        .wrapping_add(file[s.b as usize] as i64)
+        .wrapping_add(ext)
+}
+
+/// Non-excepting read: an out-of-range word reads as zero (the address
+/// range check is part of the model).
+#[inline(always)]
+fn peek(mem: &[u64], addr: i64) -> u64 {
+    if addr >= 0 && (addr as usize) < mem.len() {
+        mem[addr as usize]
+    } else {
+        0
+    }
+}
+
+/// Non-excepting write: an out-of-range word is dropped. Returns the
+/// written index and the word it replaced (the fast path's undo record).
+#[inline(always)]
+fn poke(mem: &mut [u64], addr: i64, v: u64) -> Option<(usize, u64)> {
+    let i = usize::try_from(addr).ok()?;
+    Some((i, std::mem::replace(mem.get_mut(i)?, v)))
+}
+
+/// Lanes of a `VAdd` / `VMul` (of the vector registers at `a`, `b`) or a
+/// `VSplat` (of the scalar at `a`); lanes past the live count are zero.
+#[inline(always)]
+fn vector(op: DOp, file: &[u64], a: usize, b: usize) -> [u64; VL as usize] {
+    let mut out = [0u64; VL as usize];
+    match op {
+        DOp::VAdd(n) | DOp::VMul(n) => {
+            for (l, o) in out.iter_mut().enumerate().take(n as usize) {
+                let (x, y) = (f64::from_bits(file[a + l]), f64::from_bits(file[b + l]));
+                *o = if matches!(op, DOp::VMul(_)) { x * y } else { x + y }.to_bits();
+            }
+        }
+        DOp::VSplat(n) => out[..n as usize].fill(file[a]),
+        _ => unreachable!("{op:?} is not a vector register op"),
+    }
+    out
+}
+
+/// Lane-order sum of the first `n` lanes of the vector register at `a`.
+#[inline(always)]
+fn reduce(file: &[u64], a: usize, n: u8) -> u64 {
+    let mut acc = 0.0f64;
+    for l in 0..n as usize {
+        acc += f64::from_bits(file[a + l]);
+    }
+    acc.to_bits()
+}
+
+/// Lanes of a `VLoad` of `n` words from `addr`.
+#[inline(always)]
+fn vload(mem: &[u64], addr: i64, n: u8) -> [u64; VL as usize] {
+    let mut out = [0u64; VL as usize];
+    for (l, o) in out.iter_mut().enumerate().take(n as usize) {
+        *o = peek(mem, addr.wrapping_add(l as i64));
+    }
+    out
 }
 
 // The issue prologue (`issue!`) updates the slot/branch accounting in every
 // arm; arms that end the cycle themselves (taken branches, halt, trap) then
 // overwrite or abandon those counters, which trips `unused_assignments`.
 #[allow(unused_assignments)]
-fn engine<M: MemModel, const FU: bool>(
+fn engine<M: MemModel, const FU: bool, const STEADY: bool>(
     p: &DecodedProgram,
     machine: &Machine,
     mut mem: Vec<u64>,
@@ -826,6 +953,8 @@ fn engine<M: MemModel, const FU: bool>(
     let mut fu_slots = [0u32; 6];
     let mut dyn_insts: u64 = 0;
     let mut pc: usize = 0;
+    // Stays empty (and every use compiles out) when `!STEADY`.
+    let mut steady = Steady::new(issue_width);
 
     // Decode validated every index used below — operand and destination
     // indices are in `0..file_len()` (an out-of-range register decodes to
@@ -918,14 +1047,81 @@ fn engine<M: MemModel, const FU: bool>(
             }};
         }
 
-        // A two-source ALU op: `dst = $v` of the sources' bits `$a`, `$b`.
+        // A scalar register op: `dst = scalar(op, a, b)`.
         macro_rules! alu {
-            (|$a:ident, $b:ident| $v:expr) => {{
+            ($op:expr) => {{
                 let t = issue!(true, false, false);
-                let ($a, $b) = (file[ai], file[bi]);
                 let d = s.dst as usize;
-                file[d] = $v;
+                file[d] = scalar($op, file[ai], file[bi]);
                 ready[d] = t + lat;
+            }};
+        }
+
+        // A whole-register vector result `v` issued at `t`.
+        macro_rules! set_vector {
+            ($t:expr, $v:expr) => {{
+                let (d, v) = (s.dst as usize, $v);
+                file[d..d + VL as usize].copy_from_slice(&v);
+                ready[d] = $t + lat;
+            }};
+        }
+
+        // A taken control transfer issued at `$t`: redirect, end the
+        // cycle, and at a loop header (a backward target) hand over to the
+        // steady-state fast path.
+        macro_rules! transfer {
+            ($t:expr) => {{
+                let from = pc;
+                pc = taken_target(p, pc, s.target)?;
+                cursor = $t + lat;
+                slots = 0;
+                br_used = 0;
+                fu_slots = [0; 6];
+                if STEADY && pc <= from {
+                    let live = Live {
+                        file: &mut file,
+                        ready: &mut ready,
+                        mem: &mut mem,
+                        br_exec: &mut br_exec,
+                        br_taken: &mut br_taken,
+                        cursor: &mut cursor,
+                        dyn_insts: &mut dyn_insts,
+                    };
+                    steady.arrive(p, pc, rs_last, memsys.stats(), limits, live);
+                }
+                continue;
+            }};
+        }
+
+        // A conditional branch `$op` (the record's own, with its condition).
+        macro_rules! cond {
+            ($op:expr) => {{
+                let t = issue!(s.flags & F_HAS_DST != 0, true, false);
+                let taken = branch($op, file[ai], file[bi]);
+                br_exec[pc] += 1;
+                if STEADY {
+                    steady.path.push(taken);
+                }
+                if taken {
+                    br_taken[pc] += 1;
+                    transfer!(t);
+                }
+            }};
+        }
+
+        // Track the newest same-cycle store run for the load-side scan;
+        // push/drain thresholds are the legacy ones.
+        macro_rules! record_store {
+            ($t:expr) => {{
+                if rs_last != $t {
+                    rs_start = recent_stores.len();
+                    rs_last = $t;
+                }
+                recent_stores.push((p.tags[pc], $t));
+                if recent_stores.len() > 64 {
+                    recent_stores.drain(..32);
+                    rs_start = rs_start.saturating_sub(32);
+                }
             }};
         }
 
@@ -939,80 +1135,38 @@ fn engine<M: MemModel, const FU: bool>(
             }
             DOp::FellOff => return Err(SimError::FellOffEnd(BlockId(p.coord[pc].0))),
             DOp::TrapEarly(r) => return Err(p.malformed(pc, r)),
-            DOp::Add => alu!(|a, b| (a as i64).wrapping_add(b as i64) as u64),
-            DOp::Sub => alu!(|a, b| (a as i64).wrapping_sub(b as i64) as u64),
-            DOp::And => alu!(|a, b| a & b),
-            DOp::Or => alu!(|a, b| a | b),
-            DOp::Xor => alu!(|a, b| a ^ b),
-            DOp::Shl => alu!(|a, b| (a as i64).wrapping_shl((b & 63) as u32) as u64),
-            DOp::Shr => alu!(|a, b| (a as i64).wrapping_shr((b & 63) as u32) as u64),
-            DOp::Mul => alu!(|a, b| (a as i64).wrapping_mul(b as i64) as u64),
-            DOp::Div => {
-                alu!(|a, b| if b == 0 { 0 } else { (a as i64).wrapping_div(b as i64) as u64 })
-            }
-            DOp::Rem => {
-                alu!(|a, b| if b == 0 { 0 } else { (a as i64).wrapping_rem(b as i64) as u64 })
-            }
-            DOp::FAdd => alu!(|a, b| (f64::from_bits(a) + f64::from_bits(b)).to_bits()),
-            DOp::FSub => alu!(|a, b| (f64::from_bits(a) - f64::from_bits(b)).to_bits()),
-            DOp::FMul => alu!(|a, b| (f64::from_bits(a) * f64::from_bits(b)).to_bits()),
-            DOp::FDiv => alu!(|a, b| (f64::from_bits(a) / f64::from_bits(b)).to_bits()),
-            DOp::Mov => {
-                let t = issue!(true, false, false);
-                let d = s.dst as usize;
-                file[d] = file[ai];
-                ready[d] = t + lat;
-            }
-            DOp::CvtIF => {
-                let t = issue!(true, false, false);
-                let d = s.dst as usize;
-                file[d] = ((file[ai] as i64) as f64).to_bits();
-                ready[d] = t + lat;
-            }
-            DOp::CvtFI => {
-                let t = issue!(true, false, false);
-                let d = s.dst as usize;
-                file[d] = (f64::from_bits(file[ai]) as i64) as u64;
-                ready[d] = t + lat;
-            }
+            DOp::Add => alu!(DOp::Add),
+            DOp::Sub => alu!(DOp::Sub),
+            DOp::And => alu!(DOp::And),
+            DOp::Or => alu!(DOp::Or),
+            DOp::Xor => alu!(DOp::Xor),
+            DOp::Shl => alu!(DOp::Shl),
+            DOp::Shr => alu!(DOp::Shr),
+            DOp::Mul => alu!(DOp::Mul),
+            DOp::Div => alu!(DOp::Div),
+            DOp::Rem => alu!(DOp::Rem),
+            DOp::FAdd => alu!(DOp::FAdd),
+            DOp::FSub => alu!(DOp::FSub),
+            DOp::FMul => alu!(DOp::FMul),
+            DOp::FDiv => alu!(DOp::FDiv),
+            DOp::Mov => alu!(DOp::Mov),
+            DOp::CvtIF => alu!(DOp::CvtIF),
+            DOp::CvtFI => alu!(DOp::CvtFI),
             DOp::Load => {
                 let t = issue!(true, false, true);
-                let addr = (file[ai] as i64)
-                    .wrapping_add(file[bi] as i64)
-                    .wrapping_add(p.ext[pc]);
-                // Non-excepting: out-of-range reads return zero (the
-                // address range check stays, it is part of the model).
-                let bits = if addr >= 0 && (addr as usize) < mem.len() {
-                    mem[addr as usize]
-                } else {
-                    0
-                };
+                let addr = address(&file, &s, p.ext[pc]);
                 // A cache miss delays only this load's result (the cache
                 // is non-blocking for loads); issue continues.
                 let extra = memsys.access(Access::Load, addr as u64);
                 let d = s.dst as usize;
-                file[d] = bits;
+                file[d] = peek(&mem, addr);
                 ready[d] = t + lat + extra;
             }
             DOp::Store => {
                 let t = issue!(s.flags & F_HAS_DST != 0, false, false);
-                let addr = (file[ai] as i64)
-                    .wrapping_add(file[bi] as i64)
-                    .wrapping_add(p.ext[pc]);
-                if addr >= 0 && (addr as usize) < mem.len() {
-                    mem[addr as usize] = file[s.c as usize];
-                }
-                // Track the newest same-cycle run for the load-side scan;
-                // push/drain thresholds are the legacy ones.
-                if rs_last != t {
-                    rs_start = recent_stores.len();
-                    rs_last = t;
-                }
-                recent_stores.push((p.tags[pc], t));
-                if recent_stores.len() > 64 {
-                    recent_stores.drain(..32);
-                    rs_start = rs_start.saturating_sub(32);
-                }
+                let addr = address(&file, &s, p.ext[pc]);
+                poke(&mut mem, addr, file[s.c as usize]);
+                record_store!(t);
                 // A store miss blocks in-order issue until the
                 // write-allocate fill completes (extra = 0 under perfect
                 // memory: bit-for-bit legacy timing).
@@ -1024,94 +1178,38 @@ fn engine<M: MemModel, const FU: bool>(
                     fu_slots = [0; 6];
                 }
             }
-            DOp::VAdd(lanes) | DOp::VMul(lanes) => {
+            DOp::VAdd(_) | DOp::VMul(_) | DOp::VSplat(_) => {
                 let t = issue!(true, false, false);
-                let mul = matches!(s.op, DOp::VMul(_));
-                let d = s.dst as usize;
-                for l in 0..VL as usize {
-                    let v = if l < lanes as usize {
-                        let x = f64::from_bits(file[ai + l]);
-                        let y = f64::from_bits(file[bi + l]);
-                        if mul {
-                            x * y
-                        } else {
-                            x + y
-                        }
-                    } else {
-                        0.0
-                    };
-                    file[d + l] = v.to_bits();
-                }
-                ready[d] = t + lat;
-            }
-            DOp::VSplat(lanes) => {
-                let t = issue!(true, false, false);
-                let v = file[ai];
-                let d = s.dst as usize;
-                for l in 0..VL as usize {
-                    file[d + l] = if l < lanes as usize { v } else { 0 };
-                }
-                ready[d] = t + lat;
+                set_vector!(t, vector(s.op, &file, ai, bi));
             }
             DOp::VReduce(lanes) => {
                 let t = issue!(true, false, false);
-                let mut acc = 0.0f64;
-                for l in 0..lanes as usize {
-                    acc += f64::from_bits(file[ai + l]);
-                }
                 let d = s.dst as usize;
-                file[d] = acc.to_bits();
+                file[d] = reduce(&file, ai, lanes);
                 ready[d] = t + lat;
             }
             DOp::VLoad(lanes) => {
                 let t = issue!(true, false, true);
-                let addr = (file[ai] as i64)
-                    .wrapping_add(file[bi] as i64)
-                    .wrapping_add(p.ext[pc]);
-                let d = s.dst as usize;
+                let addr = address(&file, &s, p.ext[pc]);
                 // Per-lane accesses so MemStats count every element; the
                 // widest miss delays the whole result.
                 let mut extra = 0u64;
-                for l in 0..VL as usize {
-                    let bits = if l < lanes as usize {
-                        let a = addr.wrapping_add(l as i64);
-                        let b = if a >= 0 && (a as usize) < mem.len() {
-                            mem[a as usize]
-                        } else {
-                            0
-                        };
-                        extra = extra.max(memsys.access(Access::Load, a as u64));
-                        b
-                    } else {
-                        0
-                    };
-                    file[d + l] = bits;
+                for l in 0..lanes as i64 {
+                    extra = extra.max(memsys.access(Access::Load, addr.wrapping_add(l) as u64));
                 }
-                ready[d] = t + lat + extra;
+                set_vector!(t + extra, vload(&mem, addr, lanes));
             }
             DOp::VStore(lanes) => {
                 let t = issue!(s.flags & F_HAS_DST != 0, false, false);
-                let addr = (file[ai] as i64)
-                    .wrapping_add(file[bi] as i64)
-                    .wrapping_add(p.ext[pc]);
+                let addr = address(&file, &s, p.ext[pc]);
                 let ci = s.c as usize;
                 let mut extra = 0u64;
                 for l in 0..lanes as usize {
                     let a = addr.wrapping_add(l as i64);
-                    if a >= 0 && (a as usize) < mem.len() {
-                        mem[a as usize] = file[ci + l];
-                    }
+                    poke(&mut mem, a, file[ci + l]);
                     extra = extra.max(memsys.access(Access::Store, a as u64));
                 }
-                if rs_last != t {
-                    rs_start = recent_stores.len();
-                    rs_last = t;
-                }
-                recent_stores.push((p.tags[pc], t));
-                if recent_stores.len() > 64 {
-                    recent_stores.drain(..32);
-                    rs_start = rs_start.saturating_sub(32);
-                }
+                record_store!(t);
                 if extra > 0 {
                     cursor = t + extra;
                     slots = 0;
@@ -1119,42 +1217,14 @@ fn engine<M: MemModel, const FU: bool>(
                     fu_slots = [0; 6];
                 }
             }
-            DOp::BrI(c) => {
-                let t = issue!(s.flags & F_HAS_DST != 0, true, false);
-                let taken = c.eval(file[ai] as i64, file[bi] as i64);
-                br_exec[pc] += 1;
-                if taken {
-                    br_taken[pc] += 1;
-                    pc = taken_target(p, pc, s.target)?;
-                    cursor = t + lat;
-                    slots = 0;
-                    br_used = 0;
-                    fu_slots = [0; 6];
-                    continue;
-                }
-            }
-            DOp::BrF(c) => {
-                let t = issue!(s.flags & F_HAS_DST != 0, true, false);
-                let taken = c.eval(f64::from_bits(file[ai]), f64::from_bits(file[bi]));
-                br_exec[pc] += 1;
-                if taken {
-                    br_taken[pc] += 1;
-                    pc = taken_target(p, pc, s.target)?;
-                    cursor = t + lat;
-                    slots = 0;
-                    br_used = 0;
-                    fu_slots = [0; 6];
-                    continue;
-                }
-            }
+            DOp::BrI(c) => cond!(DOp::BrI(c)),
+            DOp::BrF(c) => cond!(DOp::BrF(c)),
             DOp::Jump => {
                 let t = issue!(s.flags & F_HAS_DST != 0, true, false);
-                pc = taken_target(p, pc, s.target)?;
-                cursor = t + lat;
-                slots = 0;
-                br_used = 0;
-                fu_slots = [0; 6];
-                continue;
+                if STEADY {
+                    steady.path.push(true);
+                }
+                transfer!(t);
             }
             DOp::Halt => {
                 let t = issue!(s.flags & F_HAS_DST != 0, false, false);
@@ -1166,12 +1236,16 @@ fn engine<M: MemModel, const FU: bool>(
                         branch_profile.insert((block, index as usize), (e, br_taken[i]));
                     }
                 }
+                let mut stats = memsys.stats();
+                stats.loads += steady.loads;
+                stats.stores += steady.stores;
                 return Ok(SimResult {
                     cycles: t + 1,
                     dyn_insts,
                     memory: mem,
                     branch_profile,
-                    mem: memsys.stats(),
+                    mem: stats,
+                    replayed_insts: steady.insts,
                 });
             }
             DOp::Trap(r) => {
@@ -1201,5 +1275,339 @@ fn taken_target(p: &DecodedProgram, pc: usize, target: u32) -> Result<usize, Sim
             panic!("branch target out of range at B{block}[{index}]")
         }
         t => Ok(t as usize),
+    }
+}
+
+// ---- Steady-state fast path ---------------------------------------------
+//
+// In-order issue with fixed latencies makes a loop iteration's timing a
+// function of two things: the timing state it starts from, relative to the
+// cursor, and the branch path it takes. When two consecutive arrivals at a
+// loop header find the same relative state, the iteration between them is
+// a template, and every later iteration along its path costs exactly its
+// deltas. Those run values-only. DESIGN §14 "Steady-state fast path" has
+// the argument.
+
+/// The timing state at a loop-header arrival with cursor `C`: every
+/// scoreboard entry still busy at `C`, as `(file index, ready − C)` in
+/// index order. The slot counters are zero after a taken transfer,
+/// constants are always ready, and an entry ready before `C` can delay
+/// neither a read (issue is at or after `C`) nor a write (the WAW bound
+/// `ready + 1 − lat` is at most `C`).
+type Pending = Vec<(u32, u64)>;
+
+/// The longest detection pause (see `Steady::pause`), in arrivals.
+const MAX_PAUSE: u32 = 63;
+
+/// Counters at one loop-header arrival.
+#[derive(Clone, Copy)]
+struct Mark {
+    header: usize,
+    cursor: u64,
+    dyn_insts: u64,
+    loads: u64,
+    stores: u64,
+}
+
+/// One record of a template iteration, in execution order, with its
+/// displacement and — for a conditional branch — the outcome taken.
+#[derive(Clone, Copy)]
+struct Op {
+    s: Slot,
+    ext: i64,
+    taken: bool,
+}
+
+/// An iteration from `header` back to `header` that starts and ends in the
+/// state `pending`: every iteration along the same path costs the same.
+struct Template {
+    header: usize,
+    pending: Pending,
+    /// Value-carrying records and conditional branches (gotos and jumps
+    /// are implied by the order).
+    ops: Vec<Op>,
+    /// `(pc, taken)` of each conditional branch on the path (the profile;
+    /// jumps are not profiled).
+    branches: Vec<(usize, bool)>,
+    cycles: u64,
+    insts: u64,
+    loads: u64,
+    stores: u64,
+}
+
+/// What a fast-forward reads and advances, borrowed from the stepping loop.
+struct Live<'a> {
+    file: &'a mut [u64],
+    ready: &'a mut [u64],
+    mem: &'a mut [u64],
+    br_exec: &'a mut [u64],
+    br_taken: &'a mut [u64],
+    cursor: &'a mut u64,
+    dyn_insts: &'a mut u64,
+}
+
+/// Steady-state detection and the values-only fast path.
+#[derive(Default)]
+struct Steady {
+    /// The store-alias history drains its 32 oldest entries past 64, which
+    /// cuts into a same-cycle run longer than 32 and makes its timing
+    /// depend on the history's length. A run is bounded by the issue width
+    /// and by an iteration's stores, so past 32 of both no template forms.
+    wide: bool,
+    /// The last loop-header arrival, and its state.
+    last: Option<Mark>,
+    last_pending: Pending,
+    /// Scratch: the state at the arrival being examined.
+    now: Pending,
+    /// Outcome of every branch and jump stepped since `last`.
+    path: Vec<bool>,
+    template: Option<Template>,
+    /// Arrivals to let pass before detecting again, and the pause the next
+    /// unproductive fast-forward sets. One that retires under two
+    /// iterations (a data-dependent path, a loop about to exit) cost more
+    /// in learning and rewinding than it saved: each doubles the pause, up
+    /// to `MAX_PAUSE`, and a productive one clears it.
+    pause: u32,
+    next_pause: u32,
+    /// The header the pause applies to.
+    paused: usize,
+    /// The current fast iteration's overwritten register and memory words.
+    undo_regs: Vec<(usize, u64)>,
+    undo_mem: Vec<(usize, u64)>,
+    /// Totals retired by the fast path (`SimResult::replayed_insts` and
+    /// the `MemStats` the memory model never saw).
+    insts: u64,
+    loads: u64,
+    stores: u64,
+}
+
+impl Steady {
+    fn new(issue_width: u32) -> Steady {
+        Steady { wide: issue_width > 32, ..Steady::default() }
+    }
+
+    /// A taken branch or jump arrived at `header` from at or after it.
+    /// Learn a template if this arrival repeats the last one's state, run
+    /// the template while it holds, and remember this arrival.
+    #[inline(never)]
+    fn arrive(
+        &mut self,
+        p: &DecodedProgram,
+        header: usize,
+        rs_last: u64,
+        stats: MemStats,
+        limits: SimLimits,
+        mut live: Live<'_>,
+    ) {
+        let c = *live.cursor;
+        let pausing = self.paused == header && self.pause > 0;
+        if pausing || rs_last == c {
+            // Paused; or a store in the back-edge cycle (branch latency 0)
+            // is still visible to the next iteration's loads, timing state
+            // outside the scoreboard: this arrival starts nothing.
+            self.pause -= pausing as u32;
+            self.last = None;
+            self.path.clear();
+            return;
+        }
+        self.now.clear();
+        let busy = live.ready[..p.regs].iter().enumerate().filter(|&(_, &r)| r >= c);
+        self.now.extend(busy.map(|(x, &r)| (x as u32, r - c)));
+        let (dyn_insts, loads, stores) = (*live.dyn_insts, stats.loads, stats.stores);
+        let mut mark = Mark { header, cursor: c, dyn_insts, loads, stores };
+        if let Some(last) = self.last.filter(|l| l.header == header) {
+            if self.last_pending == self.now {
+                if let Some(t) = self.learn(p, last, mark) {
+                    self.template = Some(t);
+                }
+            }
+        }
+        self.path.clear();
+        if let Some(t) = self.template.take() {
+            if t.header == header && t.pending == self.now {
+                if self.fast_forward(&t, limits, &mut live) < 2 {
+                    if self.paused != header {
+                        (self.paused, self.next_pause) = (header, 0);
+                    }
+                    self.pause = self.next_pause;
+                    self.next_pause = (2 * self.next_pause + 1).min(MAX_PAUSE);
+                } else if self.paused == header {
+                    self.next_pause = 0;
+                }
+                mark.cursor = *live.cursor;
+                mark.dyn_insts = *live.dyn_insts;
+            }
+            self.template = Some(t);
+        }
+        self.last = Some(mark);
+        std::mem::swap(&mut self.last_pending, &mut self.now);
+    }
+
+    /// The iteration stepped from `from` to `to`, rebuilt from `path` by
+    /// walking the code from the header.
+    fn learn(&self, p: &DecodedProgram, from: Mark, to: Mark) -> Option<Template> {
+        let stores = to.stores - from.stores;
+        if self.wide && stores > 32 {
+            return None;
+        }
+        let insts = to.dyn_insts - from.dyn_insts;
+        let mut ops = Vec::with_capacity(insts as usize);
+        let mut branches = Vec::with_capacity(self.path.len());
+        let mut outcomes = self.path.iter();
+        let mut pc = from.header;
+        while outcomes.len() > 0 {
+            let s = *p.code.get(pc)?;
+            pc = match s.op {
+                DOp::Goto => s.target as usize,
+                DOp::BrI(_) | DOp::BrF(_) | DOp::Jump => {
+                    let taken = *outcomes.next()?;
+                    if s.op != DOp::Jump {
+                        ops.push(Op { s, ext: 0, taken });
+                        branches.push((pc, taken));
+                    }
+                    if taken {
+                        s.target as usize
+                    } else {
+                        pc + 1
+                    }
+                }
+                // A stepped iteration cannot have passed these.
+                DOp::Halt | DOp::FellOff | DOp::Trap(_) | DOp::TrapEarly(_) => return None,
+                _ => {
+                    ops.push(Op { s, ext: p.ext[pc], taken: false });
+                    pc + 1
+                }
+            };
+        }
+        (pc == from.header).then(|| Template {
+            header: from.header,
+            pending: self.now.clone(),
+            ops,
+            branches,
+            cycles: to.cursor - from.cursor,
+            insts,
+            loads: to.loads - from.loads,
+            stores,
+        })
+    }
+
+    /// Run whole iterations of `t` values-only while they follow its path
+    /// and the budgets have room for one more; then stepping resumes at
+    /// the header in exactly the state it would have reached. Errors and
+    /// the loop's exit thus still come from the stepping engine.
+    fn fast_forward(&mut self, t: &Template, limits: SimLimits, live: &mut Live<'_>) -> u64 {
+        // Iterations that fit: each ends at most `cycles` and `insts` later,
+        // and every issue inside it is no later than its end.
+        let room = |left: u64, per: u64| left.checked_div(per).unwrap_or(u64::MAX);
+        let fit = room(limits.max_cycles.saturating_sub(*live.cursor), t.cycles)
+            .min(room(limits.max_dyn_insts.saturating_sub(*live.dyn_insts), t.insts));
+        let mut n = 0u64;
+        while n < fit && self.iterate(t, live.file, live.mem) {
+            n += 1;
+        }
+        if n == 0 {
+            return 0;
+        }
+        *live.cursor += n * t.cycles;
+        *live.dyn_insts += n * t.insts;
+        for &(pc, taken) in &t.branches {
+            live.br_exec[pc] += n;
+            if taken {
+                live.br_taken[pc] += n;
+            }
+        }
+        for &(x, rel) in &t.pending {
+            live.ready[x as usize] = *live.cursor + rel;
+        }
+        self.insts += n * t.insts;
+        self.loads += n * t.loads;
+        self.stores += n * t.stores;
+        n
+    }
+
+    /// One iteration of `t`, values only. On leaving the path it undoes
+    /// its writes and returns false.
+    fn iterate(&mut self, t: &Template, file: &mut [u64], mem: &mut [u64]) -> bool {
+        let (regs, words) = (&mut self.undo_regs, &mut self.undo_mem);
+        regs.clear();
+        words.clear();
+        // Register writes keep the word they replace.
+        macro_rules! set {
+            ($d:expr, $v:expr) => {{
+                let (d, v) = ($d, $v);
+                regs.push((d, std::mem::replace(&mut file[d], v)));
+            }};
+        }
+        for op in &t.ops {
+            let s = &op.s;
+            let (a, b, d) = (s.a as usize, s.b as usize, s.dst as usize);
+            macro_rules! alu {
+                ($op:expr) => {
+                    set!(d, scalar($op, file[a], file[b]))
+                };
+            }
+            // Leaving the path: rewind the iteration's writes, newest first.
+            macro_rules! cond {
+                ($op:expr) => {
+                    if branch($op, file[a], file[b]) != op.taken {
+                        for &(x, v) in regs.iter().rev() {
+                            file[x] = v;
+                        }
+                        for &(x, v) in words.iter().rev() {
+                            mem[x] = v;
+                        }
+                        return false;
+                    }
+                };
+            }
+            match s.op {
+                DOp::Add => alu!(DOp::Add),
+                DOp::Sub => alu!(DOp::Sub),
+                DOp::And => alu!(DOp::And),
+                DOp::Or => alu!(DOp::Or),
+                DOp::Xor => alu!(DOp::Xor),
+                DOp::Shl => alu!(DOp::Shl),
+                DOp::Shr => alu!(DOp::Shr),
+                DOp::Mul => alu!(DOp::Mul),
+                DOp::Div => alu!(DOp::Div),
+                DOp::Rem => alu!(DOp::Rem),
+                DOp::FAdd => alu!(DOp::FAdd),
+                DOp::FSub => alu!(DOp::FSub),
+                DOp::FMul => alu!(DOp::FMul),
+                DOp::FDiv => alu!(DOp::FDiv),
+                DOp::Mov => alu!(DOp::Mov),
+                DOp::CvtIF => alu!(DOp::CvtIF),
+                DOp::CvtFI => alu!(DOp::CvtFI),
+                DOp::Load => set!(d, peek(mem, address(file, s, op.ext))),
+                DOp::Store => words.extend(poke(mem, address(file, s, op.ext), file[s.c as usize])),
+                DOp::VAdd(_) | DOp::VMul(_) | DOp::VSplat(_) => {
+                    for (l, v) in vector(s.op, file, a, b).into_iter().enumerate() {
+                        set!(d + l, v);
+                    }
+                }
+                DOp::VReduce(n) => set!(d, reduce(file, a, n)),
+                DOp::VLoad(n) => {
+                    for (l, v) in vload(mem, address(file, s, op.ext), n).into_iter().enumerate() {
+                        set!(d + l, v);
+                    }
+                }
+                DOp::VStore(n) => {
+                    let addr = address(file, s, op.ext);
+                    for l in 0..n as usize {
+                        let w = file[s.c as usize + l];
+                        words.extend(poke(mem, addr.wrapping_add(l as i64), w));
+                    }
+                }
+                DOp::BrI(c) => cond!(DOp::BrI(c)),
+                DOp::BrF(c) => cond!(DOp::BrF(c)),
+                DOp::Jump
+                | DOp::Goto
+                | DOp::Halt
+                | DOp::FellOff
+                | DOp::Trap(_)
+                | DOp::TrapEarly(_) => unreachable!("{:?} is never a template op", s.op),
+            }
+        }
+        true
     }
 }

@@ -39,7 +39,9 @@
 //! [`simulate_limited`] runs the pre-decoded engine ([`decoded`]): a
 //! one-time [`decode`] pass lowers the module to flat struct-of-arrays
 //! records with pre-resolved operand indices, latencies and FU classes, and
-//! the hot loop runs over those with index-addressed scoreboards. The
+//! the hot loop runs over those with index-addressed scoreboards; under
+//! perfect memory, loop iterations in a timing steady state run through its
+//! values-only fast path. The
 //! original tree-walking interpreter survives unchanged in `reference`
 //! (compiled for this crate's tests and under cargo feature `oracle`, off
 //! by default) as the executable specification; the differential suite
@@ -70,6 +72,9 @@ pub struct SimResult {
     /// Memory-hierarchy statistics from the machine's `MemModel` (all-hit
     /// counters under the default perfect memory).
     pub mem: MemStats,
+    /// Of `dyn_insts`, those retired by the decoded engine's steady-state
+    /// fast path (always 0 under a cache, and from `reference`).
+    pub replayed_insts: u64,
 }
 
 /// Simulation failure.
@@ -676,15 +681,192 @@ mod tests {
             Machine::unlimited(),
             Machine::issue(4).with_cache(CacheParams::new(4, 4, 1, 20, 20)),
         ] {
-            let fast = simulate(&m, &machine, mem.clone(), 1_000_000).unwrap();
-            let oracle =
-                reference::simulate_reference(&m, &machine, mem.clone(), 1_000_000).unwrap();
-            assert_eq!(fast.cycles, oracle.cycles);
-            assert_eq!(fast.dyn_insts, oracle.dyn_insts);
-            assert_eq!(fast.memory, oracle.memory);
-            assert_eq!(fast.branch_profile, oracle.branch_profile);
-            assert_eq!(fast.mem, oracle.mem);
+            let fast = agree(&m, &machine, mem.clone(), SimLimits::cycles(1_000_000)).unwrap();
+            // The 64-iteration loop reaches its steady state, except under
+            // the cache, whose engine never fast-forwards.
+            assert_eq!(fast.replayed_insts > 0, machine.mem.is_perfect(), "{machine:?}");
         }
+    }
+
+    /// Run `m` on both engines and assert they agree on every observable,
+    /// or on the error; returns the decoded engine's outcome.
+    fn agree(
+        m: &Module,
+        machine: &Machine,
+        mem: Vec<u64>,
+        limits: SimLimits,
+    ) -> Result<SimResult, SimError> {
+        let fast = simulate_limited(m, machine, mem.clone(), limits);
+        let oracle = reference::simulate_limited_reference(m, machine, mem, limits);
+        match (&fast, &oracle) {
+            (Ok(f), Ok(o)) => {
+                assert_eq!(f.cycles, o.cycles, "cycles");
+                assert_eq!(f.dyn_insts, o.dyn_insts, "dyn_insts");
+                assert_eq!(f.memory, o.memory, "memory image");
+                assert_eq!(f.branch_profile, o.branch_profile, "branch profile");
+                assert_eq!(f.mem, o.mem, "mem stats");
+                assert_eq!(o.replayed_insts, 0);
+                assert!(f.replayed_insts <= f.dyn_insts);
+            }
+            (Err(f), Err(o)) => assert_eq!(f, o),
+            _ => panic!("engines disagree: {fast:?} vs {oracle:?}"),
+        }
+        fast
+    }
+
+    /// Loops that never exit end in the stepping engine's budget errors:
+    /// the fast path stops while a whole iteration still fits the budget.
+    #[test]
+    fn steady_state_runaway_loops_end_in_the_same_limit() {
+        let mut m = Module::new("t");
+        let f = &mut m.func;
+        let regs: Vec<Reg> = (0..12).map(|_| f.new_reg(RegClass::Int)).collect();
+        let b0 = f.add_block("b0");
+        let mut insts: Vec<Inst> =
+            regs.iter().map(|&r| Inst::alu(Opcode::Add, r, r.into(), Operand::ImmI(1))).collect();
+        insts.push(Inst::jump(b0));
+        f.block_mut(b0).insts = insts;
+        for (machine, limits, want) in [
+            (Machine::issue(2), SimLimits::cycles(10_007), SimError::CycleLimit(10_007)),
+            (
+                Machine::issue(8),
+                SimLimits { max_cycles: 1_000_000, max_dyn_insts: 20_011 },
+                SimError::DynInstLimit(20_011),
+            ),
+        ] {
+            assert_eq!(agree(&m, &machine, vec![], limits).unwrap_err(), want);
+        }
+    }
+
+    /// A counted loop whose body branches to `side` when `i == 77` and
+    /// leaves after 100 iterations: returns the module and `side`.
+    fn loop_with_late_side_exit() -> (Module, BlockId) {
+        let mut m = Module::new("t");
+        let out = m.symtab.declare("out", 1, RegClass::Int);
+        let f = &mut m.func;
+        let i = f.new_reg(RegClass::Int);
+        let entry = f.add_block("entry");
+        let body = f.add_block("body");
+        let exit = f.add_block("exit");
+        let side = f.add_block("side");
+        f.block_mut(entry).insts.push(Inst::mov(i, Operand::ImmI(0)));
+        f.block_mut(body).insts.extend([
+            Inst::alu(Opcode::Add, i, i.into(), Operand::ImmI(1)),
+            Inst::br(Cond::Eq, i.into(), Operand::ImmI(77), side),
+            Inst::br(Cond::Lt, i.into(), Operand::ImmI(100), body),
+        ]);
+        f.block_mut(exit).insts.push(Inst::halt());
+        f.block_mut(side).insts.extend([
+            Inst::store(Operand::Sym(out), Operand::ImmI(0), i.into(), MemLoc::affine(out, 0, 0)),
+            Inst::halt(),
+        ]);
+        (m, side)
+    }
+
+    /// A malformed record on a path first taken in iteration 77 traps
+    /// exactly as stepping does: the iteration that leaves the template's
+    /// path is rewound and stepped.
+    #[test]
+    fn steady_state_leaves_for_a_late_trap() {
+        let (mut m, side) = loop_with_late_side_exit();
+        let healthy = agree(&m, &Machine::issue(4), vec![0], SimLimits::cycles(10_000)).unwrap();
+        assert_eq!(healthy.memory, vec![77]);
+        assert!(healthy.replayed_insts > 0);
+        m.func.block_mut(side).insts[0].mem = None;
+        let err = agree(&m, &Machine::issue(4), vec![0], SimLimits::cycles(10_000)).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::Malformed { block: side, index: 0, reason: "missing memory tag" }
+        );
+    }
+
+    /// A search loop leaving mid-body on a match at element 200: results,
+    /// cycles, profile and memory counters equal the oracle's, and most of
+    /// the scan ran on the fast path.
+    #[test]
+    fn steady_state_search_loop_exits_mid_body() {
+        let n = 256;
+        let mut m = Module::new("search");
+        let a = m.symtab.declare("A", n, RegClass::Int);
+        let out = m.symtab.declare("out", 1, RegClass::Int);
+        let f = &mut m.func;
+        let i = f.new_reg(RegClass::Int);
+        let x = f.new_reg(RegClass::Int);
+        let entry = f.add_block("entry");
+        let body = f.add_block("body");
+        let rest = f.add_block("rest");
+        let miss = f.add_block("miss");
+        let hit = f.add_block("hit");
+        f.block_mut(entry).insts.push(Inst::mov(i, Operand::ImmI(0)));
+        f.block_mut(body).insts.extend([
+            Inst::load(x, Operand::Sym(a), i.into(), MemLoc::affine(a, 1, 0)),
+            Inst::br(Cond::Eq, x.into(), Operand::ImmI(-5), hit),
+        ]);
+        f.block_mut(rest).insts.extend([
+            Inst::alu(Opcode::Add, i, i.into(), Operand::ImmI(1)),
+            Inst::br(Cond::Lt, i.into(), Operand::ImmI(n as i64), body),
+        ]);
+        f.block_mut(miss).insts.extend([Inst::mov(i, Operand::ImmI(-1)), Inst::jump(hit)]);
+        f.block_mut(hit).insts.extend([
+            Inst::store(Operand::Sym(out), Operand::ImmI(0), i.into(), MemLoc::affine(out, 0, 0)),
+            Inst::halt(),
+        ]);
+        let mut mem: Vec<u64> = (0..=n as u64).collect();
+        mem[200] = -5i64 as u64;
+        for machine in [Machine::issue(1), Machine::issue(8)] {
+            let r = agree(&m, &machine, mem.clone(), SimLimits::cycles(100_000)).unwrap();
+            assert_eq!(r.memory[n], 200);
+            assert!(r.replayed_insts * 10 > r.dyn_insts * 9, "{r:?}");
+        }
+    }
+
+    /// FU limits leave slot state mid-cycle everywhere but at a taken
+    /// transfer, where the fast path starts: a one-port machine still
+    /// fast-forwards, exactly.
+    #[test]
+    fn steady_state_on_an_fu_limited_machine() {
+        let (m, _) = sum_module(64);
+        let mem: Vec<u64> = (0..65).map(|k| (k as f64).to_bits()).collect();
+        for machine in [Machine::issue(4).with_mem_ports(1), Machine::issue(2).with_fp_units(1)] {
+            let r = agree(&m, &machine, mem.clone(), SimLimits::cycles(100_000)).unwrap();
+            assert!(r.replayed_insts > 0, "{machine:?}");
+        }
+    }
+
+    /// With branch latency 0 the next iteration starts in the back-edge
+    /// cycle, where a store issued beside the branch still delays an
+    /// aliasing load: such an arrival is refused, one whose store issued a
+    /// cycle earlier is not.
+    #[test]
+    fn steady_state_with_zero_latency_branches() {
+        let machine = Machine {
+            latency: ilpc_machine::LatencyTable { branch: 0, ..ilpc_machine::TABLE1 },
+            ..Machine::issue(4)
+        };
+        let store_index = |in_branch_cycle: bool| {
+            let mut m = Module::new("t");
+            let a = m.symtab.declare("A", 64, RegClass::Int);
+            let f = &mut m.func;
+            let i = f.new_reg(RegClass::Int);
+            let x = f.new_reg(RegClass::Int);
+            let entry = f.add_block("entry");
+            let body = f.add_block("body");
+            let exit = f.add_block("exit");
+            f.block_mut(entry).insts.push(Inst::mov(i, Operand::ImmI(0)));
+            // The store's index is `i` (ready with the branch's operand) or
+            // a constant (ready at once).
+            let at = if in_branch_cycle { i.into() } else { Operand::ImmI(63) };
+            f.block_mut(body).insts.extend([
+                Inst::load(x, Operand::Sym(a), Operand::ImmI(0), MemLoc::opaque(a)),
+                Inst::alu(Opcode::Add, i, i.into(), Operand::ImmI(1)),
+                Inst::store(Operand::Sym(a), at, Operand::ImmI(9), MemLoc::opaque(a)),
+                Inst::br(Cond::Lt, i.into(), Operand::ImmI(48), body),
+            ]);
+            f.block_mut(exit).insts.push(Inst::halt());
+            agree(&m, &machine, vec![7; 64], SimLimits::cycles(100_000)).unwrap()
+        };
+        assert_eq!(store_index(true).replayed_insts, 0);
+        assert!(store_index(false).replayed_insts > 0);
     }
 
     /// Decode-once reuse: one `DecodedProgram` serves repeated simulations

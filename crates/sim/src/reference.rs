@@ -489,6 +489,7 @@ pub fn simulate_limited_reference(
                         memory: cpu.mem,
                         branch_profile,
                         mem: memsys.stats(),
+                        replayed_insts: 0,
                     });
                 }
                 Opcode::Nop => unreachable!(),

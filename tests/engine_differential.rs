@@ -5,11 +5,14 @@
 //! tree-walking interpreter (`ilpc_sim::reference`, the executable
 //! specification) on *every observable*: cycle count, dynamic instruction
 //! count, final memory image, branch profile, and memory-hierarchy
-//! statistics — across the full 40-workload × 5-level × 3-width grid,
-//! under perfect memory and under a finite cache (whose extra-latency
-//! callbacks are order-sensitive, so cycle identity here also proves the
-//! engines issue accesses in the same order). Structural corruption must
-//! produce the *same typed error* from both engines, coordinates included.
+//! statistics — across the full 40-workload × 6-level × 3-width grid plus
+//! `Lev6` at VLEN 4 (840 points), under perfect memory and under a finite
+//! cache (whose extra-latency callbacks are order-sensitive, so cycle
+//! identity here also proves the engines issue accesses in the same
+//! order). Under perfect memory most of that work is retired by the
+//! steady-state fast path, so the grid holds it to the oracle too; under
+//! the cache the fast path never runs. Structural corruption must produce
+//! the *same typed error* from both engines, coordinates included.
 
 use ilp_compiler::harness::compile::compile;
 use ilp_compiler::harness::run::cycle_budget;
@@ -17,16 +20,22 @@ use ilp_compiler::prelude::*;
 use ilp_compiler::sim::reference::simulate_limited_reference;
 use ilp_compiler::sim::{memory_from_init, simulate_limited, SimLimits};
 
-fn assert_engines_agree_on_grid(mem_cfg: MemConfig) {
+/// Checks every point and returns the dynamic instructions the fast path
+/// retired, summed over the grid.
+fn assert_engines_agree_on_grid(mem_cfg: MemConfig) -> u64 {
     let workloads = build_all(0.04);
     assert_eq!(workloads.len(), 40);
     let mut checked = 0usize;
+    let mut replayed = 0u64;
+    // Every level on scalar machines, and Lev6 on VLEN-4 ones: the only
+    // points whose code holds the six vector opcodes.
+    let points = Level::ALL.iter().map(|&l| (l, 1)).chain([(Level::Lev6, 4)]);
     for w in &workloads {
         let reference_exec = interpret(&w.program, &w.init);
         let limits = SimLimits::cycles(cycle_budget(reference_exec.stmts_executed));
-        for level in Level::ALL {
+        for (level, vlen) in points.clone() {
             for width in [1u32, 4, 8] {
-                let machine = Machine::issue(width).with_mem(mem_cfg);
+                let machine = Machine::issue(width).with_vlen(vlen).with_mem(mem_cfg);
                 let compiled = compile(w, level, &machine);
                 let mem = memory_from_init(&compiled.module.symtab, &w.init);
                 let fast = simulate_limited(&compiled.module, &machine, mem.clone(), limits)
@@ -38,29 +47,35 @@ fn assert_engines_agree_on_grid(mem_cfg: MemConfig) {
                         .unwrap_or_else(|e| {
                             panic!("{} {level} issue-{width} (oracle): {e}", w.meta.name)
                         });
-                let tag = format!("{} {level} issue-{width}", w.meta.name);
+                let tag = format!("{} {level} vlen-{vlen} issue-{width}", w.meta.name);
                 assert_eq!(fast.cycles, oracle.cycles, "{tag}: cycles");
                 assert_eq!(fast.dyn_insts, oracle.dyn_insts, "{tag}: dyn_insts");
                 assert_eq!(fast.memory, oracle.memory, "{tag}: memory image");
                 assert_eq!(fast.branch_profile, oracle.branch_profile, "{tag}: profile");
                 assert_eq!(fast.mem, oracle.mem, "{tag}: mem stats");
+                assert!(fast.replayed_insts <= fast.dyn_insts, "{tag}: replayed");
+                replayed += fast.replayed_insts;
                 checked += 1;
             }
         }
     }
-    assert_eq!(checked, 40 * Level::ALL.len() * 3);
+    assert_eq!(checked, 40 * (Level::ALL.len() + 1) * 3);
+    replayed
 }
 
 #[test]
 fn engines_identical_on_full_grid_under_perfect_memory() {
-    assert_engines_agree_on_grid(MemConfig::Perfect);
+    let replayed = assert_engines_agree_on_grid(MemConfig::Perfect);
+    assert!(replayed > 0, "the steady-state fast path never ran");
 }
 
 #[test]
 fn engines_identical_on_full_grid_under_finite_cache() {
     // A small cache with asymmetric penalties: load misses retime results,
     // store misses stall issue — both paths must interleave identically.
-    assert_engines_agree_on_grid(MemConfig::cache(CacheParams::new(4, 8, 2, 30, 10)));
+    let replayed =
+        assert_engines_agree_on_grid(MemConfig::cache(CacheParams::new(4, 8, 2, 30, 10)));
+    assert_eq!(replayed, 0, "the fast path ran under a cache");
 }
 
 /// Structural corruption (the decode-time trap path of the fast engine)
