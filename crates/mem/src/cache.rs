@@ -120,21 +120,36 @@ impl CacheParams {
 /// flat memory is always architecturally current). Recency is positional:
 /// within a set, way 0 is the most recently used and the last way the
 /// least, so no per-line timestamp is needed.
+///
+/// The flags are `u32` 0/1 rather than `bool` so a line has no padding: a
+/// padded line was moved field by field through the stack whenever ways
+/// shift, which showed in every cached simulation.
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
-    valid: bool,
-    dirty: bool,
     /// Full line address (`word_addr >> line_shift`) — unambiguous tag.
     tag: u64,
+    valid: u32,
+    dirty: u32,
 }
 
-/// What one level did with an access.
-struct Fill {
-    hit: bool,
-    /// A valid line was displaced by the fill.
-    evicted: bool,
-    /// The displaced line was dirty (write-back traffic).
-    writeback: bool,
+/// What one level did with an access: enough to take it back.
+#[derive(Debug, Clone, Copy)]
+enum Fill {
+    /// The line was at `way` with dirty bit `dirty`; it is now at way 0.
+    Hit { way: usize, dirty: bool },
+    /// The line was absent: the set's last way, `victim`, was displaced
+    /// and the line inserted at way 0.
+    Miss { victim: Line },
+}
+
+/// The inverse of one level access, kept while a span is undoable: O(1)
+/// memory however many ways the set has.
+#[derive(Debug, Clone, Copy)]
+struct Undo {
+    l2: bool,
+    /// Index of the set's way 0 in `Level::lines`.
+    set: usize,
+    fill: Fill,
 }
 
 /// One set-associative level.
@@ -164,6 +179,20 @@ impl Level {
         self.lines.fill(Line::default());
     }
 
+    /// Index of way 0 of the set holding word `addr`.
+    #[inline]
+    fn set_of(&self, addr: u64) -> usize {
+        ((addr >> self.line_shift) & self.set_mask) as usize * self.ways
+    }
+
+    /// Whether `addr` hits the front way of its set, which already holds
+    /// the dirty bit an access with `dirty` would leave.
+    #[inline(always)]
+    fn front_hit(&self, addr: u64, dirty: bool) -> bool {
+        let l = self.lines[self.set_of(addr)];
+        l.valid != 0 && l.tag == addr >> self.line_shift && (l.dirty != 0 || !dirty)
+    }
+
     /// Probe for `addr`; on miss, allocate (write-allocate) via LRU.
     ///
     /// Each set keeps its ways in recency order (way 0 = most recently
@@ -173,49 +202,91 @@ impl Level {
     /// one compare against the front way.
     #[inline]
     fn access(&mut self, addr: u64, dirty: bool) -> Fill {
-        let line_addr = addr >> self.line_shift;
-        let set = (line_addr & self.set_mask) as usize * self.ways;
+        let tag = addr >> self.line_shift;
+        let set = self.set_of(addr);
         let slots = &mut self.lines[set..set + self.ways];
         // Front-way hit: already most recently used, nothing moves.
-        if slots[0].valid && slots[0].tag == line_addr {
-            slots[0].dirty |= dirty;
-            return Fill { hit: true, evicted: false, writeback: false };
+        if slots[0].valid != 0 && slots[0].tag == tag {
+            let was = slots[0].dirty != 0;
+            slots[0].dirty |= dirty as u32;
+            return Fill::Hit { way: 0, dirty: was };
         }
-        for k in 1..slots.len() {
-            if slots[k].valid && slots[k].tag == line_addr {
-                let mut l = slots[k];
-                l.dirty |= dirty;
-                slots.copy_within(0..k, 1);
-                slots[0] = l;
-                return Fill { hit: true, evicted: false, writeback: false };
-            }
+        // A hit moves its line to the front; a miss inserts it there and
+        // the last way (an invalid one if the set is not yet full, else
+        // the least recently used) falls out. Either way, the ways in
+        // front of it move down one.
+        let hit = (1..slots.len()).find(|&k| slots[k].valid != 0 && slots[k].tag == tag);
+        let end = hit.unwrap_or(slots.len() - 1);
+        let front = match hit {
+            Some(k) => Line { dirty: slots[k].dirty | dirty as u32, ..slots[k] },
+            None => Line { valid: 1, dirty: dirty as u32, tag },
+        };
+        let out = shift_in(&mut slots[..=end], front);
+        match hit {
+            Some(k) => Fill::Hit { way: k, dirty: out.dirty != 0 },
+            None => Fill::Miss { victim: out },
         }
-        // Miss: the victim is the last way — an invalid one if the set is
-        // not yet full (insertions keep valid lines in front), else the
-        // least recently used.
-        let victim = slots[slots.len() - 1];
-        let evicted = victim.valid;
-        let writeback = evicted && victim.dirty;
-        slots.copy_within(0..slots.len() - 1, 1);
-        slots[0] = Line { valid: true, dirty, tag: line_addr };
-        Fill { hit: false, evicted, writeback }
     }
 
-    /// Install a line without a demand access (buffered L1 write-back into
-    /// the L2). Counts as most-recently-used; returns whether a dirty
-    /// victim was displaced to memory.
-    fn install_dirty(&mut self, addr: u64) -> bool {
-        self.access(addr, true).writeback
+    /// Take back the access that returned `fill` on the set at `set`,
+    /// given that nothing has touched the set since.
+    fn revert(&mut self, set: usize, fill: Fill) {
+        let slots = &mut self.lines[set..set + self.ways];
+        let (end, back) = match fill {
+            Fill::Hit { way, dirty } => (way, Line { dirty: dirty as u32, ..slots[0] }),
+            Fill::Miss { victim } => (slots.len() - 1, victim),
+        };
+        let mut carry = back;
+        for s in slots[..=end].iter_mut().rev() {
+            carry = std::mem::replace(s, carry);
+        }
+    }
+
+    /// Word address of the first word of a displaced line.
+    fn line_base(&self, l: Line) -> u64 {
+        l.tag << self.line_shift
+    }
+}
+
+/// Put `front` at way 0 of `slots`, moving every way down one; returns the
+/// way that falls off the end. (A loop, not `copy_within`: sets are
+/// usually a few ways, where a `memmove` call costs more than the move.)
+#[inline]
+fn shift_in(slots: &mut [Line], front: Line) -> Line {
+    let mut carry = front;
+    for s in slots {
+        carry = std::mem::replace(s, carry);
+    }
+    carry
+}
+
+impl Fill {
+    /// The valid line the access displaced, if any.
+    fn displaced(self) -> Option<Line> {
+        match self {
+            Fill::Miss { victim } if victim.valid != 0 => Some(victim),
+            _ => None,
+        }
+    }
+
+    /// Whether taking the access back needs a journal entry: a front-way
+    /// hit that did not newly dirty its line changed nothing but counters.
+    fn moved(self, dirty: bool) -> bool {
+        !matches!(self, Fill::Hit { way: 0, dirty: was } if was || !dirty)
     }
 }
 
 /// Set-associative write-back L1 data cache with an optional unified L2.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CacheMem {
     params: CacheParams,
     l1: Level,
     l2: Option<Level>,
     stats: MemStats,
+    /// Inverses of the undoable span's accesses, oldest first, and the
+    /// statistics when it began.
+    journal: Vec<Undo>,
+    mark: MemStats,
 }
 
 impl CacheMem {
@@ -225,34 +296,57 @@ impl CacheMem {
             l1: Level::new(params.l1),
             l2: params.l2.map(|p| Level::new(p.geom)),
             stats: MemStats::default(),
+            journal: Vec::new(),
+            mark: MemStats::default(),
         }
     }
 
     pub fn params(&self) -> &CacheParams {
         &self.params
     }
-}
 
-impl MemModel for CacheMem {
-    #[inline]
-    fn access(&mut self, kind: Access, addr: u64) -> u64 {
-        let is_store = kind == Access::Store;
+    /// Entries the undoable span holds: at most three per access (the L1
+    /// set, the L2 set a dirty victim lands in, the L2 probe).
+    pub fn journal_len(&self) -> usize {
+        self.journal.len()
+    }
+
+    /// One access; with `JOURNAL`, every set change is journaled.
+    #[inline(always)]
+    fn access_with<const JOURNAL: bool>(&mut self, kind: Access, addr: u64) -> u64 {
         match kind {
             Access::Load => self.stats.loads += 1,
             Access::Store => self.stats.stores += 1,
         }
+        // The common case inline: a front-way hit that leaves its line's
+        // dirty bit as it was changes nothing but the counter above.
+        if self.l1.front_hit(addr, kind == Access::Store) {
+            return 0;
+        }
+        self.access_rest::<JOURNAL>(kind, addr)
+    }
+
+    /// Every access but an unchanged front-way hit, out of line so the hit
+    /// path stays small wherever it is inlined.
+    #[inline(never)]
+    fn access_rest<const JOURNAL: bool>(&mut self, kind: Access, addr: u64) -> u64 {
+        let is_store = kind == Access::Store;
         let fill = self.l1.access(addr, is_store);
-        if fill.hit {
+        if JOURNAL && fill.moved(is_store) {
+            self.journal.push(Undo { l2: false, set: self.l1.set_of(addr), fill });
+        }
+        if let Fill::Hit { .. } = fill {
             return 0;
         }
         match kind {
             Access::Load => self.stats.load_misses += 1,
             Access::Store => self.stats.store_misses += 1,
         }
-        if fill.evicted {
+        let victim = fill.displaced();
+        if victim.is_some() {
             self.stats.evictions += 1;
         }
-        if fill.writeback {
+        if victim.is_some_and(|v| v.dirty != 0) {
             self.stats.writebacks += 1;
         }
         let memory_latency = if is_store {
@@ -265,18 +359,29 @@ impl MemModel for CacheMem {
                 self.stats.l2_accesses += 1;
                 // A dirty L1 victim lands in the L2 (buffered, no stall);
                 // if that displaces a dirty L2 line it goes to memory.
-                if fill.writeback && l2.install_dirty(addr) {
-                    self.stats.writebacks += 1;
-                }
-                let f2 = l2.access(addr, false);
-                if f2.hit {
-                    p.hit_latency as u64
-                } else {
-                    self.stats.l2_misses += 1;
-                    if f2.writeback {
+                if let Some(v) = victim.filter(|v| v.dirty != 0) {
+                    let at = self.l1.line_base(v);
+                    let f = l2.access(at, true);
+                    if JOURNAL && f.moved(true) {
+                        self.journal.push(Undo { l2: true, set: l2.set_of(at), fill: f });
+                    }
+                    if f.displaced().is_some_and(|l| l.dirty != 0) {
                         self.stats.writebacks += 1;
                     }
-                    memory_latency
+                }
+                let f2 = l2.access(addr, false);
+                if JOURNAL && f2.moved(false) {
+                    self.journal.push(Undo { l2: true, set: l2.set_of(addr), fill: f2 });
+                }
+                match f2 {
+                    Fill::Hit { .. } => p.hit_latency as u64,
+                    Fill::Miss { .. } => {
+                        self.stats.l2_misses += 1;
+                        if f2.displaced().is_some_and(|l| l.dirty != 0) {
+                            self.stats.writebacks += 1;
+                        }
+                        memory_latency
+                    }
                 }
             }
             _ => memory_latency,
@@ -284,13 +389,41 @@ impl MemModel for CacheMem {
         self.stats.miss_cycles += extra;
         extra
     }
+}
+
+impl MemModel for CacheMem {
+    #[inline]
+    fn access(&mut self, kind: Access, addr: u64) -> u64 {
+        self.access_with::<false>(kind, addr)
+    }
 
     fn stats(&self) -> MemStats {
         self.stats
     }
 
+    fn begin(&mut self) {
+        self.journal.clear();
+        self.mark = self.stats;
+    }
+
+    #[inline]
+    fn access_undoable(&mut self, kind: Access, addr: u64) -> u64 {
+        self.access_with::<true>(kind, addr)
+    }
+
+    fn undo(&mut self) {
+        for u in self.journal.drain(..).rev() {
+            match (u.l2, &mut self.l2) {
+                (true, Some(l2)) => l2.revert(u.set, u.fill),
+                _ => self.l1.revert(u.set, u.fill),
+            }
+        }
+        self.stats = self.mark;
+    }
+
     fn reset(&mut self) {
         self.stats = MemStats::default();
+        self.journal.clear();
         self.l1.clear();
         if let Some(l2) = &mut self.l2 {
             l2.clear();
@@ -416,10 +549,56 @@ mod tests {
         // memory writeback happened.
         let p = CacheParams::new(1, 1, 1, 100, 100).with_l2(1, 64, 4, 8);
         let mut c = CacheMem::new(p);
-        c.access(Access::Store, 0);
-        c.access(Access::Load, 1);
+        assert_eq!(c.access(Access::Store, 0), 100);
+        // B was never touched: the write-back installs A's line, not B's,
+        // so B's L2 probe misses and goes to memory.
+        assert_eq!(c.access(Access::Load, 1), 100);
+        assert_eq!(c.stats().l2_misses, 2);
         assert_eq!(c.access(Access::Load, 0), 8);
-        assert_eq!(c.stats().writebacks, 1); // L1→L2 transfer counted once
+        let s = c.stats();
+        assert_eq!(s.writebacks, 1); // L1→L2 transfer counted once
+        assert_eq!((s.l2_accesses, s.l2_misses), (3, 2));
+    }
+
+    #[test]
+    fn dirty_victim_lands_in_l2_after_its_own_fill_was_evicted() {
+        // L1: 1 set × 2 ways of 1-word lines. L2: 4 direct-mapped sets of
+        // 2-word lines, so words 8 and 0 share L2 set 0 and word 2 maps to
+        // set 1. Store 8 (dirty in L1), load 0 (evicts 8's line from the
+        // L2 only), load 2 (8 is the L1 victim: its write-back re-installs
+        // L2 line 4), load 9: served by that line at L2 speed.
+        let p = CacheParams::new(1, 1, 2, 100, 100).with_l2(2, 4, 1, 8);
+        let mut c = CacheMem::new(p);
+        assert_eq!(c.access(Access::Store, 8), 100);
+        assert_eq!(c.access(Access::Load, 0), 100);
+        assert_eq!(c.access(Access::Load, 2), 100);
+        assert_eq!(c.access(Access::Load, 9), 8);
+        let s = c.stats();
+        assert_eq!((s.l2_accesses, s.l2_misses, s.writebacks), (4, 3, 1));
+    }
+
+    #[test]
+    fn undo_restores_sets_and_stats_after_hits_moves_and_misses() {
+        // 1 set × 4 ways: a span with a front-way hit, a deep hit that
+        // moves a line to the front and dirties it, and a miss that evicts
+        // the LRU way; undo makes the cache answer as it did before.
+        let mut c = CacheMem::new(CacheParams::new(1, 1, 4, 30, 10));
+        loads(&mut c, &[1, 2, 3, 4]); // recency 4 3 2 1
+        let before = c.clone();
+        c.begin();
+        assert_eq!(c.access_undoable(Access::Load, 4), 0); // front way
+        assert_eq!(c.journal_len(), 0, "a front-way hit changes only counters");
+        assert_eq!(c.access_undoable(Access::Store, 1), 0); // deep, dirties
+        assert_eq!(c.access_undoable(Access::Load, 5), 30); // evicts 2
+        assert_eq!(c.journal_len(), 2);
+        c.undo();
+        assert_eq!(c.journal_len(), 0);
+        assert_eq!(c.stats(), before.stats());
+        let mut want = before;
+        for a in [5, 1, 2, 6, 3, 4] {
+            assert_eq!(c.access(Access::Load, a), want.access(Access::Load, a), "addr {a}");
+        }
+        assert_eq!(c.stats(), want.stats());
     }
 
     #[test]

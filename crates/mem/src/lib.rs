@@ -54,6 +54,26 @@ pub trait MemModel {
     /// Statistics accumulated since construction (or [`MemModel::reset`]).
     fn stats(&self) -> MemStats;
 
+    /// True when every access costs 0 extra cycles whatever came before
+    /// it: a simulator may then skip a span's accesses and credit its
+    /// loads and stores in bulk.
+    fn always_hits(&self) -> bool {
+        false
+    }
+
+    /// Open an undoable span: [`MemModel::undo`] takes back every
+    /// [`MemModel::access_undoable`] made after this call (and before the
+    /// next `begin`).
+    fn begin(&mut self);
+
+    /// [`MemModel::access`], journaled so [`MemModel::undo`] can take it
+    /// back.
+    fn access_undoable(&mut self, kind: Access, addr: u64) -> u64;
+
+    /// Restore contents and statistics to what they were at the last
+    /// [`MemModel::begin`].
+    fn undo(&mut self);
+
     /// Clear statistics and cache contents.
     fn reset(&mut self);
 
@@ -89,6 +109,20 @@ impl MemModel for PerfectMem {
     fn stats(&self) -> MemStats {
         self.stats
     }
+
+    fn always_hits(&self) -> bool {
+        true
+    }
+
+    // Nothing to journal: the simulator skips the accesses of a span it
+    // may undo and credits them itself (see `always_hits`).
+    fn begin(&mut self) {}
+
+    fn access_undoable(&mut self, _kind: Access, _addr: u64) -> u64 {
+        0
+    }
+
+    fn undo(&mut self) {}
 
     fn reset(&mut self) {
         self.stats = MemStats::default();

@@ -41,12 +41,15 @@
 //!   [`ilpc_mem::MemModel`] and monomorphized per configuration, so the
 //!   perfect-memory path inlines to two counter increments instead of a
 //!   virtual call per access.
-//! * **Steady-state fast path.** Under perfect memory, a loop iteration
-//!   that starts from the timing state the previous one started from, and
-//!   takes the same branch path, issues on the same cycles shifted by a
-//!   constant. Once two arrivals at a loop header agree, later iterations
-//!   along that path compute values only and add the learned cycle and
-//!   instruction deltas; any other path is rewound and stepped (see
+//! * **Steady-state fast path.** A block of loop iterations that starts
+//!   from the timing state an earlier block started from, takes the same
+//!   branch path, and whose accesses return the same extra latencies,
+//!   issues on the same cycles shifted by a constant. Once the arrivals at
+//!   a loop header show such a block (of up to 8 iterations, so a miss
+//!   every fourth one is a period), later blocks compute values only, make
+//!   their accesses through the memory model, and add the learned cycle
+//!   and instruction deltas; a different path or latency is rewound —
+//!   registers, memory, cache contents and counters — and stepped (see
 //!   `Steady`, and DESIGN §14).
 //!
 //! The legacy interpreter survives behind the `oracle` feature (off by
@@ -62,7 +65,7 @@ use ilpc_ir::{BlockId, Cond, MemLoc, Module, Opcode, Operand, RegClass, SymId};
 const VL: u32 = MAX_VLEN as u32;
 use ilpc_machine::{fu_kind, FuKind, LatencyTable, Machine, MemConfig};
 use ilpc_mem::{Access, CacheMem, MemModel, MemStats, PerfectMem};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 // Trap reasons — the exact strings the legacy engine reports.
 const R_MISSING_DST: u8 = 0;
@@ -749,24 +752,19 @@ pub fn simulate_decoded(
         "decoded program was built for a different latency table"
     );
     // Monomorphize per memory model: the perfect path inlines to two
-    // counter bumps, the cache path skips the Box<dyn> indirection. Only
-    // perfect memory takes the steady-state fast path: a miss retimes an
-    // iteration by the cache's LRU state, which values-only replay neither
-    // models nor could rewind.
+    // counter bumps, the cache path skips the Box<dyn> indirection.
     match machine.mem {
-        MemConfig::Perfect => run::<_, true>(p, machine, init_mem, limits, PerfectMem::new()),
-        MemConfig::Cache(params) => {
-            run::<_, false>(p, machine, init_mem, limits, CacheMem::new(params))
-        }
+        MemConfig::Perfect => run(p, machine, init_mem, limits, &mut PerfectMem::new()),
+        MemConfig::Cache(params) => run(p, machine, init_mem, limits, &mut CacheMem::new(params)),
     }
 }
 
-fn run<M: MemModel, const STEADY: bool>(
+fn run<M: MemModel>(
     p: &DecodedProgram,
     machine: &Machine,
     mem: Vec<u64>,
     limits: SimLimits,
-    memsys: M,
+    memsys: &mut M,
 ) -> Result<SimResult, SimError> {
     let issue_width = machine.issue_width.max(1);
     // Any per-class limit at or above the issue width can never bind:
@@ -781,9 +779,9 @@ fn run<M: MemModel, const STEADY: bool>(
         machine.fu.vec,
     ];
     if fu.iter().all(|&l| l >= issue_width) {
-        engine::<M, false, STEADY>(p, machine, mem, limits, memsys)
+        engine::<M, false>(p, machine, mem, limits, memsys)
     } else {
-        engine::<M, true, STEADY>(p, machine, mem, limits, memsys)
+        engine::<M, true>(p, machine, mem, limits, memsys)
     }
 }
 
@@ -902,12 +900,12 @@ fn vload(mem: &[u64], addr: i64, n: u8) -> [u64; VL as usize] {
 // arm; arms that end the cycle themselves (taken branches, halt, trap) then
 // overwrite or abandon those counters, which trips `unused_assignments`.
 #[allow(unused_assignments)]
-fn engine<M: MemModel, const FU: bool, const STEADY: bool>(
+fn engine<M: MemModel, const FU: bool>(
     p: &DecodedProgram,
     machine: &Machine,
     mut mem: Vec<u64>,
     limits: SimLimits,
-    mut memsys: M,
+    memsys: &mut M,
 ) -> Result<SimResult, SimError> {
     if mem.len() < p.mem_words {
         mem.resize(p.mem_words, 0);
@@ -953,8 +951,10 @@ fn engine<M: MemModel, const FU: bool, const STEADY: bool>(
     let mut fu_slots = [0u32; 6];
     let mut dyn_insts: u64 = 0;
     let mut pc: usize = 0;
-    // Stays empty (and every use compiles out) when `!STEADY`.
-    let mut steady = Steady::new(issue_width);
+    // Under a model that always hits, every access costs 0 extra cycles
+    // and the steady state records no latencies.
+    let timed = !memsys.always_hits();
+    let mut steady = Steady::new(issue_width, timed);
 
     // Decode validated every index used below — operand and destination
     // indices are in `0..file_len()` (an out-of-range register decodes to
@@ -1077,7 +1077,7 @@ fn engine<M: MemModel, const FU: bool, const STEADY: bool>(
                 slots = 0;
                 br_used = 0;
                 fu_slots = [0; 6];
-                if STEADY && pc <= from {
+                if pc <= from {
                     let live = Live {
                         file: &mut file,
                         ready: &mut ready,
@@ -1087,7 +1087,7 @@ fn engine<M: MemModel, const FU: bool, const STEADY: bool>(
                         cursor: &mut cursor,
                         dyn_insts: &mut dyn_insts,
                     };
-                    steady.arrive(p, pc, rs_last, memsys.stats(), limits, live);
+                    steady.arrive(p, pc, rs_last, memsys, limits, live);
                 }
                 continue;
             }};
@@ -1099,9 +1099,7 @@ fn engine<M: MemModel, const FU: bool, const STEADY: bool>(
                 let t = issue!(s.flags & F_HAS_DST != 0, true, false);
                 let taken = branch($op, file[ai], file[bi]);
                 br_exec[pc] += 1;
-                if STEADY {
-                    steady.path.push(taken);
-                }
+                steady.path.push(taken);
                 if taken {
                     br_taken[pc] += 1;
                     transfer!(t);
@@ -1158,6 +1156,7 @@ fn engine<M: MemModel, const FU: bool, const STEADY: bool>(
                 // A cache miss delays only this load's result (the cache
                 // is non-blocking for loads); issue continues.
                 let extra = memsys.access(Access::Load, addr as u64);
+                steady.latency(timed, extra);
                 let d = s.dst as usize;
                 file[d] = peek(&mem, addr);
                 ready[d] = t + lat + extra;
@@ -1171,6 +1170,7 @@ fn engine<M: MemModel, const FU: bool, const STEADY: bool>(
                 // write-allocate fill completes (extra = 0 under perfect
                 // memory: bit-for-bit legacy timing).
                 let extra = memsys.access(Access::Store, addr as u64);
+                steady.latency(timed, extra);
                 if extra > 0 {
                     cursor = t + extra;
                     slots = 0;
@@ -1195,7 +1195,9 @@ fn engine<M: MemModel, const FU: bool, const STEADY: bool>(
                 // widest miss delays the whole result.
                 let mut extra = 0u64;
                 for l in 0..lanes as i64 {
-                    extra = extra.max(memsys.access(Access::Load, addr.wrapping_add(l) as u64));
+                    let lane = memsys.access(Access::Load, addr.wrapping_add(l) as u64);
+                    steady.latency(timed, lane);
+                    extra = extra.max(lane);
                 }
                 set_vector!(t + extra, vload(&mem, addr, lanes));
             }
@@ -1207,7 +1209,9 @@ fn engine<M: MemModel, const FU: bool, const STEADY: bool>(
                 for l in 0..lanes as usize {
                     let a = addr.wrapping_add(l as i64);
                     poke(&mut mem, a, file[ci + l]);
-                    extra = extra.max(memsys.access(Access::Store, a as u64));
+                    let lane = memsys.access(Access::Store, a as u64);
+                    steady.latency(timed, lane);
+                    extra = extra.max(lane);
                 }
                 record_store!(t);
                 if extra > 0 {
@@ -1221,9 +1225,7 @@ fn engine<M: MemModel, const FU: bool, const STEADY: bool>(
             DOp::BrF(c) => cond!(DOp::BrF(c)),
             DOp::Jump => {
                 let t = issue!(s.flags & F_HAS_DST != 0, true, false);
-                if STEADY {
-                    steady.path.push(true);
-                }
+                steady.path.push(true);
                 transfer!(t);
             }
             DOp::Halt => {
@@ -1237,8 +1239,10 @@ fn engine<M: MemModel, const FU: bool, const STEADY: bool>(
                     }
                 }
                 let mut stats = memsys.stats();
-                stats.loads += steady.loads;
-                stats.stores += steady.stores;
+                if !timed {
+                    stats.loads += steady.loads;
+                    stats.stores += steady.stores;
+                }
                 return Ok(SimResult {
                     cycles: t + 1,
                     dyn_insts,
@@ -1281,12 +1285,14 @@ fn taken_target(p: &DecodedProgram, pc: usize, target: u32) -> Result<usize, Sim
 // ---- Steady-state fast path ---------------------------------------------
 //
 // In-order issue with fixed latencies makes a loop iteration's timing a
-// function of two things: the timing state it starts from, relative to the
-// cursor, and the branch path it takes. When two consecutive arrivals at a
-// loop header find the same relative state, the iteration between them is
-// a template, and every later iteration along its path costs exactly its
-// deltas. Those run values-only. DESIGN §14 "Steady-state fast path" has
-// the argument.
+// function of three things: the timing state it starts from, relative to
+// the cursor; the branch path it takes; and the extra latency the memory
+// model returns for each of its accesses. A block of k iterations that
+// starts and ends in the same relative state is a template: every later
+// block along its path, whose accesses return its latencies, costs exactly
+// its deltas. Those run values-only. They still make every access, in
+// order, and check each returned latency the way they check a branch
+// outcome. DESIGN §14 "Steady-state fast path" has the argument.
 
 /// The timing state at a loop-header arrival with cursor `C`: every
 /// scoreboard entry still busy at `C`, as `(file index, ready − C)` in
@@ -1296,17 +1302,42 @@ fn taken_target(p: &DecodedProgram, pc: usize, target: u32) -> Result<usize, Sim
 /// `ready + 1 − lat` is at most `C`).
 type Pending = Vec<(u32, u64)>;
 
+/// The longest template, in loop iterations: a miss every eighth
+/// iteration is the longest period a template captures.
+const MAX_PERIOD: usize = 8;
+
+/// Arrivals remembered at one header: two blocks of the longest period,
+/// and the arrival they start from.
+const WINDOW: usize = 2 * MAX_PERIOD + 1;
+
+#[cfg(test)]
+thread_local! {
+    /// The period of every template that retired a block on this thread.
+    pub(crate) static PERIODS: std::cell::RefCell<Vec<usize>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
 /// The longest detection pause (see `Steady::pause`), in arrivals.
 const MAX_PAUSE: u32 = 63;
 
 /// Counters at one loop-header arrival.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct Mark {
     header: usize,
     cursor: u64,
     dyn_insts: u64,
     loads: u64,
     stores: u64,
+}
+
+/// One loop-header arrival: its counters and timing state, and the branch
+/// path and access latencies of the iteration that ended at it.
+#[derive(Default)]
+struct Arrival {
+    mark: Mark,
+    pending: Pending,
+    path: Vec<bool>,
+    lats: Vec<u64>,
 }
 
 /// One record of a template iteration, in execution order, with its
@@ -1318,8 +1349,9 @@ struct Op {
     taken: bool,
 }
 
-/// An iteration from `header` back to `header` that starts and ends in the
-/// state `pending`: every iteration along the same path costs the same.
+/// A block of iterations from `header` back to `header` that starts and
+/// ends in the state `pending`: every block along the same path whose
+/// accesses return the same latencies costs the same.
 struct Template {
     header: usize,
     pending: Pending,
@@ -1329,10 +1361,27 @@ struct Template {
     /// `(pc, taken)` of each conditional branch on the path (the profile;
     /// jumps are not profiled).
     branches: Vec<(usize, bool)>,
+    /// The extra latency of each access, in order (empty under a memory
+    /// model that always hits).
+    lats: Vec<u64>,
+    /// Iterations per block (the tests read it).
+    #[cfg(test)]
+    period: usize,
     cycles: u64,
     insts: u64,
     loads: u64,
     stores: u64,
+}
+
+/// Why a fast-forward stopped.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Stop {
+    /// No room in the budgets for another block.
+    Budget,
+    /// A branch left the template's path.
+    Path,
+    /// An access returned a latency other than the template's.
+    Latency,
 }
 
 /// What a fast-forward reads and advances, borrowed from the stepping loop.
@@ -1352,50 +1401,71 @@ struct Steady {
     /// The store-alias history drains its 32 oldest entries past 64, which
     /// cuts into a same-cycle run longer than 32 and makes its timing
     /// depend on the history's length. A run is bounded by the issue width
-    /// and by an iteration's stores, so past 32 of both no template forms.
+    /// and by a block's stores, so past 32 of both no template forms.
     wide: bool,
-    /// The last loop-header arrival, and its state.
-    last: Option<Mark>,
-    last_pending: Pending,
-    /// Scratch: the state at the arrival being examined.
-    now: Pending,
-    /// Outcome of every branch and jump stepped since `last`.
+    /// The memory model returns latencies: they are recorded, and even
+    /// period 1 needs two blocks to show them repeat.
+    timed: bool,
+    /// The last arrivals at one header, oldest first. The first one's
+    /// `path` and `lats` belong to no iteration of the window.
+    window: VecDeque<Arrival>,
+    /// Arrivals that left the window, kept for their buffers.
+    spare: Vec<Arrival>,
+    /// Outcome of every branch and jump, and the extra latency of every
+    /// access, stepped since the last arrival.
     path: Vec<bool>,
+    lats: Vec<u64>,
     template: Option<Template>,
     /// Arrivals to let pass before detecting again, and the pause the next
-    /// unproductive fast-forward sets. One that retires under two
-    /// iterations (a data-dependent path, a loop about to exit) cost more
-    /// in learning and rewinding than it saved: each doubles the pause, up
-    /// to `MAX_PAUSE`, and a productive one clears it.
+    /// unproductive fast-forward sets. One that retires under two blocks
+    /// and leaves on a branch (a data-dependent path, a loop about to exit)
+    /// cost more in learning and rewinding than it saved: each doubles the
+    /// pause, up to `MAX_PAUSE`, and a productive one clears it.
     pause: u32,
     next_pause: u32,
     /// The header the pause applies to.
     paused: usize,
-    /// The current fast iteration's overwritten register and memory words.
+    /// The current fast block's overwritten register and memory words.
     undo_regs: Vec<(usize, u64)>,
     undo_mem: Vec<(usize, u64)>,
-    /// Totals retired by the fast path (`SimResult::replayed_insts` and
-    /// the `MemStats` the memory model never saw).
+    /// Totals retired by the fast path (`SimResult::replayed_insts`, and
+    /// the loads and stores a model that always hits never saw).
     insts: u64,
     loads: u64,
     stores: u64,
 }
 
 impl Steady {
-    fn new(issue_width: u32) -> Steady {
-        Steady { wide: issue_width > 32, ..Steady::default() }
+    fn new(issue_width: u32, timed: bool) -> Steady {
+        Steady { wide: issue_width > 32, timed, ..Steady::default() }
+    }
+
+    /// Record one access's extra latency: a path outcome like a branch's,
+    /// and always 0 (so not recorded) when the model is not `timed`.
+    #[inline(always)]
+    fn latency(&mut self, timed: bool, extra: u64) {
+        if timed {
+            self.lats.push(extra);
+        }
+    }
+
+    /// Forget the window and the iteration in progress.
+    fn forget(&mut self) {
+        self.spare.extend(self.window.drain(..));
+        self.path.clear();
+        self.lats.clear();
     }
 
     /// A taken branch or jump arrived at `header` from at or after it.
-    /// Learn a template if this arrival repeats the last one's state, run
-    /// the template while it holds, and remember this arrival.
+    /// Remember this arrival, learn a template if the window shows a
+    /// period, and run the template while it holds.
     #[inline(never)]
-    fn arrive(
+    fn arrive<M: MemModel>(
         &mut self,
         p: &DecodedProgram,
         header: usize,
         rs_last: u64,
-        stats: MemStats,
+        memsys: &mut M,
         limits: SimLimits,
         mut live: Live<'_>,
     ) {
@@ -1406,54 +1476,106 @@ impl Steady {
             // is still visible to the next iteration's loads, timing state
             // outside the scoreboard: this arrival starts nothing.
             self.pause -= pausing as u32;
-            self.last = None;
-            self.path.clear();
+            self.forget();
             return;
         }
-        self.now.clear();
-        let busy = live.ready[..p.regs].iter().enumerate().filter(|&(_, &r)| r >= c);
-        self.now.extend(busy.map(|(x, &r)| (x as u32, r - c)));
-        let (dyn_insts, loads, stores) = (*live.dyn_insts, stats.loads, stats.stores);
-        let mut mark = Mark { header, cursor: c, dyn_insts, loads, stores };
-        if let Some(last) = self.last.filter(|l| l.header == header) {
-            if self.last_pending == self.now {
-                if let Some(t) = self.learn(p, last, mark) {
-                    self.template = Some(t);
-                }
-            }
+        if self.window.front().is_some_and(|a| a.mark.header != header) {
+            self.forget();
         }
+        let mut a = self.spare.pop().unwrap_or_default();
+        let MemStats { loads, stores, .. } = memsys.stats();
+        a.mark = Mark { header, cursor: c, dyn_insts: *live.dyn_insts, loads, stores };
+        a.pending.clear();
+        let busy = live.ready[..p.regs].iter().enumerate().filter(|&(_, &r)| r >= c);
+        a.pending.extend(busy.map(|(x, &r)| (x as u32, r - c)));
+        std::mem::swap(&mut a.path, &mut self.path);
+        std::mem::swap(&mut a.lats, &mut self.lats);
         self.path.clear();
-        if let Some(t) = self.template.take() {
-            if t.header == header && t.pending == self.now {
-                if self.fast_forward(&t, limits, &mut live) < 2 {
-                    if self.paused != header {
-                        (self.paused, self.next_pause) = (header, 0);
-                    }
-                    self.pause = self.next_pause;
-                    self.next_pause = (2 * self.next_pause + 1).min(MAX_PAUSE);
-                } else if self.paused == header {
-                    self.next_pause = 0;
-                }
-                mark.cursor = *live.cursor;
-                mark.dyn_insts = *live.dyn_insts;
-            }
+        self.lats.clear();
+        if self.window.len() == WINDOW {
+            self.spare.extend(self.window.pop_front());
+        }
+        self.window.push_back(a);
+
+        if let Some(t) = self.period().and_then(|k| self.learn(p, k)) {
             self.template = Some(t);
         }
-        self.last = Some(mark);
-        std::mem::swap(&mut self.last_pending, &mut self.now);
+        let Some(t) = self.template.take() else { return };
+        if t.header != header || self.window.back().is_some_and(|a| a.pending != t.pending) {
+            self.template = Some(t);
+            return;
+        }
+        let (n, stop) = self.fast_forward(&t, memsys, limits, &mut live);
+        #[cfg(test)]
+        if n > 0 {
+            PERIODS.with_borrow_mut(|v| v.push(t.period));
+        }
+        if n >= 2 {
+            if self.paused == header {
+                self.next_pause = 0;
+            }
+            self.template = Some(t);
+        } else if stop == Stop::Latency {
+            // The miss pattern moved (a new row, a conflict): the template
+            // is dropped, for its state recurs at other phases of the new
+            // pattern, where it would fail again.
+        } else {
+            if self.paused != header {
+                (self.paused, self.next_pause) = (header, 0);
+            }
+            self.pause = self.next_pause;
+            self.next_pause = (2 * self.next_pause + 1).min(MAX_PAUSE);
+            self.template = Some(t);
+        }
+        if n > 0 {
+            // The blocks it retired were never stepped: the window restarts
+            // at this arrival.
+            let mut a = self.window.pop_back().expect("this arrival");
+            self.forget();
+            let MemStats { loads, stores, .. } = memsys.stats();
+            a.mark = Mark { cursor: *live.cursor, dyn_insts: *live.dyn_insts, loads, stores, header };
+            self.window.push_back(a);
+        }
     }
 
-    /// The iteration stepped from `from` to `to`, rebuilt from `path` by
-    /// walking the code from the header.
-    fn learn(&self, p: &DecodedProgram, from: Mark, to: Mark) -> Option<Template> {
+    /// The smallest period `k` the window shows, if any:
+    /// - the arrival `k` back found this arrival's state, so the `k`
+    ///   iterations between them form a template (the exactness condition);
+    /// - the latencies repeat every `k` iterations across the whole window,
+    ///   so that, once the window has seen a miss, the all-hit iterations
+    ///   between misses every fourth (say) do not pass for period 1;
+    /// - the window holds two blocks, which agree in state and path. Under
+    ///   a model that always hits there are no latencies, and one repeat of
+    ///   the state is evidence enough for `k = 1`.
+    fn period(&self) -> Option<usize> {
+        let w = &self.window;
+        let m = w.len() - 1;
+        (1..=m.min(MAX_PERIOD)).find(|&k| {
+            w[m - k].pending == w[m].pending
+                && (k == 1 && !self.timed
+                    || m >= 2 * k
+                        && (1..=k).all(|j| w[m - k - j].pending == w[m - j].pending)
+                        && (0..k).all(|j| w[m - k - j].path == w[m - j].path))
+                && (k + 1..=m).all(|i| w[i].lats == w[i - k].lats)
+        })
+    }
+
+    /// The block of the window's last `k` iterations, rebuilt from their
+    /// paths by walking the code from the header.
+    fn learn(&self, p: &DecodedProgram, k: usize) -> Option<Template> {
+        let w = &self.window;
+        let m = w.len() - 1;
+        let (from, to) = (w[m - k].mark, w[m].mark);
         let stores = to.stores - from.stores;
         if self.wide && stores > 32 {
             return None;
         }
+        let block = w.range(m + 1 - k..);
         let insts = to.dyn_insts - from.dyn_insts;
         let mut ops = Vec::with_capacity(insts as usize);
-        let mut branches = Vec::with_capacity(self.path.len());
-        let mut outcomes = self.path.iter();
+        let mut branches = Vec::new();
+        let path: Vec<bool> = block.clone().flat_map(|a| a.path.iter().copied()).collect();
+        let mut outcomes = path.iter();
         let mut pc = from.header;
         while outcomes.len() > 0 {
             let s = *p.code.get(pc)?;
@@ -1481,9 +1603,12 @@ impl Steady {
         }
         (pc == from.header).then(|| Template {
             header: from.header,
-            pending: self.now.clone(),
+            pending: w[m].pending.clone(),
             ops,
             branches,
+            lats: block.flat_map(|a| a.lats.iter().copied()).collect(),
+            #[cfg(test)]
+            period: k,
             cycles: to.cursor - from.cursor,
             insts,
             loads: to.loads - from.loads,
@@ -1491,22 +1616,35 @@ impl Steady {
         })
     }
 
-    /// Run whole iterations of `t` values-only while they follow its path
-    /// and the budgets have room for one more; then stepping resumes at
-    /// the header in exactly the state it would have reached. Errors and
-    /// the loop's exit thus still come from the stepping engine.
-    fn fast_forward(&mut self, t: &Template, limits: SimLimits, live: &mut Live<'_>) -> u64 {
-        // Iterations that fit: each ends at most `cycles` and `insts` later,
+    /// Run whole blocks of `t` values-only while they follow its path, the
+    /// memory model returns its latencies, and the budgets have room for
+    /// one more; then stepping resumes at the header in exactly the state
+    /// it would have reached. Errors and the loop's exit thus still come
+    /// from the stepping engine.
+    fn fast_forward<M: MemModel>(
+        &mut self,
+        t: &Template,
+        memsys: &mut M,
+        limits: SimLimits,
+        live: &mut Live<'_>,
+    ) -> (u64, Stop) {
+        // Blocks that fit: each ends at most `cycles` and `insts` later,
         // and every issue inside it is no later than its end.
         let room = |left: u64, per: u64| left.checked_div(per).unwrap_or(u64::MAX);
         let fit = room(limits.max_cycles.saturating_sub(*live.cursor), t.cycles)
             .min(room(limits.max_dyn_insts.saturating_sub(*live.dyn_insts), t.insts));
-        let mut n = 0u64;
-        while n < fit && self.iterate(t, live.file, live.mem) {
+        let (mut n, mut stop) = (0u64, Stop::Budget);
+        while n < fit {
+            memsys.begin();
+            if let Err(why) = self.iterate(t, live.file, live.mem, memsys) {
+                memsys.undo();
+                stop = why;
+                break;
+            }
             n += 1;
         }
         if n == 0 {
-            return 0;
+            return (0, stop);
         }
         *live.cursor += n * t.cycles;
         *live.dyn_insts += n * t.insts;
@@ -1522,12 +1660,22 @@ impl Steady {
         self.insts += n * t.insts;
         self.loads += n * t.loads;
         self.stores += n * t.stores;
-        n
+        (n, stop)
     }
 
-    /// One iteration of `t`, values only. On leaving the path it undoes
-    /// its writes and returns false.
-    fn iterate(&mut self, t: &Template, file: &mut [u64], mem: &mut [u64]) -> bool {
+    /// One block of `t`, values only, making its accesses through
+    /// `memsys`. On leaving the path, or on an access whose latency differs
+    /// from the template's, it undoes its register and memory writes
+    /// (the caller undoes the model) and says which it was.
+    fn iterate<M: MemModel>(
+        &mut self,
+        t: &Template,
+        file: &mut [u64],
+        mem: &mut [u64],
+        memsys: &mut M,
+    ) -> Result<(), Stop> {
+        let timed = !memsys.always_hits();
+        let mut lats = t.lats.iter();
         let (regs, words) = (&mut self.undo_regs, &mut self.undo_mem);
         regs.clear();
         words.clear();
@@ -1538,6 +1686,26 @@ impl Steady {
                 regs.push((d, std::mem::replace(&mut file[d], v)));
             }};
         }
+        // Leaving the block: rewind its writes, newest first.
+        macro_rules! rewind {
+            ($why:expr) => {{
+                for &(x, v) in regs.iter().rev() {
+                    file[x] = v;
+                }
+                for &(x, v) in words.iter().rev() {
+                    mem[x] = v;
+                }
+                return Err($why);
+            }};
+        }
+        // The real access; its latency is checked like a branch outcome.
+        macro_rules! access {
+            ($kind:expr, $addr:expr) => {
+                if timed && lats.next() != Some(&memsys.access_undoable($kind, $addr as u64)) {
+                    rewind!(Stop::Latency);
+                }
+            };
+        }
         for op in &t.ops {
             let s = &op.s;
             let (a, b, d) = (s.a as usize, s.b as usize, s.dst as usize);
@@ -1546,17 +1714,10 @@ impl Steady {
                     set!(d, scalar($op, file[a], file[b]))
                 };
             }
-            // Leaving the path: rewind the iteration's writes, newest first.
             macro_rules! cond {
                 ($op:expr) => {
                     if branch($op, file[a], file[b]) != op.taken {
-                        for &(x, v) in regs.iter().rev() {
-                            file[x] = v;
-                        }
-                        for &(x, v) in words.iter().rev() {
-                            mem[x] = v;
-                        }
-                        return false;
+                        rewind!(Stop::Path);
                     }
                 };
             }
@@ -1578,8 +1739,16 @@ impl Steady {
                 DOp::Mov => alu!(DOp::Mov),
                 DOp::CvtIF => alu!(DOp::CvtIF),
                 DOp::CvtFI => alu!(DOp::CvtFI),
-                DOp::Load => set!(d, peek(mem, address(file, s, op.ext))),
-                DOp::Store => words.extend(poke(mem, address(file, s, op.ext), file[s.c as usize])),
+                DOp::Load => {
+                    let addr = address(file, s, op.ext);
+                    access!(Access::Load, addr);
+                    set!(d, peek(mem, addr));
+                }
+                DOp::Store => {
+                    let addr = address(file, s, op.ext);
+                    words.extend(poke(mem, addr, file[s.c as usize]));
+                    access!(Access::Store, addr);
+                }
                 DOp::VAdd(_) | DOp::VMul(_) | DOp::VSplat(_) => {
                     for (l, v) in vector(s.op, file, a, b).into_iter().enumerate() {
                         set!(d + l, v);
@@ -1587,15 +1756,20 @@ impl Steady {
                 }
                 DOp::VReduce(n) => set!(d, reduce(file, a, n)),
                 DOp::VLoad(n) => {
-                    for (l, v) in vload(mem, address(file, s, op.ext), n).into_iter().enumerate() {
+                    let addr = address(file, s, op.ext);
+                    for l in 0..n as i64 {
+                        access!(Access::Load, addr.wrapping_add(l));
+                    }
+                    for (l, v) in vload(mem, addr, n).into_iter().enumerate() {
                         set!(d + l, v);
                     }
                 }
                 DOp::VStore(n) => {
                     let addr = address(file, s, op.ext);
                     for l in 0..n as usize {
-                        let w = file[s.c as usize + l];
-                        words.extend(poke(mem, addr.wrapping_add(l as i64), w));
+                        let (at, w) = (addr.wrapping_add(l as i64), file[s.c as usize + l]);
+                        words.extend(poke(mem, at, w));
+                        access!(Access::Store, at);
                     }
                 }
                 DOp::BrI(c) => cond!(DOp::BrI(c)),
@@ -1608,6 +1782,93 @@ impl Steady {
                 | DOp::TrapEarly(_) => unreachable!("{:?} is never a template op", s.op),
             }
         }
-        true
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reference::simulate_limited_reference;
+    use ilpc_ir::inst::Inst;
+    use ilpc_ir::{Cond, MemLoc, Opcode, Operand, RegClass};
+    use ilpc_mem::CacheParams;
+
+    /// A cache that checks, at every undoable access, that its journal
+    /// holds no more entries than the span has made accesses.
+    struct Watch {
+        cache: CacheMem,
+        span: usize,
+        within: bool,
+    }
+
+    impl MemModel for Watch {
+        fn access(&mut self, kind: Access, addr: u64) -> u64 {
+            self.cache.access(kind, addr)
+        }
+        fn stats(&self) -> MemStats {
+            self.cache.stats()
+        }
+        fn begin(&mut self) {
+            self.span = 0;
+            self.cache.begin();
+        }
+        fn access_undoable(&mut self, kind: Access, addr: u64) -> u64 {
+            self.span += 1;
+            let extra = self.cache.access_undoable(kind, addr);
+            self.within &= self.cache.journal_len() <= self.span;
+            extra
+        }
+        fn undo(&mut self) {
+            self.cache.undo();
+        }
+        fn reset(&mut self) {
+            self.cache.reset();
+        }
+        fn name(&self) -> String {
+            self.cache.name()
+        }
+    }
+
+    /// The largest associativity a client may configure, in one set of
+    /// 2^16 ways, through the engine: a streamed array misses into the
+    /// set's front every fourth iteration and a scalar's line is pulled
+    /// back from way 1 every iteration. Blocks are replayed and the loop's
+    /// exit undone, every observable equals the oracle's, and the journal
+    /// never outgrows the accesses of one block.
+    #[test]
+    fn steady_state_cache_journal_stays_per_access_in_a_2_to_the_16_way_set() {
+        let n = 512;
+        let mut m = Module::new("t");
+        let a = m.symtab.declare("A", n, RegClass::Int);
+        let b = m.symtab.declare("B", 1, RegClass::Int);
+        let f = &mut m.func;
+        let [i, x, y] = [(); 3].map(|_| f.new_reg(RegClass::Int));
+        let entry = f.add_block("entry");
+        let body = f.add_block("body");
+        let exit = f.add_block("exit");
+        f.block_mut(entry).insts.push(Inst::mov(i, Operand::ImmI(0)));
+        f.block_mut(body).insts.extend([
+            Inst::load(x, Operand::Sym(a), i.into(), MemLoc::affine(a, 1, 0)),
+            Inst::load(y, Operand::Sym(b), Operand::ImmI(0), MemLoc::affine(b, 0, 0)),
+            Inst::alu(Opcode::Add, y, y.into(), x.into()),
+            Inst::store(Operand::Sym(b), Operand::ImmI(0), y.into(), MemLoc::affine(b, 0, 0)),
+            Inst::alu(Opcode::Add, i, i.into(), Operand::ImmI(1)),
+            Inst::br(Cond::Lt, i.into(), Operand::ImmI(n as i64), body),
+        ]);
+        f.block_mut(exit).insts.push(Inst::halt());
+        let params = CacheParams::new(4, 1, 1 << 16, 30, 10);
+        let machine = Machine::issue(4).with_cache(params);
+        let mem: Vec<u64> = (0..=n as u64).collect();
+        let limits = SimLimits::cycles(1_000_000);
+        let mut watch = Watch { cache: CacheMem::new(params), span: 0, within: true };
+        let fast = run(&decode(&m, &machine), &machine, mem.clone(), limits, &mut watch).unwrap();
+        let oracle = simulate_limited_reference(&m, &machine, mem, limits).unwrap();
+        assert_eq!(
+            (fast.cycles, fast.dyn_insts, &fast.memory, &fast.branch_profile, fast.mem),
+            (oracle.cycles, oracle.dyn_insts, &oracle.memory, &oracle.branch_profile, oracle.mem)
+        );
+        assert!(fast.replayed_insts * 2 > fast.dyn_insts, "{fast:?}");
+        assert!(watch.within, "the journal outgrew a block's accesses");
     }
 }

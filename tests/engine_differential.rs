@@ -6,13 +6,16 @@
 //! specification) on *every observable*: cycle count, dynamic instruction
 //! count, final memory image, branch profile, and memory-hierarchy
 //! statistics — across the full 40-workload × 6-level × 3-width grid plus
-//! `Lev6` at VLEN 4 (840 points), under perfect memory and under a finite
-//! cache (whose extra-latency callbacks are order-sensitive, so cycle
+//! `Lev6` at VLEN 4 (840 points), under perfect memory and under three
+//! finite caches: the two `pool_simulate_cachemem` configurations and one
+//! with an L2 (the models' latencies are order-sensitive, so cycle
 //! identity here also proves the engines issue accesses in the same
-//! order). Under perfect memory most of that work is retired by the
-//! steady-state fast path, so the grid holds it to the oracle too; under
-//! the cache the fast path never runs. Structural corruption must produce
-//! the *same typed error* from both engines, coordinates included.
+//! order). Under every memory model most of that work is retired by the
+//! steady-state fast path, which under a cache makes each access itself
+//! and rewinds the cache when a latency differs from its template's, so
+//! the grid holds the fast path to the oracle too. Structural corruption
+//! must produce the *same typed error* from both engines, coordinates
+//! included.
 
 use ilp_compiler::harness::compile::compile;
 use ilp_compiler::harness::run::cycle_budget;
@@ -20,13 +23,14 @@ use ilp_compiler::prelude::*;
 use ilp_compiler::sim::reference::simulate_limited_reference;
 use ilp_compiler::sim::{memory_from_init, simulate_limited, SimLimits};
 
-/// Checks every point and returns the dynamic instructions the fast path
-/// retired, summed over the grid.
-fn assert_engines_agree_on_grid(mem_cfg: MemConfig) -> u64 {
+/// Checks every point under each of `mems` and returns, per memory
+/// configuration, the dynamic instructions the fast path retired, summed
+/// over the grid.
+fn assert_engines_agree_on_grid(mems: &[MemConfig]) -> Vec<u64> {
     let workloads = build_all(0.04);
     assert_eq!(workloads.len(), 40);
     let mut checked = 0usize;
-    let mut replayed = 0u64;
+    let mut replayed = vec![0u64; mems.len()];
     // Every level on scalar machines, and Lev6 on VLEN-4 ones: the only
     // points whose code holds the six vector opcodes.
     let points = Level::ALL.iter().map(|&l| (l, 1)).chain([(Level::Lev6, 4)]);
@@ -35,47 +39,80 @@ fn assert_engines_agree_on_grid(mem_cfg: MemConfig) -> u64 {
         let limits = SimLimits::cycles(cycle_budget(reference_exec.stmts_executed));
         for (level, vlen) in points.clone() {
             for width in [1u32, 4, 8] {
-                let machine = Machine::issue(width).with_vlen(vlen).with_mem(mem_cfg);
-                let compiled = compile(w, level, &machine);
+                // The memory model is a simulator-side knob: one compile
+                // serves every configuration.
+                let compiled = compile(w, level, &Machine::issue(width).with_vlen(vlen));
                 let mem = memory_from_init(&compiled.module.symtab, &w.init);
-                let fast = simulate_limited(&compiled.module, &machine, mem.clone(), limits)
-                    .unwrap_or_else(|e| {
-                        panic!("{} {level} issue-{width} (fast): {e}", w.meta.name)
-                    });
-                let oracle =
-                    simulate_limited_reference(&compiled.module, &machine, mem, limits)
-                        .unwrap_or_else(|e| {
-                            panic!("{} {level} issue-{width} (oracle): {e}", w.meta.name)
-                        });
-                let tag = format!("{} {level} vlen-{vlen} issue-{width}", w.meta.name);
-                assert_eq!(fast.cycles, oracle.cycles, "{tag}: cycles");
-                assert_eq!(fast.dyn_insts, oracle.dyn_insts, "{tag}: dyn_insts");
-                assert_eq!(fast.memory, oracle.memory, "{tag}: memory image");
-                assert_eq!(fast.branch_profile, oracle.branch_profile, "{tag}: profile");
-                assert_eq!(fast.mem, oracle.mem, "{tag}: mem stats");
-                assert!(fast.replayed_insts <= fast.dyn_insts, "{tag}: replayed");
-                replayed += fast.replayed_insts;
-                checked += 1;
+                for (k, &mem_cfg) in mems.iter().enumerate() {
+                    let machine = Machine::issue(width).with_vlen(vlen).with_mem(mem_cfg);
+                    let tag =
+                        format!("{} {level} vlen-{vlen} issue-{width} {}", w.meta.name, mem_cfg.name());
+                    let fast = simulate_limited(&compiled.module, &machine, mem.clone(), limits)
+                        .unwrap_or_else(|e| panic!("{tag} (fast): {e}"));
+                    let oracle =
+                        simulate_limited_reference(&compiled.module, &machine, mem.clone(), limits)
+                            .unwrap_or_else(|e| panic!("{tag} (oracle): {e}"));
+                    assert_eq!(fast.cycles, oracle.cycles, "{tag}: cycles");
+                    assert_eq!(fast.dyn_insts, oracle.dyn_insts, "{tag}: dyn_insts");
+                    assert_eq!(fast.memory, oracle.memory, "{tag}: memory image");
+                    assert_eq!(fast.branch_profile, oracle.branch_profile, "{tag}: profile");
+                    assert_eq!(fast.mem, oracle.mem, "{tag}: mem stats");
+                    assert!(fast.replayed_insts <= fast.dyn_insts, "{tag}: replayed");
+                    replayed[k] += fast.replayed_insts;
+                    checked += 1;
+                }
             }
         }
     }
-    assert_eq!(checked, 40 * (Level::ALL.len() + 1) * 3);
+    assert_eq!(checked, 40 * (Level::ALL.len() + 1) * 3 * mems.len());
     replayed
 }
 
 #[test]
 fn engines_identical_on_full_grid_under_perfect_memory() {
-    let replayed = assert_engines_agree_on_grid(MemConfig::Perfect);
-    assert!(replayed > 0, "the steady-state fast path never ran");
+    let replayed = assert_engines_agree_on_grid(&[MemConfig::Perfect]);
+    assert!(replayed[0] > 0, "the steady-state fast path never ran");
 }
 
 #[test]
 fn engines_identical_on_full_grid_under_finite_cache() {
-    // A small cache with asymmetric penalties: load misses retime results,
-    // store misses stall issue — both paths must interleave identically.
-    let replayed =
-        assert_engines_agree_on_grid(MemConfig::cache(CacheParams::new(4, 8, 2, 30, 10)));
-    assert_eq!(replayed, 0, "the fast path ran under a cache");
+    // `pool_simulate_cachemem`'s small slow and larger faster L1s, and a
+    // small L1 with asymmetric penalties behind an L2: load misses retime
+    // results, store misses stall issue, dirty victims land in the L2 —
+    // both engines must interleave all of it identically.
+    let mems = [
+        MemConfig::cache(CacheParams::new(4, 16, 2, 30, 30)),
+        MemConfig::cache(CacheParams::new(4, 64, 4, 12, 12)),
+        MemConfig::cache(CacheParams::new(4, 8, 2, 30, 10).with_l2(8, 32, 2, 6)),
+    ];
+    for (mem, replayed) in mems.iter().zip(assert_engines_agree_on_grid(&mems)) {
+        assert!(replayed > 0, "{}: the fast path never ran", mem.name());
+    }
+}
+
+/// The fast path's share under `pool_simulate_cachemem`'s 16 × 2, 30-cycle
+/// cache at scale 1.0, over a fixed handful of nests whose steady state
+/// has a miss pattern of period 1 to 4: a change that silently stopped
+/// replaying under a cache would fail here, not just run slower.
+#[test]
+fn steady_state_share_under_the_pool_cache() {
+    let mem = MemConfig::cache(CacheParams::new(4, 16, 2, 30, 30));
+    let (mut replayed, mut work) = (0u64, 0u64);
+    for name in ["NAS-4", "APS-3", "add", "dotprod", "sum"] {
+        let meta = table2().into_iter().find(|m| m.name == name).unwrap();
+        let w = build(&meta, 1.0);
+        let limits = SimLimits::cycles(cycle_budget(interpret(&w.program, &w.init).stmts_executed));
+        for level in Level::ALL {
+            for width in [1u32, 8] {
+                let machine = Machine::issue(width).with_mem(mem);
+                let compiled = compile(&w, level, &machine);
+                let init = memory_from_init(&compiled.module.symtab, &w.init);
+                let r = simulate_limited(&compiled.module, &machine, init, limits).unwrap();
+                (replayed, work) = (replayed + r.replayed_insts, work + r.dyn_insts);
+            }
+        }
+    }
+    assert!(replayed * 10 >= work * 9, "replayed {replayed} of {work}");
 }
 
 /// Structural corruption (the decode-time trap path of the fast engine)
