@@ -22,7 +22,7 @@
 //! The middle end is shared further. The levels are cumulative — the rows
 //! `passes(level)` selects from the sorted `PASSES` table are a prefix of
 //! the next level's — and no row reads anything of the machine except
-//! `vlen`. So per `(workload, vlen)` the cache keeps one [`Ladder`]: the
+//! `vlen`. So per `(workload, vlen)` the cache keeps one `Ladder`: the
 //! module after each level's last row (a *rung*), each built from the rung
 //! below by running only that level's rows. An artifact is a clone of its
 //! level's rung taken through the backend for its machine; `lower` and

@@ -10,6 +10,7 @@
 
 use ilpc_harness::campaign::{run_campaign, CampaignConfig};
 use ilpc_testkit::cli::Args;
+use ilpc_workloads::check_scale;
 
 fn main() {
     let mut cfg = CampaignConfig::default();
@@ -24,6 +25,7 @@ fn main() {
     args.set("--seed", &mut cfg.seed);
     args.set("--scale", &mut cfg.scale);
     args.finish();
+    check_scale(cfg.scale).unwrap_or_else(|e| args.fail(&e));
 
     let report = run_campaign(&cfg);
     print!("{}", report.render());

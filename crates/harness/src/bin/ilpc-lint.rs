@@ -3,7 +3,7 @@
 //! Usage: ilpc-lint [--quick] [--json] [--verbose] [--scale F]
 //!
 //! Compiles all 40 workloads at every transformation level for issue
-//! widths 1, 4 and 8 (40 × 5 × 3 = 600 artifacts at full size), then runs
+//! widths 1, 4 and 8 (40 × 6 × 3 = 720 artifacts at full size), then runs
 //! the `ilpc-lint` dataflow lints on each compiled module and the static
 //! schedule auditor on its retained list schedules. Every diagnostic is
 //! printed — as text lines, or as JSON lines with `--json` — followed by
@@ -12,7 +12,7 @@
 //! lint-clean, so a nonzero exit means a pass or the scheduler produced
 //! statically illegal code.
 //!
-//! `--quick` audits issue width 4 only (200 artifacts) for CI smoke use.
+//! `--quick` audits issue width 4 only (240 artifacts) for CI smoke use.
 //! Text mode prints errors only unless `--verbose`; JSON mode always
 //! emits every diagnostic.
 
@@ -22,7 +22,7 @@ use ilpc_testkit::json::{obj, Json};
 use ilpc_lint::{audit_schedules, count_severity, lint_module, sort_diagnostics, Severity};
 use ilpc_machine::Machine;
 use ilpc_testkit::cli::Args;
-use ilpc_workloads::build_all;
+use ilpc_workloads::{build_all, check_scale};
 
 fn main() {
     let mut args =
@@ -32,6 +32,7 @@ fn main() {
     let json = args.switch("--json");
     let verbose = args.switch("--verbose");
     args.finish();
+    check_scale(scale).unwrap_or_else(|e| args.fail(&e));
 
     let widths: &[u32] = if quick { &[4] } else { &[1, 4, 8] };
     let workloads = build_all(scale);

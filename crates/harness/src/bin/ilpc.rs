@@ -20,7 +20,7 @@ use ilpc_machine::Machine;
 use ilpc_sched::schedule_insts;
 use ilpc_sim::simulate;
 use ilpc_testkit::cli;
-use ilpc_workloads::{build, table2};
+use ilpc_workloads::{build, check_scale, table2};
 
 struct Args {
     cmd: String,
@@ -53,6 +53,7 @@ fn parse_args() -> (Args, cli::Args) {
         cli.fail("vlen must be at least 1");
     }
     let scale = cli.opt("--scale").unwrap_or(1.0);
+    check_scale(scale).unwrap_or_else(|e| cli.fail(&e));
     let cmd = cli.positional().unwrap_or_else(|| cli.fail("missing command"));
     let target = cli.positional();
     cli.finish();

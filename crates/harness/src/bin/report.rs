@@ -8,34 +8,14 @@
 //! ```
 
 use ilpc_harness::figures::{render_report, render_section, section_ids};
-use ilpc_harness::grid::{run_grid, Grid, GridConfig};
 use ilpc_harness::studies::{StudyCtx, STUDIES};
+use ilpc_harness::sweep::{run_sweep, SweepConfig};
 use ilpc_testkit::cli::Args;
+use ilpc_workloads::check_scale;
 use std::cell::OnceCell;
 
-fn run_or_exit(cfg: &GridConfig) -> Grid {
-    eprintln!(
-        "running grid: 40 loops x {} levels x {:?} (scale {})...",
-        cfg.levels.len(),
-        cfg.widths,
-        cfg.scale
-    );
-    let grid = run_grid(cfg).unwrap_or_else(|e| {
-        eprintln!("CONFIG ERROR: {e}");
-        std::process::exit(2)
-    });
-    if !grid.errors.is_empty() {
-        eprintln!("EVALUATION ERRORS:");
-        for e in &grid.errors {
-            eprintln!("  {e}");
-        }
-        std::process::exit(1);
-    }
-    grid
-}
-
 fn main() {
-    let mut cfg = GridConfig::default();
+    let mut cfg = SweepConfig::default();
     let ids = section_ids().collect::<Vec<_>>().join(" ");
     let mut args = Args::from_env(
         "report",
@@ -47,6 +27,9 @@ fn main() {
     let quick = args.switch("--quick");
     let verbose = args.switch("--verbose");
     args.finish();
+    if let Some(Err(e)) = scale.map(check_scale) {
+        args.fail(&e);
+    }
     if let Some(id) = only.as_deref().filter(|id| !section_ids().any(|s| s == *id)) {
         args.fail(&format!("unknown section `{id}`"));
     }
@@ -74,7 +57,26 @@ fn main() {
     }
     cfg.scale = scale.unwrap_or(cfg.scale);
     let cell = OnceCell::new();
-    let grid = || cell.get_or_init(|| run_or_exit(&cfg));
+    let grid = || {
+        cell.get_or_init(|| {
+            eprintln!(
+                "running grid: 40 loops x {} levels x {:?} (scale {})...",
+                cfg.levels.len(),
+                cfg.widths,
+                cfg.scale
+            );
+            let sweep = run_sweep(&cfg).unwrap_or_else(|e| args.fail(&e.to_string()));
+            let grid = sweep.grids.into_iter().next().expect("one scenario yields one grid");
+            if !grid.errors.is_empty() {
+                eprintln!("EVALUATION ERRORS:");
+                for e in &grid.errors {
+                    eprintln!("  {e}");
+                }
+                std::process::exit(1);
+            }
+            grid
+        })
+    };
     match only {
         Some(id) => println!("{}", render_section(&id, grid).expect("id was validated")),
         None => print!("{}", render_report(grid())),

@@ -1,10 +1,10 @@
 //! The full compilation pipeline: lower → transformation passes →
 //! superblock formation → list scheduling → register measurement.
 //!
-//! One driver, two step policies. [`pipeline`] is the only place the
-//! sequence is written, as its two halves: [`run_rows`] (the middle end:
+//! One driver, two step policies. `pipeline` is the only place the
+//! sequence is written, as its two halves: `run_rows` (the middle end:
 //! rows of `ilpc_core::level::PASSES`, which read nothing of the machine
-//! but `vlen`) and [`backend`] (superblocks, list schedule, register
+//! but `vlen`) and `backend` (superblocks, list schedule, register
 //! measurement, for one machine). Every public entry point picks *which*
 //! rows run and *how* each step (pass or backend stage) is run. [`compile`]
 //! and [`compile_set`] run steps directly; [`compile_guarded`] hands each

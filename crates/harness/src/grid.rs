@@ -1,19 +1,11 @@
 //! The evaluation grid: every (loop, level, issue width) combination.
 //!
-//! A grid is the one-scenario case of a sweep: [`run_grid`] is a thin call
-//! into [`crate::sweep::run_sweep`], whose work-stealing pool
-//! ([`crate::steal`]: per-worker deques, steal-half) handles the skewed
-//! per-point costs of multi-configuration sweeps. The original fork-join
-//! engine (one shared atomic counter) is retained as [`run_grid_forkjoin`],
-//! the scheduling oracle the differential suite compares against. Both
-//! engines produce an observably identical [`Grid`]: same points, same
-//! cycles, same memory statistics, same typed errors.
-//!
-//! Each point is additionally **fault-isolated**: a panic inside one
-//! point's compile/simulate path is contained with `catch_unwind` and
-//! becomes a typed [`GridError`] in the report, and the result merge
-//! recovers from poisoning — one bad point can never take down the other
-//! 599 or abort the whole sweep.
+//! A [`Grid`] is what one scenario of a sweep returns: the only runner is
+//! [`crate::sweep::run_sweep`], and the paper's grid is its one-scenario
+//! case under perfect memory. Each point is **fault-isolated** there: a
+//! panic inside one point's compile/simulate path is contained with
+//! `catch_unwind` and becomes a typed [`GridError`] here, so one bad point
+//! can never take down the other 719 of the full grid or abort the sweep.
 //!
 //! Aggregations over the grid ([`Grid::mean_speedup`], [`Grid::mem_stats`],
 //! [`Grid::mean_regs`], [`Grid::hit_rate`]) return an [`Aggregate`] that
@@ -23,60 +15,16 @@
 //! [`Aggregate::complete`] (value only at full coverage) or
 //! [`Aggregate::partial`] (best-effort value plus visible coverage).
 
-use crate::artifact::ArtifactCache;
-use crate::run::{evaluate, EvalPoint};
-use crate::sweep::{run_sweep, Scenario, SweepConfig};
+use crate::run::EvalPoint;
 use ilpc_core::level::Level;
-use ilpc_guard::panic_message;
-use ilpc_ir::{Module, Opcode};
-use ilpc_machine::{Machine, MemConfig};
 use ilpc_mem::MemStats;
-use ilpc_workloads::{build_all, Workload, WorkloadMeta};
+use ilpc_workloads::{WorkloadMeta, MAX_SCALE};
 use std::collections::HashMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
-/// Grid configuration.
-#[derive(Debug, Clone)]
-pub struct GridConfig {
-    /// Trip-count scale (1.0 = the paper's Table 2 counts).
-    pub scale: f64,
-    /// Levels to evaluate. [`Level::Conv`] is required: it anchors the
-    /// speedup baseline. Duplicates are deduplicated up front.
-    pub levels: Vec<Level>,
-    /// Issue widths to evaluate. Width 1 is required: it is the speedup
-    /// base. Duplicates are deduplicated up front.
-    pub widths: Vec<u32>,
-    /// Worker threads.
-    pub threads: usize,
-    /// Memory hierarchy applied to every machine in the grid (perfect by
-    /// default — the paper's model).
-    pub mem: MemConfig,
-    /// Deliberately break one point (fault drills and tests only).
-    pub sabotage: Option<Sabotage>,
-    /// Shared compile-artifact cache. `Some` reuses compiled + pre-decoded
-    /// artifacts and reference executions across grids of one catalog and
-    /// scale (the cache's workload-name keying binds it to both, see
-    /// [`ArtifactCache`]). With `None` (the default) [`run_grid`] uses a
-    /// cache private to the call and [`run_grid_forkjoin`] compiles per
-    /// point. Sabotaged points bypass the cache entirely.
-    pub artifacts: Option<Arc<ArtifactCache>>,
-}
-
-impl Default for GridConfig {
-    /// The [`SweepConfig`] defaults, under perfect memory.
-    fn default() -> GridConfig {
-        let SweepConfig { scale, levels, widths, threads, sabotage, artifacts, .. } =
-            SweepConfig::default();
-        GridConfig { scale, levels, widths, threads, mem: MemConfig::Perfect, sabotage, artifacts }
-    }
-}
-
-/// Why a [`GridConfig`] (or sweep configuration) was rejected before any
-/// point ran. Surfaced by [`run_grid`] instead of silently producing a
-/// grid whose aggregations are meaningless.
+/// Why a sweep configuration was rejected before any point ran. Surfaced
+/// by [`crate::sweep::run_sweep`] instead of silently producing a grid
+/// whose aggregations are meaningless.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GridConfigError {
     /// `levels` is empty.
@@ -93,7 +41,8 @@ pub enum GridConfigError {
     /// A width of 0: `Machine::issue` would silently clamp it to 1,
     /// aliasing the base configuration under a different key.
     ZeroWidth,
-    /// `scale` is not a finite positive number.
+    /// `scale` is not a finite positive number, or exceeds
+    /// [`MAX_SCALE`] (see [`ilpc_workloads::check_scale`]).
     BadScale(f64),
     /// A sweep was configured with an empty scenario list.
     NoScenarios,
@@ -113,6 +62,9 @@ impl fmt::Display for GridConfigError {
             GridConfigError::ZeroWidth => {
                 write!(f, "config: width 0 is invalid (it would alias the base width 1)")
             }
+            GridConfigError::BadScale(s) if s.is_finite() && *s > 0.0 => {
+                write!(f, "config: scale {s} must be <= {MAX_SCALE}")
+            }
             GridConfigError::BadScale(s) => {
                 write!(f, "config: scale {s} must be finite and > 0")
             }
@@ -124,46 +76,6 @@ impl fmt::Display for GridConfigError {
 }
 
 impl std::error::Error for GridConfigError {}
-
-/// Validate grid axes for the sweep engine and [`run_grid_forkjoin`]:
-/// returns the deduplicated (order-preserving) levels and widths, or the
-/// first typed configuration error.
-pub(crate) fn validate_axes(
-    scale: f64,
-    levels: &[Level],
-    widths: &[u32],
-) -> Result<(Vec<Level>, Vec<u32>), GridConfigError> {
-    if !(scale.is_finite() && scale > 0.0) {
-        return Err(GridConfigError::BadScale(scale));
-    }
-    if levels.is_empty() {
-        return Err(GridConfigError::NoLevels);
-    }
-    if widths.is_empty() {
-        return Err(GridConfigError::NoWidths);
-    }
-    if widths.contains(&0) {
-        return Err(GridConfigError::ZeroWidth);
-    }
-    if !widths.contains(&1) {
-        return Err(GridConfigError::MissingBaseWidth);
-    }
-    if !levels.contains(&Level::Conv) {
-        return Err(GridConfigError::MissingBaseLevel);
-    }
-    // Dedupe preserving first-occurrence order: duplicates would
-    // double-evaluate points and silently overwrite map entries.
-    fn dedup<T: Copy + PartialEq>(xs: &[T]) -> Vec<T> {
-        let mut seen = Vec::new();
-        for &x in xs {
-            if !seen.contains(&x) {
-                seen.push(x);
-            }
-        }
-        seen
-    }
-    Ok((dedup(levels), dedup(widths)))
-}
 
 /// Deliberate sabotage of one grid point. Used by tests and fault drills
 /// to prove the isolation property: the matching point degrades to a
@@ -422,73 +334,6 @@ impl Grid {
     }
 }
 
-/// Flip every addition to a subtraction — the kind of systematic
-/// miscompile a corrupted pass would produce. Guaranteed to be caught by
-/// the differential check (or the simulator) on any workload that
-/// computes anything.
-fn corrupt_arithmetic(m: &mut Module) {
-    let blocks: Vec<_> = m.func.layout_order().to_vec();
-    for b in blocks {
-        for inst in &mut m.func.block_mut(b).insts {
-            match inst.op {
-                Opcode::Add => inst.op = Opcode::Sub,
-                Opcode::FAdd => inst.op = Opcode::FSub,
-                _ => {}
-            }
-        }
-    }
-}
-
-/// Evaluate one point, honouring a matching sabotage directive.
-pub(crate) fn eval_point(
-    w: &Workload,
-    level: Level,
-    width: u32,
-    machine: &Machine,
-    sabotage: Option<&Sabotage>,
-    artifacts: Option<&ArtifactCache>,
-) -> Result<EvalPoint, String> {
-    if let Some(s) = sabotage {
-        if s.workload == w.meta.name && s.level == level && s.width == width {
-            match s.mode {
-                SabotageMode::Panic => {
-                    panic!("sabotaged grid point: {} {level} issue-{width}", w.meta.name)
-                }
-                SabotageMode::Corrupt => {
-                    // Sabotage must never pollute (or be masked by) the
-                    // shared cache: compile privately and corrupt that.
-                    let mut c = crate::compile::compile(w, level, machine);
-                    corrupt_arithmetic(&mut c.module);
-                    return crate::run::run_compiled(w, &c, machine);
-                }
-            }
-        }
-    }
-    match artifacts {
-        Some(cache) => cache.evaluate(w, level, machine),
-        None => evaluate(w, level, machine),
-    }
-}
-
-/// Evaluate one point with per-point panic containment: the shared
-/// fault-isolation wrapper of both engines and the sweep.
-pub(crate) fn eval_point_contained(
-    w: &Workload,
-    level: Level,
-    width: u32,
-    machine: &Machine,
-    sabotage: Option<&Sabotage>,
-    artifacts: Option<&ArtifactCache>,
-) -> Result<EvalPoint, PointError> {
-    match catch_unwind(AssertUnwindSafe(|| {
-        eval_point(w, level, width, machine, sabotage, artifacts)
-    })) {
-        Ok(Ok(p)) => Ok(p),
-        Ok(Err(e)) => Err(PointError::Eval(e)),
-        Err(payload) => Err(PointError::Panic(panic_message(payload))),
-    }
-}
-
 /// Assemble a [`Grid`] from per-point outcomes.
 pub(crate) fn collect_grid(
     meta: Vec<WorkloadMeta>,
@@ -509,98 +354,32 @@ pub(crate) fn collect_grid(
     Grid { meta, levels, widths, points, errors }
 }
 
-/// Run the grid on the work-stealing engine: a one-scenario [`run_sweep`].
-pub fn run_grid(cfg: &GridConfig) -> Result<Grid, GridConfigError> {
-    let sweep = run_sweep(&SweepConfig {
-        scale: cfg.scale,
-        levels: cfg.levels.clone(),
-        widths: cfg.widths.clone(),
-        threads: cfg.threads,
-        scenarios: vec![Scenario::mem(cfg.mem)],
-        sabotage: cfg.sabotage.clone(),
-        artifacts: cfg.artifacts.clone(),
-    })?;
-    Ok(sweep.grids.into_iter().next().expect("one scenario yields one grid"))
-}
-
-/// Run the grid on the original fork-join engine (one shared atomic work
-/// counter, one item per claim). Retained as the scheduling oracle: the
-/// differential suite proves the work-stealing engine's [`Grid`] is
-/// observably identical to this one.
-pub fn run_grid_forkjoin(cfg: &GridConfig) -> Result<Grid, GridConfigError> {
-    let (levels, widths) = validate_axes(cfg.scale, &cfg.levels, &cfg.widths)?;
-    let workloads: Vec<Workload> = build_all(cfg.scale);
-    let meta: Vec<WorkloadMeta> = workloads.iter().map(|w| w.meta.clone()).collect();
-
-    let mut items: Vec<(usize, Level, u32)> = Vec::new();
-    for (i, _) in workloads.iter().enumerate() {
-        for &level in &levels {
-            for &width in &widths {
-                items.push((i, level, width));
-            }
-        }
-    }
-
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<((String, Level, u32), Result<EvalPoint, PointError>)>> =
-        Mutex::new(Vec::with_capacity(items.len()));
-
-    std::thread::scope(|scope| {
-        for _ in 0..cfg.threads.max(1) {
-            scope.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= items.len() {
-                        break;
-                    }
-                    let (wi, level, width) = items[k];
-                    let w = &workloads[wi];
-                    let machine = Machine::issue(width).with_mem(cfg.mem);
-                    let r = eval_point_contained(
-                        w,
-                        level,
-                        width,
-                        &machine,
-                        cfg.sabotage.as_ref(),
-                        cfg.artifacts.as_deref(),
-                    );
-                    local.push(((w.meta.name.to_string(), level, width), r));
-                }
-                // A sibling worker that panicked outside the contained
-                // region poisons the mutex; the data is still consistent
-                // (extend is all-or-nothing per point list), so recover.
-                results
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .extend(local);
-            });
-        }
-    });
-
-    let collected =
-        results.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner());
-    Ok(collect_grid(meta, levels, widths, collected))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{run_sweep, Scenario, SweepConfig};
+    use ilpc_machine::{CacheParams, MemConfig};
+
+    /// The grid of a one-scenario sweep over `levels` × widths {1, 8} at
+    /// scale 0.02.
+    fn mini(levels: &[Level], mem: MemConfig) -> Grid {
+        let sweep = run_sweep(&SweepConfig {
+            scale: 0.02,
+            levels: levels.to_vec(),
+            widths: vec![1, 8],
+            threads: 4,
+            scenarios: vec![Scenario::mem(mem)],
+            ..SweepConfig::default()
+        })
+        .unwrap();
+        sweep.grids.into_iter().next().unwrap()
+    }
 
     /// A miniature grid end-to-end; the full-scale grid runs in integration
     /// tests and the figure binaries.
     #[test]
     fn mini_grid_runs_clean() {
-        let cfg = GridConfig {
-            scale: 0.02,
-            levels: vec![Level::Conv, Level::Lev2],
-            widths: vec![1, 8],
-            threads: 4,
-            mem: MemConfig::Perfect,
-            sabotage: None,
-            artifacts: None,
-        };
-        let grid = run_grid(&cfg).unwrap();
+        let grid = mini(&[Level::Conv, Level::Lev2], MemConfig::Perfect);
         assert!(grid.errors.is_empty(), "{:#?}", grid.errors);
         assert_eq!(grid.meta.len(), 40);
         // Every point present.
@@ -636,67 +415,19 @@ mod tests {
         assert_eq!(hit.complete(), Some(1.0));
     }
 
-    /// Invalid configurations are rejected with typed errors before any
-    /// point runs — the fail-silent `mean_speedup == 0.0` trap is gone.
-    #[test]
-    fn invalid_configs_are_typed_errors() {
-        let base = GridConfig {
-            scale: 0.02,
-            levels: vec![Level::Conv, Level::Lev2],
-            widths: vec![1, 8],
-            threads: 2,
-            ..GridConfig::default()
-        };
-        let cases: Vec<(GridConfig, GridConfigError)> = vec![
-            (
-                GridConfig { widths: vec![2, 8], ..base.clone() },
-                GridConfigError::MissingBaseWidth,
-            ),
-            (
-                GridConfig { levels: vec![Level::Lev2], ..base.clone() },
-                GridConfigError::MissingBaseLevel,
-            ),
-            (GridConfig { widths: vec![], ..base.clone() }, GridConfigError::NoWidths),
-            (GridConfig { levels: vec![], ..base.clone() }, GridConfigError::NoLevels),
-            (
-                GridConfig { widths: vec![1, 0], ..base.clone() },
-                GridConfigError::ZeroWidth,
-            ),
-            (
-                GridConfig { scale: 0.0, ..base.clone() },
-                GridConfigError::BadScale(0.0),
-            ),
-            (
-                GridConfig { scale: f64::NAN, ..base.clone() },
-                GridConfigError::BadScale(f64::NAN),
-            ),
-        ];
-        for (cfg, want) in cases {
-            let got = run_grid(&cfg).expect_err("config must be rejected");
-            // NaN != NaN, so compare the discriminant via Display.
-            assert_eq!(
-                std::mem::discriminant(&got),
-                std::mem::discriminant(&want),
-                "{got} vs {want}"
-            );
-            // Both engines agree on validation.
-            let fj = run_grid_forkjoin(&cfg).expect_err("fork-join must also reject");
-            assert_eq!(std::mem::discriminant(&fj), std::mem::discriminant(&want));
-        }
-    }
-
     /// Duplicate levels/widths are deduplicated up front: each point is
     /// evaluated once and the grid's axes record the deduplicated shape.
     #[test]
     fn duplicate_axes_are_deduplicated() {
-        let cfg = GridConfig {
+        let sweep = run_sweep(&SweepConfig {
             scale: 0.02,
             levels: vec![Level::Conv, Level::Lev2, Level::Conv],
             widths: vec![1, 8, 1, 8],
             threads: 2,
-            ..GridConfig::default()
-        };
-        let grid = run_grid(&cfg).unwrap();
+            ..SweepConfig::default()
+        })
+        .unwrap();
+        let grid = &sweep.grids[0];
         assert!(grid.errors.is_empty(), "{:#?}", grid.errors);
         assert_eq!(grid.levels, vec![Level::Conv, Level::Lev2]);
         assert_eq!(grid.widths, vec![1, 8]);
@@ -706,14 +437,7 @@ mod tests {
     /// The aggregate of an empty subset is visibly empty, not 0.0.
     #[test]
     fn empty_subset_aggregates_are_not_zero() {
-        let cfg = GridConfig {
-            scale: 0.02,
-            levels: vec![Level::Conv, Level::Lev2],
-            widths: vec![1, 8],
-            threads: 4,
-            ..GridConfig::default()
-        };
-        let grid = run_grid(&cfg).unwrap();
+        let grid = mini(&[Level::Conv, Level::Lev2], MemConfig::Perfect);
         let none = grid.mean_speedup(std::iter::empty(), Level::Lev2, 8);
         assert_eq!(none.covered(), 0);
         assert_eq!(none.requested(), 0);
@@ -734,48 +458,60 @@ mod tests {
 
     /// One sabotaged point must degrade to a typed error while every
     /// other point completes — for both failure shapes (contained panic
-    /// and corrupted-output rejection) — and partial aggregates must say
-    /// so instead of passing for complete.
+    /// and corrupted-output rejection), in a one-scenario sweep and in
+    /// every scenario of a two-scenario one — and partial aggregates must
+    /// say so instead of passing for complete.
     #[test]
     fn sabotaged_point_is_isolated_and_typed() {
+        let perfect = Scenario::mem(MemConfig::Perfect);
+        let cached = Scenario::mem(MemConfig::Cache(CacheParams::small()));
         for mode in [SabotageMode::Panic, SabotageMode::Corrupt] {
-            let cfg = GridConfig {
-                scale: 0.02,
-                levels: vec![Level::Conv, Level::Lev2],
-                widths: vec![1, 8],
-                threads: 4,
-                mem: MemConfig::Perfect,
-                sabotage: Some(Sabotage {
-                    workload: "dotprod".to_string(),
-                    level: Level::Lev2,
-                    width: 8,
-                    mode,
-                }),
-                artifacts: None,
-            };
-            let grid = run_grid(&cfg).unwrap();
-            assert_eq!(grid.errors.len(), 1, "{mode:?}: {:#?}", grid.errors);
-            let err = &grid.errors[0];
-            assert_eq!(err.workload, "dotprod");
-            assert_eq!((err.level, err.width), (Level::Lev2, 8));
-            match (mode, &err.error) {
-                (SabotageMode::Panic, PointError::Panic(msg)) => {
-                    assert!(msg.contains("sabotaged grid point"), "{msg}");
+            for scenarios in [vec![perfect.clone()], vec![perfect.clone(), cached.clone()]] {
+                let n = scenarios.len();
+                let sweep = run_sweep(&SweepConfig {
+                    scale: 0.02,
+                    levels: vec![Level::Conv, Level::Lev2],
+                    widths: vec![1, 8],
+                    threads: 4,
+                    scenarios,
+                    sabotage: Some(Sabotage {
+                        workload: "dotprod".to_string(),
+                        level: Level::Lev2,
+                        width: 8,
+                        mode,
+                    }),
+                    artifacts: None,
+                })
+                .unwrap();
+                assert_eq!(sweep.grids.len(), n);
+                assert_eq!(sweep.total_errors(), n, "{mode:?} x{n}");
+                for grid in &sweep.grids {
+                    assert_eq!(grid.errors.len(), 1, "{mode:?} x{n}: {:#?}", grid.errors);
+                    let err = &grid.errors[0];
+                    assert_eq!(err.workload, "dotprod");
+                    assert_eq!((err.level, err.width), (Level::Lev2, 8));
+                    match (mode, &err.error) {
+                        (SabotageMode::Panic, PointError::Panic(msg)) => {
+                            assert!(msg.contains("sabotaged grid point"), "{msg}");
+                        }
+                        (SabotageMode::Corrupt, PointError::Eval(_)) => {}
+                        other => panic!("wrong error shape: {other:?}"),
+                    }
+                    // The sabotaged point is absent; every other point
+                    // completed.
+                    assert!(grid.point("dotprod", Level::Lev2, 8).is_none());
+                    assert_eq!(grid.completed(), 40 * 2 * 2 - 1, "{mode:?} x{n}");
+                    // The holed aggregate is visibly partial: it cannot
+                    // pass for a complete mean any more.
+                    let agg =
+                        grid.mean_speedup(grid.meta.iter().map(|m| m.name), Level::Lev2, 8);
+                    assert_eq!((agg.covered(), agg.requested()), (39, 40), "{mode:?} x{n}");
+                    assert!(!agg.is_complete());
+                    assert_eq!(agg.complete(), None);
+                    assert!(agg.partial().unwrap() > 1.0);
+                    assert!(format!("{agg}").contains("39/40"), "{agg}");
                 }
-                (SabotageMode::Corrupt, PointError::Eval(_)) => {}
-                other => panic!("wrong error shape: {other:?}"),
             }
-            // The sabotaged point is absent; every other point completed.
-            assert!(grid.point("dotprod", Level::Lev2, 8).is_none());
-            assert_eq!(grid.completed(), 40 * 2 * 2 - 1, "{mode:?}");
-            // The holed aggregate is visibly partial: it cannot pass for a
-            // complete mean any more.
-            let agg = grid.mean_speedup(grid.meta.iter().map(|m| m.name), Level::Lev2, 8);
-            assert_eq!((agg.covered(), agg.requested()), (39, 40), "{mode:?}");
-            assert!(!agg.is_complete());
-            assert_eq!(agg.complete(), None);
-            assert!(agg.partial().unwrap() > 1.0);
-            assert!(format!("{agg}").contains("39/40"), "{agg}");
         }
     }
 
@@ -783,17 +519,7 @@ mod tests {
     /// consistent per-point cache statistics.
     #[test]
     fn cached_mini_grid_is_correct_with_consistent_stats() {
-        use ilpc_machine::CacheParams;
-        let cfg = GridConfig {
-            scale: 0.02,
-            levels: vec![Level::Conv, Level::Lev4],
-            widths: vec![1, 8],
-            threads: 4,
-            mem: MemConfig::Cache(CacheParams::small()),
-            sabotage: None,
-            artifacts: None,
-        };
-        let grid = run_grid(&cfg).unwrap();
+        let grid = mini(&[Level::Conv, Level::Lev4], MemConfig::Cache(CacheParams::small()));
         assert!(grid.errors.is_empty(), "{:#?}", grid.errors);
         let mut missed_somewhere = false;
         for m in &grid.meta {
@@ -813,25 +539,5 @@ mod tests {
             }
         }
         assert!(missed_somewhere, "a 1 KiB cache must miss somewhere");
-    }
-
-    /// Both engines produce observably identical grids on a mini grid;
-    /// the full 600-point differential runs in the integration suite.
-    #[test]
-    fn engines_agree_on_mini_grid() {
-        let cfg = GridConfig {
-            scale: 0.02,
-            levels: vec![Level::Conv, Level::Lev2],
-            widths: vec![1, 8],
-            threads: 4,
-            ..GridConfig::default()
-        };
-        let ws = run_grid(&cfg).unwrap();
-        let fj = run_grid_forkjoin(&cfg).unwrap();
-        let a: Vec<_> = ws.iter_points().map(|(n, l, w, p)| (n.to_string(), l, w, *p)).collect();
-        let b: Vec<_> = fj.iter_points().map(|(n, l, w, p)| (n.to_string(), l, w, *p)).collect();
-        assert_eq!(a.len(), 160);
-        assert_eq!(a, b);
-        assert_eq!(ws.errors, fj.errors);
     }
 }

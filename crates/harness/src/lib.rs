@@ -1,10 +1,11 @@
 //! # ilpc-harness — experimental evaluation harness
 //!
-//! Drives the full pipeline over the paper's evaluation grid
-//! ({Conv..Lev4} × {issue-1,2,4,8} × 40 loop nests), verifies every run
-//! against the AST interpreter, and renders each of the paper's tables and
-//! figures (Tables 1-2, Figures 8-15, the §3.2/§4 summary statistics, and
-//! the §2 worked examples).
+//! Drives the full pipeline over the paper's evaluation grid (the six
+//! levels Conv..Lev6 × {issue-1,2,4,8} × 40 loop nests, one
+//! [`sweep::run_sweep`]), verifies every run against the AST interpreter,
+//! and renders each of the paper's tables and figures (Tables 1-2,
+//! Figures 8-15, the §3.2/§4 summary statistics, and the §2 worked
+//! examples).
 
 #![forbid(unsafe_code)]
 
@@ -24,8 +25,7 @@ pub use artifact::{Artifact, ArtifactCache, CacheCounters};
 pub use campaign::{run_campaign, CampaignConfig, CampaignReport, Outcome};
 pub use compile::{compile, compile_guarded, compile_set, Compiled, GuardedCompile};
 pub use grid::{
-    run_grid, run_grid_forkjoin, Aggregate, Grid, GridConfig, GridConfigError, GridError,
-    PointError, Sabotage, SabotageMode,
+    Aggregate, Grid, GridConfigError, GridError, PointError, Sabotage, SabotageMode,
 };
 pub use profile::{compile_with_profile, evaluate_with_profile};
 pub use run::{evaluate, evaluate_set, run_compiled, EvalPoint};

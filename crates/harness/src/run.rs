@@ -22,7 +22,7 @@ pub const FLT_TOL: f64 = 1e-9;
 
 /// Simulation cycle budget for a reference execution of `stmts_executed`
 /// statements. Generous — issue-1 naive code runs well under 100
-/// cycles/instruction — and saturating, so huge `GridConfig::scale`
+/// cycles/instruction — and saturating, so huge `SweepConfig::scale`
 /// values cannot wrap the budget around to a tiny number.
 pub fn cycle_budget(stmts_executed: u64) -> u64 {
     stmts_executed.saturating_mul(4000).max(2_000_000)
@@ -177,7 +177,7 @@ mod tests {
     use ilpc_workloads::{build, table2};
 
     /// The core differential guarantee, exercised on a fast subset here;
-    /// the full 40-loop × 5-level × 3-width sweep runs in the integration
+    /// the full 40-loop × 6-level × 3-width sweep runs in the integration
     /// test suite.
     #[test]
     fn representative_loops_correct_at_all_levels() {
@@ -199,7 +199,7 @@ mod tests {
     }
 
     /// The budget never wraps, no matter how large the reference
-    /// execution (e.g. an extreme `GridConfig::scale`).
+    /// execution (e.g. an extreme `SweepConfig::scale`).
     #[test]
     fn cycle_budget_saturates_instead_of_wrapping() {
         assert_eq!(cycle_budget(0), 2_000_000);

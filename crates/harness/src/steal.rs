@@ -1,10 +1,10 @@
-//! Work-stealing task scheduler for evaluation sweeps.
+//! Work-stealing task scheduler for evaluation sweeps — the harness's one
+//! scheduler.
 //!
-//! The fork-join engine the grid shipped with (one shared atomic counter,
-//! one item per claim) is fine for the paper's 600-point grid, but the
-//! scenario spaces the harness is growing toward — issue rates × latency
-//! tables × cache configs × levels over thousands of generated loops —
-//! have two properties that punish a central counter:
+//! A central work counter (one shared atomic, one item per claim) is fine
+//! for the paper's 720-point grid, but the scenario spaces the harness
+//! sweeps — issue rates × latency tables × cache configs × levels — have
+//! two properties that punish it:
 //!
 //! * **skewed per-point costs**: trip counts in Table 2 span two orders of
 //!   magnitude, and a cached wide-issue Lev4 point simulates many times
@@ -24,8 +24,8 @@
 //!
 //! Results are returned in submission order, so callers can zip them back
 //! to their items — the scheduler never reorders observable output, which
-//! is what lets the grid prove observable identity with the fork-join
-//! engine.
+//! is what lets a sweep prove observable identity with a sequential,
+//! in-order evaluation of the same points (`tests/sweep_engine_differential.rs`).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,8 +44,7 @@ pub struct StealStats {
 ///
 /// Returns one result per item, **in item order**. `eval` receives the
 /// item index and the item itself. Panics inside `eval` propagate (the
-/// grid wraps each point in `catch_unwind` before it reaches here, exactly
-/// as it did under the fork-join engine).
+/// sweep wraps each point in `catch_unwind` before it reaches here).
 pub fn execute<T, R, F>(items: &[T], threads: usize, eval: F) -> (Vec<R>, StealStats)
 where
     T: Sync,
@@ -119,8 +118,8 @@ where
                     // deque only when a worker commits to executing them.
                     break;
                 }
-                // One merge per worker, recovering from sibling poisoning
-                // exactly like the fork-join engine did.
+                // One merge per worker; `lock` recovers from a sibling's
+                // poisoning.
                 lock(&results).extend(local);
             });
         }

@@ -10,10 +10,10 @@
 use crate::artifact::ArtifactCache;
 use crate::compile::{compile, compile_set};
 use crate::examples_paper::{all_examples, measure, schedule};
-use crate::grid::{validate_axes, Grid, GridConfigError};
+use crate::grid::{Grid, GridConfigError};
 use crate::profile::evaluate_with_profile;
 use crate::run::{evaluate, evaluate_set, run_compiled};
-use crate::sweep::{run_sweep, Scenario, Sweep, SweepConfig};
+use crate::sweep::{run_sweep, validate_axes, Scenario, Sweep, SweepConfig};
 use ilpc_analysis::{Liveness, LoopForest};
 use ilpc_core::ablation::TransformSet;
 use ilpc_core::level::{Level, TransformReport};
@@ -317,15 +317,16 @@ fn sensitivity(ctx: &StudyCtx) -> Result<String, String> {
     Ok(out)
 }
 
-/// Cache sensitivity study: how much of the Lev1–Lev4 transformation gains
-/// survive a finite memory hierarchy.
+/// Cache sensitivity study: how much of the transformation gains survive a
+/// finite memory hierarchy.
 ///
 /// The paper's node processor (§3.1) assumes a 100 % data-cache hit rate,
 /// so every headline speedup is an upper bound. This study sweeps L1
-/// capacity × miss latency over the 40-workload grid at Conv..Lev4 and
-/// reports, per (level, width): the mean speedup over the issue-1 Conv
-/// *perfect-memory* baseline, the aggregate L1 hit rate, and the fraction
-/// of the perfect-memory speedup retained.
+/// capacity × miss latency over the 40-workload grid at every level (Conv,
+/// Lev2 and Lev4 under `--quick`) and reports, per (level, width): the
+/// mean speedup over the issue-1 Conv *perfect-memory* baseline, the
+/// aggregate L1 hit rate, and the fraction of the perfect-memory speedup
+/// retained.
 ///
 /// `--quick` shrinks the sweep (fewer cache points, levels and widths) for
 /// smoke runs; `scripts/verify.sh` runs it with `--scale 0.02 --quick`.

@@ -1,32 +1,39 @@
-//! Multi-scenario parameter sweeps on one work-stealing pool.
+//! Multi-scenario parameter sweeps on one work-stealing pool — the
+//! harness's one way to run grid points.
 //!
 //! A **sweep** crosses the evaluation grid (40 loops × levels × widths)
 //! with N *scenarios* — memory configurations and/or latency tables — in
-//! one call ([`crate::grid::run_grid`] is the one-scenario case). Compared
-//! with one call per scenario it differs in two ways that matter at scale:
+//! one call; the paper's grid is the one-scenario case (the
+//! [`SweepConfig`] defaults: every level, widths 1/2/4/8, perfect memory).
+//! Compared with one call per scenario it differs in two ways that matter
+//! at scale:
 //!
 //! * **one scheduler, no barriers**: every (scenario, loop, level, width)
 //!   point goes into a single work-stealing pool, so a scenario whose
 //!   points are expensive (a cold cache, a slow latency table) is drained
 //!   by workers that finished a cheap scenario early, instead of
-//!   serializing behind a per-grid fork-join barrier;
+//!   serializing behind a per-grid barrier;
 //! * **one artifact cache**: compilation depends only on the machine's
 //!   compile key, so all memory-config scenarios share compiled and
 //!   pre-decoded artifacts (latency-table scenarios get their own keys
 //!   automatically — the table is compile-relevant).
 //!
 //! The result splits back into one observably ordinary [`Grid`] per
-//! scenario, so every existing aggregation, figure and report works
-//! unchanged on sweep output.
+//! scenario, so every aggregation, figure and report works on sweep
+//! output. Scenarios never interact, so a sweep also equals its scenarios
+//! run one by one — the equivalence the `ilpc-serve` pool's per-scenario
+//! sharding rests on.
 
 use crate::artifact::{ArtifactCache, CacheCounters};
-use crate::grid::{
-    collect_grid, eval_point_contained, validate_axes, Grid, GridConfigError, Sabotage,
-};
+use crate::grid::{collect_grid, Grid, GridConfigError, PointError, Sabotage, SabotageMode};
+use crate::run::EvalPoint;
 use crate::steal::{self, StealStats};
 use ilpc_core::level::Level;
+use ilpc_guard::panic_message;
+use ilpc_ir::{Module, Opcode};
 use ilpc_machine::{LatencyTable, Machine, MemConfig, TABLE1};
-use ilpc_workloads::{build_all, Workload, WorkloadMeta};
+use ilpc_workloads::{build_all, check_scale, Workload, WorkloadMeta};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// One scenario of a sweep: a memory hierarchy, a latency table, and a
@@ -86,24 +93,6 @@ pub struct SweepConfig {
     pub artifacts: Option<Arc<ArtifactCache>>,
 }
 
-impl SweepConfig {
-    /// Split into one single-scenario config per scenario — the shard
-    /// unit the `ilpc-serve` pool supervisor distributes across worker
-    /// processes. Each split shares this config's artifact cache handle
-    /// (within one process; across processes each worker holds its own),
-    /// keeps the axes and sabotage directive verbatim, and is therefore
-    /// equivalent to the original: running the splits and concatenating
-    /// their grids in order yields exactly `run_sweep(self)`'s grids,
-    /// because scenarios never interact — only the stealing pool and the
-    /// cache are shared, and neither changes results.
-    pub fn split_per_scenario(&self) -> Vec<SweepConfig> {
-        self.scenarios
-            .iter()
-            .map(|s| SweepConfig { scenarios: vec![s.clone()], ..self.clone() })
-            .collect()
-    }
-}
-
 impl Default for SweepConfig {
     fn default() -> SweepConfig {
         SweepConfig {
@@ -134,14 +123,6 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// The grid for the scenario labelled `label`, if any.
-    pub fn grid(&self, label: &str) -> Option<&Grid> {
-        self.scenarios
-            .iter()
-            .position(|s| s.label == label)
-            .map(|i| &self.grids[i])
-    }
-
     /// Total failed points across all scenarios.
     pub fn total_errors(&self) -> usize {
         self.grids.iter().map(|g| g.errors.len()).sum()
@@ -182,14 +163,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<Sweep, GridConfigError> {
                 latency: scenario.latency,
                 ..Machine::issue(width).with_mem(scenario.mem).with_vlen(scenario.vlen)
             };
-            let r = eval_point_contained(
-                w,
-                level,
-                width,
-                &machine,
-                cfg.sabotage.as_ref(),
-                Some(&artifacts),
-            );
+            let r = eval_point(w, level, width, &machine, cfg.sabotage.as_ref(), &artifacts);
             (si, (w.meta.name.to_string(), level, width), r)
         });
 
@@ -211,73 +185,103 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<Sweep, GridConfigError> {
     })
 }
 
+/// Validate grid axes: returns the deduplicated (order-preserving) levels
+/// and widths, or the first typed configuration error.
+pub(crate) fn validate_axes(
+    scale: f64,
+    levels: &[Level],
+    widths: &[u32],
+) -> Result<(Vec<Level>, Vec<u32>), GridConfigError> {
+    check_scale(scale).map_err(|_| GridConfigError::BadScale(scale))?;
+    if levels.is_empty() {
+        return Err(GridConfigError::NoLevels);
+    }
+    if widths.is_empty() {
+        return Err(GridConfigError::NoWidths);
+    }
+    if widths.contains(&0) {
+        return Err(GridConfigError::ZeroWidth);
+    }
+    if !widths.contains(&1) {
+        return Err(GridConfigError::MissingBaseWidth);
+    }
+    if !levels.contains(&Level::Conv) {
+        return Err(GridConfigError::MissingBaseLevel);
+    }
+    // Dedupe preserving first-occurrence order: duplicates would
+    // double-evaluate points and silently overwrite map entries.
+    fn dedup<T: Copy + PartialEq>(xs: &[T]) -> Vec<T> {
+        let mut seen = Vec::new();
+        for &x in xs {
+            if !seen.contains(&x) {
+                seen.push(x);
+            }
+        }
+        seen
+    }
+    Ok((dedup(levels), dedup(widths)))
+}
+
+/// Flip every addition to a subtraction — the kind of systematic
+/// miscompile a corrupted pass would produce. Guaranteed to be caught by
+/// the differential check (or the simulator) on any workload that
+/// computes anything.
+fn corrupt_arithmetic(m: &mut Module) {
+    let blocks: Vec<_> = m.func.layout_order().to_vec();
+    for b in blocks {
+        for inst in &mut m.func.block_mut(b).insts {
+            match inst.op {
+                Opcode::Add => inst.op = Opcode::Sub,
+                Opcode::FAdd => inst.op = Opcode::FSub,
+                _ => {}
+            }
+        }
+    }
+}
+
+/// Evaluate one point through the artifact cache, honouring a matching
+/// sabotage directive, with any panic of the point contained.
+fn eval_point(
+    w: &Workload,
+    level: Level,
+    width: u32,
+    machine: &Machine,
+    sabotage: Option<&Sabotage>,
+    artifacts: &ArtifactCache,
+) -> Result<EvalPoint, PointError> {
+    let hit =
+        sabotage.filter(|s| s.workload == w.meta.name && s.level == level && s.width == width);
+    let eval = || match hit.map(|s| s.mode) {
+        Some(SabotageMode::Panic) => {
+            panic!("sabotaged grid point: {} {level} issue-{width}", w.meta.name)
+        }
+        Some(SabotageMode::Corrupt) => {
+            // Sabotage must never pollute (or be masked by) the shared
+            // cache: compile privately and corrupt that.
+            let mut c = crate::compile::compile(w, level, machine);
+            corrupt_arithmetic(&mut c.module);
+            crate::run::run_compiled(w, &c, machine)
+        }
+        None => artifacts.evaluate(w, level, machine),
+    };
+    match catch_unwind(AssertUnwindSafe(eval)) {
+        Ok(r) => r.map_err(PointError::Eval),
+        Err(payload) => Err(PointError::Panic(panic_message(payload))),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{run_grid_forkjoin, GridConfig, PointError, SabotageMode};
     use ilpc_machine::CacheParams;
 
-    fn mini_axes() -> (Vec<Level>, Vec<u32>) {
-        (vec![Level::Conv, Level::Lev2], vec![1, 8])
-    }
-
-    /// A two-scenario sweep equals two independent runs of the fork-join
-    /// oracle, while compiling each (workload, level, width) exactly once
-    /// across both.
-    #[test]
-    fn sweep_matches_independent_grids_and_shares_artifacts() {
-        let (levels, widths) = mini_axes();
-        let scenarios = vec![
-            Scenario::mem(MemConfig::Perfect),
-            Scenario::mem(MemConfig::Cache(CacheParams::small())),
-        ];
-        let sweep = run_sweep(&SweepConfig {
+    /// A mini two-scenario sweep: Conv/Lev2 × widths {1, 8}, perfect
+    /// memory and the small cache, on four threads and a fresh cache.
+    fn two_scenarios() -> SweepConfig {
+        SweepConfig {
             scale: 0.02,
-            levels: levels.clone(),
-            widths: widths.clone(),
-            threads: 4,
-            scenarios: scenarios.clone(),
-            sabotage: None,
-            artifacts: None,
-        })
-        .unwrap();
-        assert_eq!(sweep.grids.len(), 2);
-        assert_eq!(sweep.total_errors(), 0);
-
-        for (i, scenario) in scenarios.iter().enumerate() {
-            let alone = run_grid_forkjoin(&GridConfig {
-                scale: 0.02,
-                levels: levels.clone(),
-                widths: widths.clone(),
-                threads: 4,
-                mem: scenario.mem,
-                sabotage: None,
-                artifacts: None,
-            })
-            .unwrap();
-            let got: Vec<_> = sweep.grids[i].iter_points().collect();
-            let want: Vec<_> = alone.iter_points().collect();
-            assert_eq!(got, want, "scenario {}", scenario.label);
-            assert_eq!(sweep.grid(&scenario.label).unwrap().completed(), alone.completed());
-        }
-
-        // One compile per (workload, level, width): the cached scenario
-        // reused every artifact (memory config is not compile-relevant).
-        let distinct = (40 * levels.len() * widths.len()) as u64;
-        assert_eq!(sweep.cache.compiles, distinct, "{:?}", sweep.cache);
-        assert_eq!(sweep.cache.hits, distinct, "{:?}", sweep.cache);
-    }
-
-    /// Splitting a sweep per scenario and concatenating the split grids
-    /// reproduces the unsplit sweep exactly — the equivalence the pool
-    /// supervisor's sweep sharding rests on.
-    #[test]
-    fn split_per_scenario_is_equivalent_to_the_whole() {
-        let (levels, widths) = mini_axes();
-        let cfg = SweepConfig {
-            scale: 0.02,
-            levels,
-            widths,
+            levels: vec![Level::Conv, Level::Lev2],
+            widths: vec![1, 8],
             threads: 4,
             scenarios: vec![
                 Scenario::mem(MemConfig::Perfect),
@@ -285,24 +289,59 @@ mod tests {
             ],
             sabotage: None,
             artifacts: None,
-        };
-        let whole = run_sweep(&cfg).unwrap();
+        }
+    }
 
-        let splits = cfg.split_per_scenario();
-        assert_eq!(splits.len(), 2);
-        for (i, split) in splits.iter().enumerate() {
-            assert_eq!(split.scenarios.len(), 1);
-            assert_eq!(split.scenarios[0].label, cfg.scenarios[i].label);
-            assert_eq!(split.scale, cfg.scale);
-            assert_eq!(split.levels, cfg.levels);
-            assert_eq!(split.widths, cfg.widths);
-            let part = run_sweep(split).unwrap();
+    /// A two-scenario sweep equals each scenario swept alone on one thread,
+    /// while compiling each (workload, level, width) exactly once across
+    /// both scenarios.
+    #[test]
+    fn sweep_matches_independent_grids_and_shares_artifacts() {
+        let cfg = two_scenarios();
+        let sweep = run_sweep(&cfg).unwrap();
+        assert_eq!(sweep.grids.len(), 2);
+        assert_eq!(sweep.total_errors(), 0);
+
+        let shared = Arc::new(ArtifactCache::new());
+        for (i, scenario) in cfg.scenarios.iter().enumerate() {
+            let alone = run_sweep(&SweepConfig {
+                threads: 1,
+                scenarios: vec![scenario.clone()],
+                artifacts: Some(Arc::clone(&shared)),
+                ..cfg.clone()
+            })
+            .unwrap();
+            let got: Vec<_> = sweep.grids[i].iter_points().collect();
+            let want: Vec<_> = alone.grids[0].iter_points().collect();
+            assert_eq!(got, want, "scenario {}", scenario.label);
+            assert_eq!(sweep.grids[i].completed(), alone.grids[0].completed());
+        }
+
+        // One compile per (workload, level, width): the cached scenario
+        // reused every artifact (memory config is not compile-relevant).
+        let distinct = (40 * cfg.levels.len() * cfg.widths.len()) as u64;
+        assert_eq!(sweep.cache.compiles, distinct, "{:?}", sweep.cache);
+        assert_eq!(sweep.cache.hits, distinct, "{:?}", sweep.cache);
+    }
+
+    /// Sweeping each scenario alone, each on a fresh cache, and
+    /// concatenating the grids reproduces the whole sweep exactly — the
+    /// equivalence the pool supervisor's per-scenario sharding rests on
+    /// (each worker process holds its own cache).
+    #[test]
+    fn split_per_scenario_is_equivalent_to_the_whole() {
+        let cfg = two_scenarios();
+        let whole = run_sweep(&cfg).unwrap();
+        for (i, scenario) in cfg.scenarios.iter().enumerate() {
+            let part =
+                run_sweep(&SweepConfig { scenarios: vec![scenario.clone()], ..cfg.clone() })
+                    .unwrap();
             assert_eq!(part.grids.len(), 1);
             let got: Vec<_> = part.grids[0].iter_points().collect();
             let want: Vec<_> = whole.grids[i].iter_points().collect();
             assert_eq!(got, want, "split {i} diverged from the unsplit sweep");
             assert_eq!(part.grids[0].completed(), whole.grids[i].completed());
-            assert_eq!(part.grids[0].errors.len(), whole.grids[i].errors.len());
+            assert_eq!(part.grids[0].errors, whole.grids[i].errors);
         }
     }
 
@@ -311,19 +350,13 @@ mod tests {
     /// be shared across tables — and results must differ.
     #[test]
     fn latency_scenarios_do_not_share_artifacts() {
-        let (levels, widths) = mini_axes();
         let slow_fp = LatencyTable { fp_alu: 9, ..TABLE1 };
         let sweep = run_sweep(&SweepConfig {
-            scale: 0.02,
-            levels,
-            widths,
-            threads: 4,
             scenarios: vec![
                 Scenario::mem(MemConfig::Perfect),
                 Scenario::with_latency("slow-fp", MemConfig::Perfect, slow_fp),
             ],
-            sabotage: None,
-            artifacts: None,
+            ..two_scenarios()
         })
         .unwrap();
         assert_eq!(sweep.total_errors(), 0);
@@ -356,46 +389,37 @@ mod tests {
         assert_eq!((c.compiles, c.hits, c.rungs, c.ref_runs), (480, 0, 240, 40), "{c:?}");
     }
 
-    /// A sabotaged point degrades in every scenario it matches while the
-    /// rest of the sweep completes — per-scenario typed errors, no abort.
-    #[test]
-    fn sabotage_degrades_per_scenario() {
-        let (levels, widths) = mini_axes();
-        let sweep = run_sweep(&SweepConfig {
-            scale: 0.02,
-            levels,
-            widths,
-            threads: 4,
-            scenarios: vec![
-                Scenario::mem(MemConfig::Perfect),
-                Scenario::mem(MemConfig::Cache(CacheParams::small())),
-            ],
-            sabotage: Some(Sabotage {
-                workload: "dotprod".to_string(),
-                level: Level::Lev2,
-                width: 8,
-                mode: SabotageMode::Panic,
-            }),
-            artifacts: None,
-        })
-        .unwrap();
-        for g in &sweep.grids {
-            assert_eq!(g.errors.len(), 1, "{:#?}", g.errors);
-            assert!(matches!(&g.errors[0].error, PointError::Panic(m) if m.contains("sabotaged")));
-            assert_eq!(g.completed(), 40 * 2 * 2 - 1);
-        }
-    }
-
-    /// Sweep validation reuses the grid's typed errors and adds its own.
+    /// Invalid configurations are rejected with typed errors before any
+    /// point runs — the fail-silent `mean_speedup == 0.0` trap is gone.
     #[test]
     fn sweep_validation_is_typed() {
-        let bad = SweepConfig {
-            scale: 0.02,
-            widths: vec![2, 8],
-            ..SweepConfig::default()
-        };
-        assert_eq!(run_sweep(&bad).unwrap_err(), GridConfigError::MissingBaseWidth);
-        let none = SweepConfig { scale: 0.02, scenarios: vec![], ..SweepConfig::default() };
-        assert_eq!(run_sweep(&none).unwrap_err(), GridConfigError::NoScenarios);
+        let base =
+            SweepConfig { scenarios: vec![Scenario::mem(MemConfig::Perfect)], ..two_scenarios() };
+        let cases: Vec<(SweepConfig, GridConfigError)> = vec![
+            (SweepConfig { widths: vec![2, 8], ..base.clone() }, GridConfigError::MissingBaseWidth),
+            (
+                SweepConfig { levels: vec![Level::Lev2], ..base.clone() },
+                GridConfigError::MissingBaseLevel,
+            ),
+            (SweepConfig { widths: vec![], ..base.clone() }, GridConfigError::NoWidths),
+            (SweepConfig { levels: vec![], ..base.clone() }, GridConfigError::NoLevels),
+            (SweepConfig { widths: vec![1, 0], ..base.clone() }, GridConfigError::ZeroWidth),
+            (SweepConfig { scale: 0.0, ..base.clone() }, GridConfigError::BadScale(0.0)),
+            (SweepConfig { scale: -1.0, ..base.clone() }, GridConfigError::BadScale(-1.0)),
+            (SweepConfig { scale: 1e12, ..base.clone() }, GridConfigError::BadScale(1e12)),
+            (SweepConfig { scenarios: vec![], ..base.clone() }, GridConfigError::NoScenarios),
+        ];
+        for (cfg, want) in cases {
+            assert_eq!(run_sweep(&cfg).unwrap_err(), want);
+        }
+        // NaN != NaN, so compare the discriminant.
+        let nan = run_sweep(&SweepConfig { scale: f64::NAN, ..base }).unwrap_err();
+        assert!(matches!(nan, GridConfigError::BadScale(s) if s.is_nan()), "{nan}");
+        // Each text names the bound that was broken.
+        assert_eq!(nan.to_string(), "config: scale NaN must be finite and > 0");
+        assert_eq!(
+            GridConfigError::BadScale(1e12).to_string(),
+            "config: scale 1000000000000 must be <= 64"
+        );
     }
 }

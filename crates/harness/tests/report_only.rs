@@ -2,8 +2,8 @@
 //! or exactly the study the golden under `tests/golden/` records.
 
 use ilpc_harness::figures::{paper_ids, render_report, render_section, section_ids, FIGURES};
-use ilpc_harness::grid::{run_grid, GridConfig};
 use ilpc_harness::studies::{StudyCtx, STUDIES};
+use ilpc_harness::sweep::{run_sweep, SweepConfig};
 use ilpc_testkit::cli::assert_rejected;
 use std::process::{Command, Output};
 
@@ -23,17 +23,18 @@ fn golden(name: &str) -> String {
 /// parent of the `STUDIES` table printed.
 #[test]
 fn only_sections_tile_the_full_report() {
-    let grid = run_grid(&GridConfig { scale: 0.05, ..GridConfig::default() }).unwrap();
+    let sweep = run_sweep(&SweepConfig { scale: 0.05, ..SweepConfig::default() }).unwrap();
+    let grid = &sweep.grids[0];
     assert!(grid.errors.is_empty(), "{:#?}", grid.errors);
     let ids: Vec<&str> = paper_ids().collect();
     for wanted in FIGURES.iter().map(|f| f.id).chain(["table1", "table2", "summary"]) {
         assert!(ids.contains(&wanted), "{wanted} is not selectable");
     }
-    let full = render_report(&grid);
+    let full = render_report(grid);
     assert_eq!(full, golden("report"), "report --scale 0.05");
     let mut rest = full.as_str();
     for id in ids {
-        let only = render_section(id, || &grid).unwrap() + "\n";
+        let only = render_section(id, || grid).unwrap() + "\n";
         rest = rest
             .strip_prefix(only.as_str())
             .unwrap_or_else(|| panic!("--only {id} differs from its section:\n{only}\nvs\n{rest}"));
@@ -103,6 +104,7 @@ fn cli_rejects_bad_arguments_and_selects_sections() {
     assert_rejected("report", exe, &["--only", "summary", "--verbose"]);
     assert_rejected("report", exe, &["--only", "vlen-sweep", "--quick", "--verbose"]);
     assert_rejected("report", exe, &["--only", "swp", "--scale", "-1"]);
+    assert_rejected("report", exe, &["--only", "summary", "--scale", "1e12"]);
 
     // Every other binary of this crate rejects a trailing value-taking
     // flag, an unparsable value and an unknown flag the same way: one
@@ -113,11 +115,31 @@ fn cli_rejects_bad_arguments_and_selects_sections() {
         ("ilpc-lint", env!("CARGO_BIN_EXE_ilpc-lint")),
     ];
     for (name, exe) in bins {
-        for args in [&["--scale"][..], &["--scale", "fast"], &["--scal", "0.1"]] {
+        for args in [
+            &["--scale"][..],
+            &["--scale", "fast"],
+            &["--scal", "0.1"],
+            &["--scale", "1e12"],
+            &["--scale", "nan"],
+        ] {
             assert_rejected(name, exe, args);
         }
     }
     assert_rejected("ilpc", env!("CARGO_BIN_EXE_ilpc"), &["run", "dotprod", "--width"]);
+    // A module `ilpc exec` cannot run is one `ilpc: …` line and exit
+    // status 2: no allocator abort (134), no panic (101).
+    let path = format!("{}/malformed.ilpc", env!("CARGO_TARGET_TMPDIR"));
+    for module in [
+        ".module x\n.sym A flt 99999999999999\n.func x\n.block B0 b\n    halt\n",
+        ".module x\n.func x\n.block B0 b\n    mov r4000000000f, #f0\n    halt\n",
+        ".module x\n.func x\n",
+    ] {
+        std::fs::write(&path, module).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_ilpc")).args(["exec", &path]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{module}: {stderr}");
+        assert!(stderr.starts_with("ilpc: ") && stderr.lines().count() == 1, "{stderr}");
+    }
 
     let table1 = report(&["--only", "table1"]);
     assert!(table1.status.success());

@@ -30,6 +30,19 @@ use crate::reg::{Reg, RegClass};
 use crate::sym::SymId;
 use std::fmt::Write as _;
 
+/// Most data words (the sum of every `.sym`'s elements) a parsed module may
+/// declare: running it allocates them all. Ten times the largest module
+/// `ilpc emit` writes at the largest trip-count scale (≈ 3.5 M words).
+const MAX_DATA_WORDS: usize = 1 << 25;
+
+/// Largest register id a parsed module may name: decoding allocates every
+/// id below it. Far above the ≈ 640 the densest compiled nest uses.
+const MAX_REG_ID: u32 = 1 << 20;
+
+/// Largest block id a parsed module may name: parsing allocates every id
+/// below it. Far above the ≈ 70 of the largest compiled nest.
+const MAX_BLOCK_ID: u32 = 1 << 16;
+
 /// Serialize `m` to the stable text format.
 pub fn serialize(m: &Module) -> String {
     let mut out = String::new();
@@ -170,6 +183,9 @@ fn parse_reg(tok: &str, line: usize) -> Result<Reg, ParseError> {
     let id: u32 = digits
         .parse()
         .map_err(|_| ParseError { line, message: format!("bad register id {tok}") })?;
+    if id > MAX_REG_ID {
+        return err(line, format!("register id {tok} exceeds {MAX_REG_ID}"));
+    }
     Ok(Reg { id, class })
 }
 
@@ -339,6 +355,7 @@ pub fn parse(text: &str) -> Result<Module, ParseError> {
     let mut module: Option<Module> = None;
     // Blocks may be declared in any id order; remember (id, label, insts).
     let mut blocks: Vec<(u32, String, Vec<Inst>)> = Vec::new();
+    let mut data_words = 0usize;
 
     for (lineno, raw) in text.lines().enumerate() {
         let line = lineno + 1;
@@ -364,6 +381,10 @@ pub fn parse(text: &str) -> Result<Module, ParseError> {
             let elems: usize = parts[2]
                 .parse()
                 .map_err(|_| ParseError { line, message: "bad elems".into() })?;
+            data_words = data_words.saturating_add(elems);
+            if data_words > MAX_DATA_WORDS {
+                return err(line, format!("symbols exceed {MAX_DATA_WORDS} data words"));
+            }
             m.symtab.declare(parts[0], elems, class);
         } else if let Some(rest) = content.strip_prefix(".func") {
             let m = module
@@ -378,6 +399,7 @@ pub fn parse(text: &str) -> Result<Module, ParseError> {
             let id: u32 = parts[0]
                 .strip_prefix('B')
                 .and_then(|d| d.parse().ok())
+                .filter(|&id| id <= MAX_BLOCK_ID)
                 .ok_or_else(|| ParseError { line, message: "bad block id".into() })?;
             let label = parts.get(1).copied().unwrap_or("-").to_string();
             blocks.push((id, label, Vec::new()));
@@ -498,6 +520,36 @@ mod tests {
         let e = parse(bad).unwrap_err();
         assert_eq!(e.line, 4);
         assert!(e.message.contains("frobnicate"));
+    }
+
+    /// A symbol size that running the module could not allocate is a
+    /// parse error, not an abort. The bound is on the module's total: a
+    /// symbol at the bound plus any other exceeds it.
+    #[test]
+    fn oversized_symbol_is_a_parse_error() {
+        for elems in ["99999999999999".to_string(), MAX_DATA_WORDS.to_string()] {
+            let syms = format!(".module x\n.sym A flt 8\n.sym B flt {elems}\n");
+            let text = syms + ".func x\n.block B0 b\n    halt\n";
+            let e = parse(&text).unwrap_err();
+            assert_eq!(e.line, 3, "{e}");
+            assert!(e.message.contains("data words"), "{e}");
+        }
+    }
+
+    /// So is a register id decoding could not allocate a file for.
+    #[test]
+    fn oversized_register_id_is_a_parse_error() {
+        let text = ".module x\n.func x\n.block B0 b\n    mov r4000000000f, #f0\n    halt\n";
+        let e = parse(text).unwrap_err();
+        assert_eq!(e.line, 4, "{e}");
+        assert!(e.message.contains("r4000000000f exceeds"), "{e}");
+    }
+
+    /// And a block id parsing could not allocate every block below.
+    #[test]
+    fn oversized_block_id_is_a_parse_error() {
+        let e = parse(".module x\n.func x\n.block B4000000000 b\n    halt\n").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (3, "bad block id"));
     }
 
     #[test]

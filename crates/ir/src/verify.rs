@@ -25,7 +25,7 @@ use crate::reg::RegClass;
 pub struct VerifyError {
     /// Stable error class: `reg-range`, `dangling-target`, `target-shape`,
     /// `operand-shape`, `class-mismatch`, `mem-tag`, `lane-count`,
-    /// `cfg-fallthrough`.
+    /// `cfg-fallthrough`, `no-entry`.
     pub code: &'static str,
     pub block: BlockId,
     pub index: usize,
@@ -334,8 +334,13 @@ pub fn verify_function_all(f: &Function, m: Option<&Module>) -> Vec<VerifyError>
     out
 }
 
-/// Verify a module.
+/// Verify a module: a runnable one, so its function also needs an entry
+/// block (an empty function is well-formed IR for analyses and lints, but
+/// there is nothing to execute).
 pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
+    if m.func.layout_order().is_empty() {
+        return err("no-entry", BlockId(0), 0, "function has no blocks".into());
+    }
     verify_function(&m.func, Some(m))
 }
 
@@ -358,6 +363,15 @@ mod tests {
         blk.insts.push(Inst::load(v, base.into(), Operand::ImmI(0), MemLoc::opaque(a)));
         blk.insts.push(Inst::halt());
         verify_module(&m).unwrap();
+    }
+
+    /// A module whose function has no blocks has no entry to start from:
+    /// rejected, so a consumer that trusts a verified module never indexes
+    /// an empty layout.
+    #[test]
+    fn rejects_function_without_blocks() {
+        let m = Module::new("empty");
+        assert_eq!(verify_module(&m).unwrap_err().code, "no-entry");
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //!
 //! Everything is event-driven around one mpsc channel: a stdin reader
 //! thread, a ticker thread, and one reader thread per live worker
-//! generation all feed [`Event`]s to a single-threaded router that owns
+//! generation all feed `Event`s to a single-threaded router that owns
 //! all state — no locks, no reply interleaving hazards.
 
 use crate::json::{obj, parse, Json};

@@ -33,7 +33,7 @@ use ilpc_harness::grid::PointError;
 use ilpc_harness::sweep::{run_sweep, Scenario, SweepConfig};
 use ilpc_harness::ArtifactCache;
 use ilpc_machine::Machine;
-use ilpc_workloads::{build, table2, Workload};
+use ilpc_workloads::{build, check_scale, table2, Workload};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -134,25 +134,12 @@ impl BoundedQueue {
 /// bound is what matters, not its value.
 pub const MAX_SCALES: usize = 8;
 
-/// Largest trip-count `scale` a request may ask for: sixteen times the
-/// largest any harness binary or ledger workload uses. `scale` is client
-/// input and every array of a workload is sized by it — an unbounded one
-/// asks the allocator for petabytes, which aborts the process where no
-/// `catch_unwind` can answer for it.
-pub const MAX_SCALE: f64 = 64.0;
-
-/// `scale` as a request may use it: finite, positive, at most
-/// [`MAX_SCALE`]. Each op resolves its scale through here before anything
-/// is sized by it.
+/// `scale` as a request may use it: [`check_scale`]d, so finite, positive
+/// and at most [`ilpc_workloads::MAX_SCALE`] — `scale` is client input and
+/// sizes every array of a workload. Each op resolves its scale through
+/// here before anything is sized by it.
 fn checked_scale(scale: f64) -> Result<f64, (ErrorKind, String)> {
-    if scale.is_finite() && scale > 0.0 && scale <= MAX_SCALE {
-        Ok(scale)
-    } else {
-        Err((
-            ErrorKind::BadConfig,
-            format!("scale {scale} must be finite, > 0 and <= {MAX_SCALE}"),
-        ))
-    }
+    check_scale(scale).map_err(|e| (ErrorKind::BadConfig, e))
 }
 
 /// Everything the engine keeps for one trip-count scale: the artifact cache
@@ -559,7 +546,7 @@ fn chaos_verdict(chaos: &mut Option<ChaosPlan>, line: &str) -> ChaosVerdict {
 }
 
 /// Serve JSON-lines over arbitrary reader/writer streams (the stdin mode
-/// of the binary, and directly testable): one [`session`] on a server of
+/// of the binary, and directly testable): one `session` on a server of
 /// its own, with `cfg.chaos` armed. Returns once every reply is written.
 pub fn serve_lines(
     cfg: &ServeConfig,
@@ -576,7 +563,7 @@ pub fn serve_lines(
 /// failure (EMFILE) must not turn the loop into a busy spin.
 const ACCEPT_BACKOFF: std::time::Duration = std::time::Duration::from_millis(50);
 
-/// Serve JSON-lines over TCP: one [`session`] per connection, all feeding
+/// Serve JSON-lines over TCP: one `session` per connection, all feeding
 /// one shared server. Returns the bound address; serving continues on
 /// background threads for `conn_limit` connections (`None` = forever —
 /// the binary's mode), after which the server is shut down.

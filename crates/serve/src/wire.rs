@@ -1,11 +1,11 @@
 //! The wire: the only code that touches a protocol stream.
 //!
 //! Every front end — stdin, a TCP connection, the pool's client side and
-//! the pool's worker pipes — reads through [`frames`] and writes through
-//! [`write_line`], so the framing rules hold everywhere at once:
+//! the pool's worker pipes — reads through `frames` and writes through
+//! `write_line`, so the framing rules hold everywhere at once:
 //!
 //! * a line is at most [`MAX_LINE_BYTES`]; a longer one is drained without
-//!   being stored and surfaces as [`Frame::Oversized`];
+//!   being stored and surfaces as `Frame::Oversized`;
 //! * a reply leaves as **one** `write` of `line + '\n'` followed by one
 //!   flush. Two writes (payload, then newline) on an unbuffered socket
 //!   meet Nagle and delayed ACK and cost a ~40 ms stall per reply.

@@ -12,12 +12,12 @@
 //!   no `Operand` matching, no `Option` unwrapping.
 //! * **Packed records.** The per-record fields the run loop touches every
 //!   dynamic instruction (dispatch kind, flags, FU class, latency, operand
-//!   and destination indices, branch target) live in one 28-byte [`Slot`],
+//!   and destination indices, branch target) live in one 28-byte `Slot`,
 //!   so fetching an instruction is a single bounds-checked load from one
 //!   array instead of a dozen. Cold fields (addressing displacement,
 //!   memory tags, source coordinates) stay in side arrays indexed by pc.
 //! * **Fused dispatch.** The opcode is decoded all the way down: `Add` and
-//!   `FMul` are distinct [`DOp`] variants, so executing an ALU op is one
+//!   `FMul` are distinct `DOp` variants, so executing an ALU op is one
 //!   jump-table dispatch, not an opcode match nested inside a class match.
 //! * **Latency and FU class.** Baked in at decode time from the machine's
 //!   latency table ([`DecodedProgram`] records which table it was built

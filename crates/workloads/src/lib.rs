@@ -12,4 +12,4 @@ pub mod catalog;
 pub mod programs;
 
 pub use catalog::{table2, LoopType, Suite, WorkloadMeta};
-pub use programs::{build, build_all, Workload};
+pub use programs::{build, build_all, check_scale, Workload, MAX_SCALE};

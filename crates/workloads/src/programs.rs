@@ -319,7 +319,25 @@ fn search(c: &mut Ctx, extra_accum: bool, nest: usize) -> Vec<Stmt> {
 // Individual workloads
 // --------------------------------------------------------------------------
 
-/// Build one workload by Table 2 name.
+/// Largest trip-count `scale` [`build`] may be given: sixteen times the
+/// largest any harness binary or ledger workload uses. Every array of a
+/// workload is sized by the scale, so an unbounded one asks the allocator
+/// for petabytes, which aborts the process where no `catch_unwind` can
+/// answer for it.
+pub const MAX_SCALE: f64 = 64.0;
+
+/// `scale` as [`build`] may be given it: finite, > 0 and at most
+/// [`MAX_SCALE`]. The one check every caller that takes a scale from
+/// outside the program makes before building anything with it.
+pub fn check_scale(scale: f64) -> Result<f64, String> {
+    if scale.is_finite() && scale > 0.0 && scale <= MAX_SCALE {
+        Ok(scale)
+    } else {
+        Err(format!("scale {scale} must be finite, > 0 and <= {MAX_SCALE}"))
+    }
+}
+
+/// Build one workload by Table 2 name, at a [`check_scale`]d `scale`.
 pub fn build(meta: &WorkloadMeta, scale: f64) -> Workload {
     let mut c = Ctx::new(meta, scale);
     let nest = meta.nest;

@@ -47,6 +47,9 @@ cargo build --release --offline --workspace
 
 echo "== offline workspace check (all targets, warnings are errors) =="
 RUSTFLAGS="-D warnings" cargo check --workspace --all-targets --offline
+# Rustdoc too: a public doc linking a private or deleted item is an error.
+# `--lib`: the `ilpc-lint` binary's docs would collide with its crate's.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
 # benchmark/ is its own workspace on path deps into crates/*: a change to
 # the crates' public surface can break the ledger without tier-1 noticing.
 cargo check --offline --manifest-path benchmark/Cargo.toml

@@ -50,10 +50,7 @@ pub mod prelude {
     pub use ilpc_guard::{Guard, GuardConfig, GuardErrorKind, GuardReport, Oracle};
     pub use ilpc_harness::campaign::{run_campaign, CampaignConfig, Outcome};
     pub use ilpc_harness::compile::{compile, compile_guarded};
-    pub use ilpc_harness::grid::{
-        run_grid, run_grid_forkjoin, Aggregate, GridConfig, GridConfigError, Sabotage,
-        SabotageMode,
-    };
+    pub use ilpc_harness::grid::{Aggregate, GridConfigError, Sabotage, SabotageMode};
     pub use ilpc_harness::run::{evaluate, EvalPoint};
     pub use ilpc_harness::sweep::{run_sweep, Scenario, Sweep, SweepConfig};
     pub use ilpc_ir::ast::{Bound, Expr, Index, Program, Stmt};

@@ -9,8 +9,8 @@
 //!    bit-identical to an already-checked module is kept unchecked (exact
 //!    counts pinned below), and that shortcut never lets a fault through.
 //! 2. **Grid isolation**: one deliberately-faulted point in the full
-//!    600-point evaluation grid degrades to a typed error while the other
-//!    599 points complete.
+//!    720-point evaluation grid degrades to a typed error while the other
+//!    719 points complete.
 //! 3. **No silent escapes**: a deterministic seeded fault campaign never
 //!    produces wrong architectural results without a flag.
 
@@ -20,9 +20,7 @@ use ilp_compiler::harness::campaign::{run_campaign, CampaignConfig};
 use ilp_compiler::harness::compile::{
     compile, compile_guarded, guarded_step_count, workload_oracle,
 };
-use ilp_compiler::harness::grid::{
-    run_grid, GridConfig, PointError, Sabotage, SabotageMode,
-};
+use ilp_compiler::harness::grid::{PointError, Sabotage, SabotageMode};
 use ilp_compiler::ir::text::serialize;
 use ilp_compiler::ir::{Opcode, SymTab};
 use ilp_compiler::prelude::*;
@@ -244,13 +242,13 @@ fn resized_symbol_is_an_incident_not_a_panic() {
     ilp_compiler::ir::verify::verify_module(&g.compiled.module).unwrap();
 }
 
-/// The full 40 × 5 × 3 = 600-point grid with one sabotaged point: the
-/// fault becomes a typed error and the remaining 599 points complete.
+/// The full 40 × 6 × 3 = 720-point grid with one sabotaged point: the
+/// fault becomes a typed error and the remaining 719 points complete.
 #[test]
 fn full_grid_survives_a_faulted_point() {
     let levels = Level::ALL.to_vec();
     let widths = vec![1u32, 4, 8];
-    let cfg = GridConfig {
+    let cfg = SweepConfig {
         scale: 0.02,
         levels: levels.clone(),
         widths: widths.clone(),
@@ -260,9 +258,10 @@ fn full_grid_survives_a_faulted_point() {
             width: 4,
             mode: SabotageMode::Panic,
         }),
-        ..GridConfig::default()
+        ..SweepConfig::default()
     };
-    let grid = run_grid(&cfg).expect("grid config rejected");
+    let sweep = run_sweep(&cfg).expect("grid config rejected");
+    let grid = &sweep.grids[0];
     assert_eq!(grid.meta.len(), 40);
 
     // Exactly one typed failure, at the sabotaged coordinates.
@@ -275,7 +274,7 @@ fn full_grid_survives_a_faulted_point() {
         "{err}"
     );
 
-    // The other 599 points all completed.
+    // The other 719 points all completed.
     let mut present = 0;
     for m in &grid.meta {
         for &level in &levels {

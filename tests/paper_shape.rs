@@ -5,18 +5,15 @@
 //! gains come from, and how register pressure moves — which is what the
 //! paper's conclusions rest on.
 
-use ilp_compiler::harness::grid::{run_grid, Grid, GridConfig};
+use ilp_compiler::harness::grid::Grid;
 use ilp_compiler::prelude::*;
 
+/// The paper's grid (every level, widths 1/2/4/8, perfect memory) at
+/// scale 0.15.
 fn grid() -> Grid {
-    let cfg = GridConfig {
-        scale: 0.15,
-        levels: Level::ALL.to_vec(),
-        widths: vec![1, 2, 4, 8],
-        threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
-        ..GridConfig::default()
-    };
-    let g = run_grid(&cfg).expect("grid config rejected");
+    let sweep = run_sweep(&SweepConfig { scale: 0.15, ..SweepConfig::default() })
+        .expect("grid config rejected");
+    let g = sweep.grids.into_iter().next().expect("one scenario yields one grid");
     assert!(g.errors.is_empty(), "{:#?}", g.errors);
     g
 }
