@@ -456,62 +456,89 @@ mod tests {
         assert_eq!(missing.complete(), None);
     }
 
+    /// Invalid grid axes and scales are rejected with typed errors before
+    /// any point runs — the fail-silent `mean_speedup == 0.0` trap is gone.
+    #[test]
+    fn invalid_configs_are_typed_errors() {
+        let base = SweepConfig {
+            scale: 0.02,
+            levels: vec![Level::Conv, Level::Lev2],
+            widths: vec![1, 8],
+            threads: 2,
+            ..SweepConfig::default()
+        };
+        let cases: Vec<(SweepConfig, GridConfigError)> = vec![
+            (SweepConfig { widths: vec![2, 8], ..base.clone() }, GridConfigError::MissingBaseWidth),
+            (
+                SweepConfig { levels: vec![Level::Lev2], ..base.clone() },
+                GridConfigError::MissingBaseLevel,
+            ),
+            (SweepConfig { widths: vec![], ..base.clone() }, GridConfigError::NoWidths),
+            (SweepConfig { levels: vec![], ..base.clone() }, GridConfigError::NoLevels),
+            (SweepConfig { widths: vec![1, 0], ..base.clone() }, GridConfigError::ZeroWidth),
+            (SweepConfig { scale: 0.0, ..base.clone() }, GridConfigError::BadScale(0.0)),
+            (SweepConfig { scale: -1.0, ..base.clone() }, GridConfigError::BadScale(-1.0)),
+            (SweepConfig { scale: 1e12, ..base.clone() }, GridConfigError::BadScale(1e12)),
+        ];
+        for (cfg, want) in cases {
+            assert_eq!(run_sweep(&cfg).unwrap_err(), want);
+        }
+        // NaN != NaN, so compare the discriminant.
+        let nan = run_sweep(&SweepConfig { scale: f64::NAN, ..base }).unwrap_err();
+        assert!(matches!(nan, GridConfigError::BadScale(s) if s.is_nan()), "{nan}");
+        // Each text names the bound that was broken.
+        assert_eq!(nan.to_string(), "config: scale NaN must be finite and > 0");
+        assert_eq!(
+            GridConfigError::BadScale(1e12).to_string(),
+            "config: scale 1000000000000 must be <= 64"
+        );
+    }
+
     /// One sabotaged point must degrade to a typed error while every
     /// other point completes — for both failure shapes (contained panic
-    /// and corrupted-output rejection), in a one-scenario sweep and in
-    /// every scenario of a two-scenario one — and partial aggregates must
-    /// say so instead of passing for complete.
+    /// and corrupted-output rejection) — and partial aggregates must say
+    /// so instead of passing for complete.
     #[test]
     fn sabotaged_point_is_isolated_and_typed() {
-        let perfect = Scenario::mem(MemConfig::Perfect);
-        let cached = Scenario::mem(MemConfig::Cache(CacheParams::small()));
         for mode in [SabotageMode::Panic, SabotageMode::Corrupt] {
-            for scenarios in [vec![perfect.clone()], vec![perfect.clone(), cached.clone()]] {
-                let n = scenarios.len();
-                let sweep = run_sweep(&SweepConfig {
-                    scale: 0.02,
-                    levels: vec![Level::Conv, Level::Lev2],
-                    widths: vec![1, 8],
-                    threads: 4,
-                    scenarios,
-                    sabotage: Some(Sabotage {
-                        workload: "dotprod".to_string(),
-                        level: Level::Lev2,
-                        width: 8,
-                        mode,
-                    }),
-                    artifacts: None,
-                })
-                .unwrap();
-                assert_eq!(sweep.grids.len(), n);
-                assert_eq!(sweep.total_errors(), n, "{mode:?} x{n}");
-                for grid in &sweep.grids {
-                    assert_eq!(grid.errors.len(), 1, "{mode:?} x{n}: {:#?}", grid.errors);
-                    let err = &grid.errors[0];
-                    assert_eq!(err.workload, "dotprod");
-                    assert_eq!((err.level, err.width), (Level::Lev2, 8));
-                    match (mode, &err.error) {
-                        (SabotageMode::Panic, PointError::Panic(msg)) => {
-                            assert!(msg.contains("sabotaged grid point"), "{msg}");
-                        }
-                        (SabotageMode::Corrupt, PointError::Eval(_)) => {}
-                        other => panic!("wrong error shape: {other:?}"),
-                    }
-                    // The sabotaged point is absent; every other point
-                    // completed.
-                    assert!(grid.point("dotprod", Level::Lev2, 8).is_none());
-                    assert_eq!(grid.completed(), 40 * 2 * 2 - 1, "{mode:?} x{n}");
-                    // The holed aggregate is visibly partial: it cannot
-                    // pass for a complete mean any more.
-                    let agg =
-                        grid.mean_speedup(grid.meta.iter().map(|m| m.name), Level::Lev2, 8);
-                    assert_eq!((agg.covered(), agg.requested()), (39, 40), "{mode:?} x{n}");
-                    assert!(!agg.is_complete());
-                    assert_eq!(agg.complete(), None);
-                    assert!(agg.partial().unwrap() > 1.0);
-                    assert!(format!("{agg}").contains("39/40"), "{agg}");
+            let sweep = run_sweep(&SweepConfig {
+                scale: 0.02,
+                levels: vec![Level::Conv, Level::Lev2],
+                widths: vec![1, 8],
+                threads: 4,
+                scenarios: vec![Scenario::mem(MemConfig::Perfect)],
+                sabotage: Some(Sabotage {
+                    workload: "dotprod".to_string(),
+                    level: Level::Lev2,
+                    width: 8,
+                    mode,
+                }),
+                artifacts: None,
+            })
+            .unwrap();
+            let grid = &sweep.grids[0];
+            assert_eq!(grid.errors.len(), 1, "{mode:?}: {:#?}", grid.errors);
+            let err = &grid.errors[0];
+            assert_eq!(err.workload, "dotprod");
+            assert_eq!((err.level, err.width), (Level::Lev2, 8));
+            match (mode, &err.error) {
+                (SabotageMode::Panic, PointError::Panic(msg)) => {
+                    assert!(msg.contains("sabotaged grid point"), "{msg}");
                 }
+                (SabotageMode::Corrupt, PointError::Eval(_)) => {}
+                other => panic!("wrong error shape: {other:?}"),
             }
+            // The sabotaged point is absent; every other point completed.
+            assert!(grid.point("dotprod", Level::Lev2, 8).is_none());
+            assert_eq!(grid.completed(), 40 * 2 * 2 - 1, "{mode:?}");
+            // The holed aggregate is visibly partial: it cannot pass for a
+            // complete mean any more.
+            let agg = grid.mean_speedup(grid.meta.iter().map(|m| m.name), Level::Lev2, 8);
+            assert_eq!((agg.covered(), agg.requested()), (39, 40), "{mode:?}");
+            assert!(!agg.is_complete());
+            assert_eq!(agg.complete(), None);
+            assert!(agg.partial().unwrap() > 1.0);
+            assert!(format!("{agg}").contains("39/40"), "{agg}");
         }
     }
 

@@ -389,37 +389,55 @@ mod tests {
         assert_eq!((c.compiles, c.hits, c.rungs, c.ref_runs), (480, 0, 240, 40), "{c:?}");
     }
 
-    /// Invalid configurations are rejected with typed errors before any
-    /// point runs — the fail-silent `mean_speedup == 0.0` trap is gone.
+    /// A sabotaged point degrades in every scenario it matches, for both
+    /// failure shapes, while the rest of the sweep completes — per-scenario
+    /// typed errors and visibly partial aggregates, no abort.
+    #[test]
+    fn sabotage_degrades_per_scenario() {
+        for mode in [SabotageMode::Panic, SabotageMode::Corrupt] {
+            let sweep = run_sweep(&SweepConfig {
+                sabotage: Some(Sabotage {
+                    workload: "dotprod".to_string(),
+                    level: Level::Lev2,
+                    width: 8,
+                    mode,
+                }),
+                ..two_scenarios()
+            })
+            .unwrap();
+            assert_eq!(sweep.grids.len(), 2);
+            assert_eq!(sweep.total_errors(), 2, "{mode:?}");
+            for g in &sweep.grids {
+                assert_eq!(g.errors.len(), 1, "{mode:?}: {:#?}", g.errors);
+                let err = &g.errors[0];
+                assert_eq!(err.workload, "dotprod");
+                assert_eq!((err.level, err.width), (Level::Lev2, 8));
+                match (mode, &err.error) {
+                    (SabotageMode::Panic, PointError::Panic(msg)) => {
+                        assert!(msg.contains("sabotaged grid point"), "{msg}");
+                    }
+                    (SabotageMode::Corrupt, PointError::Eval(_)) => {}
+                    other => panic!("wrong error shape: {other:?}"),
+                }
+                assert!(g.point("dotprod", Level::Lev2, 8).is_none());
+                assert_eq!(g.completed(), 40 * 2 * 2 - 1, "{mode:?}");
+                let agg = g.mean_speedup(g.meta.iter().map(|m| m.name), Level::Lev2, 8);
+                assert_eq!((agg.covered(), agg.requested()), (39, 40), "{mode:?}");
+                assert_eq!(agg.complete(), None);
+                assert!(agg.partial().unwrap() > 1.0);
+            }
+        }
+    }
+
+    /// Sweep validation reuses the grid's typed errors — in every scenario
+    /// of a multi-scenario sweep — and adds its own.
     #[test]
     fn sweep_validation_is_typed() {
-        let base =
-            SweepConfig { scenarios: vec![Scenario::mem(MemConfig::Perfect)], ..two_scenarios() };
-        let cases: Vec<(SweepConfig, GridConfigError)> = vec![
-            (SweepConfig { widths: vec![2, 8], ..base.clone() }, GridConfigError::MissingBaseWidth),
-            (
-                SweepConfig { levels: vec![Level::Lev2], ..base.clone() },
-                GridConfigError::MissingBaseLevel,
-            ),
-            (SweepConfig { widths: vec![], ..base.clone() }, GridConfigError::NoWidths),
-            (SweepConfig { levels: vec![], ..base.clone() }, GridConfigError::NoLevels),
-            (SweepConfig { widths: vec![1, 0], ..base.clone() }, GridConfigError::ZeroWidth),
-            (SweepConfig { scale: 0.0, ..base.clone() }, GridConfigError::BadScale(0.0)),
-            (SweepConfig { scale: -1.0, ..base.clone() }, GridConfigError::BadScale(-1.0)),
-            (SweepConfig { scale: 1e12, ..base.clone() }, GridConfigError::BadScale(1e12)),
-            (SweepConfig { scenarios: vec![], ..base.clone() }, GridConfigError::NoScenarios),
-        ];
-        for (cfg, want) in cases {
-            assert_eq!(run_sweep(&cfg).unwrap_err(), want);
-        }
-        // NaN != NaN, so compare the discriminant.
-        let nan = run_sweep(&SweepConfig { scale: f64::NAN, ..base }).unwrap_err();
-        assert!(matches!(nan, GridConfigError::BadScale(s) if s.is_nan()), "{nan}");
-        // Each text names the bound that was broken.
-        assert_eq!(nan.to_string(), "config: scale NaN must be finite and > 0");
-        assert_eq!(
-            GridConfigError::BadScale(1e12).to_string(),
-            "config: scale 1000000000000 must be <= 64"
-        );
+        let bad = SweepConfig { widths: vec![2, 8], ..two_scenarios() };
+        assert_eq!(run_sweep(&bad).unwrap_err(), GridConfigError::MissingBaseWidth);
+        let big = SweepConfig { scale: 1e12, ..two_scenarios() };
+        assert_eq!(run_sweep(&big).unwrap_err(), GridConfigError::BadScale(1e12));
+        let none = SweepConfig { scenarios: vec![], ..two_scenarios() };
+        assert_eq!(run_sweep(&none).unwrap_err(), GridConfigError::NoScenarios);
     }
 }
