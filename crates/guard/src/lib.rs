@@ -42,8 +42,8 @@
 //!   growth, cycle budget or dynamic-instruction watchdog exhaustion.
 //!
 //! [`inject`] pairs the guard with a deterministic fault-injection engine
-//! (seeded by the `ilpc-testkit` PRNG) used by the `fault-campaign`
-//! harness to demonstrate the headline invariant: **zero silent escapes**
+//! (seeded by the `ilpc-testkit` PRNG) used by the harness's fault
+//! campaign (`report --only fault-campaign`) to demonstrate the headline invariant: **zero silent escapes**
 //! — no corrupted run reports a wrong architectural result unflagged.
 
 #![forbid(unsafe_code)]

@@ -330,8 +330,8 @@ mod tests {
     use super::*;
 
     /// A small campaign: deterministic, broad, and — the invariant — free
-    /// of silent escapes. The full ≥500-fault campaign runs in the
-    /// `fault-campaign` binary and the integration suite.
+    /// of silent escapes. The full 500-fault campaign is the
+    /// `fault-campaign` study (`report --only fault-campaign`).
     #[test]
     fn mini_campaign_has_zero_silent_escapes() {
         let cfg = CampaignConfig { faults: 48, seed: 7, ..CampaignConfig::default() };

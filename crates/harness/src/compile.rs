@@ -13,9 +13,10 @@
 //! `crate::profile::compile_with_profile` runs steps directly and annotates
 //! branch probabilities after the first. Because the routes share the
 //! driver, they cannot drift apart on healthy input. All four start from
-//! freshly lowered IR; `crate::artifact::ArtifactCache` alone calls the two
+//! freshly lowered IR. `crate::artifact::ArtifactCache` calls the two
 //! halves separately, to run the middle end once per workload and the
-//! backend once per machine.
+//! backend once per machine; `crate::profile::collect_profile` runs the
+//! Conv rows alone for its unscheduled training module.
 
 use crate::run::{cycle_budget, FLT_TOL};
 use ilpc_core::ablation::TransformSet;

@@ -13,10 +13,9 @@
 //! and tail duplicates inherit the measured probability of the branch they
 //! were cloned from.
 
-use crate::compile::{pipeline, Compiled};
+use crate::compile::{direct, pipeline, run_rows, Compiled};
 use crate::run::run_compiled;
-use ilpc_core::level::{apply_level, passes, Level, PASSES};
-use ilpc_core::unroll::UnrollConfig;
+use ilpc_core::level::{passes, Level, TransformReport, PASSES};
 use ilpc_ir::lower::lower;
 use ilpc_ir::{Module, Opcode};
 use ilpc_machine::Machine;
@@ -50,9 +49,8 @@ fn branch_keys(m: &Module) -> HashMap<(u32, usize), (u32, usize)> {
 /// per-branch taken probabilities of the *Conv-compiled* module.
 pub fn collect_profile(w: &Workload) -> Result<(Module, BranchProfile), String> {
     let machine = Machine::base();
-    let lowered = lower(&w.program);
-    let mut module = lowered.module;
-    apply_level(&mut module, Level::Conv, &UnrollConfig::default());
+    let mut module = lower(&w.program).module;
+    run_rows(&mut module, &mut TransformReport::default(), passes(Level::Conv), 1, &mut direct);
     // NOTE: profiling runs unscheduled code — branch semantics are
     // position-independent, so the profile transfers.
     let mem = memory_from_init(&module.symtab, &w.init);

@@ -8,6 +8,7 @@
 //! the study: a failed one is an `Err`, and `report` exits nonzero.
 
 use crate::artifact::ArtifactCache;
+use crate::campaign::{run_campaign, CampaignConfig};
 use crate::compile::{compile, compile_set};
 use crate::examples_paper::{all_examples, measure, schedule};
 use crate::grid::{Grid, GridConfigError};
@@ -17,6 +18,7 @@ use crate::sweep::{run_sweep, validate_axes, Scenario, Sweep, SweepConfig};
 use ilpc_analysis::{Liveness, LoopForest};
 use ilpc_core::ablation::TransformSet;
 use ilpc_core::level::{Level, TransformReport};
+use ilpc_lint::{audit_schedules, count_severity, lint_module, sort_diagnostics, Severity};
 use ilpc_machine::{CacheParams, Machine, MemConfig};
 use ilpc_sched::modulo::{modulo_schedule, pipelinable_loops};
 use ilpc_sched::schedule_insts;
@@ -99,6 +101,22 @@ pub const STUDIES: &[Study] = &[
         quick_scale: None,
         verbose: false,
         run: swp,
+    },
+    Study {
+        id: "fault-campaign",
+        title: "seeded faults against the transformation firewall",
+        scale: 0.02,
+        quick_scale: Some(0.02),
+        verbose: false,
+        run: fault_campaign,
+    },
+    Study {
+        id: "lint",
+        title: "static legality audit of the compiled grid",
+        scale: 0.02,
+        quick_scale: Some(0.02),
+        verbose: true,
+        run: lint,
     },
 ];
 
@@ -651,4 +669,67 @@ fn swp(ctx: &StudyCtx) -> Result<String, String> {
     let _ = writeln!(out, "Lev4 expansions would lower recMII for software pipelining too,");
     let _ = writeln!(out, "confirming the paper's conjecture.");
     Ok(out)
+}
+
+/// Seeded fault-injection campaign against the transformation firewall
+/// (`crate::campaign`): 500 faults (120 under `--quick`) at seed 7, each
+/// classified by the layer that flagged it. Fails on any silent escape —
+/// wrong architectural results with nothing flagged.
+fn fault_campaign(ctx: &StudyCtx) -> Result<String, String> {
+    let faults = if ctx.quick { 120 } else { 500 };
+    let cfg = CampaignConfig { faults, seed: 7, scale: ctx.scale, ..CampaignConfig::default() };
+    let report = run_campaign(&cfg);
+    let table = report.render();
+    match report.silent_escapes() {
+        0 => Ok(table + "OK: zero silent escapes\n"),
+        n => Err(format!("{n} silent escape(s)\n{table}")),
+    }
+}
+
+/// Static legality audit of the compiled grid: all 40 workloads at every
+/// level for issue widths 1, 4 and 8 (width 4 only under `--quick`), each
+/// artifact through the `ilpc-lint` dataflow lints and the schedule
+/// auditor. Prints the per-severity summary (`--verbose`: every
+/// diagnostic before it). The healthy pipeline is lint-clean, so any
+/// error-severity diagnostic fails the study.
+fn lint(ctx: &StudyCtx) -> Result<String, String> {
+    let widths: &[u32] = if ctx.quick { &[4] } else { &[1, 4, 8] };
+    let mut out = String::new();
+    let mut errors = String::new();
+    let mut artifacts = 0usize;
+    let mut totals = [0usize; 3]; // note, warning, error
+    for w in &ctx.workloads {
+        for level in Level::ALL {
+            for &width in widths {
+                let machine = Machine::issue(width);
+                let c = compile(w, level, &machine);
+                let mut diags = lint_module(&c.module);
+                diags.extend(audit_schedules(&c.module, &c.schedules, &machine));
+                sort_diagnostics(&mut diags);
+                artifacts += 1;
+                let severities = [Severity::Note, Severity::Warning, Severity::Error];
+                for (total, severity) in totals.iter_mut().zip(severities) {
+                    *total += count_severity(&diags, severity);
+                }
+                for d in &diags {
+                    let line = format!("{}/{level}/w{width}: {d}\n", w.meta.name);
+                    if d.severity == Severity::Error {
+                        errors.push_str(&line);
+                    }
+                    if ctx.verbose {
+                        out.push_str(&line);
+                    }
+                }
+            }
+        }
+    }
+    let [notes, warnings, errs] = totals;
+    let _ = writeln!(
+        out,
+        "{artifacts} artifacts audited: {errs} error(s), {warnings} warning(s), {notes} note(s)"
+    );
+    match errs {
+        0 => Ok(out),
+        n => Err(format!("{n} error-severity diagnostic(s)\n{errors}")),
+    }
 }

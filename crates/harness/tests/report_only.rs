@@ -45,8 +45,10 @@ fn only_sections_tile_the_full_report() {
 }
 
 /// Every `STUDIES` row prints what the binary of its name printed before
-/// the table existed (goldens captured from those binaries; `vlen-sweep`'s
-/// without the scheduling-dependent steal count, which left stdout).
+/// the table existed (goldens captured from those binaries: `lint`'s from
+/// `ilpc-lint --quick --scale 0.02`, `fault-campaign`'s at `--seed 7`,
+/// `vlen-sweep`'s without the scheduling-dependent steal count, which left
+/// stdout).
 #[test]
 fn every_study_matches_its_golden() {
     // (id, --scale, --quick, --verbose, golden)
@@ -59,6 +61,8 @@ fn every_study_matches_its_golden() {
         ("vlen-sweep", None, true, false, "vlen-sweep_quick"),
         ("profile-study", Some(0.05), false, false, "profile-study"),
         ("swp", Some(0.05), false, false, "swp"),
+        ("fault-campaign", None, true, false, "fault-campaign_quick"),
+        ("lint", None, true, false, "lint_quick"),
     ];
     for s in STUDIES {
         assert!(runs.iter().any(|r| r.0 == s.id), "study `{}` has no golden", s.id);
@@ -72,9 +76,9 @@ fn every_study_matches_its_golden() {
 }
 
 /// The binaries' argument handling: bad input is a typed exit-2 rejection
-/// (never a panic) — `report`'s in detail, every other binary of the crate
-/// by table — a static table prints without running a grid, and a study
-/// selected through the binary prints its in-process rendering.
+/// (never a panic) — `report`'s in detail, `ilpc`'s by table — a static
+/// table prints without running a grid, and a study selected through the
+/// binary prints its in-process rendering.
 #[test]
 fn cli_rejects_bad_arguments_and_selects_sections() {
     let unknown = report(&["--only", "fig99"]);
@@ -86,7 +90,7 @@ fn cli_rejects_bad_arguments_and_selects_sections() {
         assert!(selectable.contains(&id), "{id} is not selectable");
         assert!(stderr.contains(id), "usage must list {id}: {stderr}");
     }
-    assert_eq!(selectable.len(), paper_ids().count() + 7);
+    assert_eq!(selectable.len(), paper_ids().count() + 9);
     assert!(unknown.stdout.is_empty());
 
     for trailing in ["--only", "--scale", "--threads"] {
@@ -103,29 +107,24 @@ fn cli_rejects_bad_arguments_and_selects_sections() {
     assert_rejected("report", exe, &["--only", "ablation", "--quick"]);
     assert_rejected("report", exe, &["--only", "summary", "--verbose"]);
     assert_rejected("report", exe, &["--only", "vlen-sweep", "--quick", "--verbose"]);
+    assert_rejected("report", exe, &["--only", "fault-campaign", "--verbose"]);
     assert_rejected("report", exe, &["--only", "swp", "--scale", "-1"]);
     assert_rejected("report", exe, &["--only", "summary", "--scale", "1e12"]);
 
-    // Every other binary of this crate rejects a trailing value-taking
-    // flag, an unparsable value and an unknown flag the same way: one
-    // `<bin>: …` line, the usage, exit status 2 — never a panic (101).
-    let bins = [
-        ("fault-campaign", env!("CARGO_BIN_EXE_fault-campaign")),
-        ("ilpc", env!("CARGO_BIN_EXE_ilpc")),
-        ("ilpc-lint", env!("CARGO_BIN_EXE_ilpc-lint")),
-    ];
-    for (name, exe) in bins {
-        for args in [
-            &["--scale"][..],
-            &["--scale", "fast"],
-            &["--scal", "0.1"],
-            &["--scale", "1e12"],
-            &["--scale", "nan"],
-        ] {
-            assert_rejected(name, exe, args);
-        }
+    // The crate's other binary rejects a trailing value-taking flag, an
+    // unparsable value and an unknown flag the same way: one `ilpc: …`
+    // line, the usage, exit status 2 — never a panic (101).
+    let ilpc = env!("CARGO_BIN_EXE_ilpc");
+    for args in [
+        &["--scale"][..],
+        &["--scale", "fast"],
+        &["--scal", "0.1"],
+        &["--scale", "1e12"],
+        &["--scale", "nan"],
+        &["run", "dotprod", "--width"],
+    ] {
+        assert_rejected("ilpc", ilpc, args);
     }
-    assert_rejected("ilpc", env!("CARGO_BIN_EXE_ilpc"), &["run", "dotprod", "--width"]);
     // A module `ilpc exec` cannot run is one `ilpc: …` line and exit
     // status 2: no allocator abort (134), no panic (101).
     let path = format!("{}/malformed.ilpc", env!("CARGO_TARGET_TMPDIR"));
@@ -133,9 +132,10 @@ fn cli_rejects_bad_arguments_and_selects_sections() {
         ".module x\n.sym A flt 99999999999999\n.func x\n.block B0 b\n    halt\n",
         ".module x\n.func x\n.block B0 b\n    mov r4000000000f, #f0\n    halt\n",
         ".module x\n.func x\n",
+        ".module x\n.func x\n.block B0 b\n    mov r0i, #5\n.block B0 c\n    halt\n",
     ] {
         std::fs::write(&path, module).unwrap();
-        let out = Command::new(env!("CARGO_BIN_EXE_ilpc")).args(["exec", &path]).output().unwrap();
+        let out = Command::new(ilpc).args(["exec", &path]).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{module}: {stderr}");
         assert!(stderr.starts_with("ilpc: ") && stderr.lines().count() == 1, "{stderr}");

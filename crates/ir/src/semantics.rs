@@ -1,10 +1,13 @@
 //! Arithmetic semantics of the modeled machine.
 //!
 //! One definition shared by the constant folder (`ilpc-opt`) and the
-//! execution-driven simulator (`ilpc-sim`), so compile-time evaluation can
-//! never disagree with run-time evaluation: 64-bit wrapping integer
-//! arithmetic, truncating division with `x/0 = x%0 = 0` (the machine's
-//! non-excepting divide), shift counts masked to 6 bits, IEEE doubles.
+//! simulator's reference oracle (`ilpc_sim::reference`): 64-bit wrapping
+//! integer arithmetic, truncating division with `x/0 = x%0 = 0` (the
+//! machine's non-excepting divide), shift counts masked to 6 bits, IEEE
+//! doubles. The decoded engine computes on raw 64-bit register images
+//! with its own copy; a unit test in `ilpc_sim::decoded` holds that copy
+//! to these functions, so compile-time evaluation cannot disagree with
+//! run-time evaluation.
 
 use crate::op::Opcode;
 

@@ -401,6 +401,9 @@ pub fn parse(text: &str) -> Result<Module, ParseError> {
                 .and_then(|d| d.parse().ok())
                 .filter(|&id| id <= MAX_BLOCK_ID)
                 .ok_or_else(|| ParseError { line, message: "bad block id".into() })?;
+            if blocks.iter().any(|(seen, _, _)| *seen == id) {
+                return err(line, format!("block B{id} declared twice"));
+            }
             let label = parts.get(1).copied().unwrap_or("-").to_string();
             blocks.push((id, label, Vec::new()));
         } else {
@@ -550,6 +553,15 @@ mod tests {
     fn oversized_block_id_is_a_parse_error() {
         let e = parse(".module x\n.func x\n.block B4000000000 b\n    halt\n").unwrap_err();
         assert_eq!((e.line, e.message.as_str()), (3, "bad block id"));
+    }
+
+    /// A redeclared block id would overwrite the first block's code and
+    /// sit in the layout twice.
+    #[test]
+    fn duplicate_block_id_is_a_parse_error() {
+        let text = ".module x\n.func x\n.block B0 b\n    mov r0i, #5\n.block B0 c\n    halt\n";
+        let e = parse(text).unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (5, "block B0 declared twice"));
     }
 
     #[test]

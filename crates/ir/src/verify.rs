@@ -10,6 +10,7 @@
 //!   symbol's element class);
 //! * branch targets exist in the layout;
 //! * the last layout block cannot fall off the end of the function;
+//! * no block appears twice in the layout;
 //! * register ids are within the function's allocation counters.
 
 use crate::func::{BlockId, Function, Module};
@@ -25,7 +26,7 @@ use crate::reg::RegClass;
 pub struct VerifyError {
     /// Stable error class: `reg-range`, `dangling-target`, `target-shape`,
     /// `operand-shape`, `class-mismatch`, `mem-tag`, `lane-count`,
-    /// `cfg-fallthrough`, `no-entry`.
+    /// `cfg-fallthrough`, `no-entry`, `dup-block`.
     pub code: &'static str,
     pub block: BlockId,
     pub index: usize,
@@ -341,6 +342,12 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
     if m.func.layout_order().is_empty() {
         return err("no-entry", BlockId(0), 0, "function has no blocks".into());
     }
+    let mut placed = vec![false; m.func.num_blocks()];
+    for &b in m.func.layout_order() {
+        if std::mem::replace(&mut placed[b.0 as usize], true) {
+            return err("dup-block", b, 0, format!("{b} appears twice in the layout"));
+        }
+    }
     verify_function(&m.func, Some(m))
 }
 
@@ -372,6 +379,18 @@ mod tests {
     fn rejects_function_without_blocks() {
         let m = Module::new("empty");
         assert_eq!(verify_module(&m).unwrap_err().code, "no-entry");
+    }
+
+    /// A block listed twice in the layout would run twice per pass over
+    /// the layout and make its fall-through ambiguous.
+    #[test]
+    fn rejects_block_listed_twice_in_layout() {
+        let mut m = Module::new("dup");
+        let b = m.func.add_block("entry");
+        m.func.block_mut(b).insts.push(Inst::halt());
+        m.func.layout.push(b);
+        let e = verify_module(&m).unwrap_err();
+        assert_eq!((e.code, e.block), ("dup-block", b));
     }
 
     #[test]

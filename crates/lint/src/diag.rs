@@ -14,8 +14,8 @@ use std::fmt;
 /// How bad a finding is.
 ///
 /// * `Error` — the artifact is illegal or semantics-breaking; the
-///   `ilpc-lint` bin exits nonzero and the guard firewall rejects the
-///   step. Healthy pipeline output must never produce one.
+///   grid audit (`report --only lint`) fails and the guard firewall
+///   rejects the step. Healthy pipeline output must never produce one.
 /// * `Warning` — suspicious but not illegal (dead stores, unreachable
 ///   blocks); healthy output may carry a few.
 /// * `Note` — shape observations (e.g. an inner loop that is not in
@@ -100,8 +100,8 @@ impl Diagnostic {
         )
     }
 
-    /// One JSON object (the JSON-lines record of the `ilpc-lint` bin and
-    /// the `lint` field of `ilpc-serve` compile replies).
+    /// One JSON object (an entry of the `lint` field of `ilpc-serve`
+    /// compile replies).
     pub fn to_json(&self) -> Json {
         obj([
             ("lint", Json::str(self.lint_id)),

@@ -11,7 +11,7 @@
 //! behind a router that holds the reply contract through crashes, hangs
 //! and garbage (deadlines, health pings, seeded backoff + circuit
 //! breaker, bounded retry), verified by the seeded [`chaos`] harness
-//! (`pool-chaos` bin).
+//! (the root crate's `tests/pool_chaos.rs`).
 //!
 //! All three front doors — stdin, TCP, the pool router — share one
 //! framing module ([`wire`]: line cap, one write per reply), one admission

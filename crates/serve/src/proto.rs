@@ -294,14 +294,32 @@ pub const MAX_CACHE_LINES: u32 = 1 << 20;
 /// Largest `line_words` a request may ask for.
 pub const MAX_CACHE_LINE_WORDS: u32 = 1 << 10;
 
+/// Reject a key of object `v` that is not in `known`: a misspelt or
+/// unsupported field must not be served as if it had been left out.
+fn known_keys(v: &Json, what: &str, known: &[&str]) -> Result<(), ReqError> {
+    let Json::Obj(fields) = v else { return Ok(()) };
+    match fields.keys().find(|k| !known.contains(&k.as_str())) {
+        Some(k) => Err(bad(format!("unknown {what} key {k:?}"))),
+        None => Ok(()),
+    }
+}
+
 fn parse_mem(v: &Json) -> Result<MemConfig, ReqError> {
     let kind = v
         .get("kind")
         .and_then(Json::as_str)
         .ok_or_else(|| bad("mem config needs a \"kind\""))?;
     match kind {
-        "perfect" => Ok(MemConfig::Perfect),
+        "perfect" => {
+            known_keys(v, "mem", &["kind"])?;
+            Ok(MemConfig::Perfect)
+        }
         "cache" => {
+            known_keys(
+                v,
+                "mem",
+                &["kind", "line_words", "sets", "ways", "load_miss", "store_miss"],
+            )?;
             let field = |key: &str, default: u32| -> Result<u32, ReqError> {
                 match v.get(key) {
                     None => Ok(default),
@@ -337,6 +355,7 @@ fn parse_mem(v: &Json) -> Result<MemConfig, ReqError> {
 }
 
 fn parse_sabotage(v: &Json) -> Result<Sabotage, ReqError> {
+    known_keys(v, "sabotage", &["workload", "level", "width", "mode"])?;
     let workload = v
         .get("workload")
         .and_then(Json::as_str)
@@ -548,6 +567,17 @@ mod tests {
             (r#"{"op":"compile","workload":"add","level":"Lev6","width":8,"vlen":0}"#, "vlen"),
             (r#"{"op":"compile","level":"Lev2","width":8}"#, "workload"),
             (r#"{"op":"sweep","mems":[{"kind":"quantum"}]}"#, "mem kind"),
+            (
+                r#"{"op":"simulate","workload":"add","level":"Lev2","width":4,
+                    "mem":{"kind":"cache","miss_latency":99}}"#,
+                "unknown mem key \"miss_latency\"",
+            ),
+            (r#"{"op":"sweep","mems":[{"kind":"perfect","sets":16}]}"#, "unknown mem key \"sets\""),
+            (
+                r#"{"op":"sweep","sabotage":{"workload":"add","level":"Lev2","width":8,
+                    "modes":"corrupt"}}"#,
+                "unknown sabotage key \"modes\"",
+            ),
             (r#"{"op":"sweep","widths":[1,-8]}"#, "widths"),
             (r#"{"op":"batch","requests":[]}"#, "no requests"),
             (

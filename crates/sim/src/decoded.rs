@@ -1871,4 +1871,57 @@ mod tests {
         assert!(fast.replayed_insts * 2 > fast.dyn_insts, "{fast:?}");
         assert!(watch.within, "the journal outgrew a block's accesses");
     }
+
+    /// The engine's `scalar` computes on raw register images with its own
+    /// copy of the machine's arithmetic; it must agree with the shared
+    /// definition (`ilpc_ir::semantics`) the constant folder and the
+    /// reference oracle use, on every opcode that definition accepts and
+    /// at the operands where conventions differ: x/0, x%0, `MIN / -1`,
+    /// shift counts past 63, NaN, the infinities and a signed zero.
+    #[test]
+    fn scalar_arithmetic_is_the_shared_semantics() {
+        use ilpc_ir::semantics::{eval_flt, eval_int};
+        let ints = [0, 1, -1, 2, -7, 63, 64, 65, 127, i64::MAX, i64::MIN, 0x5555_5555_5555_5555];
+        let int_ops = [
+            Opcode::Add,
+            Opcode::Sub,
+            Opcode::And,
+            Opcode::Or,
+            Opcode::Xor,
+            Opcode::Shl,
+            Opcode::Shr,
+            Opcode::Mul,
+            Opcode::Div,
+            Opcode::Rem,
+        ];
+        for op in int_ops {
+            for a in ints {
+                for b in ints {
+                    let got = scalar(int_dop(op), a as u64, b as u64) as i64;
+                    assert_eq!(got, eval_int(op, a, b), "{op} {a} {b}");
+                }
+            }
+        }
+        let flts = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.5,
+            3.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for op in [Opcode::FAdd, Opcode::FSub, Opcode::FMul, Opcode::FDiv] {
+            for a in flts {
+                for b in flts {
+                    let got = scalar(flt_dop(op), a.to_bits(), b.to_bits());
+                    assert_eq!(got, eval_flt(op, a, b).to_bits(), "{op} {a:?} {b:?}");
+                }
+            }
+        }
+    }
 }

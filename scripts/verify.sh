@@ -48,8 +48,7 @@ cargo build --release --offline --workspace
 echo "== offline workspace check (all targets, warnings are errors) =="
 RUSTFLAGS="-D warnings" cargo check --workspace --all-targets --offline
 # Rustdoc too: a public doc linking a private or deleted item is an error.
-# `--lib`: the `ilpc-lint` binary's docs would collide with its crate's.
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # benchmark/ is its own workspace on path deps into crates/*: a change to
 # the crates' public surface can break the ledger without tier-1 noticing.
 cargo check --offline --manifest-path benchmark/Cargo.toml
@@ -79,12 +78,17 @@ for w in $workloads; do
 done
 
 echo "== study smokes (report --only, held to their goldens) =="
-# Three sections of the one results binary end-to-end: the paper's worked
+# Five sections of the one results binary end-to-end: the paper's worked
 # examples cycle for cycle, a quick cache sweep (accesses == hits + misses
-# on every point, one compile per artifact) and Lev6 across VLEN {1,4} x
-# width {1,8} (VLEN=1 cycle-identical to Lev4). Each is deterministic,
+# on every point, one compile per artifact), Lev6 across VLEN {1,4} x
+# width {1,8} (VLEN=1 cycle-identical to Lev4), 120 seeded faults against
+# the transformation firewall (zero silent escapes: wrong architectural
+# results with nothing flagged) and the static lint audit of 240 healthy
+# artifacts (zero error-severity diagnostics). Each is deterministic,
 # fails its own checks with a nonzero exit, and must `cmp` equal to the
-# golden `cargo test` holds it to as well.
+# golden `cargo test` holds it to as well: the campaign table is the
+# firewall's verdict record, so a guard change that moves one cell must
+# say so by changing that file.
 study_smoke() { # <golden> <report args...>
   golden=crates/harness/tests/golden/$1.txt
   shift
@@ -94,27 +98,8 @@ study_smoke() { # <golden> <report args...>
 study_smoke paper-examples --only paper-examples
 study_smoke cache-sensitivity_quick --only cache-sensitivity --scale 0.02 --quick
 study_smoke vlen-sweep_quick --only vlen-sweep --quick
-
-echo "== fault-injection campaign smoke =="
-# The transformation firewall end-to-end: 120 seeded faults injected into
-# guarded compilations across the 40 workloads. Deterministic (fixed seed)
-# and self-checking: the bin exits nonzero if any fault silently escapes
-# (wrong architectural results with nothing flagged). Its table is the
-# firewall's verdict record — classification per fault class, static vs
-# dynamic catches — so it is also held to the committed golden: a guard
-# change that moves one cell must say so by changing that file.
-campaign_table=$(mktemp)
-cargo run --release --offline -p ilpc-harness --bin fault-campaign -- --quick --seed 7 \
-  | tee "$campaign_table"
-cmp "$campaign_table" tests/golden/fault_campaign_quick_seed7.txt
-rm -f "$campaign_table"
-
-echo "== static lint audit (reduced grid) =="
-# The static legality analyzer over the healthy pipeline: all 40 workloads
-# at every level, audited module-by-module (dataflow lints + schedule
-# audit). Exits nonzero on any error-severity diagnostic — healthy
-# artifacts must be lint-clean.
-cargo run --release --offline -p ilpc-harness --bin ilpc-lint -- --quick --scale 0.02
+study_smoke fault-campaign_quick --only fault-campaign --quick
+study_smoke lint_quick --only lint --quick
 
 echo "== ilpc-serve smoke (JSON-lines over stdin) =="
 # The evaluation service end-to-end: a simulate, a malformed line, two
@@ -267,13 +252,5 @@ print(f"ok: pool routed 3 replies through {len(status['shards'])} shards "
       f"(healthy={status['healthy']})")
 EOF
 rm -f "$pool_replies"
-
-echo "== pool chaos campaign (seeded, quick) =="
-# The supervision contract under fire: a seeded chaos campaign (worker
-# kills, stalls, garbage lines, torn writes, dropped replies) against a
-# 3-shard pool, checked against a ground-truth run. The bin exits
-# nonzero on any lost/duplicated reply, untyped failure, ground-truth
-# divergence, or invisible fault.
-./target/release/pool-chaos --quick
 
 echo "verify: OK"

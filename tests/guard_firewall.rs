@@ -305,8 +305,8 @@ fn full_grid_survives_a_faulted_point() {
 }
 
 /// A seeded campaign across all fault classes: deterministic and free of
-/// silent escapes. (The `fault-campaign` binary runs the full ≥500-fault
-/// version; this keeps debug-build test time bounded.)
+/// silent escapes. (The `fault-campaign` study of `report` runs the full
+/// 500-fault version; this keeps debug-build test time bounded.)
 #[test]
 fn fault_campaign_never_escapes_silently() {
     let cfg = CampaignConfig { faults: 96, seed: 0xDEC0DE, ..CampaignConfig::default() };

@@ -15,11 +15,12 @@ mod contract;
 
 use ilpc_serve::json::{parse, Json};
 use ilpc_serve::{pool_lines, pool_script, serve_script, BackoffCfg, PoolConfig, ServeConfig};
-use ilpc_testkit::{ChannelReader, SharedBuf};
+use ilpc_testkit::{ChannelReader, SharedBuf, TestRng};
 use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::path::PathBuf;
 use std::sync::Once;
+use std::time::{Duration, Instant};
 
 /// Make sure the `ilpc-serve` worker binary exists next to the test
 /// profile dir, building it on first use. `PoolConfig::default()`
@@ -77,6 +78,71 @@ fn error_kind(v: &Json) -> Option<String> {
     v.get("error")?.get("kind")?.as_str().map(str::to_string)
 }
 
+/// Drive a pool interactively: send `script`, wait (at most `wait`) until
+/// it has answered `replies` lines, and only then probe `status` as id
+/// `status_id` — so the incident ring it reports has witnessed the
+/// campaign (batch input would answer it at admission). Returns every
+/// reply, indexed by id.
+fn drive(
+    cfg: &PoolConfig,
+    script: String,
+    replies: usize,
+    status_id: usize,
+    wait: Duration,
+) -> BTreeMap<String, Vec<Json>> {
+    let (tx, reader) = ChannelReader::new();
+    let out = SharedBuf::new();
+    let pool = {
+        let cfg = cfg.clone();
+        let mut sink = out.clone();
+        std::thread::spawn(move || {
+            let mut input = BufReader::new(reader);
+            pool_lines(&cfg, &mut input, &mut sink).expect("pool run");
+        })
+    };
+    tx.send(script.into_bytes()).expect("pool alive");
+    let deadline = Instant::now() + wait;
+    while out.lines().len() < replies {
+        assert!(
+            Instant::now() < deadline,
+            "pool produced {}/{replies} replies before the test deadline (lost replies \
+             or a wedged pool)",
+            out.lines().len()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    tx.send(format!("{{\"id\":{status_id},\"op\":\"status\"}}\n").into_bytes())
+        .expect("pool alive");
+    drop(tx);
+    pool.join().expect("pool thread");
+    index_by_id(&out.lines())
+}
+
+/// The reply contract every chaos campaign must hold: ids `0..=status_id`
+/// are each answered exactly once, every failure is a typed pool failure,
+/// and the `status` reply's incident count — returned — is present.
+fn assert_contract(by_id: &BTreeMap<String, Vec<Json>>, status_id: usize) -> f64 {
+    for id in 0..=status_id {
+        let replies = by_id.get(&id.to_string()).map_or(0, Vec::len);
+        assert_eq!(replies, 1, "id {id}: expected exactly one reply, got {replies}");
+    }
+    for (id, replies) in by_id {
+        let v = &replies[0];
+        if v.get("ok") != Some(&Json::Bool(true)) {
+            let kind = error_kind(v).unwrap_or_default();
+            assert!(
+                matches!(kind.as_str(), "timeout" | "unavailable" | "overloaded"),
+                "id {id}: chaos must surface as a typed pool failure, got kind {kind:?}"
+            );
+        }
+    }
+    by_id[&status_id.to_string()][0]
+        .get("result")
+        .and_then(|r| r.get("incidents_total"))
+        .and_then(Json::as_f64)
+        .expect("status carries incidents_total")
+}
+
 /// Deterministic kill campaign: every worker generation aborts while
 /// handling its 3rd request. With 12 requests over 3 shards at least one
 /// generation reaches its kill point, and retries land on other workers
@@ -101,18 +167,6 @@ fn kill_campaign_never_loses_or_duplicates_replies() {
         ..fast_cfg()
     };
 
-    // Drive interactively so the final `status` probe observes the
-    // campaign's incidents (batch input would answer it at admission).
-    let (tx, reader) = ChannelReader::new();
-    let out = SharedBuf::new();
-    let pool = {
-        let cfg = cfg.clone();
-        let mut sink = out.clone();
-        std::thread::spawn(move || {
-            let mut input = BufReader::new(reader);
-            pool_lines(&cfg, &mut input, &mut sink).expect("pool run");
-        })
-    };
     let mut script = String::new();
     for id in 0..requests {
         let w = ["add", "sum", "dotprod", "maxval"][id % 4];
@@ -120,45 +174,108 @@ fn kill_campaign_never_loses_or_duplicates_replies() {
             "{{\"id\":{id},\"op\":\"simulate\",\"workload\":\"{w}\",\"level\":\"Lev2\",\"width\":4,\"scale\":0.02}}\n"
         ));
     }
-    tx.send(script.into_bytes()).expect("pool alive");
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
-    while out.lines().len() < requests {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "pool produced {}/{requests} replies before the test deadline (lost replies)",
-            out.lines().len()
-        );
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    tx.send(format!("{{\"id\":{requests},\"op\":\"status\"}}\n").into_bytes())
-        .expect("pool alive");
-    drop(tx);
-    pool.join().expect("pool thread");
-
-    let by_id = index_by_id(&out.lines());
-    for id in 0..=requests {
-        let replies = by_id.get(&id.to_string()).map_or(0, Vec::len);
-        assert_eq!(replies, 1, "id {id}: expected exactly one reply, got {replies}");
-    }
-    for (id, replies) in &by_id {
-        let v = &replies[0];
-        if v.get("ok") != Some(&Json::Bool(true)) {
-            let kind = error_kind(v).unwrap_or_default();
-            assert!(
-                matches!(kind.as_str(), "timeout" | "unavailable" | "overloaded"),
-                "id {id}: chaos must surface as a typed pool failure, got kind {kind:?}"
-            );
-        }
-    }
+    let by_id = drive(&cfg, script, requests, requests, Duration::from_secs(120));
     // Visibility: at least one shard saw 3 eligible requests (pigeonhole
     // over 12 requests / 3 shards), so at least one crash was recorded.
-    let status = &by_id[&requests.to_string()][0];
-    let incidents = status
-        .get("result")
-        .and_then(|r| r.get("incidents_total"))
-        .and_then(Json::as_f64)
-        .expect("status carries incidents_total");
+    let incidents = assert_contract(&by_id, requests);
     assert!(incidents >= 1.0, "kill campaign recorded no shard incidents");
+}
+
+/// The seeded chaos campaign: 24 seeded simulate/compile points, one
+/// two-scenario sweep and a final `status` through a 3-shard pool whose
+/// workers kill themselves, stall, write garbage and torn lines and drop
+/// replies under one seeded plan, against a ground-truth run of the same
+/// script on one undisturbed process. Beyond the reply contract, every
+/// `ok` reply agrees with the truth (a sweep by its per-scenario
+/// aggregates: cache and steal counters differ across process splits),
+/// and any fault reply shows up as a shard incident in `status`.
+#[test]
+fn seeded_chaos_campaign_holds_the_reply_contract() {
+    ensure_worker_built();
+    let (seed, requests, scale) = (42u64, 24usize, 0.02);
+    let mut rng = TestRng::seed_from_u64(seed);
+    let workloads = ["add", "dotprod", "sum", "maxval", "merge", "APS-2", "SDS-1", "MTS-2"];
+    let levels = ["Conv", "Lev1", "Lev2", "Lev3", "Lev4"];
+    let mut script = String::new();
+    for id in 0..requests {
+        let w = workloads[rng.gen_range(0..workloads.len() as u64) as usize];
+        let l = levels[rng.gen_range(0..levels.len() as u64) as usize];
+        let width = [1u32, 2, 4, 8][rng.gen_range(0..4u64) as usize];
+        let op = if rng.gen_range(0..3u64) == 0 { "compile" } else { "simulate" };
+        script += &format!(r#"{{"id":{id},"op":"{op}","workload":"{w}","level":"{l}","#);
+        script += &format!(r#""width":{width},"scale":{scale}}}"#);
+        script.push('\n');
+    }
+    script += &format!(r#"{{"id":{requests},"op":"sweep","scale":{scale},"#);
+    script += r#""levels":["Conv","Lev2"],"widths":[1,8],"#;
+    script += r#""mems":[{"kind":"perfect"},{"kind":"cache","sets":16}]}"#;
+    script.push('\n');
+    let status_id = requests + 1;
+    let queue = (status_id + 1).max(64);
+
+    let truth = ServeConfig { workers: 2, queue, ..Default::default() };
+    let truth = index_by_id(&serve_script(&truth, &script));
+    let chaos = format!(
+        "seed={seed},kill=0.08,stall=0.05,garbage=0.08,partial=0.04,drop=0.05,\
+         salt={{shard}}g{{gen}}"
+    );
+    let cfg = PoolConfig {
+        shards: 3,
+        worker_args: [
+            "--workers",
+            "2",
+            "--queue",
+            &queue.to_string(),
+            "--sweep-threads",
+            "1",
+            "--chaos",
+            &chaos,
+        ]
+        .map(String::from)
+        .to_vec(),
+        queue: status_id + 9,
+        deadline_ms: 5_000,
+        ping_interval_ms: 200,
+        ping_misses: 3,
+        max_attempts: 2,
+        tick_ms: 10,
+        ..Default::default()
+    };
+    let by_id = drive(&cfg, script, status_id, status_id, Duration::from_secs(80));
+    let incidents = assert_contract(&by_id, status_id);
+
+    let mut faults = 0usize;
+    for id in 0..status_id {
+        let key = id.to_string();
+        let got = &by_id[&key][0];
+        if got.get("ok") != Some(&Json::Bool(true)) {
+            faults += 1;
+            continue;
+        }
+        let want = &truth.get(&key).unwrap_or_else(|| panic!("id {id}: no ground truth"))[0];
+        fn scenarios(v: &Json) -> Option<&[Json]> {
+            v.get("result")?.get("scenarios")?.as_arr()
+        }
+        match (scenarios(got), scenarios(want)) {
+            (Some(gs), Some(ws)) => {
+                assert_eq!(gs.len(), ws.len(), "id {id}: sweep scenario count");
+                // A scenario with a `shard_error` is typed partial coverage.
+                for (k, (g, w)) in gs.iter().zip(ws).enumerate() {
+                    if g.get("shard_error").is_none() {
+                        for field in ["label", "completed", "mean_speedup"] {
+                            assert_eq!(g.get(field), w.get(field), "id {id}: scenario {k} {field}");
+                        }
+                    }
+                }
+            }
+            _ => assert_eq!(got, want, "id {id}: reply diverges from ground truth"),
+        }
+    }
+    // A lucky seed could draw no fault at all; then zero incidents is fine.
+    assert!(
+        faults == 0 || incidents > 0.0,
+        "{faults} fault replies but zero shard incidents recorded"
+    );
 }
 
 /// A stalled worker (stops reading input, stops ponging — the SIGSTOP
