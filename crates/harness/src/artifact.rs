@@ -31,6 +31,18 @@
 //! artifact; `crate::compile::compile`, which starts from lowered IR every
 //! time, is the oracle the tests below hold it to.
 //!
+//! ## The backend front
+//!
+//! Of the backend, only list-scheduling placement reads the issue width.
+//! A lookup may bring a slot for a backend *front* (see
+//! `crate::compile::backend`): the rung's module after superblock
+//! formation plus its block dependence DAGs for one latency table. A
+//! missing artifact is then placed from the front in the slot, or from a
+//! new front built in it. `crate::sweep` passes one slot per work item, so
+//! the widths of a (scenario, workload, level) share one front that is
+//! dropped with the item. The ladder never holds a front: kept for every
+//! rung of a sweep, they would double its resident memory.
+//!
 //! ## Contract
 //!
 //! A cache is bound to one workload catalog at one trip-count scale:
@@ -39,7 +51,7 @@
 //! Build one `Arc<ArtifactCache>` per sweep (one scale, many memory
 //! configurations) and drop it with the sweep.
 
-use crate::compile::{backend, direct, run_rows, Compiled, Step};
+use crate::compile::{backend, direct, run_rows, Compiled, Front, Middle, Step};
 use crate::run::{run_decoded, EvalPoint};
 use ilpc_core::level::{Level, TransformReport, PASSES};
 use ilpc_ir::ast::{Program, VarId};
@@ -132,6 +144,10 @@ pub struct CacheCounters {
     /// Ladder rungs built: one per (workload, vlen, level climbed), however
     /// many artifacts were cut from it.
     pub rungs: u64,
+    /// Backend fronts built (see `crate::compile::backend`): one per sweep
+    /// work item that compiled anything, plus one per change of latency
+    /// table inside an item. Lookups made without a front slot build none.
+    pub fronts: u64,
     /// Reference-interpreter lookups served from cache.
     pub ref_hits: u64,
     /// Reference-interpreter executions (exactly one per workload).
@@ -146,6 +162,7 @@ pub struct ArtifactCache {
     hits: AtomicU64,
     compiles: AtomicU64,
     rungs: AtomicU64,
+    fronts: AtomicU64,
     ref_hits: AtomicU64,
     ref_runs: AtomicU64,
 }
@@ -163,6 +180,7 @@ impl fmt::Debug for ArtifactCache {
             .field("hits", &c.hits)
             .field("compiles", &c.compiles)
             .field("rungs", &c.rungs)
+            .field("fronts", &c.fronts)
             .field("ref_hits", &c.ref_hits)
             .field("ref_runs", &c.ref_runs)
             .finish()
@@ -178,6 +196,7 @@ impl ArtifactCache {
             hits: AtomicU64::new(0),
             compiles: AtomicU64::new(0),
             rungs: AtomicU64::new(0),
+            fronts: AtomicU64::new(0),
             ref_hits: AtomicU64::new(0),
             ref_runs: AtomicU64::new(0),
         }
@@ -190,6 +209,7 @@ impl ArtifactCache {
             hits: self.hits.load(Ordering::Relaxed),
             compiles: self.compiles.load(Ordering::Relaxed),
             rungs: self.rungs.load(Ordering::Relaxed),
+            fronts: self.fronts.load(Ordering::Relaxed),
             ref_hits: self.ref_hits.load(Ordering::Relaxed),
             ref_runs: self.ref_runs.load(Ordering::Relaxed),
         }
@@ -203,6 +223,18 @@ impl ArtifactCache {
     /// The artifact for `(w, level, machine.compile_key())`, compiling at
     /// most once per key no matter how many threads race here.
     pub fn artifact(&self, w: &Workload, level: Level, machine: &Machine) -> Arc<Artifact> {
+        self.artifact_in(w, level, machine, None)
+    }
+
+    /// [`ArtifactCache::artifact`], compiling through `front` if the key
+    /// is missing (see `crate::compile::backend`).
+    fn artifact_in(
+        &self,
+        w: &Workload,
+        level: Level,
+        machine: &Machine,
+        front: Option<&mut Option<Front>>,
+    ) -> Arc<Artifact> {
         let key = (w.meta.name.to_string(), level, machine.compile_config_hash());
         // Fetch (or plant) the per-key cell under a brief map lock, then
         // build outside it: concurrent misses on *different* keys compile
@@ -216,7 +248,7 @@ impl ArtifactCache {
             .get_or_init(|| {
                 built = true;
                 self.compiles.fetch_add(1, Ordering::Relaxed);
-                let compiled = self.compile_from_rung(w, level, machine, &mut direct);
+                let compiled = self.compile_from_rung(w, level, machine, &mut direct, front);
                 Arc::new(Artifact::new(&compiled, machine))
             })
             .clone();
@@ -226,33 +258,49 @@ impl ArtifactCache {
         artifact
     }
 
-    /// `compile(w, level, machine)` by way of the ladder: climb to `level`
-    /// if no rung is there yet, then take a copy of the rung through the
-    /// backend. The ladder's lock is held while extending and copying only,
-    /// so artifacts of one level for several machines schedule in parallel.
+    /// `compile(w, level, machine)` by way of the ladder and, when given,
+    /// a front slot: if the slot holds no front that serves `machine`,
+    /// climb to `level` if no rung is there yet and take a copy of the
+    /// rung through the backend's front; then place for `machine`. The
+    /// ladder's lock is held while extending and copying only, so
+    /// artifacts of one level for several machines schedule in parallel.
     fn compile_from_rung(
         &self,
         w: &Workload,
         level: Level,
         machine: &Machine,
         step: &mut impl Step,
+        front: Option<&mut Option<Front>>,
     ) -> Compiled {
+        let builds_front =
+            front.as_deref().is_some_and(|f| !f.as_ref().is_some_and(|f| f.serves(machine)));
+        let compiled = backend(|step| self.climb(w, level, machine.vlen, step), machine, step, front);
+        if builds_front {
+            self.fronts.fetch_add(1, Ordering::Relaxed);
+        }
+        compiled
+    }
+
+    /// A copy of `w`'s rung for `level` at `vlen`, climbing to it first if
+    /// it is not built yet.
+    fn climb(&self, w: &Workload, level: Level, vlen: u32, step: &mut impl Step) -> Middle {
         let ladder = {
             let mut map = self.ladders.lock().unwrap_or_else(|p| p.into_inner());
-            Arc::clone(map.entry((w.meta.name.to_string(), machine.vlen)).or_default())
+            Arc::clone(map.entry((w.meta.name.to_string(), vlen)).or_default())
         };
-        let (module, shadow, report) = {
-            // A row that panicked under this lock poisoned it, but a rung
-            // is pushed only after its rows returned: what is there is whole.
-            let mut ladder = ladder.lock().unwrap_or_else(|p| p.into_inner());
-            while ladder.rungs.len() <= level as usize {
-                ladder.extend(&w.program, machine.vlen, step);
-                self.rungs.fetch_add(1, Ordering::Relaxed);
-            }
-            let rung = &ladder.rungs[level as usize];
-            (rung.module.clone(), ladder.shadow.clone(), rung.report.clone())
-        };
-        backend(module, shadow, report, machine, step)
+        // A row that panicked under this lock poisoned it, but a rung is
+        // pushed only after its rows returned: what is there is whole.
+        let mut ladder = ladder.lock().unwrap_or_else(|p| p.into_inner());
+        while ladder.rungs.len() <= level as usize {
+            ladder.extend(&w.program, vlen, step);
+            self.rungs.fetch_add(1, Ordering::Relaxed);
+        }
+        let rung = &ladder.rungs[level as usize];
+        Middle {
+            module: rung.module.clone(),
+            shadow: ladder.shadow.clone(),
+            report: rung.report.clone(),
+        }
     }
 
     /// The reference interpreter execution for `w`, run at most once.
@@ -288,7 +336,20 @@ impl ArtifactCache {
         level: Level,
         machine: &Machine,
     ) -> Result<EvalPoint, String> {
-        let artifact = self.artifact(w, level, machine);
+        self.evaluate_in(w, level, machine, None)
+    }
+
+    /// [`ArtifactCache::evaluate`], compiling a missing artifact through
+    /// `front`: `crate::sweep` passes one slot for all the widths of a
+    /// work item.
+    pub(crate) fn evaluate_in(
+        &self,
+        w: &Workload,
+        level: Level,
+        machine: &Machine,
+        front: Option<&mut Option<Front>>,
+    ) -> Result<EvalPoint, String> {
+        let artifact = self.artifact_in(w, level, machine, front);
         let reference = self.reference(w);
         run_decoded(w, &artifact, &reference, machine)
     }
@@ -377,29 +438,53 @@ mod tests {
         assert_eq!(got.schedules, want.schedules, "{tag}: schedules");
     }
 
-    /// The ladder is held to its oracle: whatever order levels are asked
-    /// for, the compilation cut from a rung equals `compile` from scratch,
-    /// on every workload, with and without the SLP rows doing work.
+    /// The ladder and the backend front are held to their oracle: whatever
+    /// order levels are asked for, the compilation cut from a rung equals
+    /// `compile` from scratch, on every workload, with and without the SLP
+    /// rows doing work. Down the ladder issue 1 and 8 compile without a
+    /// front; up the ladder one front per level serves issue 1, 2, 4 and 8,
+    /// and a different latency table then gets a fresh front.
     #[test]
     fn compiling_from_a_rung_equals_compiling_from_scratch() {
+        use ilpc_machine::{LatencyTable, TABLE1};
         let cache = ArtifactCache::new();
-        let down_then_up = (0..Level::ALL.len()).rev().chain(0..Level::ALL.len());
+        let slow = LatencyTable { fp_alu: 9, load: 4, ..TABLE1 };
         for w in ilpc_workloads::build_all(0.05) {
             for vlen in [1, 4] {
-                for width in [1, 8] {
-                    let machine = Machine::issue(width).with_vlen(vlen);
-                    let want = Level::ALL.map(|level| crate::compile::compile(&w, level, &machine));
-                    for i in down_then_up.clone() {
-                        let level = Level::ALL[i];
-                        let got = cache.compile_from_rung(&w, level, &machine, &mut direct);
-                        let tag = format!("{} {level} issue-{width} vlen-{vlen}", w.meta.name);
-                        assert_same_compilation(&tag, &got, &want[i]);
+                let machines: Vec<Machine> = [1, 8, 2, 4]
+                    .map(|width| Machine::issue(width).with_vlen(vlen))
+                    .into_iter()
+                    .chain([Machine { latency: slow, ..Machine::issue(8).with_vlen(vlen) }])
+                    .collect();
+                let want: Vec<_> = machines
+                    .iter()
+                    .map(|m| Level::ALL.map(|level| crate::compile::compile(&w, level, m)))
+                    .collect();
+                let tag = |level: Level, m: &Machine| {
+                    format!("{} {level} {} fp-{}", w.meta.name, m.name(), m.latency.fp_alu)
+                };
+                for i in (0..Level::ALL.len()).rev() {
+                    let level = Level::ALL[i];
+                    for (m, want) in machines.iter().zip(&want).take(2) {
+                        let got = cache.compile_from_rung(&w, level, m, &mut direct, None);
+                        assert_same_compilation(&tag(level, m), &got, &want[i]);
+                    }
+                }
+                for (i, level) in Level::ALL.into_iter().enumerate() {
+                    let mut front = None;
+                    for (m, want) in machines.iter().zip(&want) {
+                        let got =
+                            cache.compile_from_rung(&w, level, m, &mut direct, Some(&mut front));
+                        assert_same_compilation(&tag(level, m), &got, &want[i]);
                     }
                 }
             }
         }
+        let c = cache.counters();
         // `lower` and every pass row ran once per (workload, vlen).
-        assert_eq!(cache.counters().rungs, 40 * 2 * 6);
+        assert_eq!(c.rungs, 40 * 2 * 6, "{c:?}");
+        // Per (workload, vlen, level): one front for Table 1, one for `slow`.
+        assert_eq!(c.fronts, 40 * 2 * 6 * 2, "{c:?}");
     }
 
     /// A row that panics mid-climb (the grid contains such panics per
@@ -417,13 +502,13 @@ mod tests {
             true
         };
         let first = catch_unwind(AssertUnwindSafe(|| {
-            cache.compile_from_rung(&w, Level::Lev3, &machine, &mut bomb)
+            cache.compile_from_rung(&w, Level::Lev3, &machine, &mut bomb, None)
         }));
         assert!(first.is_err(), "the injected fault must surface");
         assert_eq!(cache.counters().rungs, 3, "Conv, Lev1 and Lev2 were published");
 
         for (level, rungs) in [(Level::Lev2, 3), (Level::Lev3, 4)] {
-            let got = cache.compile_from_rung(&w, level, &machine, &mut direct);
+            let got = cache.compile_from_rung(&w, level, &machine, &mut direct, None);
             let want = crate::compile::compile(&w, level, &machine);
             assert_same_compilation(level.name(), &got, &want);
             assert_eq!(cache.counters().rungs, rungs, "after {level}");

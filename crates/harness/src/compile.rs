@@ -15,8 +15,10 @@
 //! driver, they cannot drift apart on healthy input. All four start from
 //! freshly lowered IR. `crate::artifact::ArtifactCache` calls the two
 //! halves separately, to run the middle end once per workload and the
-//! backend once per machine; `crate::profile::collect_profile` runs the
-//! Conv rows alone for its unscheduled training module.
+//! backend once per machine; through it `crate::sweep` hands the backend
+//! a `Front` slot, so superblock formation and the dependence DAGs run
+//! once for all the widths of a work item. `crate::profile::collect_profile`
+//! runs the Conv rows alone for its unscheduled training module.
 
 use crate::run::{cycle_budget, FLT_TOL};
 use ilpc_core::ablation::TransformSet;
@@ -28,9 +30,12 @@ use ilpc_ir::interp::interpret;
 use ilpc_ir::lower::{lower, Lowered};
 use ilpc_ir::value::{ArrayVal, Value};
 use ilpc_ir::{Module, SymId};
-use ilpc_machine::Machine;
+use ilpc_machine::{LatencyTable, Machine};
 use ilpc_regalloc::RegUsage;
-use ilpc_sched::{form_superblocks, schedule_module, BlockSchedule, SuperblockConfig, SuperblockReport};
+use ilpc_sched::{
+    block_dags, form_superblocks, place_module, schedule_module, BlockDag, BlockSchedule,
+    SuperblockConfig, SuperblockReport,
+};
 use ilpc_sim::{memory_from_init, SimLimits};
 use ilpc_workloads::Workload;
 use std::collections::HashMap;
@@ -76,7 +81,7 @@ pub(crate) fn pipeline(
     let Lowered { mut module, shadow_syms: shadow, .. } = lowered;
     let mut report = TransformReport::default();
     run_rows(&mut module, &mut report, passes, machine.vlen, &mut step);
-    backend(module, shadow, report, machine, &mut step)
+    backend(|_| Middle { module, shadow, report }, machine, &mut step, None)
 }
 
 /// The middle end: run `rows` of the pass table over `module`, adding what
@@ -99,23 +104,83 @@ pub(crate) fn run_rows(
     }
 }
 
-/// The backend: superblock formation, list scheduling and register
-/// measurement of a module the middle end is done with.
-pub(crate) fn backend(
-    mut module: Module,
+/// What the middle end hands the backend.
+pub(crate) struct Middle {
+    pub(crate) module: Module,
+    pub(crate) shadow: HashMap<VarId, SymId>,
+    pub(crate) report: TransformReport,
+}
+
+/// The backend's work before it first reads the issue width: the
+/// post-superblock module, what superblock formation did, and the block
+/// DAGs for one latency table and load speculativity. `crate::sweep` keeps
+/// one per work item (scenario, workload, level) while it places that
+/// item's widths, and drops it with the item.
+pub(crate) struct Front {
+    /// The two machine fields [`BlockDag::build`] reads.
+    key: (LatencyTable, bool),
+    module: Module,
     shadow: HashMap<VarId, SymId>,
     report: TransformReport,
-    machine: &Machine,
-    step: &mut impl Step,
-) -> Compiled {
-    let mut superblocks = SuperblockReport::default();
-    if !step(&mut module, "superblock-formation", &mut |m| {
-        superblocks = form_superblocks(m, &SuperblockConfig::default());
-    }) {
-        superblocks = SuperblockReport::default();
+    superblocks: SuperblockReport,
+    dags: Vec<Option<BlockDag>>,
+}
+
+impl Front {
+    /// Whether this front's DAGs are the ones `machine` would build.
+    pub(crate) fn serves(&self, machine: &Machine) -> bool {
+        self.key == (machine.latency, machine.nonexcepting_loads)
     }
+}
+
+/// The backend: superblock formation, list scheduling and register
+/// measurement of the module `middle` yields.
+///
+/// With no `front`, the module goes through superblock formation and is
+/// scheduled block by block for `machine`, each block's DAG dropped once
+/// it is placed. With a front slot, a front that [`Front::serves`]
+/// `machine` is reused and `middle` is never called; otherwise a new one
+/// is built in its place. Either way a copy of the front's module is
+/// placed for `machine`. The two give equal compilations.
+pub(crate) fn backend<S: Step>(
+    middle: impl FnOnce(&mut S) -> Middle,
+    machine: &Machine,
+    step: &mut S,
+    front: Option<&mut Option<Front>>,
+) -> Compiled {
+    let form = |step: &mut S| {
+        let Middle { mut module, shadow, report } = middle(step);
+        let mut superblocks = SuperblockReport::default();
+        if !step(&mut module, "superblock-formation", &mut |m| {
+            superblocks = form_superblocks(m, &SuperblockConfig::default());
+        }) {
+            superblocks = SuperblockReport::default();
+        }
+        (module, shadow, report, superblocks)
+    };
+    let (mut module, shadow, report, superblocks, dags) = match front {
+        None => {
+            let (module, shadow, report, superblocks) = form(step);
+            (module, shadow, report, superblocks, None)
+        }
+        Some(slot) => {
+            if !slot.as_ref().is_some_and(|f| f.serves(machine)) {
+                let (module, shadow, report, superblocks) = form(step);
+                let dags = block_dags(&module, machine);
+                let key = (machine.latency, machine.nonexcepting_loads);
+                *slot = Some(Front { key, module, shadow, report, superblocks, dags });
+            }
+            let f = slot.as_ref().expect("a front was built above");
+            (f.module.clone(), f.shadow.clone(), f.report.clone(), f.superblocks, Some(&f.dags))
+        }
+    };
     let mut schedules = Vec::new();
-    if !step(&mut module, "list-schedule", &mut |m| schedules = schedule_module(m, machine)) {
+    if !step(&mut module, "list-schedule", &mut |m| {
+        schedules = match dags {
+            Some(dags) => place_module(m, dags, machine),
+            None => schedule_module(m, machine),
+        }
+    }) {
         schedules = Vec::new();
     }
     let regs = ilpc_regalloc::measure(&module.func);

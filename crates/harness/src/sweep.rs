@@ -25,6 +25,7 @@
 //! sharding rests on.
 
 use crate::artifact::{ArtifactCache, CacheCounters};
+use crate::compile::Front;
 use crate::grid::{collect_grid, Grid, GridConfigError, PointError, Sabotage, SabotageMode};
 use crate::run::EvalPoint;
 use crate::steal::{self, StealStats};
@@ -142,34 +143,41 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<Sweep, GridConfigError> {
     let artifacts: Arc<ArtifactCache> =
         cfg.artifacts.clone().unwrap_or_else(|| Arc::new(ArtifactCache::new()));
 
-    // Work items: (scenario, workload, level, width) — scenario-major so
-    // early scenarios warm the artifact cache for later ones.
-    let mut items: Vec<(usize, usize, Level, u32)> = Vec::new();
+    // Work items: (scenario, workload, level), each evaluating every width
+    // in order — scenario-major so early scenarios warm the artifact cache
+    // for later ones. An item owns the backend front its widths share:
+    // superblock formation and the dependence DAGs run once for all of
+    // them, and the front is dropped with the item.
+    let mut items: Vec<(usize, usize, Level)> = Vec::new();
     for (si, _) in cfg.scenarios.iter().enumerate() {
         for (wi, _) in workloads.iter().enumerate() {
             for &level in &levels {
-                for &width in &widths {
-                    items.push((si, wi, level, width));
-                }
+                items.push((si, wi, level));
             }
         }
     }
 
-    let (results, steals) =
-        steal::execute(&items, cfg.threads.max(1), |_, &(si, wi, level, width)| {
-            let scenario = &cfg.scenarios[si];
-            let w = &workloads[wi];
-            let machine = Machine {
-                latency: scenario.latency,
-                ..Machine::issue(width).with_mem(scenario.mem).with_vlen(scenario.vlen)
-            };
-            let r = eval_point(w, level, width, &machine, cfg.sabotage.as_ref(), &artifacts);
-            (si, (w.meta.name.to_string(), level, width), r)
-        });
+    let (results, steals) = steal::execute(&items, cfg.threads.max(1), |_, &(si, wi, level)| {
+        let scenario = &cfg.scenarios[si];
+        let w = &workloads[wi];
+        let mut front = None;
+        widths
+            .iter()
+            .map(|&width| {
+                let machine = Machine {
+                    latency: scenario.latency,
+                    ..Machine::issue(width).with_mem(scenario.mem).with_vlen(scenario.vlen)
+                };
+                let sabotage = cfg.sabotage.as_ref();
+                let r = eval_point(w, level, width, &machine, sabotage, &artifacts, &mut front);
+                (si, (w.meta.name.to_string(), level, width), r)
+            })
+            .collect::<Vec<_>>()
+    });
 
     // Split per scenario, preserving engine-observable ordering.
     let mut buckets: Vec<Vec<_>> = cfg.scenarios.iter().map(|_| Vec::new()).collect();
-    for (si, key, r) in results {
+    for (si, key, r) in results.into_iter().flatten() {
         buckets[si].push((key, r));
     }
     let grids = buckets
@@ -239,8 +247,9 @@ fn corrupt_arithmetic(m: &mut Module) {
     }
 }
 
-/// Evaluate one point through the artifact cache, honouring a matching
-/// sabotage directive, with any panic of the point contained.
+/// Evaluate one point through the artifact cache and the work item's
+/// backend `front`, honouring a matching sabotage directive, with any panic
+/// of the point contained.
 fn eval_point(
     w: &Workload,
     level: Level,
@@ -248,6 +257,7 @@ fn eval_point(
     machine: &Machine,
     sabotage: Option<&Sabotage>,
     artifacts: &ArtifactCache,
+    front: &mut Option<Front>,
 ) -> Result<EvalPoint, PointError> {
     let hit =
         sabotage.filter(|s| s.workload == w.meta.name && s.level == level && s.width == width);
@@ -262,7 +272,7 @@ fn eval_point(
             corrupt_arithmetic(&mut c.module);
             crate::run::run_compiled(w, &c, machine)
         }
-        None => artifacts.evaluate(w, level, machine),
+        None => artifacts.evaluate_in(w, level, machine, Some(front)),
     };
     match catch_unwind(AssertUnwindSafe(eval)) {
         Ok(r) => r.map_err(PointError::Eval),
@@ -374,7 +384,8 @@ mod tests {
 
     /// A cold full-ladder sweep lowers each loop nest and runs each pass row
     /// over it exactly once, whatever the pool's interleaving: 480 artifacts
-    /// are cut from 240 rungs.
+    /// are cut from 240 rungs, and each of the 240 work items (nest, level)
+    /// builds one backend front for both its widths.
     #[test]
     fn cold_sweep_climbs_each_ladder_once() {
         let sweep = run_sweep(&SweepConfig {
@@ -387,6 +398,7 @@ mod tests {
         assert_eq!(sweep.total_errors(), 0);
         let c = sweep.cache;
         assert_eq!((c.compiles, c.hits, c.rungs, c.ref_runs), (480, 0, 240, 40), "{c:?}");
+        assert_eq!(c.fronts, 240, "{c:?}");
     }
 
     /// A sabotaged point degrades in every scenario it matches, for both

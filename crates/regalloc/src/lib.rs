@@ -45,31 +45,46 @@ fn count_classes(set: &RegSet) -> [u32; 3] {
 }
 
 /// Measure peak register pressure over the whole function.
+///
+/// Each block is walked backwards from its live-out set. A branch adds
+/// what is live into its target, so a value live only into a side exit
+/// counts up to that exit. The per-class counts follow the set: only the
+/// registers an instruction adds or removes change them.
 pub fn measure(f: &Function) -> RegUsage {
     let lv = Liveness::compute(f);
-    let mut usage = RegUsage::default();
-
+    let mut peak = [0u32; 3];
     for &bid in f.layout_order() {
-        // Walk the block backwards maintaining the precise live set.
         let mut live = lv.live_out(bid).clone();
-        let record = |live: &RegSet, usage: &mut RegUsage| {
-            let [i, fl, v] = count_classes(live);
-            usage.int = usage.int.max(i);
-            usage.flt = usage.flt.max(fl);
-            usage.vec = usage.vec.max(v);
+        let mut count = count_classes(&live);
+        let mut record = |count: &[u32; 3]| {
+            for (p, &c) in peak.iter_mut().zip(count) {
+                *p = (*p).max(c);
+            }
         };
-        record(&live, &mut usage);
+        record(&count);
         for inst in f.block(bid).insts.iter().rev() {
+            if let Some(t) = inst.target {
+                for r in lv.live_in(t).iter() {
+                    if live.insert(r) {
+                        count[r.class.index()] += 1;
+                    }
+                }
+            }
             if let Some(d) = inst.def() {
-                live.remove(d);
+                if live.remove(d) {
+                    count[d.class.index()] -= 1;
+                }
             }
             for u in inst.uses() {
-                live.insert(u);
+                if live.insert(u) {
+                    count[u.class.index()] += 1;
+                }
             }
-            record(&live, &mut usage);
+            record(&count);
         }
     }
-    usage
+    let [int, flt, vec] = peak;
+    RegUsage { int, flt, vec }
 }
 
 #[cfg(test)]
@@ -218,6 +233,10 @@ pub fn color(f: &Function) -> Assignment {
     for &bid in f.layout_order() {
         let mut live = lv.live_out(bid).clone();
         for inst in f.block(bid).insts.iter().rev() {
+            // A side exit: what is live into its target is live here too.
+            if let Some(t) = inst.target {
+                live.union_with(lv.live_in(t));
+            }
             if let Some(d) = inst.def() {
                 note(d);
                 // The def interferes with everything live across it.

@@ -7,14 +7,27 @@
 //! predicts are the times the execution-driven simulation realizes on the
 //! fall-through path.
 //!
+//! Scheduling a block is two steps, split where the issue width is first
+//! read. [`BlockDag::build`] computes the dependence edges and
+//! critical-path heights; it reads only the latency table and
+//! `nonexcepting_loads`, so one DAG serves every issue width, FU limit and
+//! branch-slot count. [`place`] does the cycle-driven placement for one
+//! machine. [`schedule_insts`] and [`schedule_module`] are "build, then
+//! place", one block at a time; [`block_dags`] and [`place_module`] are the
+//! same two steps with the DAGs kept, for a caller that places one module
+//! for several machines.
+//!
 //! Speculation policy: an instruction may be hoisted above an earlier
 //! branch (or sunk below it) iff it has no side effects, is non-excepting
 //! under the machine (loads), and its destination is not live into the
 //! branch target.
 
-use ilpc_analysis::{build_block_deps, DepGraph, Liveness};
+use ilpc_analysis::{build_block_deps, Liveness, RegSet};
 use ilpc_ir::{BlockId, Inst, Module};
 use ilpc_machine::{fu_kind, FuKind, Machine};
+use std::borrow::Borrow;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Result of scheduling one block: the new instruction order plus the issue
 /// time of each instruction (parallel arrays).
@@ -47,106 +60,170 @@ impl BlockSchedule {
     }
 }
 
-/// Schedule the instructions of one block for `machine`.
-pub fn schedule_insts(
-    insts: &[Inst],
-    machine: &Machine,
-    live_in_target: &dyn Fn(BlockId) -> ilpc_analysis::RegSet,
-) -> BlockSchedule {
-    let lat = |i: &Inst| machine.latency.of(i);
-    let can_cross = |branch: &Inst, later: &Inst| -> bool {
-        if !later.can_speculate(machine.nonexcepting_loads) {
-            return false;
-        }
-        match (later.def(), branch.target) {
-            (Some(d), Some(t)) => !live_in_target(t).contains(d),
-            _ => true,
-        }
-    };
-    let g: DepGraph = build_block_deps(insts, &lat, &can_cross);
-    let height = g.critical_path(|i| lat(&insts[i]));
-    // Guard against degenerate machines built by hand (pub fields): a
-    // 0-wide machine would never issue anything and loop forever.
-    let issue_width = machine.issue_width.max(1);
-    let branch_slots = machine.branch_slots.max(1);
+/// The width-independent half of scheduling one block: its dependence DAG
+/// (in successor-list form) and each node's critical-path height.
+#[derive(Debug, Clone)]
+pub struct BlockDag {
+    /// Incoming edges per node.
+    pred_counts: Vec<u32>,
+    /// Node `i`'s outgoing edges are `succs[succ_start[i]..succ_start[i + 1]]`,
+    /// each `(to, min_delay)`.
+    succ_start: Vec<u32>,
+    succs: Vec<(u32, u32)>,
+    height: Vec<u32>,
+}
 
-    let n = insts.len();
-    let mut time = vec![0u32; n];
-    let mut done = vec![false; n];
-    let mut preds_left: Vec<usize> = (0..n).map(|i| g.preds[i].len()).collect();
-    let mut earliest = vec![0u32; n];
-    let mut order: Vec<usize> = Vec::with_capacity(n);
+impl BlockDag {
+    /// Build the DAG of `insts` under `machine`'s latency table and load
+    /// speculativity (nothing else of the machine is read). `live_in`
+    /// answers the speculation policy's question "what is live into this
+    /// branch target?".
+    pub fn build<'a>(
+        insts: &[Inst],
+        machine: &Machine,
+        live_in: &dyn Fn(BlockId) -> &'a RegSet,
+    ) -> BlockDag {
+        let lat = |i: &Inst| machine.latency.of(i);
+        let can_cross = |branch: &Inst, later: &Inst| -> bool {
+            if !later.can_speculate(machine.nonexcepting_loads) {
+                return false;
+            }
+            match (later.def(), branch.target) {
+                (Some(d), Some(t)) => !live_in(t).contains(d),
+                _ => true,
+            }
+        };
+        let g = build_block_deps(insts, &lat, &can_cross);
+        let height = g.critical_path(|i| lat(&insts[i]));
+        let mut succ_start = Vec::with_capacity(g.n + 1);
+        let mut succs = Vec::with_capacity(g.edges.len());
+        succ_start.push(0);
+        for out in &g.succs {
+            succs.extend(out.iter().map(|&e| (g.edges[e].to as u32, g.edges[e].min_delay)));
+            succ_start.push(succs.len() as u32);
+        }
+        let pred_counts = g.preds.iter().map(|p| p.len() as u32).collect();
+        BlockDag { pred_counts, succ_start, succs, height }
+    }
 
-    let mut cycle: u32 = 0;
-    let mut slots_used: u32 = 0;
-    let mut branches_used: u32 = 0;
-    // Per-functional-unit slot accounting (restricted machine models).
-    let mut fu_used = [0u32; 5]; // IntAlu, IntMulDiv, Fp, Mem, Vec
-    let fu_index = |k: FuKind| match k {
+    /// Number of incoming edges of node `i`.
+    pub fn num_preds(&self, i: usize) -> usize {
+        self.pred_counts[i] as usize
+    }
+
+    /// Outgoing edges of node `i`, as `(to, min_delay)`.
+    pub fn succs(&self, i: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
+        let span = self.succ_start[i] as usize..self.succ_start[i + 1] as usize;
+        self.succs[span].iter().map(|&(to, delay)| (to as usize, delay))
+    }
+
+    /// Critical-path height of every node: the list-scheduling priority.
+    pub fn heights(&self) -> &[u32] {
+        &self.height
+    }
+}
+
+/// Slot counter of an instruction's functional-unit class (`None` for the
+/// branch class, which the branch-slot limit covers).
+fn fu_index(k: FuKind) -> Option<usize> {
+    match k {
         FuKind::IntAlu => Some(0),
         FuKind::IntMulDiv => Some(1),
         FuKind::Fp => Some(2),
         FuKind::Mem => Some(3),
         FuKind::Vec => Some(4),
         FuKind::Branch => None,
-    };
-    let mut scheduled = 0usize;
+    }
+}
 
-    while scheduled < n {
-        // Ready nodes: all predecessors scheduled and earliest <= cycle.
-        let mut best: Option<usize> = None;
-        for i in 0..n {
-            if done[i] || preds_left[i] != 0 || earliest[i] > cycle {
-                continue;
-            }
-            if insts[i].op.is_branch() && branches_used >= branch_slots {
-                continue;
-            }
-            let kind = fu_kind(&insts[i]);
-            if let Some(fi) = fu_index(kind) {
-                if fu_used[fi] >= machine.fu.of(kind) {
-                    continue;
+/// Place the instructions of one block for `machine`, cycle by cycle, over
+/// its DAG (built from the same `insts`).
+///
+/// Each pick takes the highest node that may issue this cycle, ties going
+/// to the lower program index. Candidates are kept in two queues, so no pick
+/// and no cycle advance rescans the block: `ready` (every predecessor
+/// placed and the earliest start reached) in pick order, and `waiting`
+/// (every predecessor placed, earliest start still ahead) by earliest start.
+pub fn place(insts: &[Inst], dag: &BlockDag, machine: &Machine) -> BlockSchedule {
+    let n = insts.len();
+    debug_assert_eq!(dag.height.len(), n, "a DAG of another block");
+    // Guard against degenerate machines built by hand (pub fields): a
+    // 0-wide machine would never issue anything and loop forever.
+    let issue_width = machine.issue_width.max(1);
+    let branch_slots = machine.branch_slots.max(1);
+    let is_branch: Vec<bool> = insts.iter().map(|i| i.op.is_branch()).collect();
+    let fu: Vec<Option<usize>> = insts.iter().map(|i| fu_index(fu_kind(i))).collect();
+    let fu_limit = [FuKind::IntAlu, FuKind::IntMulDiv, FuKind::Fp, FuKind::Mem, FuKind::Vec]
+        .map(|k| machine.fu.of(k));
+    let height = dag.heights();
+    // Pick order: critical path first; ties broken by program order (keeps
+    // memory order edges' same-cycle sequencing).
+    let rank = |i: usize| (Reverse(height[i]), i);
+    let enqueue = |ready: &mut Vec<usize>, i: usize| {
+        let at = ready.partition_point(|&j| rank(j) < rank(i));
+        ready.insert(at, i);
+    };
+
+    let mut time = vec![0u32; n];
+    let mut preds_left = dag.pred_counts.clone();
+    let mut earliest = vec![0u32; n];
+    let mut order: Vec<usize> = Vec::with_capacity(n);
+    let mut ready: Vec<usize> = (0..n).filter(|&i| preds_left[i] == 0).collect();
+    ready.sort_unstable_by_key(|&i| rank(i));
+    let mut waiting: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::new();
+
+    let mut cycle: u32 = 0;
+    let mut slots_used: u32 = 0;
+    let mut branches_used: u32 = 0;
+    // Per-functional-unit slot accounting (restricted machine models).
+    let mut fu_used = [0u32; 5]; // IntAlu, IntMulDiv, Fp, Mem, Vec
+
+    while order.len() < n {
+        let pick = if slots_used < issue_width {
+            ready.iter().position(|&i| {
+                !(is_branch[i] && branches_used >= branch_slots)
+                    && fu[i].is_none_or(|f| fu_used[f] < fu_limit[f])
+            })
+        } else {
+            None
+        };
+        match pick {
+            Some(at) => {
+                let i = ready.remove(at);
+                time[i] = cycle;
+                order.push(i);
+                slots_used += 1;
+                if is_branch[i] {
+                    branches_used += 1;
                 }
-            }
-            match best {
-                None => best = Some(i),
-                Some(b) => {
-                    // Critical path first; ties broken by program order
-                    // (keeps memory order edges' same-cycle sequencing).
-                    if height[i] > height[b] {
-                        best = Some(i);
+                if let Some(f) = fu[i] {
+                    fu_used[f] += 1;
+                }
+                for (to, delay) in dag.succs(i) {
+                    preds_left[to] -= 1;
+                    earliest[to] = earliest[to].max(cycle + delay);
+                    if preds_left[to] == 0 {
+                        if earliest[to] <= cycle {
+                            enqueue(&mut ready, to);
+                        } else {
+                            waiting.push(Reverse((earliest[to], to)));
+                        }
                     }
                 }
             }
-        }
-        match best {
-            Some(i) if slots_used < issue_width => {
-                done[i] = true;
-                time[i] = cycle;
-                order.push(i);
-                scheduled += 1;
-                slots_used += 1;
-                if insts[i].op.is_branch() {
-                    branches_used += 1;
-                }
-                if let Some(fi) = fu_index(fu_kind(&insts[i])) {
-                    fu_used[fi] += 1;
-                }
-                for &e in &g.succs[i] {
-                    let d = &g.edges[e];
-                    preds_left[d.to] -= 1;
-                    earliest[d.to] = earliest[d.to].max(cycle + d.min_delay);
-                }
-            }
-            _ => {
+            None => {
                 // Advance to the next cycle with something to do.
-                let next = (0..n)
-                    .filter(|&i| !done[i] && preds_left[i] == 0)
-                    .map(|i| earliest[i])
-                    .min()
-                    .unwrap_or(cycle + 1)
-                    .max(cycle + 1);
-                cycle = next;
+                cycle = match waiting.peek() {
+                    Some(&Reverse((start, _))) if ready.is_empty() => start.max(cycle + 1),
+                    _ => cycle + 1,
+                };
+                while let Some(&Reverse((start, i))) = waiting.peek() {
+                    if start > cycle {
+                        break;
+                    }
+                    waiting.pop();
+                    enqueue(&mut ready, i);
+                }
                 slots_used = 0;
                 branches_used = 0;
                 fu_used = [0; 5];
@@ -161,17 +238,71 @@ pub fn schedule_insts(
     }
 }
 
+/// Schedule the instructions of one block for `machine`: build its DAG,
+/// then place it.
+pub fn schedule_insts(
+    insts: &[Inst],
+    machine: &Machine,
+    live_in_target: &dyn Fn(BlockId) -> RegSet,
+) -> BlockSchedule {
+    // Ask once per distinct branch target, then lend the sets to the DAG.
+    let mut targets: Vec<(BlockId, RegSet)> = Vec::new();
+    for t in insts.iter().filter_map(|i| i.target) {
+        if !targets.iter().any(|&(b, _)| b == t) {
+            targets.push((t, live_in_target(t)));
+        }
+    }
+    let live_in =
+        |t: BlockId| &targets.iter().find(|&&(b, _)| b == t).expect("every target looked up").1;
+    place(insts, &BlockDag::build(insts, machine, &live_in), machine)
+}
+
 /// Schedule every block of `m` in place; returns per-block schedules
-/// (indexed by `BlockId.0`).
+/// (indexed by `BlockId.0`). Each block's DAG is built, placed and dropped
+/// in turn.
 pub fn schedule_module(m: &mut Module, machine: &Machine) -> Vec<Option<BlockSchedule>> {
     let lv = Liveness::compute(&m.func);
+    place_blocks(m, machine, |_, insts| BlockDag::build(insts, machine, &|t| lv.live_in(t)))
+}
+
+/// The DAG of every laid-out block of `m` (indexed by `BlockId.0`), for
+/// [`place_module`] to place under any machine with `machine`'s latency
+/// table and load speculativity.
+pub fn block_dags(m: &Module, machine: &Machine) -> Vec<Option<BlockDag>> {
+    let lv = Liveness::compute(&m.func);
+    let mut dags = vec![None; m.func.num_blocks()];
+    for &b in m.func.layout_order() {
+        let insts = &m.func.block(b).insts;
+        dags[b.0 as usize] = Some(BlockDag::build(insts, machine, &|t| lv.live_in(t)));
+    }
+    dags
+}
+
+/// [`schedule_module`] over DAGs [`block_dags`] built from this same
+/// module: equal to it for any machine whose latency table and load
+/// speculativity are the DAGs'.
+pub fn place_module(
+    m: &mut Module,
+    dags: &[Option<BlockDag>],
+    machine: &Machine,
+) -> Vec<Option<BlockSchedule>> {
+    place_blocks(m, machine, |b, _| {
+        dags[b.0 as usize].as_ref().expect("a DAG for every laid-out block")
+    })
+}
+
+/// Place every laid-out block of `m` over the DAG `dag_of` gives for it,
+/// writing the new order back.
+fn place_blocks<D: Borrow<BlockDag>>(
+    m: &mut Module,
+    machine: &Machine,
+    mut dag_of: impl FnMut(BlockId, &[Inst]) -> D,
+) -> Vec<Option<BlockSchedule>> {
     let mut out: Vec<Option<BlockSchedule>> = vec![None; m.func.num_blocks()];
     let blocks: Vec<BlockId> = m.func.layout_order().to_vec();
     for b in blocks {
-        let insts = m.func.block(b).insts.clone();
-        let sched = schedule_insts(&insts, machine, &|t: BlockId| {
-            lv.live_in(t).clone()
-        });
+        let insts = std::mem::take(&mut m.func.block_mut(b).insts);
+        let sched = place(&insts, dag_of(b, &insts).borrow(), machine);
         m.func.block_mut(b).insts = sched.insts.clone();
         out[b.0 as usize] = Some(sched);
     }
@@ -305,6 +436,27 @@ mod tests {
         let load_pos = s.insts.iter().position(|i| i.op == Opcode::Load).unwrap();
         let br_pos = s.insts.iter().position(|i| i.op.is_branch()).unwrap();
         assert!(load_pos > br_pos);
+    }
+
+    /// Equal heights go to the lower program index, however late the lower
+    /// index became ready: node 1 waits on node 0 while nodes 2 and 3 are
+    /// ready from the start, yet it issues before both once it is ready.
+    #[test]
+    fn equal_heights_issue_in_program_order() {
+        let r: Vec<Reg> = (0..4).map(Reg::int).collect();
+        let body = vec![
+            Inst::mov(r[0], Operand::ImmI(1)),
+            Inst::alu(Opcode::Add, r[1], r[0].into(), Operand::ImmI(1)),
+            Inst::mov(r[2], Operand::ImmI(2)),
+            Inst::mov(r[3], Operand::ImmI(3)),
+        ];
+        let lv = ilpc_analysis::RegSet::new();
+        let dag = BlockDag::build(&body, &Machine::issue(1), &|_| &lv);
+        assert_eq!(dag.heights(), [2, 1, 1, 1]);
+        let s = place(&body, &dag, &Machine::issue(1));
+        assert_eq!(s.perm, vec![0, 1, 2, 3]);
+        assert_eq!(s.times, vec![0, 1, 2, 3]);
+        assert_eq!(s, schedule_insts(&body, &Machine::issue(1), &live_none));
     }
 
     /// Figure 1d: unrolled + renamed body schedules to 8 cycles.

@@ -146,33 +146,53 @@ rm -f "$serve_replies"
 echo "== served sweep smoke (cold ladder vs warm cache) =="
 # The researcher's path through the built binary: one 6-level x [1,8]
 # sweep sent twice to the same server, then a simulate of a point it
-# covers. The first sweep climbs every level ladder cold (480 artifacts
-# compiled, none reused); the second is served entirely from the cache
-# and must report the bit-same mean speedup. One worker, so the three
-# requests run in order.
+# covers, then a wider sweep. The first sweep climbs every level ladder
+# cold (480 artifacts compiled, none reused); the second is served
+# entirely from the cache and must report the bit-same mean speedup. One
+# worker, so the four requests run in order.
+#
+# The fourth sweeps widths [1,2,4,8] x mems [perfect, cache sets 16]: a
+# sweep work item is (scenario, workload, level) and evaluates all its
+# widths, yet every width is still its own artifact key and lookup. The
+# cache counters are cumulative per server scale, so after it:
+#   compiles = 480 (request 1) + 40 nests x 6 levels x widths {2,4} = 960
+#   hits     = 480 (request 2) + 1 (the simulate) + the fourth's lookups,
+#              40 x 6 x 4 widths x 2 mems = 1920, less its 480 compiles
+#            = 480 + 1 + 1440 = 1921
+# Its perfect scenario's Lev6 issue-8 mean speedup is the cold sweep's.
 sweep_replies=$(mktemp)
-sweep='"op":"sweep","scale":0.02,"levels":["Conv","Lev1","Lev2","Lev3","Lev4","Lev6"],"widths":[1,8]'
+levels='"levels":["Conv","Lev1","Lev2","Lev3","Lev4","Lev6"]'
+sweep="\"op\":\"sweep\",\"scale\":0.02,$levels,\"widths\":[1,8]"
+wide="\"op\":\"sweep\",\"scale\":0.02,$levels,\"widths\":[1,2,4,8]"
+wide="$wide,\"mems\":[{\"kind\":\"perfect\"},{\"kind\":\"cache\",\"sets\":16}]"
 printf '%s\n' \
   "{\"id\":1,$sweep}" \
   "{\"id\":2,$sweep}" \
   '{"id":3,"op":"simulate","workload":"dotprod","level":"Lev4","width":8,"scale":0.02}' \
+  "{\"id\":4,$wide}" \
   | ./target/release/ilpc-serve --workers 1 --queue 8 > "$sweep_replies"
 python3 - "$sweep_replies" <<'EOF'
 import json, sys
 replies = {r["id"]: r for r in map(json.loads, open(sys.argv[1]))}
-assert len(replies) == 3 and all(r["ok"] for r in replies.values()), replies
-cold, warm = replies[1]["result"], replies[2]["result"]
+assert len(replies) == 4 and all(r["ok"] for r in replies.values()), replies
+cold, warm, wide = replies[1]["result"], replies[2]["result"], replies[4]["result"]
 for name, r in (("cold", cold), ("warm", warm)):
     (scenario,) = r["scenarios"]
     assert scenario["completed"] == 480 and not scenario["errors"], (name, scenario)
 assert cold["cache"] == {"compiles": 480, "hits": 0}, cold["cache"]
 assert warm["cache"] == {"compiles": 480, "hits": 480}, warm["cache"]
-speedup = lambda r: r["scenarios"][0]["mean_speedup"]["value"]
+speedup = lambda r, i=0: r["scenarios"][i]["mean_speedup"]["value"]
 assert speedup(cold) == speedup(warm), (speedup(cold), speedup(warm))
 assert replies[3]["result"]["cycles"] > 0, replies[3]
+assert len(wide["scenarios"]) == 2, wide
+for scenario in wide["scenarios"]:
+    assert scenario["completed"] == 960 and not scenario["errors"], scenario
+assert wide["cache"] == {"compiles": 960, "hits": 1921}, wide["cache"]
+assert speedup(wide) == speedup(cold), (speedup(wide), speedup(cold))
 print(f"ok: cold sweep 480 compiles / 0 hits, warm sweep 480 hits, "
       f"mean speedup {speedup(cold)} both times, simulate cycles="
-      f"{replies[3]['result']['cycles']}")
+      f"{replies[3]['result']['cycles']}, 4-width x 2-mem sweep 960 compiles / "
+      f"1921 hits with the same issue-8 speedup")
 EOF
 rm -f "$sweep_replies"
 

@@ -56,3 +56,38 @@ fn assignment_is_idempotent() {
     let u2 = assign_registers(&mut twice.func);
     assert_eq!(u1.total(), u2.total());
 }
+
+/// A value live only into a side exit, and redefined after it, is live at
+/// the branch: `r0i` (5) must survive `blt` into `B1` while `r1i` (7) is
+/// live too. Both register walks add the branch target's live-in set, so
+/// MAXLIVE counts 2 and the colouring keeps the two apart.
+#[test]
+fn side_exit_liveness_counts_and_colours() {
+    let text = "\
+.module sideexit
+.sym out int 2
+.func sideexit
+.block B0 entry
+    mov r0i, #5
+    mov r1i, #7
+    st @0, #1, r1i, tag=0:0:1:0
+    blt r1i, #100, ->B1
+    mov r0i, #9
+    st @0, #0, r0i, tag=0:0:0:0
+    halt
+.block B1 exit
+    st @0, #0, r0i, tag=0:0:0:0
+    halt
+";
+    let module = ilp_compiler::ir::text::parse(text).unwrap();
+    assert_eq!(measure(&module.func).int, 2);
+
+    let machine = Machine::issue(1);
+    let mut phys = module.clone();
+    let usage = assign_registers(&mut phys.func);
+    assert_eq!(usage.int, 2);
+    for m in [&module, &phys] {
+        let r = simulate(m, &machine, vec![0, 0], 1_000).unwrap();
+        assert_eq!(r.memory, vec![5, 7]);
+    }
+}

@@ -165,6 +165,10 @@ fn sweep_equals_sequential_reference_on_full_grid() {
     assert_eq!(counters.hits, 3 * POINTS as u64, "{counters:?}");
     // Nor is issue width: every level of every nest was climbed once.
     assert_eq!(counters.rungs, (40 * Level::ALL.len()) as u64, "{counters:?}");
+    // The perfect-memory sweep's 240 work items (nest, level) each built
+    // one backend front for all three widths; the cached sweep compiled
+    // nothing, so it built none.
+    assert_eq!(counters.fronts, (40 * Level::ALL.len()) as u64, "{counters:?}");
 
     // A sabotaged point degrades to one contained panic while every
     // other point stays identical — to the reference and to the clean run.
@@ -191,9 +195,9 @@ fn sweep_equals_sequential_reference_on_full_grid() {
     assert_eq!((agg.covered(), agg.requested()), (39, 40));
 }
 
-/// The sweep climbs each nest's level ladder once and cuts every width's
-/// artifact from it; compiling each point from scratch with
-/// [`evaluate`] must give bit-equal points.
+/// The sweep climbs each nest's level ladder once and places every width's
+/// artifact from one backend front per (nest, level); compiling each point
+/// from scratch with [`evaluate`] must give bit-equal points.
 #[test]
 fn sweep_equals_compile_from_scratch_on_mini_grid() {
     let (levels, widths) = (vec![Level::Conv, Level::Lev2], vec![1u32, 8]);
@@ -207,6 +211,8 @@ fn sweep_equals_compile_from_scratch_on_mini_grid() {
     .expect("valid config");
     let grid = &sweep.grids[0];
     assert!(grid.errors.is_empty(), "{:#?}", grid.errors);
+    // One front per work item (nest, level), serving both widths.
+    assert_eq!(sweep.cache.fronts, (40 * levels.len()) as u64, "{:?}", sweep.cache);
     assert_eq!(grid.completed(), 40 * levels.len() * widths.len());
     for w in build_all(SCALE) {
         for &level in &levels {
