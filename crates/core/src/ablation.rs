@@ -10,9 +10,7 @@
 //! arbitrary subset so the harness can regenerate those per-transformation
 //! claims as leave-one-out and only-one ablations.
 
-use crate::level::{Level, Pass, TransformReport, PASSES};
-use crate::unroll::UnrollConfig;
-use ilpc_ir::Module;
+use crate::level::{Level, Rows};
 
 /// Which transformations to run (conventional optimization always runs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,32 +26,14 @@ pub struct TransformSet {
 }
 
 impl TransformSet {
-    /// Nothing beyond conventional optimization.
+    /// Nothing beyond conventional optimization (Conv).
     pub fn none() -> TransformSet {
-        TransformSet {
-            unroll: false,
-            rename: false,
-            combine: false,
-            strength: false,
-            threduce: false,
-            accum: false,
-            induct: false,
-            search: false,
-        }
+        TransformSet::of_level(Level::Conv)
     }
 
-    /// Everything (equivalent to Lev4).
+    /// Everything (Lev4).
     pub fn all() -> TransformSet {
-        TransformSet {
-            unroll: true,
-            rename: true,
-            combine: true,
-            strength: true,
-            threduce: true,
-            accum: true,
-            induct: true,
-            search: true,
-        }
+        TransformSet::of_level(Level::Lev4)
     }
 
     /// The cumulative set of a paper level, capped at Lev4: the set spans
@@ -61,24 +41,17 @@ impl TransformSet {
     /// `of_level(Lev4)`. SLP vectorization is reached through
     /// [`crate::level::passes`] only.
     pub fn of_level(level: Level) -> TransformSet {
-        let mut s = TransformSet::none();
-        if level >= Level::Lev1 {
-            s.unroll = true;
+        let from = |l: Level| level >= l;
+        TransformSet {
+            unroll: from(Level::Lev1),
+            rename: from(Level::Lev2),
+            combine: from(Level::Lev3),
+            strength: from(Level::Lev3),
+            threduce: from(Level::Lev3),
+            accum: from(Level::Lev4),
+            induct: from(Level::Lev4),
+            search: from(Level::Lev4),
         }
-        if level >= Level::Lev2 {
-            s.rename = true;
-        }
-        if level >= Level::Lev3 {
-            s.combine = true;
-            s.strength = true;
-            s.threduce = true;
-        }
-        if level >= Level::Lev4 {
-            s.accum = true;
-            s.induct = true;
-            s.search = true;
-        }
-        s
     }
 
     /// Lev4 with one transformation disabled (leave-one-out ablation).
@@ -102,14 +75,15 @@ impl TransformSet {
         ["combine", "strength", "threduce", "accum", "induct", "search"];
 
     /// True if any of the three Lev4 expansions is on — the condition for
-    /// the cleanup and re-run rows that follow them in [`PASSES`].
+    /// the cleanup and re-run rows that follow them in
+    /// [`PASSES`](crate::level::PASSES).
     pub(crate) fn expands(&self) -> bool {
         self.accum || self.induct || self.search
     }
 
-    /// The rows of [`PASSES`] this set enables, in table order.
-    pub fn passes(self) -> impl Iterator<Item = &'static Pass> {
-        PASSES.iter().filter(move |p| (p.enabled)(&self))
+    /// The rows of [`PASSES`](crate::level::PASSES) this set enables.
+    pub fn rows(self) -> Rows {
+        Rows::of(|p| (p.enabled)(&self))
     }
 
     fn field_mut(&mut self, name: &str) -> &mut bool {
@@ -127,31 +101,27 @@ impl TransformSet {
     }
 }
 
-/// Apply an arbitrary transformation subset to freshly lowered IR: the
-/// enabled rows of [`PASSES`], in table order.
-pub fn apply_set(
-    m: &mut Module,
-    set: &TransformSet,
-    ucfg: &UnrollConfig,
-) -> TransformReport {
-    let mut rep = TransformReport::default();
-    for pass in set.passes() {
-        pass.execute(m, ucfg, &mut rep);
+impl From<TransformSet> for Rows {
+    fn from(set: TransformSet) -> Rows {
+        set.rows()
     }
-    debug_assert!(
-        ilpc_ir::verify::verify_module(m).is_ok(),
-        "ablation pipeline broke the IR: {:?}",
-        ilpc_ir::verify::verify_module(m)
-    );
-    rep
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::level::apply_level;
+    use crate::level::{direct, run_rows, TransformReport};
     use ilpc_ir::ast::{Bound, Expr, Index, Program, Stmt};
     use ilpc_ir::lower::lower;
+    use ilpc_ir::Module;
+
+    /// `dotprod` lowered, then `rows` run over it at `vlen`.
+    fn apply(rows: Rows, vlen: u32) -> (Module, TransformReport) {
+        let mut m = lower(&dotprod()).module;
+        let mut rep = TransformReport::default();
+        run_rows(&mut m, &mut rep, rows, vlen, &mut direct);
+        (m, rep)
+    }
 
     fn dotprod() -> Program {
         let mut p = Program::new("dot");
@@ -176,15 +146,16 @@ mod tests {
 
     #[test]
     fn of_level_matches_level_pipeline() {
+        // The set is capped at Lev4: up to there it selects exactly the
+        // level's rows, above it Lev4's.
+        for level in Level::ALL {
+            assert_eq!(TransformSet::of_level(level).rows(), level.min(Level::Lev4).rows());
+        }
         for vlen in [1, 4] {
-            let ucfg = UnrollConfig { vlen, ..UnrollConfig::default() };
-            // The set is capped at Lev4, so Lev6 matches it only while the
-            // SLP rows are no-ops (VLEN 1).
+            // So Lev6 matches it only while the SLP rows are no-ops (VLEN 1).
             for level in Level::ALL.into_iter().filter(|l| vlen == 1 || *l <= Level::Lev4) {
-                let mut via_level = lower(&dotprod()).module;
-                let r1 = apply_level(&mut via_level, level, &ucfg);
-                let mut via_set = lower(&dotprod()).module;
-                let r2 = apply_set(&mut via_set, &TransformSet::of_level(level), &ucfg);
+                let (via_level, r1) = apply(level.rows(), vlen);
+                let (via_set, r2) = apply(TransformSet::of_level(level).rows(), vlen);
                 assert_eq!(r1, r2, "{level} vlen {vlen}");
                 assert_eq!(
                     format!("{}", via_level.func),
@@ -197,33 +168,18 @@ mod tests {
 
     #[test]
     fn leave_one_out_disables_exactly_one() {
-        let mut m = lower(&dotprod()).module;
-        let rep = apply_set(
-            &mut m,
-            &TransformSet::all_but("accum"),
-            &UnrollConfig::default(),
-        );
+        let (_, rep) = apply(TransformSet::all_but("accum").rows(), 1);
         assert_eq!(rep.accumulators_expanded, 0);
         assert!(rep.inductions_expanded >= 1);
 
-        let mut m = lower(&dotprod()).module;
-        let rep = apply_set(
-            &mut m,
-            &TransformSet::all_but("induct"),
-            &UnrollConfig::default(),
-        );
+        let (_, rep) = apply(TransformSet::all_but("induct").rows(), 1);
         assert!(rep.accumulators_expanded >= 1);
         assert_eq!(rep.inductions_expanded, 0);
     }
 
     #[test]
     fn only_one_enables_exactly_one() {
-        let mut m = lower(&dotprod()).module;
-        let rep = apply_set(
-            &mut m,
-            &TransformSet::lev2_plus("accum"),
-            &UnrollConfig::default(),
-        );
+        let (_, rep) = apply(TransformSet::lev2_plus("accum").rows(), 1);
         assert!(rep.accumulators_expanded >= 1);
         assert_eq!(rep.combines, 0);
         assert_eq!(rep.trees_reduced, 0);

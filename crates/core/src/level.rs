@@ -22,9 +22,11 @@ use crate::search::search_expand;
 use crate::strength::strength_reduce;
 use crate::threduce::tree_height_reduce;
 use crate::unroll::{unroll_inner_loops, UnrollConfig};
+use ilpc_ir::verify::verify_module;
 use ilpc_ir::Module;
 use ilpc_opt::{cleanup, conventional, dce, fold_add_chains, simplify_cfg};
 use std::fmt;
+use std::ops::BitOr;
 
 /// Optimization level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -64,6 +66,18 @@ impl Level {
     pub fn from_name(name: &str) -> Option<Level> {
         Level::ALL.into_iter().find(|l| l.name().eq_ignore_ascii_case(name))
     }
+
+    /// The rows of [`PASSES`] this level runs: its own and every lower
+    /// level's.
+    pub fn rows(self) -> Rows {
+        Rows::of(|p| p.level <= self)
+    }
+}
+
+impl From<Level> for Rows {
+    fn from(level: Level) -> Rows {
+        level.rows()
+    }
 }
 
 impl fmt::Display for Level {
@@ -94,9 +108,9 @@ pub struct TransformReport {
 /// The pipeline is expressed as data so external drivers — most notably the
 /// `ilpc-guard` transformation firewall — can interpose snapshotting,
 /// verification and rollback around every individual pass. Every route
-/// ([`apply_level`], [`crate::ablation::apply_set`], the harness pipeline,
-/// the guard) iterates this one table, selecting rows by `level` or by
-/// `enabled`; none writes pass order down again.
+/// runs a [`Rows`] selection of this one table through [`run_rows`],
+/// selecting rows by `level` ([`Level::rows`]) or by `enabled`
+/// ([`TransformSet::rows`]); none writes pass order down again.
 pub struct Pass {
     /// Stable pass name (used in guard reports and fault-campaign output).
     pub name: &'static str,
@@ -241,23 +255,81 @@ pub const PASSES: &[Pass] = &[
     Pass { name: "slp-dce", level: Level::Lev6, enabled: |_| false, run: run_dce },
 ];
 
-/// The passes `level` runs, in execution order.
-pub fn passes(level: Level) -> impl Iterator<Item = &'static Pass> {
-    PASSES.iter().filter(move |p| level >= p.level)
+const _: () = assert!(PASSES.len() <= 32, "a `Rows` mask has 32 bits");
+
+/// A selection of [`PASSES`] rows: bit `i` selects `PASSES[i]`, and the
+/// selected rows run in table order. A [`Level`] and a [`TransformSet`]
+/// are both one (see [`Level::rows`], [`TransformSet::rows`]); equal
+/// masks are the same pipeline, whichever way they were asked for.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct Rows(u32);
+
+impl Rows {
+    /// The rows `keep` accepts.
+    pub(crate) fn of(keep: impl Fn(&Pass) -> bool) -> Rows {
+        Rows(PASSES.iter().enumerate().filter(|(_, p)| keep(p)).fold(0, |m, (i, _)| m | 1 << i))
+    }
+
+    /// The selected rows, in execution order.
+    pub fn passes(self) -> impl Iterator<Item = &'static Pass> {
+        PASSES.iter().enumerate().filter(move |(i, _)| self.0 >> i & 1 == 1).map(|(_, p)| p)
+    }
+
+    /// The selected rows that belong to `level` itself.
+    pub fn at(self, level: Level) -> Rows {
+        Rows(self.0 & Rows::of(|p| p.level == level).0)
+    }
 }
 
-/// Apply `level` to `m` (which must be freshly lowered, unoptimized IR).
-pub fn apply_level(m: &mut Module, level: Level, ucfg: &UnrollConfig) -> TransformReport {
-    let mut rep = TransformReport::default();
-    for pass in passes(level) {
-        pass.execute(m, ucfg, &mut rep);
+impl BitOr for Rows {
+    type Output = Rows;
+    fn bitor(self, other: Rows) -> Rows {
+        Rows(self.0 | other.0)
+    }
+}
+
+/// The passes `level` runs, in execution order.
+pub fn passes(level: Level) -> impl Iterator<Item = &'static Pass> {
+    level.rows().passes()
+}
+
+/// How [`run_rows`] runs each row (and the harness each backend stage):
+/// called as `step(module, name, body)`, it must either run `body` and
+/// return `true`, or leave the module as it was on entry and return
+/// `false`; the driver then discards whatever that step reported.
+pub trait Step: FnMut(&mut Module, &'static str, &mut dyn FnMut(&mut Module)) -> bool {}
+impl<F: FnMut(&mut Module, &'static str, &mut dyn FnMut(&mut Module)) -> bool> Step for F {}
+
+/// The unguarded step policy: run the step and keep its output.
+pub fn direct(m: &mut Module, _: &'static str, body: &mut dyn FnMut(&mut Module)) -> bool {
+    body(m);
+    true
+}
+
+/// The one row driver: run the `rows` of [`PASSES`] over `module`, each
+/// through `step`, adding what each kept step counted to `report`. Reads
+/// nothing of the machine but `vlen`, which is what lets a caller share
+/// its output across issue widths and latency tables. Starting from
+/// freshly lowered IR, every selection leaves verifiable IR.
+pub fn run_rows(
+    module: &mut Module,
+    report: &mut TransformReport,
+    rows: Rows,
+    vlen: u32,
+    step: &mut impl Step,
+) {
+    let ucfg = UnrollConfig { vlen, ..Default::default() };
+    for pass in rows.passes() {
+        let mut counted = report.clone();
+        if step(module, pass.name, &mut |m| pass.execute(m, &ucfg, &mut counted)) {
+            *report = counted;
+        }
     }
     debug_assert!(
-        ilpc_ir::verify::verify_module(m).is_ok(),
-        "level pipeline broke the IR: {:?}",
-        ilpc_ir::verify::verify_module(m)
+        verify_module(module).is_ok(),
+        "the pass rows broke the IR: {:?}",
+        verify_module(module)
     );
-    rep
 }
 
 #[cfg(test)]
@@ -266,6 +338,13 @@ mod tests {
     use ilpc_ir::ast::{Bound, Expr, Index, Program, Stmt};
     use ilpc_ir::lower::lower;
     use ilpc_ir::Opcode;
+
+    /// Run `level`'s rows over `m` directly.
+    fn apply(m: &mut Module, level: Level) -> TransformReport {
+        let mut rep = TransformReport::default();
+        run_rows(m, &mut rep, level.rows(), 1, &mut direct);
+        rep
+    }
 
     fn dotprod() -> Program {
         let mut p = Program::new("dotprod");
@@ -294,7 +373,7 @@ mod tests {
         for level in Level::ALL {
             assert_eq!(Level::from_name(&level.name().to_lowercase()), Some(level));
             let mut l = lower(&dotprod());
-            let rep = apply_level(&mut l.module, level, &UnrollConfig::default());
+            let rep = apply(&mut l.module, level);
             ilpc_ir::verify::verify_module(&l.module).unwrap();
             match level {
                 Level::Conv => assert_eq!(rep.loops_unrolled, 0),
@@ -325,7 +404,7 @@ mod tests {
     #[test]
     fn lev4_dotprod_has_independent_multiply_accumulates() {
         let mut l = lower(&dotprod());
-        apply_level(&mut l.module, Level::Lev4, &UnrollConfig::default());
+        apply(&mut l.module, Level::Lev4);
         let f = &l.module.func;
         // Find the main unrolled loop: the biggest block with a backedge.
         let forest = ilpc_analysis::LoopForest::compute(f);
@@ -361,15 +440,14 @@ mod tests {
         // level's followed by its own rows: drivers may run the table one
         // level's rows at a time and resume from where a lower level ended.
         assert!(PASSES.windows(2).all(|p| p[0].level <= p[1].level));
-        // Driving the pass table by hand reproduces apply_level exactly.
+        // Driving the pass table by hand reproduces the row driver exactly.
         let mut via_table = lower(&dotprod());
         let mut rep_table = TransformReport::default();
         for pass in passes(Level::Lev4) {
             pass.execute(&mut via_table.module, &UnrollConfig::default(), &mut rep_table);
         }
         let mut via_apply = lower(&dotprod());
-        let rep_apply =
-            apply_level(&mut via_apply.module, Level::Lev4, &UnrollConfig::default());
+        let rep_apply = apply(&mut via_apply.module, Level::Lev4);
         assert_eq!(rep_table, rep_apply);
         assert_eq!(
             ilpc_ir::text::serialize(&via_table.module),

@@ -30,11 +30,11 @@ pub mod strength;
 pub mod threduce;
 pub mod unroll;
 
-pub use ablation::{apply_set, TransformSet};
+pub use ablation::TransformSet;
 pub use accum::accumulator_expand;
 pub use combine::operation_combine;
 pub use induct::induction_expand;
-pub use level::{apply_level, Level, TransformReport};
+pub use level::{run_rows, Level, Rows, TransformReport};
 pub use rename::rename_loops;
 pub use search::search_expand;
 pub use strength::strength_reduce;

@@ -542,8 +542,7 @@ fn check(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ilpc_core::level::TransformReport;
-    use ilpc_core::unroll::UnrollConfig;
+    use ilpc_core::level::{direct, run_rows, TransformReport};
     use ilpc_ir::ast::{Bound, Expr, Index, Program, Stmt};
     use ilpc_ir::interp::{interpret, DataInit};
     use ilpc_ir::lower::lower;
@@ -551,27 +550,6 @@ mod tests {
     use ilpc_ir::value::Value;
     use ilpc_ir::Opcode;
     use ilpc_sim::memory_from_init;
-
-    /// Apply `level` to `m` through the firewall, every pass of the level
-    /// pipeline as a guarded step: the driver of these tests (the real one
-    /// is `ilpc_harness::compile`'s pipeline, which needs a workload).
-    fn guarded_apply_level(
-        m: &mut Module,
-        level: Level,
-        ucfg: &UnrollConfig,
-        guard: &mut Guard,
-    ) -> TransformReport {
-        let mut rep = TransformReport::default();
-        for pass in passes(level) {
-            let saved = rep.clone();
-            let kept = guard.step(m, pass.name, |m| pass.execute(m, ucfg, &mut rep));
-            if !kept {
-                rep = saved;
-            }
-        }
-        guard.report.settle_level(level);
-        rep
-    }
 
     fn dotprod() -> (Program, DataInit) {
         let mut p = Program::new("dotprod");
@@ -630,18 +608,16 @@ mod tests {
     fn clean_run_is_bit_identical_to_unguarded() {
         let (p, init) = dotprod();
         let mut plain = lower(&p);
-        let plain_rep =
-            ilpc_core::level::apply_level(&mut plain.module, Level::Lev4, &UnrollConfig::default());
+        let mut plain_rep = TransformReport::default();
+        run_rows(&mut plain.module, &mut plain_rep, Level::Lev4.rows(), 1, &mut direct);
 
         let mut guarded = lower(&p);
         let oracle = oracle_for(&p, &init, &guarded);
         let mut guard = Guard::new(GuardConfig::default(), Some(&oracle));
-        let rep = guarded_apply_level(
-            &mut guarded.module,
-            Level::Lev4,
-            &UnrollConfig::default(),
-            &mut guard,
-        );
+        let mut rep = TransformReport::default();
+        let rows = Level::Lev4.rows();
+        run_rows(&mut guarded.module, &mut rep, rows, 1, &mut |m, n, b| guard.step(m, n, b));
+        guard.report.settle_level(Level::Lev4);
 
         assert!(guard.report.clean(), "{:#?}", guard.report.incidents);
         assert_eq!(guard.report.requested, Some(Level::Lev4));
@@ -661,12 +637,10 @@ mod tests {
             at_step: 3,
             action: Box::new(|_| panic!("injected pass bug")),
         });
-        let rep = guarded_apply_level(
-            &mut l.module,
-            Level::Lev4,
-            &UnrollConfig::default(),
-            &mut guard,
-        );
+        let mut rep = TransformReport::default();
+        let rows = Level::Lev4.rows();
+        run_rows(&mut l.module, &mut rep, rows, 1, &mut |m, n, b| guard.step(m, n, b));
+        guard.report.settle_level(Level::Lev4);
         let incidents = &guard.report.incidents;
         assert_eq!(incidents.len(), 1, "{incidents:#?}");
         assert_eq!(incidents[0].error.kind, GuardErrorKind::PassPanic);
@@ -693,12 +667,10 @@ mod tests {
         oracle.expect.push((SymId(99), ArrayVal::I(vec![0])));
         let lowered = serialize(&l.module);
         let mut guard = Guard::new(GuardConfig::default(), Some(&oracle));
-        let rep = guarded_apply_level(
-            &mut l.module,
-            Level::Lev1,
-            &UnrollConfig::default(),
-            &mut guard,
-        );
+        let mut rep = TransformReport::default();
+        let rows = Level::Lev1.rows();
+        run_rows(&mut l.module, &mut rep, rows, 1, &mut |m, n, b| guard.step(m, n, b));
+        guard.report.settle_level(Level::Lev1);
         let incidents = &guard.report.incidents;
         assert_eq!(incidents.len(), guard.report.steps_attempted, "{incidents:#?}");
         assert!(incidents.iter().all(|i| i.error.kind == GuardErrorKind::PassPanic));
@@ -735,7 +707,9 @@ mod tests {
                 assert!(flipped > 0, "no FAdd to corrupt");
             }),
         });
-        guarded_apply_level(&mut l.module, Level::Lev4, &UnrollConfig::default(), &mut guard);
+        let (rows, mut rep) = (Level::Lev4.rows(), TransformReport::default());
+        run_rows(&mut l.module, &mut rep, rows, 1, &mut |m, n, b| guard.step(m, n, b));
+        guard.report.settle_level(Level::Lev4);
         assert_eq!(guard.report.incidents.len(), 1, "{:#?}", guard.report.incidents);
         let inc = &guard.report.incidents[0];
         assert_eq!(inc.error.kind, GuardErrorKind::DifferentialMismatch);
@@ -766,7 +740,8 @@ mod tests {
                 }
             }),
         });
-        guarded_apply_level(&mut l.module, Level::Lev4, &UnrollConfig::default(), &mut guard);
+        let (rows, mut rep) = (Level::Lev4.rows(), TransformReport::default());
+        run_rows(&mut l.module, &mut rep, rows, 1, &mut |m, n, b| guard.step(m, n, b));
         assert_eq!(guard.report.incidents.len(), 1, "{:#?}", guard.report.incidents);
         let inc = &guard.report.incidents[0];
         assert_eq!(inc.error.kind, GuardErrorKind::StaticLintReject);
@@ -782,7 +757,8 @@ mod tests {
         let mut l = lower(&p);
         let cfg = GuardConfig { max_insts: 8, ..GuardConfig::default() };
         let mut guard = Guard::new(cfg, None);
-        guarded_apply_level(&mut l.module, Level::Lev1, &UnrollConfig::default(), &mut guard);
+        let (rows, mut rep) = (Level::Lev1.rows(), TransformReport::default());
+        run_rows(&mut l.module, &mut rep, rows, 1, &mut |m, n, b| guard.step(m, n, b));
         assert!(
             guard
                 .report

@@ -9,39 +9,42 @@
 //! for) every grid point N times for byte-identical artifacts.
 //!
 //! [`ArtifactCache`] deduplicates that work across concurrent grid
-//! workers: one entry per `(workload, level, compile-config hash)` holding
+//! workers: one entry per `(workload, rows, compile-config hash)` holding
 //! what evaluating a point reads of the compilation — see [`Artifact`] —
-//! plus one reference interpreter execution per workload. Exactly-once
+//! plus one reference interpreter execution per workload. `rows` is the
+//! point's mask of `PASSES` rows, so a `Level` and the ablation
+//! `TransformSet` equal to it share an artifact. Exactly-once
 //! construction under concurrency comes from a per-key `OnceLock` fetched
 //! under a brief map lock: the first thread to arrive compiles while the
 //! map stays unlocked, later threads (and blocked racers) reuse the filled
 //! cell and count a hit.
 //!
-//! ## The level ladder
+//! ## The trie
 //!
-//! The middle end is shared further. The levels are cumulative — the rows
-//! `passes(level)` selects from the sorted `PASSES` table are a prefix of
-//! the next level's — and no row reads anything of the machine except
-//! `vlen`. So per `(workload, vlen)` the cache keeps one `Ladder`: the
-//! module after each level's last row (a *rung*), each built from the rung
-//! below by running only that level's rows. An artifact is a clone of its
-//! level's rung taken through the backend for its machine; `lower` and
-//! every pass row run once per workload however many levels, widths and
-//! latency tables are asked for. This is the cache's only route to an
-//! artifact; `crate::compile::compile`, which starts from lowered IR every
-//! time, is the oracle the tests below hold it to.
+//! The middle end is shared further. `PASSES` is sorted by level and no
+//! row reads anything of the machine except `vlen`, so per `(workload,
+//! vlen)` the cache keeps one trie of modules cut at level boundaries: a
+//! selection's node at level L is keyed by its rows up to L, and built
+//! from its node at the level below by running only its rows at L. The
+//! levels are one path through it; an ablation set branches off where it
+//! first differs. An artifact is a clone of its selection's node taken
+//! through the backend for its machine; `lower` and every row run once per
+//! node however many selections, widths and latency tables are asked for.
+//! This is the cache's only route to an artifact; `crate::compile::compile`,
+//! which starts from lowered IR every time, is the oracle the tests below
+//! hold it to.
 //!
 //! ## The backend front
 //!
 //! Of the backend, only list-scheduling placement reads the issue width.
 //! A lookup may bring a slot for a backend *front* (see
-//! `crate::compile::backend`): the rung's module after superblock
+//! `crate::compile::backend`): the trie node's module after superblock
 //! formation plus its block dependence DAGs for one latency table. A
 //! missing artifact is then placed from the front in the slot, or from a
 //! new front built in it. `crate::sweep` passes one slot per work item, so
 //! the widths of a (scenario, workload, level) share one front that is
-//! dropped with the item. The ladder never holds a front: kept for every
-//! rung of a sweep, they would double its resident memory.
+//! dropped with the item. The trie never holds a front: kept for every
+//! node of a sweep, they would double its resident memory.
 //!
 //! ## Contract
 //!
@@ -51,13 +54,13 @@
 //! Build one `Arc<ArtifactCache>` per sweep (one scale, many memory
 //! configurations) and drop it with the sweep.
 
-use crate::compile::{backend, direct, run_rows, Compiled, Front, Middle, Step};
+use crate::compile::{backend, Compiled, Front, Middle};
 use crate::run::{run_decoded, EvalPoint};
-use ilpc_core::level::{Level, TransformReport, PASSES};
-use ilpc_ir::ast::{Program, VarId};
+use ilpc_core::level::{direct, run_rows, Level, Rows, Step, TransformReport};
+use ilpc_ir::ast::VarId;
 use ilpc_ir::interp::{interpret, ExecState};
 use ilpc_ir::lower::lower;
-use ilpc_ir::{Module, SymId, SymTab};
+use ilpc_ir::{SymId, SymTab};
 use ilpc_machine::Machine;
 use ilpc_regalloc::RegUsage;
 use ilpc_sim::{decode, DecodedProgram};
@@ -68,7 +71,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// What evaluating a point reads of one compilation: the symbol table and
-/// shadow map (memory image layout and result comparison), the two code
+/// shadow map (memory image layout and result comparison), the code
 /// metrics, and the pre-decoded simulator program. The scheduled function
 /// body and its per-block schedules are dropped once [`decode`] has read
 /// them — the decoded program is the code from then on, and they were more
@@ -77,6 +80,8 @@ pub struct Artifact {
     pub symtab: SymTab,
     /// Assigned scalar → shadow output symbol (for result comparison).
     pub shadow: HashMap<VarId, SymId>,
+    /// Transformation application counts of the trie node it was cut from.
+    pub report: TransformReport,
     pub regs: RegUsage,
     pub static_insts: usize,
     pub decoded: DecodedProgram,
@@ -88,6 +93,7 @@ impl Artifact {
         Artifact {
             symtab: compiled.module.symtab.clone(),
             shadow: compiled.shadow.clone(),
+            report: compiled.report.clone(),
             regs: compiled.regs,
             static_insts: compiled.static_insts,
             decoded: decode(&compiled.module, machine),
@@ -95,44 +101,10 @@ impl Artifact {
     }
 }
 
-/// One level of a [`Ladder`]: the module and the application counts after
-/// that level's last `PASSES` row, before the backend.
-struct Rung {
-    module: Module,
-    report: TransformReport,
-}
-
-/// The middle end of one workload at one `vlen`, memoised level by level.
-/// `rungs[i]` belongs to `Level::ALL[i]`, the level with discriminant `i`.
-#[derive(Default)]
-struct Ladder {
-    /// Assigned scalar → shadow output symbol, from the one lowering.
-    shadow: HashMap<VarId, SymId>,
-    rungs: Vec<Rung>,
-}
-
-impl Ladder {
-    /// Build the next rung: lower `program` if there is no rung yet, else
-    /// copy the highest one, and run the next level's rows. Nothing is
-    /// published until the rows have returned, so a panic inside one
-    /// (contained further up) leaves the ladder as it was.
-    fn extend(&mut self, program: &Program, vlen: u32, step: &mut impl Step) {
-        let next = Level::ALL[self.rungs.len()];
-        let (mut module, mut report, shadow) = match self.rungs.last() {
-            Some(top) => (top.module.clone(), top.report.clone(), None),
-            None => {
-                let lowered = lower(program);
-                (lowered.module, TransformReport::default(), Some(lowered.shadow_syms))
-            }
-        };
-        let rows = PASSES.iter().filter(|p| p.level == next);
-        run_rows(&mut module, &mut report, rows, vlen, step);
-        if let Some(shadow) = shadow {
-            self.shadow = shadow;
-        }
-        self.rungs.push(Rung { module, report });
-    }
-}
+/// The middle end of one workload at one `vlen`, memoised at level
+/// boundaries: each node is the module, shadow map and application counts
+/// after the rows it is keyed by, before the backend.
+type Trie = HashMap<Rows, Middle>;
 
 /// Cumulative counter snapshot of one cache (see [`ArtifactCache`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,8 +113,9 @@ pub struct CacheCounters {
     pub hits: u64,
     /// Artifact lookups that compiled (exactly one per distinct key).
     pub compiles: u64,
-    /// Ladder rungs built: one per (workload, vlen, level climbed), however
-    /// many artifacts were cut from it.
+    /// Trie nodes built: one per (workload, vlen, rows up to a level) a
+    /// selection reached, however many artifacts were cut from it. A
+    /// sweep over levels builds one per (workload, vlen, level).
     pub rungs: u64,
     /// Backend fronts built (see `crate::compile::backend`): one per sweep
     /// work item that compiled anything, plus one per change of latency
@@ -156,8 +129,8 @@ pub struct CacheCounters {
 
 /// Concurrency-safe compile-artifact + reference-execution cache.
 pub struct ArtifactCache {
-    artifacts: Mutex<HashMap<(String, Level, u64), Arc<OnceLock<Arc<Artifact>>>>>,
-    ladders: Mutex<HashMap<(String, u32), Arc<Mutex<Ladder>>>>,
+    artifacts: Mutex<HashMap<(String, Rows, u64), Arc<OnceLock<Arc<Artifact>>>>>,
+    tries: Mutex<HashMap<(String, u32), Arc<Mutex<Trie>>>>,
     refs: Mutex<HashMap<String, Arc<OnceLock<Arc<ExecState>>>>>,
     hits: AtomicU64,
     compiles: AtomicU64,
@@ -191,7 +164,7 @@ impl ArtifactCache {
     pub fn new() -> ArtifactCache {
         ArtifactCache {
             artifacts: Mutex::new(HashMap::new()),
-            ladders: Mutex::new(HashMap::new()),
+            tries: Mutex::new(HashMap::new()),
             refs: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             compiles: AtomicU64::new(0),
@@ -220,10 +193,11 @@ impl ArtifactCache {
         self.artifacts.lock().unwrap_or_else(|p| p.into_inner()).len()
     }
 
-    /// The artifact for `(w, level, machine.compile_key())`, compiling at
-    /// most once per key no matter how many threads race here.
-    pub fn artifact(&self, w: &Workload, level: Level, machine: &Machine) -> Arc<Artifact> {
-        self.artifact_in(w, level, machine, None)
+    /// The artifact for `(w, sel, machine.compile_key())`, compiling at
+    /// most once per key no matter how many threads race here. `sel` is a
+    /// `Level` or an ablation `TransformSet`.
+    pub fn artifact(&self, w: &Workload, sel: impl Into<Rows>, machine: &Machine) -> Arc<Artifact> {
+        self.artifact_in(w, sel.into(), machine, None)
     }
 
     /// [`ArtifactCache::artifact`], compiling through `front` if the key
@@ -231,11 +205,11 @@ impl ArtifactCache {
     fn artifact_in(
         &self,
         w: &Workload,
-        level: Level,
+        sel: Rows,
         machine: &Machine,
         front: Option<&mut Option<Front>>,
     ) -> Arc<Artifact> {
-        let key = (w.meta.name.to_string(), level, machine.compile_config_hash());
+        let key = (w.meta.name.to_string(), sel, machine.compile_config_hash());
         // Fetch (or plant) the per-key cell under a brief map lock, then
         // build outside it: concurrent misses on *different* keys compile
         // in parallel, racers on the same key block only on that key.
@@ -248,7 +222,7 @@ impl ArtifactCache {
             .get_or_init(|| {
                 built = true;
                 self.compiles.fetch_add(1, Ordering::Relaxed);
-                let compiled = self.compile_from_rung(w, level, machine, &mut direct, front);
+                let compiled = self.compile_from_rung(w, sel, machine, &mut direct, front);
                 Arc::new(Artifact::new(&compiled, machine))
             })
             .clone();
@@ -258,49 +232,58 @@ impl ArtifactCache {
         artifact
     }
 
-    /// `compile(w, level, machine)` by way of the ladder and, when given,
-    /// a front slot: if the slot holds no front that serves `machine`,
-    /// climb to `level` if no rung is there yet and take a copy of the
-    /// rung through the backend's front; then place for `machine`. The
-    /// ladder's lock is held while extending and copying only, so
-    /// artifacts of one level for several machines schedule in parallel.
+    /// `compile(w, sel, machine)` by way of the trie and, when given, a
+    /// front slot: if the slot holds no front that serves `machine`, climb
+    /// to `sel`'s node and take a copy of it through the backend's front;
+    /// then place for `machine`. The trie's lock is held while growing and
+    /// copying only, so artifacts of one selection for several machines
+    /// schedule in parallel.
     fn compile_from_rung(
         &self,
         w: &Workload,
-        level: Level,
+        sel: Rows,
         machine: &Machine,
         step: &mut impl Step,
         front: Option<&mut Option<Front>>,
     ) -> Compiled {
         let builds_front =
             front.as_deref().is_some_and(|f| !f.as_ref().is_some_and(|f| f.serves(machine)));
-        let compiled = backend(|step| self.climb(w, level, machine.vlen, step), machine, step, front);
+        let compiled = backend(|step| self.climb(w, sel, machine.vlen, step), machine, step, front);
         if builds_front {
             self.fronts.fetch_add(1, Ordering::Relaxed);
         }
         compiled
     }
 
-    /// A copy of `w`'s rung for `level` at `vlen`, climbing to it first if
-    /// it is not built yet.
-    fn climb(&self, w: &Workload, level: Level, vlen: u32, step: &mut impl Step) -> Middle {
-        let ladder = {
-            let mut map = self.ladders.lock().unwrap_or_else(|p| p.into_inner());
+    /// A copy of `w`'s node for `sel` at `vlen`, growing the nodes on its
+    /// path, level by level, that are not built yet.
+    fn climb(&self, w: &Workload, sel: Rows, vlen: u32, step: &mut impl Step) -> Middle {
+        let trie = {
+            let mut map = self.tries.lock().unwrap_or_else(|p| p.into_inner());
             Arc::clone(map.entry((w.meta.name.to_string(), vlen)).or_default())
         };
-        // A row that panicked under this lock poisoned it, but a rung is
-        // pushed only after its rows returned: what is there is whole.
-        let mut ladder = ladder.lock().unwrap_or_else(|p| p.into_inner());
-        while ladder.rungs.len() <= level as usize {
-            ladder.extend(&w.program, vlen, step);
+        // A row that panicked under this lock poisoned it, but a node is
+        // published only after its rows returned: what is there is whole.
+        let mut trie = trie.lock().unwrap_or_else(|p| p.into_inner());
+        // Walk `sel`'s nodes level by level; where it has no rows at a
+        // level, the node is its parent's.
+        let mut node = Rows::default();
+        for level in Level::ALL {
+            let (parent, rows) = (node, sel.at(level));
+            node = node | rows;
+            if trie.contains_key(&node) {
+                continue;
+            }
+            let mut middle = trie.get(&parent).cloned().unwrap_or_else(|| {
+                let lowered = lower(&w.program);
+                let report = TransformReport::default();
+                Middle { module: lowered.module, shadow: lowered.shadow_syms, report }
+            });
+            run_rows(&mut middle.module, &mut middle.report, rows, vlen, step);
+            trie.insert(node, middle);
             self.rungs.fetch_add(1, Ordering::Relaxed);
         }
-        let rung = &ladder.rungs[level as usize];
-        Middle {
-            module: rung.module.clone(),
-            shadow: ladder.shadow.clone(),
-            report: rung.report.clone(),
-        }
+        trie[&node].clone()
     }
 
     /// The reference interpreter execution for `w`, run at most once.
@@ -333,10 +316,10 @@ impl ArtifactCache {
     pub fn evaluate(
         &self,
         w: &Workload,
-        level: Level,
+        sel: impl Into<Rows>,
         machine: &Machine,
     ) -> Result<EvalPoint, String> {
-        self.evaluate_in(w, level, machine, None)
+        self.evaluate_in(w, sel, machine, None)
     }
 
     /// [`ArtifactCache::evaluate`], compiling a missing artifact through
@@ -345,11 +328,11 @@ impl ArtifactCache {
     pub(crate) fn evaluate_in(
         &self,
         w: &Workload,
-        level: Level,
+        sel: impl Into<Rows>,
         machine: &Machine,
         front: Option<&mut Option<Front>>,
     ) -> Result<EvalPoint, String> {
-        let artifact = self.artifact_in(w, level, machine, front);
+        let artifact = self.artifact_in(w, sel.into(), machine, front);
         let reference = self.reference(w);
         run_decoded(w, &artifact, &reference, machine)
     }
@@ -359,6 +342,8 @@ impl ArtifactCache {
 mod tests {
     use super::*;
     use crate::run::evaluate;
+    use ilpc_core::ablation::TransformSet;
+    use ilpc_ir::Module;
     use ilpc_mem::{CacheParams, MemConfig};
     use ilpc_workloads::{build, table2};
 
@@ -413,8 +398,7 @@ mod tests {
                 s.spawn(move || {
                     start.wait();
                     // Each thread enters the ladder at a different level.
-                    for i in 0..Level::ALL.len() {
-                        let level = Level::ALL[(i + k) % Level::ALL.len()];
+                    for level in Level::ALL.into_iter().cycle().skip(k).take(Level::ALL.len()) {
                         cache.evaluate(w, level, machine).unwrap();
                     }
                 });
@@ -438,17 +422,30 @@ mod tests {
         assert_eq!(got.schedules, want.schedules, "{tag}: schedules");
     }
 
-    /// The ladder and the backend front are held to their oracle: whatever
-    /// order levels are asked for, the compilation cut from a rung equals
-    /// `compile` from scratch, on every workload, with and without the SLP
-    /// rows doing work. Down the ladder issue 1 and 8 compile without a
-    /// front; up the ladder one front per level serves issue 1, 2, 4 and 8,
-    /// and a different latency table then gets a fresh front.
+    /// The 14 selections of the ablation study.
+    fn ablation_sets() -> Vec<TransformSet> {
+        let mut sets = vec![TransformSet::of_level(Level::Lev2), TransformSet::all()];
+        sets.extend(TransformSet::NAMES.map(TransformSet::all_but));
+        sets.extend(TransformSet::NAMES.map(TransformSet::lev2_plus));
+        sets
+    }
+
+    /// The trie and the backend front are held to their oracle: whatever
+    /// order selections are asked for, the compilation cut from a node
+    /// equals `compile` from scratch, on every workload, with and without
+    /// the SLP rows doing work. At VLEN 1 the ablation's 14 sets come
+    /// first at issue 8, largest selection first and then smallest first,
+    /// so the levels then climb through nodes those sets built. Down the
+    /// ladder issue 1 and 8 compile without a front; up the ladder one
+    /// front per level serves issue 1, 2, 4 and 8, and a different latency
+    /// table then gets a fresh front.
     #[test]
     fn compiling_from_a_rung_equals_compiling_from_scratch() {
         use ilpc_machine::{LatencyTable, TABLE1};
         let cache = ArtifactCache::new();
         let slow = LatencyTable { fp_alu: 9, load: 4, ..TABLE1 };
+        let mut sets = ablation_sets();
+        sets.sort_by_key(|s| std::cmp::Reverse(s.rows().passes().count()));
         for w in ilpc_workloads::build_all(0.05) {
             for vlen in [1, 4] {
                 let machines: Vec<Machine> = [1, 8, 2, 4]
@@ -456,62 +453,93 @@ mod tests {
                     .into_iter()
                     .chain([Machine { latency: slow, ..Machine::issue(8).with_vlen(vlen) }])
                     .collect();
+                let tag = |sel: &dyn fmt::Debug, m: &Machine| {
+                    format!("{} {sel:?} {} fp-{}", w.meta.name, m.name(), m.latency.fp_alu)
+                };
+                if vlen == 1 {
+                    let m = &machines[1];
+                    let want: Vec<_> =
+                        sets.iter().map(|&set| crate::compile::compile(&w, set, m)).collect();
+                    for (set, want) in sets.iter().zip(&want).chain(sets.iter().zip(&want).rev()) {
+                        let got = cache.compile_from_rung(&w, set.rows(), m, &mut direct, None);
+                        assert_same_compilation(&tag(set, m), &got, want);
+                    }
+                }
                 let want: Vec<_> = machines
                     .iter()
                     .map(|m| Level::ALL.map(|level| crate::compile::compile(&w, level, m)))
                     .collect();
-                let tag = |level: Level, m: &Machine| {
-                    format!("{} {level} {} fp-{}", w.meta.name, m.name(), m.latency.fp_alu)
-                };
-                for i in (0..Level::ALL.len()).rev() {
-                    let level = Level::ALL[i];
+                for (i, level) in Level::ALL.into_iter().enumerate().rev() {
                     for (m, want) in machines.iter().zip(&want).take(2) {
-                        let got = cache.compile_from_rung(&w, level, m, &mut direct, None);
-                        assert_same_compilation(&tag(level, m), &got, &want[i]);
+                        let got = cache.compile_from_rung(&w, level.rows(), m, &mut direct, None);
+                        assert_same_compilation(&tag(&level, m), &got, &want[i]);
                     }
                 }
                 for (i, level) in Level::ALL.into_iter().enumerate() {
                     let mut front = None;
                     for (m, want) in machines.iter().zip(&want) {
-                        let got =
-                            cache.compile_from_rung(&w, level, m, &mut direct, Some(&mut front));
-                        assert_same_compilation(&tag(level, m), &got, &want[i]);
+                        let got = cache.compile_from_rung(
+                            &w,
+                            level.rows(),
+                            m,
+                            &mut direct,
+                            Some(&mut front),
+                        );
+                        assert_same_compilation(&tag(&level, m), &got, &want[i]);
                     }
                 }
             }
         }
         let c = cache.counters();
-        // `lower` and every pass row ran once per (workload, vlen).
-        assert_eq!(c.rungs, 40 * 2 * 6, "{c:?}");
+        // `lower` and every row ran once per node: 6 levels per (workload,
+        // vlen), and at VLEN 1 the ablation's 15 nodes off the level path
+        // (6 at Lev3, 9 at Lev4).
+        assert_eq!(c.rungs, 40 * 2 * 6 + 40 * 15, "{c:?}");
         // Per (workload, vlen, level): one front for Table 1, one for `slow`.
         assert_eq!(c.fronts, 40 * 2 * 6 * 2, "{c:?}");
     }
 
+    /// A step policy that panics at the row named `at`.
+    fn bomb(at: &'static str) -> impl Step {
+        move |m: &mut Module, name: &'static str, body: &mut dyn FnMut(&mut Module)| {
+            assert_ne!(name, at, "injected fault");
+            body(m);
+            true
+        }
+    }
+
     /// A row that panics mid-climb (the grid contains such panics per
-    /// point) costs only the rung it was building: the rungs below answer
-    /// as before, and the climb succeeds when retried.
+    /// point) costs only the node it was building: the nodes below answer
+    /// as before, and the climb succeeds when retried. A Lev4 row of a
+    /// leave-one-out set that panics leaves the Lev3 node it shares with
+    /// the levels intact.
     #[test]
     fn a_panicking_row_leaves_the_published_rungs_intact() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let cache = ArtifactCache::new();
         let w = workload("dotprod");
         let machine = Machine::issue(8);
-        let mut bomb = |m: &mut Module, name: &'static str, body: &mut dyn FnMut(&mut Module)| {
-            assert_ne!(name, "tree-height-reduce", "injected fault");
-            body(m);
-            true
+        let explode = |sel: Rows, at| {
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                cache.compile_from_rung(&w, sel, &machine, &mut bomb(at), None)
+            }));
+            assert!(r.is_err(), "the injected fault at {at} must surface");
         };
-        let first = catch_unwind(AssertUnwindSafe(|| {
-            cache.compile_from_rung(&w, Level::Lev3, &machine, &mut bomb, None)
-        }));
-        assert!(first.is_err(), "the injected fault must surface");
+        let answer = |sel: Rows, rungs| {
+            let got = cache.compile_from_rung(&w, sel, &machine, &mut direct, None);
+            let want = crate::compile::compile(&w, sel, &machine);
+            assert_same_compilation(&format!("{sel:?}"), &got, &want);
+            assert_eq!(cache.counters().rungs, rungs, "after {sel:?}");
+        };
+        explode(Level::Lev3.rows(), "tree-height-reduce");
         assert_eq!(cache.counters().rungs, 3, "Conv, Lev1 and Lev2 were published");
+        answer(Level::Lev2.rows(), 3);
+        answer(Level::Lev3.rows(), 4);
 
-        for (level, rungs) in [(Level::Lev2, 3), (Level::Lev3, 4)] {
-            let got = cache.compile_from_rung(&w, level, &machine, &mut direct, None);
-            let want = crate::compile::compile(&w, level, &machine);
-            assert_same_compilation(level.name(), &got, &want);
-            assert_eq!(cache.counters().rungs, rungs, "after {level}");
-        }
+        let no_accum = TransformSet::all_but("accum").rows();
+        explode(no_accum, "induction-expand");
+        assert_eq!(cache.counters().rungs, 4, "the shared Lev3 node stays, nothing is added");
+        answer(Level::Lev3.rows(), 4);
+        answer(no_accum, 5);
     }
 }

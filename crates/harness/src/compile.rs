@@ -2,28 +2,29 @@
 //! superblock formation → list scheduling → register measurement.
 //!
 //! One driver, two step policies. `pipeline` is the only place the
-//! sequence is written, as its two halves: `run_rows` (the middle end:
-//! rows of `ilpc_core::level::PASSES`, which read nothing of the machine
-//! but `vlen`) and `backend` (superblocks, list schedule, register
-//! measurement, for one machine). Every public entry point picks *which*
-//! rows run and *how* each step (pass or backend stage) is run. [`compile`]
-//! and [`compile_set`] run steps directly; [`compile_guarded`] hands each
-//! one to `Guard::step`, which checks it and rolls back on failure, so a
-//! faulty step degrades and is reported instead of miscompiling;
+//! sequence is written, as its two halves: `ilpc_core::level::run_rows`
+//! (the middle end, and the only row driver: the rows of
+//! `ilpc_core::level::PASSES` a `Rows` mask selects, which read nothing of
+//! the machine but `vlen`) and `backend` (superblocks, list schedule,
+//! register measurement, for one machine). Every public entry point picks
+//! *which* rows run — a `Level` or an ablation `TransformSet`, both a
+//! `Rows` mask — and *how* each step (pass or backend stage) is run.
+//! [`compile`] runs steps directly; [`compile_guarded`] hands each one to
+//! `Guard::step`, which checks it and rolls back on failure, so a faulty
+//! step degrades and is reported instead of miscompiling;
 //! `crate::profile::compile_with_profile` runs steps directly and annotates
 //! branch probabilities after the first. Because the routes share the
-//! driver, they cannot drift apart on healthy input. All four start from
+//! driver, they cannot drift apart on healthy input. All three start from
 //! freshly lowered IR. `crate::artifact::ArtifactCache` calls the two
-//! halves separately, to run the middle end once per workload and the
-//! backend once per machine; through it `crate::sweep` hands the backend
-//! a `Front` slot, so superblock formation and the dependence DAGs run
-//! once for all the widths of a work item. `crate::profile::collect_profile`
-//! runs the Conv rows alone for its unscheduled training module.
+//! halves separately, to run each level's rows of a mask once per workload
+//! (its trie) and the backend once per machine; through it `crate::sweep`
+//! hands the backend a `Front` slot, so superblock formation and the
+//! dependence DAGs run once for all the widths of a work item.
+//! `crate::profile::collect_profile` runs the Conv rows alone for its
+//! unscheduled training module.
 
 use crate::run::{cycle_budget, FLT_TOL};
-use ilpc_core::ablation::TransformSet;
-use ilpc_core::level::{passes, Level, Pass, TransformReport};
-use ilpc_core::unroll::UnrollConfig;
+use ilpc_core::level::{direct, passes, run_rows, Level, Rows, Step, TransformReport};
 use ilpc_guard::{Guard, GuardConfig, GuardReport, Oracle, StepHook};
 use ilpc_ir::ast::VarId;
 use ilpc_ir::interp::interpret;
@@ -62,49 +63,22 @@ pub struct Compiled {
     pub schedules: Vec<Option<BlockSchedule>>,
 }
 
-/// How a step (a `PASSES` row or a backend stage) is run: called as
-/// `step(module, name, body)`, it must either run `body` and return `true`,
-/// or leave the module as it was on entry and return `false`; the driver
-/// then discards whatever that step reported (counts, superblocks,
-/// schedules).
-pub(crate) trait Step: FnMut(&mut Module, &'static str, &mut dyn FnMut(&mut Module)) -> bool {}
-impl<F: FnMut(&mut Module, &'static str, &mut dyn FnMut(&mut Module)) -> bool> Step for F {}
-
 /// The pipeline driver: [`run_rows`] then [`backend`] over freshly lowered
 /// IR, each step through `step`.
 pub(crate) fn pipeline(
     lowered: Lowered,
-    passes: impl Iterator<Item = &'static Pass>,
+    rows: Rows,
     machine: &Machine,
     mut step: impl Step,
 ) -> Compiled {
     let Lowered { mut module, shadow_syms: shadow, .. } = lowered;
     let mut report = TransformReport::default();
-    run_rows(&mut module, &mut report, passes, machine.vlen, &mut step);
+    run_rows(&mut module, &mut report, rows, machine.vlen, &mut step);
     backend(|_| Middle { module, shadow, report }, machine, &mut step, None)
 }
 
-/// The middle end: run `rows` of the pass table over `module`, adding what
-/// each kept step counted to `report`. Reads nothing of the machine but
-/// `vlen`, which is what lets `crate::artifact` share its output across
-/// issue widths and latency tables.
-pub(crate) fn run_rows(
-    module: &mut Module,
-    report: &mut TransformReport,
-    rows: impl Iterator<Item = &'static Pass>,
-    vlen: u32,
-    step: &mut impl Step,
-) {
-    let ucfg = UnrollConfig { vlen, ..Default::default() };
-    for pass in rows {
-        let mut counted = report.clone();
-        if step(module, pass.name, &mut |m| pass.execute(m, &ucfg, &mut counted)) {
-            *report = counted;
-        }
-    }
-}
-
 /// What the middle end hands the backend.
+#[derive(Clone)]
 pub(crate) struct Middle {
     pub(crate) module: Module,
     pub(crate) shadow: HashMap<VarId, SymId>,
@@ -188,20 +162,11 @@ pub(crate) fn backend<S: Step>(
     Compiled { module, shadow, report, superblocks, regs, static_insts, schedules }
 }
 
-/// The unguarded step policy: run the step and keep its output.
-pub(crate) fn direct(m: &mut Module, _: &'static str, body: &mut dyn FnMut(&mut Module)) -> bool {
-    body(m);
-    true
-}
-
-/// Compile `w` at `level` for `machine`.
-pub fn compile(w: &Workload, level: Level, machine: &Machine) -> Compiled {
-    pipeline(lower(&w.program), passes(level), machine, direct)
-}
-
-/// Compile `w` with an arbitrary transformation subset (ablation studies).
-pub fn compile_set(w: &Workload, set: &TransformSet, machine: &Machine) -> Compiled {
-    pipeline(lower(&w.program), set.passes(), machine, direct)
+/// Compile `w` for `machine` from freshly lowered IR, running the rows
+/// `sel` selects: a [`Level`] or an ablation
+/// [`TransformSet`](ilpc_core::ablation::TransformSet).
+pub fn compile(w: &Workload, sel: impl Into<Rows>, machine: &Machine) -> Compiled {
+    pipeline(lower(&w.program), sel.into(), machine, direct)
 }
 
 /// Differential-spot-check oracle for `w`: the AST interpreter's final
@@ -276,7 +241,7 @@ pub fn compile_guarded(
         guard = guard.with_hook(h);
     }
     let compiled =
-        pipeline(lowered, passes(level), machine, |m, name, body| guard.step(m, name, body));
+        pipeline(lowered, level.rows(), machine, |m, name, body| guard.step(m, name, body));
     guard.report.settle_level(level);
     GuardedCompile { compiled, guard: guard.report }
 }

@@ -23,11 +23,11 @@ pub mod sweep;
 
 pub use artifact::{Artifact, ArtifactCache, CacheCounters};
 pub use campaign::{run_campaign, CampaignConfig, CampaignReport, Outcome};
-pub use compile::{compile, compile_guarded, compile_set, Compiled, GuardedCompile};
+pub use compile::{compile, compile_guarded, Compiled, GuardedCompile};
 pub use grid::{
     Aggregate, Grid, GridConfigError, GridError, PointError, Sabotage, SabotageMode,
 };
 pub use profile::{compile_with_profile, evaluate_with_profile};
-pub use run::{evaluate, evaluate_set, run_compiled, EvalPoint};
+pub use run::{evaluate, run_compiled, EvalPoint};
 pub use steal::StealStats;
 pub use sweep::{run_sweep, Scenario, Sweep, SweepConfig};

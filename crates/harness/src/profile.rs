@@ -13,9 +13,9 @@
 //! and tail duplicates inherit the measured probability of the branch they
 //! were cloned from.
 
-use crate::compile::{direct, pipeline, run_rows, Compiled};
+use crate::compile::{pipeline, Compiled};
 use crate::run::run_compiled;
-use ilpc_core::level::{passes, Level, TransformReport, PASSES};
+use ilpc_core::level::{direct, run_rows, Level, TransformReport, PASSES};
 use ilpc_ir::lower::lower;
 use ilpc_ir::{Module, Opcode};
 use ilpc_machine::Machine;
@@ -50,7 +50,7 @@ fn branch_keys(m: &Module) -> HashMap<(u32, usize), (u32, usize)> {
 pub fn collect_profile(w: &Workload) -> Result<(Module, BranchProfile), String> {
     let machine = Machine::base();
     let mut module = lower(&w.program).module;
-    run_rows(&mut module, &mut TransformReport::default(), passes(Level::Conv), 1, &mut direct);
+    run_rows(&mut module, &mut TransformReport::default(), Level::Conv.rows(), 1, &mut direct);
     // NOTE: profiling runs unscheduled code — branch semantics are
     // position-independent, so the profile transfers.
     let mem = memory_from_init(&module.symtab, &w.init);
@@ -96,7 +96,7 @@ pub fn compile_with_profile(
     machine: &Machine,
 ) -> Result<(Compiled, BranchProfile), String> {
     let (_, profile) = collect_profile(w)?;
-    let compiled = pipeline(lower(&w.program), passes(level), machine, |m, name, body| {
+    let compiled = pipeline(lower(&w.program), level.rows(), machine, |m, name, body| {
         body(m);
         if name == PASSES[0].name {
             apply_profile(m, &profile);

@@ -151,16 +151,6 @@ pub fn run_compiled(
     run_decoded(w, &artifact, &interpret(&w.program, &w.init), machine)
 }
 
-/// Compile + simulate + verify one ablation point.
-pub fn evaluate_set(
-    w: &Workload,
-    set: &ilpc_core::ablation::TransformSet,
-    machine: &Machine,
-) -> Result<EvalPoint, String> {
-    let compiled = crate::compile::compile_set(w, set, machine);
-    run_compiled(w, &compiled, machine)
-}
-
 /// Compile + simulate + verify one grid point.
 pub fn evaluate(
     w: &Workload,

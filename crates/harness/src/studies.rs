@@ -9,11 +9,11 @@
 
 use crate::artifact::ArtifactCache;
 use crate::campaign::{run_campaign, CampaignConfig};
-use crate::compile::{compile, compile_set};
+use crate::compile::compile;
 use crate::examples_paper::{all_examples, measure, schedule};
 use crate::grid::{Grid, GridConfigError};
 use crate::profile::evaluate_with_profile;
-use crate::run::{evaluate, evaluate_set, run_compiled};
+use crate::run::evaluate;
 use crate::sweep::{run_sweep, validate_axes, Scenario, Sweep, SweepConfig};
 use ilpc_analysis::{Liveness, LoopForest};
 use ilpc_core::ablation::TransformSet;
@@ -257,22 +257,18 @@ fn fired(name: &str, r: &TransformReport) -> bool {
 /// quantitative): for each advanced transformation, measure issue-8 mean
 /// speedup with it *removed from Lev4* (leave-one-out) and with it as the
 /// *only addition to Lev2* (only-one). Also counts how many loops each
-/// transformation fires in — read off the Lev4 column's own 40 compiles —
-/// reproducing "induction variable expansion is the most often applied
-/// transformation".
+/// transformation fires in — read off the Lev4 column's 40 cached
+/// artifacts — reproducing "induction variable expansion is the most often
+/// applied transformation". Every set goes through `ctx.cache`, whose trie
+/// runs each set's rows once per node they share.
 fn ablation(ctx: &StudyCtx) -> Result<String, String> {
     let machine = Machine::issue(8);
     let mean = |set: TransformSet| {
-        ctx.mean_speedup(|w| Ok(evaluate_set(w, &set, &machine)?.cycles))
+        ctx.mean_speedup(|w| Ok(ctx.cache.evaluate(w, set, &machine)?.cycles))
     };
     let lev2 = mean(TransformSet::of_level(Level::Lev2))?;
-    let mut reports = Vec::new();
-    let lev4 = ctx.mean_speedup(|w| {
-        let compiled = compile_set(w, &TransformSet::all(), &machine);
-        let cycles = run_compiled(w, &compiled, &machine)?.cycles;
-        reports.push(compiled.report);
-        Ok(cycles)
-    })?;
+    let lev4 = mean(TransformSet::all())?;
+    let lev4_artifact = |w| ctx.cache.artifact(w, TransformSet::all(), &machine);
 
     let mut out = String::new();
     let _ = writeln!(out, "issue-8 mean speedup:  Lev2 = {lev2:.2}x   Lev4 = {lev4:.2}x");
@@ -281,7 +277,7 @@ fn ablation(ctx: &StudyCtx) -> Result<String, String> {
     for name in TransformSet::NAMES {
         let without = mean(TransformSet::all_but(name))?;
         let only = mean(TransformSet::lev2_plus(name))?;
-        let fires = reports.iter().filter(|r| fired(name, r)).count();
+        let fires = ctx.workloads.iter().filter(|w| fired(name, &lev4_artifact(w).report)).count();
         let _ = writeln!(out, "{name:<10} {without:>12.2}x {only:>12.2}x {fires:>9}/40");
     }
     let _ = writeln!(out);
@@ -488,10 +484,11 @@ fn vlen_sweep(ctx: &StudyCtx) -> Result<String, String> {
     let scenarios = vlens.iter().map(|&v| Scenario::vlen(v)).collect();
     let sweep = ctx.sweep(&levels, &widths, scenarios)?;
 
-    // Pack census is width-independent: one compile per (loop, VLEN).
+    // Pack census is width-independent: read off the sweep's issue-8
+    // artifacts, one per (loop, VLEN).
     let max_packs = |w: &Workload| {
         let packs = |&v: &u32| {
-            compile(w, Level::Lev6, &Machine::issue(8).with_vlen(v)).report.packs_formed
+            ctx.cache.artifact(w, Level::Lev6, &Machine::issue(8).with_vlen(v)).report.packs_formed
         };
         vlens.iter().map(packs).max().expect("vlens is not empty")
     };

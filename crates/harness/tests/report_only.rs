@@ -72,6 +72,14 @@ fn every_study_matches_its_golden() {
         let ctx = StudyCtx::new(study, scale, 2, quick, verbose).unwrap();
         let text = (study.run)(&ctx).unwrap_or_else(|e| panic!("{id}: {e}"));
         assert_eq!(text, golden(name), "{id} (golden {name})");
+        if id == "ablation" {
+            // The base and the 14 sets climb one trie per nest, 20 nodes:
+            // Conv, Lev1, Lev2; at Lev3 all of it, or it minus one of its
+            // three transformations, or one of them alone (7); at Lev4 10
+            // distinct masks. The reference interpreter runs once per nest.
+            let c = ctx.cache.counters();
+            assert_eq!((c.rungs, c.ref_runs), (40 * 20, 40), "{c:?}");
+        }
     }
 }
 

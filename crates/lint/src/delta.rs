@@ -26,10 +26,6 @@ use crate::diag::{sort_diagnostics, Diagnostic, Severity};
 use ilpc_analysis::{Liveness, Loop, LoopForest, RegSet};
 use ilpc_ir::{Function, Inst, Module, Opcode, Operand, Reg, RegClass};
 
-/// Pipeline steps known to preserve the trip counts (and thus the counted
-/// signatures) of every counted inner loop. Unrolling and induction
-/// rewrites legitimately change loop shape and are deliberately absent;
-/// the grid calibration test keeps this list honest in both directions.
 /// Passes that split loop-carried dependences into parallel partial
 /// accumulators. They may legitimately grow the entry-live-in set (see
 /// the module docs), so `delta-entry-live-in` skips them.
@@ -42,6 +38,10 @@ use ilpc_ir::{Function, Inst, Module, Opcode, Operand, Reg, RegClass};
 pub const EXPANSION_PASSES: &[&str] =
     &["accumulator-expand", "induction-expand", "search-expand", "slp-vectorize"];
 
+/// Pipeline steps known to preserve the trip counts (and thus the counted
+/// signatures) of every counted inner loop. Unrolling and induction
+/// rewrites legitimately change loop shape and are deliberately absent;
+/// the grid calibration test keeps this list honest in both directions.
 pub const TRIP_PRESERVING: &[&str] = &[
     "rename",
     "rename-dce",

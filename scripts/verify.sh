@@ -78,8 +78,10 @@ for w in $workloads; do
 done
 
 echo "== study smokes (report --only, held to their goldens) =="
-# Five sections of the one results binary end-to-end: the paper's worked
-# examples cycle for cycle, a quick cache sweep (accesses == hits + misses
+# Six sections of the one results binary end-to-end: the paper's worked
+# examples cycle for cycle, the transformation ablation (14 sets through
+# the artifact cache's trie; `cargo test` holds its golden in debug only),
+# a quick cache sweep (accesses == hits + misses
 # on every point, one compile per artifact), Lev6 across VLEN {1,4} x
 # width {1,8} (VLEN=1 cycle-identical to Lev4), 120 seeded faults against
 # the transformation firewall (zero silent escapes: wrong architectural
@@ -96,6 +98,7 @@ study_smoke() { # <golden> <report args...>
   echo "ok: report $* == $golden"
 }
 study_smoke paper-examples --only paper-examples
+study_smoke ablation --only ablation --scale 0.05
 study_smoke cache-sensitivity_quick --only cache-sensitivity --scale 0.02 --quick
 study_smoke vlen-sweep_quick --only vlen-sweep --quick
 study_smoke fault-campaign_quick --only fault-campaign --quick

@@ -45,7 +45,7 @@ pub use ilpc_workloads as workloads;
 
 /// The most commonly used items in one import.
 pub mod prelude {
-    pub use ilpc_core::level::{apply_level, Level, TransformReport};
+    pub use ilpc_core::level::{Level, TransformReport};
     pub use ilpc_core::unroll::UnrollConfig;
     pub use ilpc_guard::{Guard, GuardConfig, GuardErrorKind, GuardReport, Oracle};
     pub use ilpc_harness::campaign::{run_campaign, CampaignConfig, Outcome};

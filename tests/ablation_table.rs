@@ -1,15 +1,18 @@
-//! The table-driven `apply_set` reproduces the hand-written sequence it
+//! The table-driven row driver reproduces the hand-written sequence it
 //! replaced.
 //!
-//! Until PR 13 `core::ablation::apply_set` spelled the pass order out by
-//! hand, next to `core::level::PASSES`. It is now a loop over the rows of
-//! that table whose `enabled` predicate accepts the set. The fingerprints
-//! below were generated with the hand-written `apply_set` at the parent
-//! commit: FNV-1a over `ilpc_ir::text::serialize` of the transformed module
-//! followed by the `Debug` form of the returned `TransformReport`, for the
-//! 15 sets the `ablation` binary uses × four workloads at scale 0.05.
+//! The ablation pipeline once spelled the pass order out by hand, next to
+//! `core::level::PASSES`. A transformation set is now the mask of that
+//! table's rows whose `enabled` predicate accepts it (`TransformSet::rows`),
+//! run by the one row driver, `level::run_rows`. The fingerprints below
+//! were generated with the hand-written sequence: FNV-1a over
+//! `ilpc_ir::text::serialize` of the transformed module followed by the
+//! `Debug` form of the returned `TransformReport`, for 15 sets × four
+//! workloads at scale 0.05: the 14 sets the `ablation` study compiles, and
+//! `none`.
 
-use ilp_compiler::core_transforms::ablation::{apply_set, TransformSet};
+use ilp_compiler::core_transforms::ablation::TransformSet;
+use ilp_compiler::core_transforms::level::{direct, run_rows};
 use ilp_compiler::prelude::*;
 
 const WORKLOADS: [&str; 4] = ["dotprod", "maxval", "add", "merge"];
@@ -69,7 +72,8 @@ fn table_driven_apply_set_matches_parent_fingerprints() {
             let meta = table2().into_iter().find(|m| m.name == name).unwrap();
             let w = build(&meta, 0.05);
             let mut module = lower(&w.program).module;
-            let report = apply_set(&mut module, set, &UnrollConfig::default());
+            let mut report = TransformReport::default();
+            run_rows(&mut module, &mut report, set.rows(), 1, &mut direct);
             let text = format!("{}{report:?}", ilp_compiler::ir::text::serialize(&module));
             let got = fnv1a(text.as_bytes());
             if got != want {

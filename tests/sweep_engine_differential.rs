@@ -11,7 +11,7 @@
 //! under perfect memory, under a finite cache, and with a sabotaged point.
 //! One shared [`ArtifactCache`] feeds all six runs, so this suite also
 //! proves scheduling order never leaks into compile artifacts; a mini grid
-//! compiled from scratch proves the cache's level ladder does not either.
+//! compiled from scratch proves the cache's trie does not either.
 
 use ilp_compiler::harness::{ArtifactCache, Grid, GridError, PointError};
 use ilp_compiler::prelude::*;
