@@ -54,6 +54,7 @@ impl LoopForest {
     /// Detect natural loops of `f`.
     pub fn compute(f: &Function) -> LoopForest {
         let dom = Dominators::compute(f);
+        let preds = f.preds();
         let mut loops: Vec<Loop> = Vec::new();
 
         for &b in f.layout_order() {
@@ -68,7 +69,6 @@ impl LoopForest {
                     let mut body: BTreeSet<BlockId> = BTreeSet::new();
                     body.insert(header);
                     body.insert(latch);
-                    let preds = f.preds();
                     let mut stack = vec![latch];
                     while let Some(x) = stack.pop() {
                         if x == header {

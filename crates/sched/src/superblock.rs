@@ -152,7 +152,9 @@ pub fn form_superblocks(m: &mut Module, cfg: &SuperblockConfig) -> SuperblockRep
                 if !lp.contains(p) {
                     continue;
                 }
-                // x reached only from p (fall-through and/or p's branches).
+                // x reached only from p (fall-through and/or p's branches):
+                // `preds` holds every branch target of a layout block, so
+                // no other block's branch targets x.
                 let xpreds = &preds[x.0 as usize];
                 if !(xpreds.len() == 1 && xpreds[0] == p) {
                     continue;
@@ -166,14 +168,6 @@ pub fn form_superblocks(m: &mut Module, cfg: &SuperblockConfig) -> SuperblockRep
                 let ok_cont = f.block(x).ends_in_transfer()
                     || f.fallthrough(x).is_some_and(|c| !lp.contains(c));
                 if !ok_cont {
-                    continue;
-                }
-                // No branch from *outside* p targets x (preds check covers
-                // blocks; double-check instructions for self-loops).
-                let targeted_elsewhere = f.insts().any(|(b, i)| {
-                    b != p && i.target == Some(x)
-                });
-                if targeted_elsewhere {
                     continue;
                 }
                 if pick.is_none_or(|(_, px)| {

@@ -46,11 +46,14 @@
 //!   branch path, and whose accesses return the same extra latencies,
 //!   issues on the same cycles shifted by a constant. Once the arrivals at
 //!   a loop header show such a block (of up to 8 iterations, so a miss
-//!   every fourth one is a period), later blocks compute values only, make
-//!   their accesses through the memory model, and add the learned cycle
-//!   and instruction deltas; a different path or latency is rewound —
-//!   registers, memory, cache contents and counters — and stepped (see
-//!   `Steady`, and DESIGN §14).
+//!   every fourth one is a period), later blocks compute values only —
+//!   from a replay program of 16-byte steps with constant address terms
+//!   folded into displacements and each branch turned into an exit check —
+//!   make their accesses through the memory model, and add the learned
+//!   cycle and instruction deltas; a different path or latency is rewound
+//!   — registers from a checkpoint taken once per batch of blocks, memory,
+//!   cache contents and counters — and stepped (see `Steady`, and
+//!   DESIGN §14).
 //!
 //! The legacy interpreter survives behind the `oracle` feature (off by
 //! default) as `reference::simulate_limited_reference`; the differential
@@ -788,9 +791,10 @@ fn run<M: MemModel>(
 // ---- Value semantics ----------------------------------------------------
 //
 // What each `DOp` computes, written once: the stepping engine wraps these
-// in issue timing, the steady-state fast path calls them bare. Each takes
-// the op as a value and is `#[inline(always)]`, so a call with a constant
-// op folds to its one expression.
+// in issue timing, the steady-state fast path calls them bare (all but
+// `address`: a replay step's address has its constant term folded in).
+// Each takes the op as a value and is `#[inline(always)]`, so a call with a
+// constant op folds to its one expression.
 
 /// Result of a register-to-register scalar op on raw 64-bit images (the
 /// one-source ops ignore `b`).
@@ -1290,9 +1294,10 @@ fn taken_target(p: &DecodedProgram, pc: usize, target: u32) -> Result<usize, Sim
 // model returns for each of its accesses. A block of k iterations that
 // starts and ends in the same relative state is a template: every later
 // block along its path, whose accesses return its latencies, costs exactly
-// its deltas. Those run values-only. They still make every access, in
-// order, and check each returned latency the way they check a branch
-// outcome. DESIGN §14 "Steady-state fast path" has the argument.
+// its deltas. Those run values-only, from a replay program compiled when
+// the template is learned. They still make every access, in order, and
+// check each returned latency the way they check a branch outcome. DESIGN
+// §14 "Steady-state fast path" has the argument.
 
 /// The timing state at a loop-header arrival with cursor `C`: every
 /// scoreboard entry still busy at `C`, as `(file index, ready − C)` in
@@ -1340,13 +1345,159 @@ struct Arrival {
     lats: Vec<u64>,
 }
 
-/// One record of a template iteration, in execution order, with its
-/// displacement and — for a conditional branch — the outcome taken.
-#[derive(Clone, Copy)]
-struct Op {
-    s: Slot,
-    ext: i64,
-    taken: bool,
+/// Operation of one replay step: the `DOp`s a template can hold, with no
+/// `Goto`, `Jump`, `Halt` or trap arm (a block's control flow is its
+/// order), memory ops split by how many register terms their address
+/// keeps, and each conditional branch turned into the check that leaves
+/// the block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rop {
+    Add,
+    Sub,
+    And,
+    Or,
+    Xor,
+    Shl,
+    Shr,
+    Mul,
+    Div,
+    Rem,
+    FAdd,
+    FSub,
+    FMul,
+    FDiv,
+    Mov,
+    CvtIF,
+    CvtFI,
+    /// Address `file[a] + b`, `b` a 32-bit displacement with the constant
+    /// address term folded in.
+    Load,
+    Store,
+    VLoad(u8),
+    VStore(u8),
+    /// Address `file[a] + file[b]` plus the template's next displacement.
+    Load2,
+    Store2,
+    VLoad2(u8),
+    VStore2(u8),
+    VAdd(u8),
+    VMul(u8),
+    VSplat(u8),
+    VReduce(u8),
+    /// Leave when the signed comparison of `file[a]` with `file[b]` holds
+    /// (an integer branch's condition, negated if the template took it).
+    LeaveEq,
+    LeaveNe,
+    LeaveLt,
+    LeaveLe,
+    LeaveGt,
+    LeaveGe,
+    /// Leave when the float comparison holds / fails (a float condition
+    /// has no negation: NaN fails both `<` and `>=`).
+    LeaveIf(Cond),
+    LeaveUnless(Cond),
+}
+
+/// One step of a replay program: only what replay reads. 16 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    op: Rop,
+    /// Source words; a memory op's register address terms (or its folded
+    /// displacement in `b`).
+    a: u32,
+    b: u32,
+    /// Destination word; a store's value word.
+    d: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Step>() == 16);
+
+/// Steps a batch of replayed blocks spans at most (or one block). The
+/// words a template writes are checkpointed once per batch, and a block
+/// that leaves re-runs the blocks before it in its batch; a batch also
+/// holds at most a sixteenth of the blocks its fast-forward has retired,
+/// so a loop that runs briefly re-runs little.
+const BATCH_STEPS: usize = 4096;
+
+/// The replay step of the record at `pc` (which went `taken` if it is a
+/// conditional branch), pushing a two-term memory op's displacement to
+/// `disps`. An address term in the constant pool (a file index of `regs`
+/// or more, never written) is added to the displacement here: wrapping
+/// adds commute, so the address is the stepping engine's.
+fn compile_step(p: &DecodedProgram, pc: usize, taken: bool, disps: &mut Vec<i64>) -> Step {
+    let s = p.code[pc];
+    let (mut a, mut b) = (s.a, s.b);
+    // Fold a constant term (the second if both are) into the displacement,
+    // kept in `b` if it fits 32 bits; otherwise both terms stay, and the
+    // displacement goes to `disps`. True for the one-term form.
+    let mut fold = || {
+        let constant = |x: u32| p.file_init.get(x as usize).filter(|_| x as usize >= p.regs);
+        let term = match (constant(s.a), constant(s.b)) {
+            (_, Some(&k)) => Some((s.a, k)),
+            (Some(&k), None) => Some((s.b, k)),
+            (None, None) => None,
+        };
+        let disp = |(x, k): (u32, u64)| {
+            Some((x, i32::try_from(p.ext[pc].wrapping_add(k as i64)).ok()?))
+        };
+        match term.and_then(disp) {
+            Some((x, d)) => {
+                (a, b) = (x, d as u32);
+                true
+            }
+            None => {
+                disps.push(p.ext[pc]);
+                false
+            }
+        }
+    };
+    let leave = |c: Cond| match if taken { c.negated() } else { c } {
+        Cond::Eq => Rop::LeaveEq,
+        Cond::Ne => Rop::LeaveNe,
+        Cond::Lt => Rop::LeaveLt,
+        Cond::Le => Rop::LeaveLe,
+        Cond::Gt => Rop::LeaveGt,
+        Cond::Ge => Rop::LeaveGe,
+    };
+    let op = match s.op {
+        DOp::Add => Rop::Add,
+        DOp::Sub => Rop::Sub,
+        DOp::And => Rop::And,
+        DOp::Or => Rop::Or,
+        DOp::Xor => Rop::Xor,
+        DOp::Shl => Rop::Shl,
+        DOp::Shr => Rop::Shr,
+        DOp::Mul => Rop::Mul,
+        DOp::Div => Rop::Div,
+        DOp::Rem => Rop::Rem,
+        DOp::FAdd => Rop::FAdd,
+        DOp::FSub => Rop::FSub,
+        DOp::FMul => Rop::FMul,
+        DOp::FDiv => Rop::FDiv,
+        DOp::Mov => Rop::Mov,
+        DOp::CvtIF => Rop::CvtIF,
+        DOp::CvtFI => Rop::CvtFI,
+        DOp::Load if fold() => Rop::Load,
+        DOp::Load => Rop::Load2,
+        DOp::Store if fold() => Rop::Store,
+        DOp::Store => Rop::Store2,
+        DOp::VLoad(n) if fold() => Rop::VLoad(n),
+        DOp::VLoad(n) => Rop::VLoad2(n),
+        DOp::VStore(n) if fold() => Rop::VStore(n),
+        DOp::VStore(n) => Rop::VStore2(n),
+        DOp::VAdd(n) => Rop::VAdd(n),
+        DOp::VMul(n) => Rop::VMul(n),
+        DOp::VSplat(n) => Rop::VSplat(n),
+        DOp::VReduce(n) => Rop::VReduce(n),
+        DOp::BrI(c) => leave(c),
+        DOp::BrF(c) if taken => Rop::LeaveUnless(c),
+        DOp::BrF(c) => Rop::LeaveIf(c),
+        DOp::Jump | DOp::Goto | DOp::Halt | DOp::FellOff | DOp::Trap(_) | DOp::TrapEarly(_) => {
+            unreachable!("{:?} is never a template op", s.op)
+        }
+    };
+    let d = if matches!(s.op, DOp::Store | DOp::VStore(_)) { s.c } else { s.dst };
+    Step { op, a, b, d }
 }
 
 /// A block of iterations from `header` back to `header` that starts and
@@ -1355,9 +1506,13 @@ struct Op {
 struct Template {
     header: usize,
     pending: Pending,
-    /// Value-carrying records and conditional branches (gotos and jumps
-    /// are implied by the order).
-    ops: Vec<Op>,
+    /// The block's replay program: its value-carrying records and
+    /// conditional branches (gotos and jumps are implied by the order).
+    steps: Vec<Step>,
+    /// The displacement of each two-term memory step, in order.
+    disps: Vec<i64>,
+    /// The distinct register words the block writes, ascending.
+    writes: Vec<u32>,
     /// `(pc, taken)` of each conditional branch on the path (the profile;
     /// jumps are not profiled).
     branches: Vec<(usize, bool)>,
@@ -1425,9 +1580,10 @@ struct Steady {
     next_pause: u32,
     /// The header the pause applies to.
     paused: usize,
-    /// The current fast block's overwritten register and memory words.
-    undo_regs: Vec<(usize, u64)>,
-    undo_mem: Vec<(usize, u64)>,
+    /// The current batch's checkpoint of the template's `writes`, and the
+    /// memory words its stores replaced, oldest first.
+    saved: Vec<u64>,
+    replaced: Vec<(usize, u64)>,
     /// Totals retired by the fast path (`SimResult::replayed_insts`, and
     /// the loads and stores a model that always hits never saw).
     insts: u64,
@@ -1572,8 +1728,8 @@ impl Steady {
         }
         let block = w.range(m + 1 - k..);
         let insts = to.dyn_insts - from.dyn_insts;
-        let mut ops = Vec::with_capacity(insts as usize);
-        let mut branches = Vec::new();
+        let mut steps = Vec::with_capacity(insts as usize);
+        let (mut disps, mut writes, mut branches) = (Vec::new(), Vec::new(), Vec::new());
         let path: Vec<bool> = block.clone().flat_map(|a| a.path.iter().copied()).collect();
         let mut outcomes = path.iter();
         let mut pc = from.header;
@@ -1584,7 +1740,7 @@ impl Steady {
                 DOp::BrI(_) | DOp::BrF(_) | DOp::Jump => {
                     let taken = *outcomes.next()?;
                     if s.op != DOp::Jump {
-                        ops.push(Op { s, ext: 0, taken });
+                        steps.push(compile_step(p, pc, taken, &mut disps));
                         branches.push((pc, taken));
                     }
                     if taken {
@@ -1596,15 +1752,29 @@ impl Steady {
                 // A stepped iteration cannot have passed these.
                 DOp::Halt | DOp::FellOff | DOp::Trap(_) | DOp::TrapEarly(_) => return None,
                 _ => {
-                    ops.push(Op { s, ext: p.ext[pc], taken: false });
+                    let step = compile_step(p, pc, false, &mut disps);
+                    match step.op {
+                        Rop::Store | Rop::Store2 | Rop::VStore(_) | Rop::VStore2(_) => {}
+                        Rop::VAdd(_)
+                        | Rop::VMul(_)
+                        | Rop::VSplat(_)
+                        | Rop::VLoad(_)
+                        | Rop::VLoad2(_) => writes.extend(step.d..step.d + VL),
+                        _ => writes.push(step.d),
+                    }
+                    steps.push(step);
                     pc + 1
                 }
             };
         }
+        writes.sort_unstable();
+        writes.dedup();
         (pc == from.header).then(|| Template {
             header: from.header,
             pending: w[m].pending.clone(),
-            ops,
+            steps,
+            disps,
+            writes,
             branches,
             lats: block.flat_map(|a| a.lats.iter().copied()).collect(),
             #[cfg(test)]
@@ -1621,6 +1791,13 @@ impl Steady {
     /// one more; then stepping resumes at the header in exactly the state
     /// it would have reached. Errors and the loop's exit thus still come
     /// from the stepping engine.
+    ///
+    /// Blocks run in batches (see `BATCH_STEPS`). A batch first
+    /// checkpoints the words the template writes, and the model opens an
+    /// undoable span; a block that leaves rewinds the whole batch
+    /// (registers from the checkpoint, memory words from the replaced-word
+    /// log, newest first, the model by `undo`) and re-runs the batch's
+    /// completed blocks.
     fn fast_forward<M: MemModel>(
         &mut self,
         t: &Template,
@@ -1634,14 +1811,38 @@ impl Steady {
         let fit = room(limits.max_cycles.saturating_sub(*live.cursor), t.cycles)
             .min(room(limits.max_dyn_insts.saturating_sub(*live.dyn_insts), t.insts));
         let (mut n, mut stop) = (0u64, Stop::Budget);
+        self.saved.resize(t.writes.len(), 0);
+        let most = (BATCH_STEPS / t.steps.len().max(1)).max(1) as u64;
+        let log = most.min(fit) as usize * t.stores as usize;
+        if self.replaced.len() < log {
+            self.replaced.resize(log, (0, 0));
+        }
         while n < fit {
+            let blocks = (n / 16).clamp(1, most).min(fit - n);
             memsys.begin();
-            if let Err(why) = self.iterate(t, live.file, live.mem, memsys) {
-                memsys.undo();
-                stop = why;
-                break;
+            for (w, &x) in self.saved.iter_mut().zip(&t.writes) {
+                *w = live.file[x as usize];
             }
-            n += 1;
+            match replay(t, blocks, live.file, live.mem, &mut self.replaced, memsys) {
+                Ok(()) => n += blocks,
+                Err((done, logged, why)) => {
+                    for &(x, w) in self.replaced[..logged].iter().rev() {
+                        live.mem[x] = w;
+                    }
+                    for (&x, &w) in t.writes.iter().zip(&self.saved) {
+                        live.file[x as usize] = w;
+                    }
+                    memsys.undo();
+                    if done > 0 {
+                        let replaced = &mut self.replaced;
+                        let again = replay(t, done, live.file, live.mem, replaced, memsys);
+                        debug_assert!(again.is_ok(), "a replayed block is a function of its state");
+                        n += done;
+                    }
+                    stop = why;
+                    break;
+                }
+            }
         }
         if n == 0 {
             return (0, stop);
@@ -1662,128 +1863,159 @@ impl Steady {
         self.stores += n * t.stores;
         (n, stop)
     }
+}
 
-    /// One block of `t`, values only, making its accesses through
-    /// `memsys`. On leaving the path, or on an access whose latency differs
-    /// from the template's, it undoes its register and memory writes
-    /// (the caller undoes the model) and says which it was.
-    fn iterate<M: MemModel>(
-        &mut self,
-        t: &Template,
-        file: &mut [u64],
-        mem: &mut [u64],
-        memsys: &mut M,
-    ) -> Result<(), Stop> {
-        let timed = !memsys.always_hits();
+/// Run `blocks` blocks of `t`'s replay program, values only, making their
+/// accesses through `memsys` and logging each memory word a store replaces
+/// to `replaced`. At a step that leaves the path, or an access whose
+/// latency differs from the template's, it stops and returns the blocks
+/// completed before it, the entries logged and which it was; it undoes
+/// nothing.
+fn replay<M: MemModel>(
+    t: &Template,
+    blocks: u64,
+    file: &mut [u64],
+    mem: &mut [u64],
+    replaced: &mut [(usize, u64)],
+    memsys: &mut M,
+) -> Result<(), (u64, usize, Stop)> {
+    let timed = !memsys.always_hits();
+    let mut logged = 0;
+    for done in 0..blocks {
         let mut lats = t.lats.iter();
-        let (regs, words) = (&mut self.undo_regs, &mut self.undo_mem);
-        regs.clear();
-        words.clear();
-        // Register writes keep the word they replace.
-        macro_rules! set {
-            ($d:expr, $v:expr) => {{
-                let (d, v) = ($d, $v);
-                regs.push((d, std::mem::replace(&mut file[d], v)));
-            }};
-        }
-        // Leaving the block: rewind its writes, newest first.
-        macro_rules! rewind {
-            ($why:expr) => {{
-                for &(x, v) in regs.iter().rev() {
-                    file[x] = v;
-                }
-                for &(x, v) in words.iter().rev() {
-                    mem[x] = v;
-                }
-                return Err($why);
-            }};
+        let mut disps = t.disps.iter();
+        macro_rules! leave {
+            ($why:expr) => {
+                return Err((done, logged, $why))
+            };
         }
         // The real access; its latency is checked like a branch outcome.
         macro_rules! access {
             ($kind:expr, $addr:expr) => {
                 if timed && lats.next() != Some(&memsys.access_undoable($kind, $addr as u64)) {
-                    rewind!(Stop::Latency);
+                    leave!(Stop::Latency);
                 }
             };
         }
-        for op in &t.ops {
-            let s = &op.s;
-            let (a, b, d) = (s.a as usize, s.b as usize, s.dst as usize);
-            macro_rules! alu {
-                ($op:expr) => {
-                    set!(d, scalar($op, file[a], file[b]))
+        // A store of `$v` at `$addr`, logging the word it replaces.
+        macro_rules! store {
+            ($addr:expr, $v:expr) => {{
+                let addr = $addr;
+                if let Some(old) = poke(mem, addr, $v) {
+                    replaced[logged] = old;
+                    logged += 1;
+                }
+                access!(Access::Store, addr);
+            }};
+        }
+        for s in &t.steps {
+            let (a, b, d) = (s.a as usize, s.b as usize, s.d as usize);
+            // A memory step's address: one register term and the
+            // displacement in `b`, or two and the next of `disps`.
+            macro_rules! at {
+                () => {
+                    (file[a] as i64).wrapping_add(s.b as i32 as i64)
+                };
+                (2) => {
+                    (file[a] as i64)
+                        .wrapping_add(file[b] as i64)
+                        .wrapping_add(disps.next().copied().unwrap_or(0))
                 };
             }
-            macro_rules! cond {
+            macro_rules! alu {
                 ($op:expr) => {
-                    if branch($op, file[a], file[b]) != op.taken {
-                        rewind!(Stop::Path);
+                    file[d] = scalar($op, file[a], file[b])
+                };
+            }
+            // A whole-register vector result.
+            macro_rules! set_vector {
+                ($v:expr) => {{
+                    let v = $v;
+                    file[d..d + VL as usize].copy_from_slice(&v);
+                }};
+            }
+            macro_rules! vload {
+                ($addr:expr, $n:expr) => {{
+                    let (addr, n) = ($addr, $n);
+                    for l in 0..n as i64 {
+                        access!(Access::Load, addr.wrapping_add(l));
+                    }
+                    set_vector!(vload(mem, addr, n));
+                }};
+            }
+            macro_rules! vstore {
+                ($addr:expr, $n:expr) => {{
+                    let addr = $addr;
+                    for l in 0..$n as usize {
+                        store!(addr.wrapping_add(l as i64), file[d + l]);
+                    }
+                }};
+            }
+            macro_rules! leave_if {
+                ($cmp:tt) => {
+                    if (file[a] as i64) $cmp (file[b] as i64) {
+                        leave!(Stop::Path);
                     }
                 };
             }
             match s.op {
-                DOp::Add => alu!(DOp::Add),
-                DOp::Sub => alu!(DOp::Sub),
-                DOp::And => alu!(DOp::And),
-                DOp::Or => alu!(DOp::Or),
-                DOp::Xor => alu!(DOp::Xor),
-                DOp::Shl => alu!(DOp::Shl),
-                DOp::Shr => alu!(DOp::Shr),
-                DOp::Mul => alu!(DOp::Mul),
-                DOp::Div => alu!(DOp::Div),
-                DOp::Rem => alu!(DOp::Rem),
-                DOp::FAdd => alu!(DOp::FAdd),
-                DOp::FSub => alu!(DOp::FSub),
-                DOp::FMul => alu!(DOp::FMul),
-                DOp::FDiv => alu!(DOp::FDiv),
-                DOp::Mov => alu!(DOp::Mov),
-                DOp::CvtIF => alu!(DOp::CvtIF),
-                DOp::CvtFI => alu!(DOp::CvtFI),
-                DOp::Load => {
-                    let addr = address(file, s, op.ext);
+                Rop::Add => alu!(DOp::Add),
+                Rop::Sub => alu!(DOp::Sub),
+                Rop::And => alu!(DOp::And),
+                Rop::Or => alu!(DOp::Or),
+                Rop::Xor => alu!(DOp::Xor),
+                Rop::Shl => alu!(DOp::Shl),
+                Rop::Shr => alu!(DOp::Shr),
+                Rop::Mul => alu!(DOp::Mul),
+                Rop::Div => alu!(DOp::Div),
+                Rop::Rem => alu!(DOp::Rem),
+                Rop::FAdd => alu!(DOp::FAdd),
+                Rop::FSub => alu!(DOp::FSub),
+                Rop::FMul => alu!(DOp::FMul),
+                Rop::FDiv => alu!(DOp::FDiv),
+                Rop::Mov => alu!(DOp::Mov),
+                Rop::CvtIF => alu!(DOp::CvtIF),
+                Rop::CvtFI => alu!(DOp::CvtFI),
+                Rop::Load => {
+                    let addr = at!();
                     access!(Access::Load, addr);
-                    set!(d, peek(mem, addr));
+                    file[d] = peek(mem, addr);
                 }
-                DOp::Store => {
-                    let addr = address(file, s, op.ext);
-                    words.extend(poke(mem, addr, file[s.c as usize]));
-                    access!(Access::Store, addr);
+                Rop::Load2 => {
+                    let addr = at!(2);
+                    access!(Access::Load, addr);
+                    file[d] = peek(mem, addr);
                 }
-                DOp::VAdd(_) | DOp::VMul(_) | DOp::VSplat(_) => {
-                    for (l, v) in vector(s.op, file, a, b).into_iter().enumerate() {
-                        set!(d + l, v);
+                Rop::Store => store!(at!(), file[d]),
+                Rop::Store2 => store!(at!(2), file[d]),
+                Rop::VLoad(n) => vload!(at!(), n),
+                Rop::VLoad2(n) => vload!(at!(2), n),
+                Rop::VStore(n) => vstore!(at!(), n),
+                Rop::VStore2(n) => vstore!(at!(2), n),
+                Rop::VAdd(n) => set_vector!(vector(DOp::VAdd(n), file, a, b)),
+                Rop::VMul(n) => set_vector!(vector(DOp::VMul(n), file, a, b)),
+                Rop::VSplat(n) => set_vector!(vector(DOp::VSplat(n), file, a, b)),
+                Rop::VReduce(n) => file[d] = reduce(file, a, n),
+                Rop::LeaveEq => leave_if!(==),
+                Rop::LeaveNe => leave_if!(!=),
+                Rop::LeaveLt => leave_if!(<),
+                Rop::LeaveLe => leave_if!(<=),
+                Rop::LeaveGt => leave_if!(>),
+                Rop::LeaveGe => leave_if!(>=),
+                Rop::LeaveIf(c) => {
+                    if branch(DOp::BrF(c), file[a], file[b]) {
+                        leave!(Stop::Path);
                     }
                 }
-                DOp::VReduce(n) => set!(d, reduce(file, a, n)),
-                DOp::VLoad(n) => {
-                    let addr = address(file, s, op.ext);
-                    for l in 0..n as i64 {
-                        access!(Access::Load, addr.wrapping_add(l));
-                    }
-                    for (l, v) in vload(mem, addr, n).into_iter().enumerate() {
-                        set!(d + l, v);
+                Rop::LeaveUnless(c) => {
+                    if !branch(DOp::BrF(c), file[a], file[b]) {
+                        leave!(Stop::Path);
                     }
                 }
-                DOp::VStore(n) => {
-                    let addr = address(file, s, op.ext);
-                    for l in 0..n as usize {
-                        let (at, w) = (addr.wrapping_add(l as i64), file[s.c as usize + l]);
-                        words.extend(poke(mem, at, w));
-                        access!(Access::Store, at);
-                    }
-                }
-                DOp::BrI(c) => cond!(DOp::BrI(c)),
-                DOp::BrF(c) => cond!(DOp::BrF(c)),
-                DOp::Jump
-                | DOp::Goto
-                | DOp::Halt
-                | DOp::FellOff
-                | DOp::Trap(_)
-                | DOp::TrapEarly(_) => unreachable!("{:?} is never a template op", s.op),
             }
         }
-        Ok(())
     }
+    Ok(())
 }
 
 #[cfg(test)]

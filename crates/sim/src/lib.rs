@@ -1042,6 +1042,130 @@ mod tests {
         assert!(periods().len() >= 12, "every row replays");
     }
 
+    /// A loop whose path alternates (odd iterations run a multiply the
+    /// even ones branch around), so its blocks are two iterations long or
+    /// more. Every iteration writes `s` and adds it to `A[i]` in memory
+    /// (storing the word twice), and the last one leaves at the back edge
+    /// after its stores: each trip
+    /// count puts that exit at another point of a block and of a checkpoint
+    /// batch, and the stepped iteration that follows the rewind must see
+    /// its registers and the word it loads as they were before it.
+    #[test]
+    fn steady_state_rewinds_a_multi_iteration_block_left_after_a_store() {
+        let module = |n: usize| {
+            let mut m = Module::new("t");
+            let a = m.symtab.declare("A", n, RegClass::Int);
+            let f = &mut m.func;
+            let [i, s, t, p, x] = [(); 5].map(|_| f.new_reg(RegClass::Int));
+            let entry = f.add_block("entry");
+            let body = f.add_block("body");
+            let odd = f.add_block("odd");
+            let latch = f.add_block("latch");
+            let exit = f.add_block("exit");
+            f.block_mut(entry).insts.extend([
+                Inst::mov(i, Operand::ImmI(0)),
+                Inst::mov(s, Operand::ImmI(0)),
+            ]);
+            f.block_mut(body).insts.extend([
+                Inst::alu(Opcode::And, t, i.into(), Operand::ImmI(1)),
+                Inst::alu(Opcode::Add, s, s.into(), i.into()),
+                Inst::load(x, Operand::Sym(a), i.into(), MemLoc::affine(a, 1, 0)),
+                Inst::alu(Opcode::Add, x, x.into(), s.into()),
+                Inst::store(Operand::Sym(a), i.into(), x.into(), MemLoc::affine(a, 1, 0)),
+                Inst::alu(Opcode::Add, x, x.into(), Operand::ImmI(1)),
+                Inst::store(Operand::Sym(a), i.into(), x.into(), MemLoc::affine(a, 1, 0)),
+                Inst::br(Cond::Eq, t.into(), Operand::ImmI(0), latch),
+            ]);
+            f.block_mut(odd).insts.push(Inst::alu(Opcode::Mul, p, i.into(), Operand::ImmI(3)));
+            f.block_mut(latch).insts.extend([
+                Inst::alu(Opcode::Add, i, i.into(), Operand::ImmI(1)),
+                Inst::br(Cond::Lt, i.into(), Operand::ImmI(n as i64), body),
+            ]);
+            f.block_mut(exit).insts.push(Inst::halt());
+            m
+        };
+        let cache = CacheParams::small();
+        for machine in [Machine::issue(4), Machine::issue(1), Machine::issue(4).with_cache(cache)] {
+            for n in 150..158 {
+                let limits = SimLimits::cycles(100_000);
+                let r = agree(&module(n), &machine, vec![7; n], limits).unwrap();
+                assert_eq!(r.memory[n - 1], 8 + (0..n as u64).sum::<u64>());
+                assert!(r.replayed_insts * 10 > r.dyn_insts * 8, "{machine:?} n={n}: {r:?}");
+                let periods = periods();
+                assert!(!periods.is_empty() && periods.iter().all(|&k| k >= 2), "{periods:?}");
+            }
+        }
+    }
+
+    /// Loads and stores whose constant term (a symbol base or an
+    /// immediate) sits in either address operand, or in neither, and
+    /// addresses whose folded displacement lands past either end of
+    /// memory: such a load reads 0 and such a store is dropped, in
+    /// replayed blocks as in stepped ones.
+    #[test]
+    fn steady_state_folds_constant_address_terms_in_either_operand() {
+        let n = 96usize;
+        let mut m = Module::new("t");
+        let a = m.symtab.declare("A", n + 1, RegClass::Int);
+        let b = m.symtab.declare("B", 2 * n, RegClass::Int);
+        let f = &mut m.func;
+        let [i, base, x, y, z, u, v, w, s] = [(); 9].map(|_| f.new_reg(RegClass::Int));
+        let entry = f.add_block("entry");
+        let body = f.add_block("body");
+        let exit = f.add_block("exit");
+        // Past the end (as a 32-bit displacement, and beyond one), and
+        // below address 0.
+        let (past, far) = (Operand::ImmI(1 << 12), Operand::ImmI(1 << 40));
+        let below = Operand::ImmI(-(1 << 20));
+        let with_ext = |mut inst: Inst, ext: i64| {
+            inst.ext = ext;
+            inst
+        };
+        f.block_mut(entry).insts.extend([
+            Inst::mov(i, Operand::ImmI(0)),
+            Inst::mov(base, Operand::Sym(b)),
+        ]);
+        f.block_mut(body).insts.extend([
+            // A[i], A[i + 1], B[n + i] (a two-register address), then
+            // words past the end and below address 0: all three read 0.
+            Inst::load(x, Operand::Sym(a), i.into(), MemLoc::affine(a, 1, 0)),
+            with_ext(Inst::load(y, i.into(), Operand::Sym(a), MemLoc::affine(a, 1, 1)), 1),
+            with_ext(Inst::load(z, base.into(), i.into(), MemLoc::opaque(b)), n as i64),
+            Inst::load(u, far, i.into(), MemLoc::opaque(a)),
+            Inst::load(v, i.into(), below, MemLoc::opaque(a)),
+            Inst::load(w, past, i.into(), MemLoc::opaque(a)),
+            Inst::alu(Opcode::Add, s, x.into(), y.into()),
+            Inst::alu(Opcode::Add, s, s.into(), z.into()),
+            Inst::alu(Opcode::Add, s, s.into(), u.into()),
+            Inst::alu(Opcode::Add, s, s.into(), v.into()),
+            Inst::alu(Opcode::Add, s, s.into(), w.into()),
+            // B[i] = s, B[n + i] = x, A[1] = s (both terms constant), and
+            // three stores that fall outside memory and are dropped.
+            Inst::store(Operand::Sym(b), i.into(), s.into(), MemLoc::affine(b, 1, 0)),
+            with_ext(Inst::store(i.into(), base.into(), x.into(), MemLoc::opaque(b)), n as i64),
+            Inst::store(Operand::Sym(a), Operand::ImmI(1), s.into(), MemLoc::affine(a, 0, 1)),
+            Inst::store(i.into(), far, s.into(), MemLoc::opaque(b)),
+            Inst::store(below, i.into(), s.into(), MemLoc::opaque(b)),
+            Inst::store(i.into(), past, s.into(), MemLoc::opaque(b)),
+            Inst::alu(Opcode::Add, i, i.into(), Operand::ImmI(1)),
+            Inst::br(Cond::Lt, i.into(), Operand::ImmI(n as i64), body),
+        ]);
+        f.block_mut(exit).insts.push(Inst::halt());
+        let init: Vec<u64> = (0..3 * n as u64 + 1).map(|k| 3 * k + 1).collect();
+        let cache = CacheParams::new(4, 64, 4, 12, 12);
+        for machine in [Machine::issue(1), Machine::issue(8), Machine::issue(4).with_cache(cache)] {
+            let r = agree(&m, &machine, init.clone(), SimLimits::cycles(100_000)).unwrap();
+            assert!(r.replayed_insts * 10 > r.dyn_insts * 8, "{machine:?}: {r:?}");
+            assert_eq!(r.memory.len(), init.len(), "a store past the end grew memory");
+            // The last iteration stored its sum to B[n - 1] and A[1], and
+            // the A[n - 1] it loaded to B[2n - 1].
+            let last = n - 1;
+            let b0 = n + 1;
+            assert_eq!(r.memory[b0 + n + last], r.memory[last]);
+            assert_eq!(r.memory[1], r.memory[b0 + last]);
+        }
+    }
+
     /// Decode-once reuse: one `DecodedProgram` serves repeated simulations
     /// (what the harness artifact cache does across sweep points).
     #[test]

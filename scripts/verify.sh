@@ -56,6 +56,14 @@ cargo check --offline --manifest-path benchmark/Cargo.toml
 echo "== offline test suite =="
 cargo test -q --offline
 
+echo "== simulator tests in release =="
+# The suite above is a debug build; the ledger measures release code,
+# which has no debug assertions and no overflow checks. The simulator's
+# unit tests and the 840-point engine differential run again as the
+# ledger's binaries are built.
+cargo test -q --release --offline -p ilpc-sim
+cargo test -q --release --offline --test engine_differential
+
 echo "== ledger smoke (BENCHMARK.json's command, each workload, --quick) =="
 # The benchmark the pipeline judges a change by, invoked as the driver
 # invokes it (one workload, tracing off, last stdout line = result JSON) on
