@@ -51,11 +51,13 @@
 pub mod inject;
 
 use ilpc_core::level::{passes, Level};
-use ilpc_ir::value::ArrayVal;
+use ilpc_ir::ast::{Program, VarId};
+use ilpc_ir::interp::{interpret, DataInit, ExecState, Mismatch, Wrong};
+use ilpc_ir::lower::Lowered;
 use ilpc_ir::verify::verify_module;
 use ilpc_ir::{Module, SymId};
 use ilpc_machine::Machine;
-use ilpc_sim::{read_symbol, simulate_limited, SimError, SimLimits};
+use ilpc_sim::{cycle_budget, memory_from_init, simulate_limited, SimError, SimLimits};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -259,78 +261,69 @@ impl IncidentRecord {
     }
 }
 
-/// Architectural-result oracle for differential spot-checks.
-///
-/// Holds everything needed to execute a module under guard and compare its
-/// results against ground truth (in practice: the AST interpreter's output
-/// for the workload being compiled). Timing is irrelevant here — any
-/// machine width yields the same architectural results — so `machine` can
-/// be a fixed narrow configuration regardless of the compilation target.
-///
-/// Spot-checks execute via `ilpc_sim::simulate_limited` and therefore ride
-/// the pre-decoded fast engine; its cycle-for-cycle equivalence to the
-/// legacy interpreter (proved by the engine differential suite) keeps
-/// guard verdicts — including budget-exceeded classifications, which *do*
-/// depend on exact cycle counts — byte-identical to the pre-engine ones.
+/// Architectural-result oracle for differential spot-checks: what executing
+/// a module under guard and comparing its results needs, with the AST
+/// interpreter's final state and the lowering's shadow symbols as ground
+/// truth. Any machine width gives the same architectural results, so
+/// `machine` is a fixed narrow one whatever the compilation target.
 #[derive(Debug, Clone)]
 pub struct Oracle {
     /// Machine to execute the spot-check on.
     pub machine: Machine,
     /// Initial flat memory image for the module.
     pub init_mem: Vec<u64>,
-    /// Expected final contents per checked symbol (arrays and scalar
-    /// shadow symbols).
-    pub expect: Vec<(SymId, ArrayVal)>,
-    /// Relative FP tolerance (expansion transformations reassociate
-    /// reductions, exactly as the paper's do).
-    pub tol: f64,
+    /// The interpreter's final state.
+    pub reference: ExecState,
+    /// Assigned scalar → shadow symbol, in `SymId` order.
+    pub shadow: Vec<(VarId, SymId)>,
     /// Simulation budgets for one spot-check execution.
     pub limits: SimLimits,
 }
 
 impl Oracle {
-    /// Execute `m` and compare its architectural results against the
-    /// expectations. `Ok(())` means every checked symbol matched.
-    pub fn check(&self, m: &Module) -> Result<(), GuardError> {
-        let res = match simulate_limited(m, &self.machine, self.init_mem.clone(), self.limits)
-        {
-            Ok(res) => res,
-            Err(e @ (SimError::CycleLimit(_) | SimError::DynInstLimit(_))) => {
-                return Err(GuardError::new(
-                    GuardErrorKind::BudgetExceeded,
-                    format!("spot-check {e}"),
-                ))
-            }
-            Err(e) => {
-                return Err(GuardError::new(
-                    GuardErrorKind::DifferentialMismatch,
-                    format!("spot-check simulation rejected the module: {e}"),
-                ))
-            }
-        };
-        for (sym, want) in &self.expect {
-            let got = read_symbol(&m.symtab, &res.memory, *sym);
-            if got.class() != want.class() {
-                return Err(GuardError::new(
-                    GuardErrorKind::DifferentialMismatch,
-                    format!("symbol @{} changed class", sym.0),
-                ));
-            }
-            if got.len() != want.len() {
-                return Err(GuardError::new(
-                    GuardErrorKind::DifferentialMismatch,
-                    format!("symbol @{} changed size", sym.0),
-                ));
-            }
-            let diff = got.max_rel_diff(want);
-            if !(diff <= self.tol) {
-                return Err(GuardError::new(
-                    GuardErrorKind::DifferentialMismatch,
-                    format!("symbol @{} differs from reference by {diff:.2e}", sym.0),
-                ));
-            }
+    /// The oracle for `program` run from `init` and lowered as `lowered`:
+    /// issue-4, within the cycle budget of the interpreter's run.
+    pub fn new(program: &Program, init: &DataInit, lowered: &Lowered) -> Oracle {
+        let reference = interpret(program, init);
+        Oracle {
+            machine: Machine::issue(4),
+            init_mem: memory_from_init(&lowered.module.symtab, init),
+            limits: SimLimits::cycles(cycle_budget(reference.stmts_executed)),
+            reference,
+            shadow: lowered.shadow_syms.clone(),
         }
-        Ok(())
+    }
+
+    /// Execute `m` on `machine` and compare its architectural results
+    /// with the reference: `Err` if the simulator rejects it, else the
+    /// comparator's verdict.
+    pub fn run(&self, m: &Module, machine: &Machine) -> Result<Result<(), Mismatch>, SimError> {
+        let res = simulate_limited(m, machine, self.init_mem.clone(), self.limits)?;
+        Ok(self.reference.compare(&m.symtab, &res.memory, &self.shadow))
+    }
+
+    /// [`Oracle::run`] on the oracle's own machine, as a typed guard
+    /// verdict. `Ok(())` means every checked symbol matched.
+    pub fn check(&self, m: &Module) -> Result<(), GuardError> {
+        let (kind, detail) = match self.run(m, &self.machine) {
+            Ok(Ok(())) => return Ok(()),
+            Ok(Err(e)) => {
+                let what = match e.wrong {
+                    Wrong::Class => "changed class".to_string(),
+                    Wrong::Size => "changed size".to_string(),
+                    Wrong::Value { diff, .. } => format!("differs from reference by {diff:.2e}"),
+                };
+                (GuardErrorKind::DifferentialMismatch, format!("symbol @{} {what}", e.sym.0))
+            }
+            Err(e @ (SimError::CycleLimit(_) | SimError::DynInstLimit(_))) => {
+                (GuardErrorKind::BudgetExceeded, format!("spot-check {e}"))
+            }
+            Err(e) => (
+                GuardErrorKind::DifferentialMismatch,
+                format!("spot-check simulation rejected the module: {e}"),
+            ),
+        };
+        Err(GuardError::new(kind, detail))
     }
 }
 
@@ -543,13 +536,10 @@ fn check(
 mod tests {
     use super::*;
     use ilpc_core::level::{direct, run_rows, TransformReport};
-    use ilpc_ir::ast::{Bound, Expr, Index, Program, Stmt};
-    use ilpc_ir::interp::{interpret, DataInit};
+    use ilpc_ir::ast::{Bound, Expr, Index, Stmt};
     use ilpc_ir::lower::lower;
     use ilpc_ir::text::serialize;
-    use ilpc_ir::value::Value;
-    use ilpc_ir::Opcode;
-    use ilpc_sim::memory_from_init;
+    use ilpc_ir::{ArrayVal, Opcode};
 
     fn dotprod() -> (Program, DataInit) {
         let mut p = Program::new("dotprod");
@@ -577,33 +567,6 @@ mod tests {
         (p, init)
     }
 
-    /// Oracle for the dotprod program: all arrays plus shadow scalars.
-    fn oracle_for(p: &Program, init: &DataInit, l: &ilpc_ir::lower::Lowered) -> Oracle {
-        let reference = interpret(p, init);
-        let mut expect: Vec<(SymId, ArrayVal)> = reference
-            .arrays
-            .iter()
-            .enumerate()
-            .map(|(k, v)| (SymId(k as u32), v.clone()))
-            .collect();
-        let mut shadows: Vec<_> = l.shadow_syms.iter().collect();
-        shadows.sort_by_key(|(_, sym)| sym.0);
-        for (var, sym) in shadows {
-            let want = match reference.scalars[var.0 as usize] {
-                Value::I(x) => ArrayVal::I(vec![x]),
-                Value::F(x) => ArrayVal::F(vec![x]),
-            };
-            expect.push((*sym, want));
-        }
-        Oracle {
-            machine: Machine::issue(4),
-            init_mem: memory_from_init(&l.module.symtab, init),
-            expect,
-            tol: 1e-9,
-            limits: SimLimits::cycles(1_000_000),
-        }
-    }
-
     #[test]
     fn clean_run_is_bit_identical_to_unguarded() {
         let (p, init) = dotprod();
@@ -612,7 +575,7 @@ mod tests {
         run_rows(&mut plain.module, &mut plain_rep, Level::Lev4.rows(), 1, &mut direct);
 
         let mut guarded = lower(&p);
-        let oracle = oracle_for(&p, &init, &guarded);
+        let oracle = Oracle::new(&p, &init, &guarded);
         let mut guard = Guard::new(GuardConfig::default(), Some(&oracle));
         let mut rep = TransformReport::default();
         let rows = Level::Lev4.rows();
@@ -631,7 +594,7 @@ mod tests {
     fn panicking_pass_is_contained_rolled_back_and_skipped() {
         let (p, init) = dotprod();
         let mut l = lower(&p);
-        let oracle = oracle_for(&p, &init, &l);
+        let oracle = Oracle::new(&p, &init, &l);
         // Sabotage step 3 ("rename") with a panic.
         let mut guard = Guard::new(GuardConfig::default(), Some(&oracle)).with_hook(StepHook {
             at_step: 3,
@@ -660,11 +623,12 @@ mod tests {
     fn panicking_check_is_contained_like_a_panicking_pass() {
         let (p, init) = dotprod();
         let mut l = lower(&p);
-        let mut oracle = oracle_for(&p, &init, &l);
-        // An expectation for a symbol no module declares: the spot-check
-        // itself panics (an out-of-range index in `read_symbol`), on every
-        // step, whatever the pass did.
-        oracle.expect.push((SymId(99), ArrayVal::I(vec![0])));
+        let mut oracle = Oracle::new(&p, &init, &l);
+        // A shadow entry for a scalar the program does not have: the
+        // spot-check itself panics (an out-of-range index into the
+        // reference's scalars), on every step, whatever the pass did.
+        let &(_, last) = oracle.shadow.last().expect("dotprod assigns a scalar");
+        oracle.shadow.push((VarId(99), last));
         let lowered = serialize(&l.module);
         let mut guard = Guard::new(GuardConfig::default(), Some(&oracle));
         let mut rep = TransformReport::default();
@@ -685,7 +649,7 @@ mod tests {
     fn corrupting_pass_output_is_flagged_and_rolled_back() {
         let (p, init) = dotprod();
         let mut l = lower(&p);
-        let oracle = oracle_for(&p, &init, &l);
+        let oracle = Oracle::new(&p, &init, &l);
         // Corrupt the module right after the unroll pass (step 1): flip
         // every FAdd to FSub — structurally valid, architecturally wrong.
         // (All of them: after unrolling, one FAdd lives in a remainder loop
@@ -722,7 +686,7 @@ mod tests {
     fn trip_count_corruption_is_caught_statically() {
         let (p, init) = dotprod();
         let mut l = lower(&p);
-        let oracle = oracle_for(&p, &init, &l);
+        let oracle = Oracle::new(&p, &init, &l);
         // Corrupt the module right after "rename" (step 3, trip-preserving):
         // negate every conditional branch. Structurally valid — only the
         // static delta lints or the differential can catch it, and the

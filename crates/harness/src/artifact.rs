@@ -78,8 +78,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// than half of a cold sweep's resident memory.
 pub struct Artifact {
     pub symtab: SymTab,
-    /// Assigned scalar → shadow output symbol (for result comparison).
-    pub shadow: HashMap<VarId, SymId>,
+    /// Assigned scalar → shadow output symbol, in `SymId` order (for
+    /// result comparison).
+    pub shadow: Vec<(VarId, SymId)>,
     /// Transformation application counts of the trie node it was cut from.
     pub report: TransformReport,
     pub regs: RegUsage,

@@ -6,7 +6,9 @@
 //! invariant the campaign demonstrates is **zero silent escapes**: no
 //! fault may produce wrong architectural results without some layer of
 //! the firewall (verifier, differential spot-check, panic containment,
-//! budget watchdog, or the simulator itself) flagging it.
+//! budget watchdog, or the simulator itself) flagging it. An unflagged
+//! fault's verdict is `Oracle::run` on the target machine: the firewall's
+//! comparator, `ExecState::compare`, on the full simulation.
 //!
 //! Everything is driven by one `ilpc-testkit` PRNG seed: the same
 //! `(seed, faults, scale, level, width)` configuration always yields the
@@ -17,9 +19,8 @@ use ilpc_core::level::Level;
 use ilpc_guard::inject::{inject, Fault, FaultKind};
 use ilpc_guard::{GuardConfig, GuardErrorKind, Oracle, StepHook};
 use ilpc_ir::lower::lower;
-use ilpc_ir::SymTab;
 use ilpc_machine::Machine;
-use ilpc_sim::{read_symbol, simulate_limited, SimError};
+use ilpc_sim::SimError;
 use ilpc_testkit::TestRng;
 use ilpc_workloads::{build_all, Workload};
 use std::cell::RefCell;
@@ -204,19 +205,9 @@ impl CampaignReport {
     }
 }
 
-/// Final ground-truth check: do the module's architectural results match
-/// the oracle's expectations? (NaNs compare unequal, hence the negated
-/// comparison.)
-fn results_match(oracle: &Oracle, symtab: &SymTab, memory: &[u64]) -> bool {
-    oracle.expect.iter().all(|(sym, want)| {
-        let got = read_symbol(symtab, memory, *sym);
-        got.class() == want.class() && got.max_rel_diff(want) <= oracle.tol
-    })
-}
-
 /// Classify one guarded compile: incidents first, then the full end-to-end
-/// execution as ground truth.
-fn classify(w: &Workload, gc: &GuardedCompile, machine: &Machine) -> Outcome {
+/// execution as ground truth, held to `oracle` by the one comparator.
+pub(crate) fn classify(gc: &GuardedCompile, machine: &Machine, oracle: &Oracle) -> Outcome {
     if let Some(inc) = gc.guard.incidents.first() {
         return match inc.error.kind {
             GuardErrorKind::VerifierReject => Outcome::FlaggedVerifier,
@@ -228,19 +219,11 @@ fn classify(w: &Workload, gc: &GuardedCompile, machine: &Machine) -> Outcome {
     }
     // Nothing flagged during compilation: execute the surviving module on
     // the *target* machine and compare against the reference.
-    let lowered = lower(&w.program);
-    let oracle = workload_oracle(w, &lowered);
-    match simulate_limited(&gc.compiled.module, machine, oracle.init_mem.clone(), oracle.limits)
-    {
+    match oracle.run(&gc.compiled.module, machine) {
         Err(SimError::CycleLimit(_) | SimError::DynInstLimit(_)) => Outcome::FlaggedBudget,
         Err(_) => Outcome::FlaggedSim,
-        Ok(res) => {
-            if results_match(&oracle, &gc.compiled.module.symtab, &res.memory) {
-                Outcome::Tolerated
-            } else {
-                Outcome::SilentEscape
-            }
-        }
+        Ok(Ok(())) => Outcome::Tolerated,
+        Ok(Err(_)) => Outcome::SilentEscape,
     }
 }
 
@@ -270,11 +253,14 @@ fn perturb_latency(machine: &mut Machine, rng: &mut TestRng) -> String {
 /// therefore every fault site and count, is a pure function of the seed.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let workloads: Vec<Workload> = build_all(cfg.scale);
+    let oracles: Vec<Oracle> =
+        workloads.iter().map(|w| workload_oracle(w, &lower(&w.program))).collect();
     let mut rng = TestRng::seed_from_u64(cfg.seed);
     let mut records = Vec::with_capacity(cfg.faults);
 
     for _ in 0..cfg.faults {
-        let w = &workloads[rng.gen_range(0..workloads.len())];
+        let k = rng.gen_range(0..workloads.len());
+        let (w, oracle) = (&workloads[k], &oracles[k]);
         let choice = rng.gen_range(0..FaultKind::ALL.len() + 1);
 
         let record = if choice == FaultKind::ALL.len() {
@@ -282,7 +268,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
             let mut machine = Machine::issue(cfg.width);
             let desc = perturb_latency(&mut machine, &mut rng);
             let gc = compile_guarded(w, cfg.level, &machine, GuardConfig::default(), None);
-            let outcome = classify(w, &gc, &machine);
+            let outcome = classify(&gc, &machine, oracle);
             FaultRecord {
                 workload: w.meta.name,
                 kind: "latency",
@@ -305,7 +291,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
                 }),
             };
             let gc = compile_guarded(w, cfg.level, &machine, GuardConfig::default(), Some(hook));
-            let outcome = classify(w, &gc, &machine);
+            let outcome = classify(&gc, &machine, oracle);
             let injected = injected.into_inner();
             FaultRecord {
                 workload: w.meta.name,

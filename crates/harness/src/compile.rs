@@ -21,15 +21,13 @@
 //! hands the backend a `Front` slot, so superblock formation and the
 //! dependence DAGs run once for all the widths of a work item.
 //! `crate::profile::collect_profile` runs the Conv rows alone for its
-//! unscheduled training module.
+//! unscheduled training module. The guard's spot-check ([`workload_oracle`])
+//! uses the comparator `crate::run` does, `ExecState::compare`.
 
-use crate::run::{cycle_budget, FLT_TOL};
 use ilpc_core::level::{direct, passes, run_rows, Level, Rows, Step, TransformReport};
 use ilpc_guard::{Guard, GuardConfig, GuardReport, Oracle, StepHook};
 use ilpc_ir::ast::VarId;
-use ilpc_ir::interp::interpret;
 use ilpc_ir::lower::{lower, Lowered};
-use ilpc_ir::value::{ArrayVal, Value};
 use ilpc_ir::{Module, SymId};
 use ilpc_machine::{LatencyTable, Machine};
 use ilpc_regalloc::RegUsage;
@@ -37,16 +35,15 @@ use ilpc_sched::{
     block_dags, form_superblocks, place_module, schedule_module, BlockDag, BlockSchedule,
     SuperblockConfig, SuperblockReport,
 };
-use ilpc_sim::{memory_from_init, SimLimits};
 use ilpc_workloads::Workload;
-use std::collections::HashMap;
 
 /// A compiled workload ready for simulation.
 #[derive(Debug, Clone)]
 pub struct Compiled {
     pub module: Module,
-    /// Assigned scalar → shadow output symbol (for result comparison).
-    pub shadow: HashMap<VarId, SymId>,
+    /// Assigned scalar → shadow output symbol, in `SymId` order (for
+    /// result comparison).
+    pub shadow: Vec<(VarId, SymId)>,
     /// Transformation application counts.
     pub report: TransformReport,
     /// Superblock formation counts.
@@ -81,7 +78,7 @@ pub(crate) fn pipeline(
 #[derive(Clone)]
 pub(crate) struct Middle {
     pub(crate) module: Module,
-    pub(crate) shadow: HashMap<VarId, SymId>,
+    pub(crate) shadow: Vec<(VarId, SymId)>,
     pub(crate) report: TransformReport,
 }
 
@@ -94,7 +91,7 @@ pub(crate) struct Front {
     /// The two machine fields [`BlockDag::build`] reads.
     key: (LatencyTable, bool),
     module: Module,
-    shadow: HashMap<VarId, SymId>,
+    shadow: Vec<(VarId, SymId)>,
     report: TransformReport,
     superblocks: SuperblockReport,
     dags: Vec<Option<BlockDag>>,
@@ -169,36 +166,11 @@ pub fn compile(w: &Workload, sel: impl Into<Rows>, machine: &Machine) -> Compile
     pipeline(lower(&w.program), sel.into(), machine, direct)
 }
 
-/// Differential-spot-check oracle for `w`: the AST interpreter's final
-/// arrays plus every assigned scalar's shadow symbol, with the workload's
-/// own initial data. Any corrupted module whose architectural results
-/// diverge from this reference is rejected by the firewall.
+/// Differential-spot-check oracle for `w` ([`Oracle::new`] on its
+/// program and initial data). Any corrupted module whose architectural
+/// results diverge from the interpreter's is rejected by the firewall.
 pub fn workload_oracle(w: &Workload, lowered: &Lowered) -> Oracle {
-    let reference = interpret(&w.program, &w.init);
-    let mut expect: Vec<(SymId, ArrayVal)> = reference
-        .arrays
-        .iter()
-        .enumerate()
-        .map(|(k, v)| (SymId(k as u32), v.clone()))
-        .collect();
-    let mut shadows: Vec<_> = lowered.shadow_syms.iter().collect();
-    shadows.sort_by_key(|(_, sym)| sym.0);
-    for (var, sym) in shadows {
-        let want = match reference.scalars[var.0 as usize] {
-            Value::I(x) => ArrayVal::I(vec![x]),
-            Value::F(x) => ArrayVal::F(vec![x]),
-        };
-        expect.push((*sym, want));
-    }
-    Oracle {
-        // Architectural results are width-independent; spot-check on a
-        // fixed narrow machine regardless of the compilation target.
-        machine: Machine::issue(4),
-        init_mem: memory_from_init(&lowered.module.symtab, &w.init),
-        expect,
-        tol: FLT_TOL,
-        limits: SimLimits::cycles(cycle_budget(reference.stmts_executed)),
-    }
+    Oracle::new(&w.program, &w.init, lowered)
 }
 
 /// A guarded compilation: the surviving code plus the firewall's account

@@ -1,32 +1,19 @@
 //! Execution-driven evaluation of one (workload, level, machine) point,
-//! with differential verification against the AST interpreter.
+//! with differential verification against the AST interpreter: the one
+//! comparator, `ExecState::compare`, worded as an error naming the result.
 
 use crate::artifact::Artifact;
 use crate::compile::{compile, Compiled};
 use ilpc_core::level::Level;
 use ilpc_ir::ast::VarId;
-use ilpc_ir::interp::{interpret, ExecState};
-use ilpc_ir::value::{rel_diff, ArrayVal, Value};
-use ilpc_ir::{RegClass, SymId, SymTab};
+use ilpc_ir::interp::{interpret, Checked, ExecState, Wrong};
+use ilpc_ir::{SymId, SymTab};
 use ilpc_machine::Machine;
 use ilpc_mem::MemStats;
 use ilpc_regalloc::RegUsage;
+pub use ilpc_sim::cycle_budget;
 use ilpc_sim::{memory_from_init, simulate_decoded, SimLimits};
 use ilpc_workloads::Workload;
-use std::collections::HashMap;
-
-/// Relative tolerance for floating point result comparison. Expansion
-/// transformations reassociate reductions (exactly as the paper's do), so
-/// results differ in low-order bits.
-pub const FLT_TOL: f64 = 1e-9;
-
-/// Simulation cycle budget for a reference execution of `stmts_executed`
-/// statements. Generous — issue-1 naive code runs well under 100
-/// cycles/instruction — and saturating, so huge `SweepConfig::scale`
-/// values cannot wrap the budget around to a tiny number.
-pub fn cycle_budget(stmts_executed: u64) -> u64 {
-    stmts_executed.saturating_mul(4000).max(2_000_000)
-}
 
 /// One measured grid point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,62 +41,32 @@ pub fn verify_against_reference(
 /// [`verify_against_reference`] on the two things it reads of a
 /// compilation: where the symbols lie in `memory`, and which of them
 /// shadow an assigned scalar.
-///
-/// Words are compared where they lie in `memory`, against the layout
-/// computed once; a symbol whose class or size no longer matches the
-/// reference (a miscompile) is an `Err` naming it, never a panic.
 fn verify_memory(
     w: &Workload,
     symtab: &SymTab,
-    shadow: &HashMap<VarId, SymId>,
+    shadow: &[(VarId, SymId)],
     reference: &ExecState,
     memory: &[u64],
 ) -> Result<(), String> {
-    let (bases, _) = symtab.layout();
+    let Err(m) = reference.compare(symtab, memory, shadow) else { return Ok(()) };
     let name = w.meta.name;
-    // The words of `sym`, provided it still holds `len` elements of `class`.
-    let words = |sym: SymId, class: RegClass, len: usize, what: &dyn Fn() -> String| {
-        let k = sym.0 as usize;
-        (k < symtab.len())
-            .then(|| symtab.get(sym))
-            .filter(|s| s.class == class && s.elems == len)
-            .and_then(|_| memory.get(bases[k]..bases[k] + len))
-            .ok_or_else(|| format!("{name}: {} is not {len} {class:?} words", what()))
+    let what = match m.checked {
+        Checked::Array(a) => format!("array {}", w.program.arrays[a.0 as usize].name),
+        Checked::Scalar(v) => format!("scalar {}", w.program.vars[v.0 as usize].name),
     };
-    // Differential check: arrays...
-    for (k, want) in reference.arrays.iter().enumerate() {
-        let what = || format!("array {}", w.program.arrays[k].name);
-        let got = words(SymId(k as u32), want.class(), want.len(), &what)?;
-        let diff = match want {
-            ArrayVal::I(v) => {
-                if v.iter().zip(got).all(|(&x, &g)| x as u64 == g) { 0.0 } else { 1.0 }
-            }
-            ArrayVal::F(v) => {
-                // Most arrays are bit-equal (only reassociated reductions are
-                // not): one branch-free pass, which vectorizes, settles those.
-                let exact = v.iter().zip(got).fold(true, |eq, (x, &g)| eq & (x.to_bits() == g));
-                let diffs = v.iter().zip(got).map(|(&x, &g)| rel_diff(f64::from_bits(g), x));
-                if exact { 0.0 } else { diffs.fold(0.0, f64::max) }
-            }
-        };
-        if diff > FLT_TOL {
-            return Err(format!("{name}: {} differs by {diff:.2e}", what()));
+    Err(match (m.wrong, m.checked) {
+        (Wrong::Class | Wrong::Size, _) => {
+            let (class, len) = reference.expected(m.checked);
+            format!("{name}: {what} is not {len} {class:?} words")
         }
-    }
-    // ... and assigned scalars via their shadow symbols.
-    for (var, sym) in shadow {
-        let what = || format!("scalar {}", w.program.vars[var.0 as usize].name);
-        let want = reference.scalars[var.0 as usize];
-        let got = Value::from_bits(words(*sym, want.class(), 1, &what)?[0], want.class());
-        let ok = match (got, want) {
-            (Value::F(g), Value::F(x)) => rel_diff(g, x) <= FLT_TOL,
-            _ => got == want,
-        };
-        if !ok {
-            return Err(format!("{name}: {} = {got:?}, expected {want:?}", what()));
+        (Wrong::Value { diff, .. }, Checked::Array(_)) => {
+            format!("{name}: {what} differs by {diff:.2e}")
         }
-    }
-    Ok(())
+        (Wrong::Value { got, .. }, Checked::Scalar(v)) => {
+            let want = reference.scalars[v.0 as usize];
+            format!("{name}: {what} = {got:?}, expected {want:?}")
+        }
+    })
 }
 
 /// Simulate `artifact` under `machine` and check its results against
@@ -164,6 +121,7 @@ pub fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ilpc_ir::RegClass;
     use ilpc_workloads::{build, table2};
 
     /// The core differential guarantee, exercised on a fast subset here;
@@ -242,7 +200,7 @@ mod tests {
         assert_eq!(verify(symtab, &image), Ok(()));
 
         let (bases, _) = symtab.layout();
-        let (&var, &shadow) = compiled.shadow.iter().next().expect("dotprod assigns a scalar");
+        let &(var, shadow) = compiled.shadow.first().expect("dotprod assigns a scalar");
         let k = reference.arrays.iter().position(|a| a.class() == RegClass::Flt).unwrap();
         for (word, what) in [
             (bases[k], format!("array {}", w.program.arrays[k].name)),
@@ -265,6 +223,131 @@ mod tests {
         }
         let err = verify(&retyped, &image).unwrap_err();
         assert!(err.contains(&format!("array {} is not", w.program.arrays[0].name)), "{err}");
+    }
+
+    /// One table of verdicts, driven through the comparator and all three
+    /// of its callers: point verification (`verify_memory`), the guard's
+    /// spot-check (`Oracle::check`) and the fault campaign's ground truth
+    /// (`campaign::classify`). Each case edits the reference, so the image
+    /// a clean compile leaves is held to a wrong or a near expectation.
+    #[test]
+    fn one_comparator_gives_every_caller_the_same_verdict() {
+        use crate::campaign::{classify, Outcome};
+        use crate::compile::{compile_guarded, workload_oracle};
+        use ilpc_guard::{GuardConfig, GuardErrorKind};
+        use ilpc_ir::ast::{Expr, Index, Program, Stmt};
+        use ilpc_ir::interp::DataInit;
+        use ilpc_ir::lower::lower;
+        use ilpc_ir::{ArrayVal, Value};
+
+        let mut p = Program::new("cases");
+        let n = p.int_arr("N", 1);
+        let f = p.flt_arr("F", 4);
+        let s = p.flt_var("s");
+        p.body = vec![Stmt::SetScalar(s, Expr::at(f, Index::at(3)))];
+        let init = DataInit::new()
+            .with_array(n, ArrayVal::I(vec![5]))
+            .with_array(f, ArrayVal::F(vec![1.0, f64::NAN, -0.0, 2.5]));
+        let mut meta = table2()[0].clone();
+        meta.name = "cases";
+        let w = Workload { meta, program: p, init };
+
+        let machine = Machine::issue(4);
+        let gc = compile_guarded(&w, Level::Conv, &machine, GuardConfig::default(), None);
+        assert!(gc.guard.clean(), "{:#?}", gc.guard.incidents);
+        let module = &gc.compiled.module;
+        let shadow = &gc.compiled.shadow;
+        let clean = workload_oracle(&w, &lower(&w.program));
+        let limits = clean.limits;
+        let image = ilpc_sim::simulate_limited(module, &machine, clean.init_mem.clone(), limits)
+            .unwrap()
+            .memory;
+
+        let edit_f = |k: usize, x: f64| {
+            move |r: &mut ExecState| {
+                let ArrayVal::F(v) = &mut r.arrays[1] else { unreachable!() };
+                v[k] = x;
+            }
+        };
+        let other_nan = f64::from_bits(f64::NAN.to_bits() | 1);
+        // (case, edit of the reference, verdict: the result and what is wrong)
+        type Case = (&'static str, Box<dyn Fn(&mut ExecState)>, Option<(Checked, &'static str)>);
+        let cases: Vec<Case> = vec![
+            ("integer equal", Box::new(|_: &mut ExecState| {}), None),
+            (
+                "integer off by one",
+                Box::new(|r: &mut ExecState| r.arrays[0] = ArrayVal::I(vec![6])),
+                Some((Checked::Array(n), "value")),
+            ),
+            ("float within 1e-9", Box::new(edit_f(0, 1.0 + 5e-10)), None),
+            ("float at 1e-8", Box::new(edit_f(0, 1.0 + 1e-8)), Some((Checked::Array(f), "value"))),
+            ("NaN against NaN", Box::new(edit_f(1, other_nan)), None),
+            ("NaN against 1.0", Box::new(edit_f(1, 1.0)), Some((Checked::Array(f), "value"))),
+            ("-0.0 against +0.0", Box::new(edit_f(2, 0.0)), None),
+            (
+                "one element short",
+                Box::new(|r: &mut ExecState| r.arrays[1] = ArrayVal::F(vec![1.0; 5])),
+                Some((Checked::Array(f), "size")),
+            ),
+            (
+                "class changed",
+                Box::new(|r: &mut ExecState| r.arrays[0] = ArrayVal::F(vec![5.0])),
+                Some((Checked::Array(n), "class")),
+            ),
+            (
+                "wrong shadowed scalar",
+                Box::new(move |r: &mut ExecState| r.scalars[s.0 as usize] = Value::F(2.0)),
+                Some((Checked::Scalar(s), "value")),
+            ),
+        ];
+        for (case, edit, want) in cases {
+            let mut oracle = clean.clone();
+            edit(&mut oracle.reference);
+            let reference = &oracle.reference;
+
+            // The comparator itself.
+            let got = reference.compare(&module.symtab, &image, shadow).err().map(|m| {
+                let kind = match m.wrong {
+                    Wrong::Class => "class",
+                    Wrong::Size => "size",
+                    Wrong::Value { .. } => "value",
+                };
+                (m.checked, kind)
+            });
+            assert_eq!(got, want, "{case}: comparator");
+
+            // Point verification: the error names the result.
+            let verified = verify_memory(&w, &module.symtab, shadow, reference, &image);
+            let spot = oracle.check(module);
+            let outcome = classify(&gc, &machine, &oracle);
+            let Some((checked, kind)) = want else {
+                assert_eq!(verified, Ok(()), "{case}: verify_memory");
+                assert!(spot.is_ok(), "{case}: Oracle::check: {spot:?}");
+                assert_eq!(outcome, Outcome::Tolerated, "{case}: classify");
+                continue;
+            };
+            let (what, sym) = match checked {
+                Checked::Array(a) => {
+                    (format!("array {}", w.program.arrays[a.0 as usize].name), a.0)
+                }
+                Checked::Scalar(v) => {
+                    let &(_, sym) = shadow.iter().find(|(x, _)| *x == v).unwrap();
+                    (format!("scalar {}", w.program.vars[v.0 as usize].name), sym.0)
+                }
+            };
+            let (text, detail) = match (kind, checked) {
+                ("value", Checked::Array(_)) => ("differs by", "differs from reference by"),
+                ("value", Checked::Scalar(_)) => ("=", "differs from reference by"),
+                ("class", _) => ("is not", "changed class"),
+                _ => ("is not", "changed size"),
+            };
+            let err = verified.expect_err(case);
+            assert!(err.starts_with(&format!("cases: {what} {text} ")), "{case}: {err}");
+            let err = spot.expect_err(case);
+            assert_eq!(err.kind, GuardErrorKind::DifferentialMismatch, "{case}");
+            assert!(err.detail.starts_with(&format!("symbol @{sym} {detail}")), "{case}: {err}");
+            assert_eq!(outcome, Outcome::SilentEscape, "{case}: classify");
+        }
     }
 
     /// Speedups behave sanely: higher level + wider issue never makes the

@@ -32,11 +32,6 @@ impl Operand {
         }
     }
 
-    /// True if the operand is a compile-time constant (immediate or symbol).
-    pub fn is_const(self) -> bool {
-        matches!(self, Operand::ImmI(_) | Operand::ImmF(_) | Operand::Sym(_))
-    }
-
     /// True if the slot is in use.
     pub fn is_some(self) -> bool {
         !matches!(self, Operand::None)

@@ -6,9 +6,13 @@
 //! accesses). The interpreter is the ground truth for differential testing:
 //! the architectural result of simulating compiled code at **every**
 //! optimization level and machine configuration must match it.
+//! [`ExecState::compare`] is the one comparator that holds a simulated
+//! memory image to it.
 
-use crate::ast::{ArrId, BinOp, Bound, Expr, Index, Program, Stmt};
-use crate::value::{ArrayVal, Value};
+use crate::ast::{ArrId, BinOp, Bound, Expr, Index, Program, Stmt, VarId};
+use crate::reg::RegClass;
+use crate::sym::{SymId, SymTab};
+use crate::value::{rel_diff, ArrayVal, Value, FLT_TOL};
 
 /// Initial data environment for a program run.
 #[derive(Debug, Clone, Default)]
@@ -196,6 +200,113 @@ pub fn interpret(p: &Program, init: &DataInit) -> ExecState {
     let mut it = Interp { p, arrays, scalars, stmts: 0 };
     it.run(&p.body);
     ExecState { arrays: it.arrays, scalars: it.scalars, stmts_executed: it.stmts }
+}
+
+/// One result the comparator holds an image to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Checked {
+    Array(ArrId),
+    /// An assigned scalar, read from its shadow symbol.
+    Scalar(VarId),
+}
+
+/// What is wrong with the image symbol that holds a result.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Wrong {
+    Class,
+    /// Another element count, or a symbol undeclared or past the image.
+    Size,
+    /// The largest difference (1 for integers, [`rel_diff`] for floats)
+    /// is above [`FLT_TOL`]; `got` is the first image element at it.
+    Value { diff: f64, got: Value },
+}
+
+/// The first result an image holds wrong (see [`ExecState::compare`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Mismatch {
+    pub sym: SymId,
+    pub checked: Checked,
+    pub wrong: Wrong,
+}
+
+enum Want<'a> {
+    I(&'a [i64]),
+    F(&'a [f64]),
+}
+
+impl ExecState {
+    /// Compare a memory image laid out by `symtab` with this reference:
+    /// every array (array `k` is symbol `k`), then each assigned scalar's
+    /// shadow symbol in `shadow`'s (lowering's `SymId`) order. Integers must
+    /// be bit-equal, floats within [`FLT_TOL`] by [`rel_diff`]. A symbol of
+    /// the wrong class or size is a [`Mismatch`], never a panic.
+    pub fn compare(
+        &self,
+        symtab: &SymTab,
+        memory: &[u64],
+        shadow: &[(VarId, SymId)],
+    ) -> Result<(), Mismatch> {
+        let arrays = (0..self.arrays.len() as u32).map(|k| (SymId(k), Checked::Array(ArrId(k))));
+        let scalars = shadow.iter().map(|&(var, sym)| (sym, Checked::Scalar(var)));
+        for (sym, checked) in arrays.chain(scalars) {
+            let (class, len) = self.expected(checked);
+            let k = sym.0 as usize;
+            let words = || {
+                let base = (0..k).map(|j| symtab.get(SymId(j as u32)).elems).sum::<usize>();
+                memory.get(base..base + len)
+            };
+            let wrong = match (k < symtab.len()).then(|| symtab.get(sym)) {
+                Some(s) if s.class != class => Some(Wrong::Class),
+                Some(s) if s.elems == len => {
+                    words().map_or(Some(Wrong::Size), |got| differs(self.want(checked), got))
+                }
+                _ => Some(Wrong::Size),
+            };
+            if let Some(wrong) = wrong {
+                return Err(Mismatch { sym, checked, wrong });
+            }
+        }
+        Ok(())
+    }
+
+    /// The class and element count `checked` has in the reference.
+    pub fn expected(&self, checked: Checked) -> (RegClass, usize) {
+        match self.want(checked) {
+            Want::I(v) => (RegClass::Int, v.len()),
+            Want::F(v) => (RegClass::Flt, v.len()),
+        }
+    }
+
+    fn want(&self, checked: Checked) -> Want<'_> {
+        match checked {
+            Checked::Array(a) => match &self.arrays[a.0 as usize] {
+                ArrayVal::I(v) => Want::I(v),
+                ArrayVal::F(v) => Want::F(v),
+            },
+            Checked::Scalar(v) => match &self.scalars[v.0 as usize] {
+                Value::I(x) => Want::I(std::slice::from_ref(x)),
+                Value::F(x) => Want::F(std::slice::from_ref(x)),
+            },
+        }
+    }
+}
+
+/// How the image words `got` differ from `want` beyond [`FLT_TOL`].
+fn differs(want: Want, got: &[u64]) -> Option<Wrong> {
+    // Most results are bit-equal (only reassociated reductions are not):
+    // one branch-free pass, which vectorizes, settles those.
+    let exact = match want {
+        Want::I(v) => v.iter().zip(got).fold(true, |eq, (&x, &g)| eq & (x as u64 == g)),
+        Want::F(v) => v.iter().zip(got).fold(true, |eq, (x, &g)| eq & (x.to_bits() == g)),
+    };
+    let class = if let Want::I(_) = want { RegClass::Int } else { RegClass::Flt };
+    let diff = |k: usize| match want {
+        Want::I(v) => f64::from(u8::from(v[k] as u64 != got[k])),
+        Want::F(v) => rel_diff(f64::from_bits(got[k]), v[k]),
+    };
+    let worst = |w: (usize, f64), k| if diff(k) > w.1 { (k, diff(k)) } else { w };
+    let (k, diff) = if exact { (0, 0.0) } else { (0..got.len()).fold((0, 0.0), worst) };
+    (diff > FLT_TOL).then(|| Wrong::Value { diff, got: Value::from_bits(got[k], class) })
 }
 
 #[cfg(test)]

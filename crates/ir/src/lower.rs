@@ -23,7 +23,7 @@ use crate::op::{Cond, Opcode};
 use crate::reg::{Reg, RegClass};
 use crate::sym::SymId;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
 /// Result of lowering: the module plus maps from AST entities to IR ones.
@@ -33,8 +33,9 @@ pub struct Lowered {
     pub var_regs: Vec<Reg>,
     /// Array → data symbol.
     pub arr_syms: Vec<SymId>,
-    /// Assigned scalar → shadow output symbol.
-    pub shadow_syms: HashMap<VarId, SymId>,
+    /// Assigned scalar → shadow output symbol, in ascending `SymId` (and
+    /// `VarId`) order: the order the comparator checks them in.
+    pub shadow_syms: Vec<(VarId, SymId)>,
 }
 
 struct LowerCtx<'a> {
@@ -42,7 +43,7 @@ struct LowerCtx<'a> {
     m: Module,
     var_regs: Vec<Reg>,
     arr_syms: Vec<SymId>,
-    shadow_syms: HashMap<VarId, SymId>,
+    shadow_syms: Vec<(VarId, SymId)>,
     /// Stack of active loop variables, innermost last.
     loop_stack: Vec<VarId>,
     /// For each loop on the stack, the set of scalars assigned in its body.
@@ -380,12 +381,12 @@ pub fn lower(p: &Program) -> Lowered {
     // layout is independent of control flow).
     let mut assigned = HashSet::new();
     assigned_scalars(&p.body, &mut assigned);
-    let mut shadow_syms = HashMap::new();
+    let mut shadow_syms = Vec::new();
     let mut assigned_order: Vec<VarId> = assigned.into_iter().collect();
     assigned_order.sort_unstable();
-    for v in &assigned_order {
+    for v in assigned_order {
         let name = format!("{}__out", p.vars[v.0 as usize].name);
-        shadow_syms.insert(*v, m.symtab.declare(&name, 1, p.var_class(*v)));
+        shadow_syms.push((v, m.symtab.declare(&name, 1, p.var_class(v))));
     }
 
     // Registers for scalars.
@@ -418,8 +419,7 @@ pub fn lower(p: &Program) -> Lowered {
     ctx.lower_stmts(&p.body);
 
     // Spill assigned scalars and halt.
-    for v in &assigned_order {
-        let sym = ctx.shadow_syms[v];
+    for (v, sym) in ctx.shadow_syms.clone() {
         let reg = ctx.var_regs[v.0 as usize];
         ctx.emit(Inst::store(
             Operand::Sym(sym),

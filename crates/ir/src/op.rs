@@ -183,14 +183,6 @@ impl Opcode {
         matches!(self, Add | Mul | And | Or | Xor | FAdd | FMul | VAdd | VMul)
     }
 
-    /// True if the opcode is an associative chain head usable by tree height
-    /// reduction (`+`/`*` in either class; `-`/`/` join the chain as inverse
-    /// elements of the corresponding associative operation).
-    pub fn is_associative(self) -> bool {
-        use Opcode::*;
-        matches!(self, Add | Mul | FAdd | FMul)
-    }
-
     /// Assembler mnemonic.
     pub fn mnemonic(self) -> &'static str {
         use Opcode::*;

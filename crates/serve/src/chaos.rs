@@ -27,7 +27,9 @@
 //!   ponging: the hardest fault to tell from "just slow");
 //! * `kill-op=OP` / `kill-nth=N` — deterministic rules for tests: abort
 //!   while handling the `N`-th request whose op is `OP` (any op if
-//!   `kill-op` is absent; every matching request if `kill-nth` absent);
+//!   `kill-op` is absent; every matching request if `kill-nth` absent).
+//!   `OP` is one of `compile`, `simulate`, `sweep`, `batch`: any other
+//!   value, a health probe or a typo, could never fire and is an error;
 //! * `seed=S`, `salt=TEXT` — PRNG seeding; `salt` is hashed into the
 //!   seed so a pool can give each (shard, generation) its own stream via
 //!   `{shard}`/`{gen}` argv templates without computing seeds itself.
@@ -113,7 +115,10 @@ impl ChaosPlan {
                 "garbage" => garbage = prob(value)?,
                 "partial" => partial = prob(value)?,
                 "drop" => drop = prob(value)?,
-                "kill-op" => kill_op = Some(value.to_string()),
+                "kill-op" if matches!(value, "compile" | "simulate" | "sweep" | "batch") => {
+                    kill_op = Some(value.to_string())
+                }
+                "kill-op" => return Err(format!("chaos kill-op={value:?} is no killable op")),
                 "kill-nth" => {
                     kill_nth = Some(
                         value
@@ -204,6 +209,19 @@ mod tests {
         assert!(ChaosPlan::parse("kill=1.5").is_err());
         assert!(ChaosPlan::parse("kill=0.9,stall=0.9").is_err(), "probabilities must fit");
         assert!(ChaosPlan::parse("kill-nth=0").is_err());
+    }
+
+    #[test]
+    fn kill_op_names_a_killable_op() {
+        for op in ["compile", "simulate", "sweep", "batch"] {
+            let mut p = ChaosPlan::parse(&format!("kill-op={op}")).unwrap();
+            assert_eq!(p.decide(Some(op)), ChaosVerdict::Kill, "{op}");
+        }
+        for op in ["simulte", "ping", "status", "", "Compile"] {
+            let err = ChaosPlan::parse(&format!("kill-op={op}")).err();
+            let err = err.unwrap_or_else(|| panic!("kill-op={op:?} must be rejected"));
+            assert!(err.contains("kill-op"), "{err}");
+        }
     }
 
     #[test]

@@ -137,6 +137,14 @@ impl SimLimits {
     }
 }
 
+/// Simulation cycle budget for a reference execution of `stmts_executed`
+/// statements. Generous — issue-1 naive code runs well under 100
+/// cycles/instruction — and saturating, so huge trip-count scales cannot
+/// wrap the budget around to a tiny number.
+pub fn cycle_budget(stmts_executed: u64) -> u64 {
+    stmts_executed.saturating_mul(4000).max(2_000_000)
+}
+
 /// Build the initial flat memory for `symtab` from `init` (arrays are the
 /// leading symbols in declaration order; all other symbols start zeroed).
 pub fn memory_from_init(symtab: &SymTab, init: &DataInit) -> Vec<u64> {

@@ -85,6 +85,33 @@ for w in $workloads; do
   fi
 done
 
+echo "== traced ledger replay (each workload, --quick --trace 1) =="
+# The same command traced: each request is replayed in process with the
+# layer spans on and off. Its checks are deterministic (a replayed reply
+# that differs from the served one, traced and untraced replays that
+# disagree, a sim.cycles_total that is not the workload's model total)
+# except one: "a request's layer self times sum to X of its untraced
+# in-process wall (want 0.9..1.1)" times the host, and alone it fails
+# about half the runs on a loud one. Any other FAILED line fails here;
+# the window's reading is printed, never gated on. Exit 1 is what a
+# failed check gives, so it is accepted only with the window as the
+# reason; exit 2 (the run could not be made) always fails.
+for w in $workloads; do
+  rc=0
+  out=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload "$w" --quick --trace 1) || rc=$?
+  failed=$(grep -F '  FAILED ' <<< "$out" | grep -vF 'layer self times sum to' || true)
+  window=$(tail -n 1 <<< "$out" | python3 -c \
+    'import json, sys; print(json.load(sys.stdin)["metrics"]["trace.layer_sum_share"]["value"])' \
+    2>/dev/null || echo "none")
+  echo "$w: exit $rc, trace.layer_sum_share $window"
+  if [ -n "$failed" ] || [ "$rc" -gt 1 ] || { [ "$rc" -eq 1 ] && ! grep -qF 'layer self times sum to' <<< "$out"; }; then
+    echo "${failed:-$(tail -n 5 <<< "$out")}"
+    echo "ERROR: traced ledger replay failed on $w"
+    exit 1
+  fi
+done
+
 echo "== study smokes (report --only, held to their goldens) =="
 # Six sections of the one results binary end-to-end: the paper's worked
 # examples cycle for cycle, the transformation ablation (14 sets through
