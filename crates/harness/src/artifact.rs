@@ -36,15 +36,16 @@
 //!
 //! ## The backend front
 //!
-//! Of the backend, only list-scheduling placement reads the issue width.
-//! A lookup may bring a slot for a backend *front* (see
+//! Of the backend, only list-scheduling placement reads the issue width
+//! and the FU limits. A lookup may bring a slot for a backend *front* (see
 //! `crate::compile::backend`): the trie node's module after superblock
 //! formation plus its block dependence DAGs for one latency table. A
 //! missing artifact is then placed from the front in the slot, or from a
-//! new front built in it. `crate::sweep` passes one slot per work item, so
-//! the widths of a (scenario, workload, level) share one front that is
-//! dropped with the item. The trie never holds a front: kept for every
-//! node of a sweep, they would double its resident memory.
+//! new front built in it. `crate::sweep` passes one slot per work item
+//! (front group, workload, level), so every width of every scenario the
+//! front serves is placed from one front that is dropped with the item.
+//! The trie never holds a front: kept for every node of a sweep, they
+//! would double its resident memory.
 //!
 //! ## Contract
 //!
@@ -119,8 +120,8 @@ pub struct CacheCounters {
     /// sweep over levels builds one per (workload, vlen, level).
     pub rungs: u64,
     /// Backend fronts built (see `crate::compile::backend`): one per sweep
-    /// work item that compiled anything, plus one per change of latency
-    /// table inside an item. Lookups made without a front slot build none.
+    /// work item that compiled anything. Lookups made without a front slot
+    /// build none.
     pub fronts: u64,
     /// Reference-interpreter lookups served from cache.
     pub ref_hits: u64,
@@ -324,7 +325,7 @@ impl ArtifactCache {
     }
 
     /// [`ArtifactCache::evaluate`], compiling a missing artifact through
-    /// `front`: `crate::sweep` passes one slot for all the widths of a
+    /// `front`: `crate::sweep` passes one slot for all the points of a
     /// work item.
     pub(crate) fn evaluate_in(
         &self,

@@ -6,8 +6,12 @@
 //! cargo run --release -p ilpc-harness --bin report [-- --scale 1.0 --threads N --only fig10]
 //! cargo run --release -p ilpc-harness --bin report -- --only cache-sensitivity --quick
 //! ```
+//!
+//! `--threads` above `ilpc_harness::steal::MAX_THREADS` (256) is a usage
+//! error.
 
 use ilpc_harness::figures::{render_report, render_section, section_ids};
+use ilpc_harness::steal::MAX_THREADS;
 use ilpc_harness::studies::{StudyCtx, STUDIES};
 use ilpc_harness::sweep::{run_sweep, SweepConfig};
 use ilpc_testkit::cli::Args;
@@ -29,6 +33,9 @@ fn main() {
     args.finish();
     if let Some(Err(e)) = scale.map(check_scale) {
         args.fail(&e);
+    }
+    if cfg.threads > MAX_THREADS {
+        args.fail(&format!("--threads {} is above the limit of {MAX_THREADS}", cfg.threads));
     }
     if let Some(id) = only.as_deref().filter(|id| !section_ids().any(|s| s == *id)) {
         args.fail(&format!("unknown section `{id}`"));

@@ -19,7 +19,8 @@
 //! halves separately, to run each level's rows of a mask once per workload
 //! (its trie) and the backend once per machine; through it `crate::sweep`
 //! hands the backend a `Front` slot, so superblock formation and the
-//! dependence DAGs run once for all the widths of a work item.
+//! dependence DAGs run once for all the points of a work item: every
+//! width of every scenario in its front group.
 //! `crate::profile::collect_profile` runs the Conv rows alone for its
 //! unscheduled training module. The guard's spot-check ([`workload_oracle`])
 //! uses the comparator `crate::run` does, `ExecState::compare`.
@@ -84,12 +85,13 @@ pub(crate) struct Middle {
 
 /// The backend's work before it first reads the issue width: the
 /// post-superblock module, what superblock formation did, and the block
-/// DAGs for one latency table and load speculativity. `crate::sweep` keeps
-/// one per work item (scenario, workload, level) while it places that
-/// item's widths, and drops it with the item.
+/// DAGs for one latency table and load speculativity, over the middle end
+/// of one `vlen`. `crate::sweep` keeps one per work item (front group,
+/// workload, level) while it places every width of every scenario in the
+/// group, and drops it with the item.
 pub(crate) struct Front {
-    /// The two machine fields [`BlockDag::build`] reads.
-    key: (LatencyTable, bool),
+    /// What of the machine the front was built for: see [`Front::key`].
+    key: (LatencyTable, bool, u32),
     module: Module,
     shadow: Vec<(VarId, SymId)>,
     report: TransformReport,
@@ -98,9 +100,16 @@ pub(crate) struct Front {
 }
 
 impl Front {
-    /// Whether this front's DAGs are the ones `machine` would build.
+    /// Every machine field a front depends on: the two [`BlockDag::build`]
+    /// reads, and the `vlen` the middle end's rows read. Machines with
+    /// equal keys are served by one front.
+    pub(crate) fn key(machine: &Machine) -> (LatencyTable, bool, u32) {
+        (machine.latency, machine.nonexcepting_loads, machine.vlen)
+    }
+
+    /// Whether this front is the one `machine` would build.
     pub(crate) fn serves(&self, machine: &Machine) -> bool {
-        self.key == (machine.latency, machine.nonexcepting_loads)
+        self.key == Front::key(machine)
     }
 }
 
@@ -138,7 +147,7 @@ pub(crate) fn backend<S: Step>(
             if !slot.as_ref().is_some_and(|f| f.serves(machine)) {
                 let (module, shadow, report, superblocks) = form(step);
                 let dags = block_dags(&module, machine);
-                let key = (machine.latency, machine.nonexcepting_loads);
+                let key = Front::key(machine);
                 *slot = Some(Front { key, module, shadow, report, superblocks, dags });
             }
             let f = slot.as_ref().expect("a front was built above");

@@ -31,6 +31,19 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+/// The most worker threads a command line may ask for (`report
+/// --threads`, `ilpc-serve --workers` and `--sweep-threads`): far above
+/// any host this runs on, there so that a typo cannot ask the OS for
+/// thousands of threads. A larger value is a usage error; a default taken
+/// from the host is clamped to it ([`default_threads`]).
+pub const MAX_THREADS: usize = 256;
+
+/// The host's available parallelism (4 if unknown), at most
+/// [`MAX_THREADS`].
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(MAX_THREADS)
+}
+
 /// Observability counters for one [`execute`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StealStats {

@@ -19,7 +19,7 @@ use ilpc_analysis::{Liveness, LoopForest};
 use ilpc_core::ablation::TransformSet;
 use ilpc_core::level::{Level, TransformReport};
 use ilpc_lint::{audit_schedules, count_severity, lint_module, sort_diagnostics, Severity};
-use ilpc_machine::{CacheParams, Machine, MemConfig};
+use ilpc_machine::{CacheParams, LatencyTable, Machine, MemConfig, TABLE1};
 use ilpc_sched::modulo::{modulo_schedule, pipelinable_loops};
 use ilpc_sched::schedule_insts;
 use ilpc_workloads::{build_all, Workload};
@@ -185,7 +185,8 @@ impl StudyCtx {
     }
 
     /// Sweep this context's catalog on its threads and cache; a failed
-    /// point fails the study.
+    /// point fails the study. A first scenario on the paper's machine
+    /// measures the bases.
     fn sweep(
         &self,
         levels: &[Level],
@@ -202,11 +203,27 @@ impl StudyCtx {
             ..SweepConfig::default()
         })
         .map_err(|e| e.to_string())?;
-        match sweep.grids.iter().zip(&sweep.scenarios).find(|(g, _)| !g.errors.is_empty()) {
-            Some((g, s)) => Err(format!("scenario {}: {:#?}", s.label, g.errors)),
-            None => Ok(sweep),
+        let mut grids = sweep.grids.iter().zip(&sweep.scenarios);
+        if let Some((g, s)) = grids.find(|(g, _)| !g.errors.is_empty()) {
+            return Err(format!("scenario {}: {:#?}", s.label, g.errors));
         }
+        if (Machine { issue_width: 1, ..sweep.scenarios[0].machine }) == Machine::base() {
+            let g = &sweep.grids[0];
+            let bases = self.workloads.iter().map(|w| point(g, w, Level::Conv, 1));
+            let _ = self.bases.set(bases.collect());
+        }
+        Ok(sweep)
     }
+
+    /// [`StudyCtx::mean_speedup`] of a clean grid's points at (`level`, `width`).
+    fn grid_mean(&self, g: &Grid, level: Level, width: u32) -> Result<f64, String> {
+        self.mean_speedup(|w| Ok(point(g, w, level, width)))
+    }
+}
+
+/// Cycles of `w` at (`level`, `width`) in a clean grid.
+fn point(g: &Grid, w: &Workload, level: Level, width: u32) -> u64 {
+    g.point(w.meta.name, level, width).expect("a clean grid has every point").cycles
 }
 
 /// Reproduce the paper's §2 worked examples (Figures 1, 3, 5, 6, 7):
@@ -291,13 +308,9 @@ fn ablation(ctx: &StudyCtx) -> Result<String, String> {
 /// issue-8 processor's functional units are restricted — the "more
 /// restricted processor model" the paper alludes to when discussing
 /// strength reduction. Memory ports are the binding resource for the
-/// unrolled DOALL loops; FP units bind the expanded reductions.
+/// unrolled DOALL loops; FP units bind the expanded reductions. One sweep
+/// at widths {1, 8}, the issue-1 points only for the sweep's base.
 fn sensitivity(ctx: &StudyCtx) -> Result<String, String> {
-    let slow_loads = |cycles: u32| {
-        let mut m = Machine::issue(8);
-        m.latency.load = cycles;
-        m
-    };
     let machines = [
         Machine::issue(8),
         Machine::issue(8).with_mem_ports(4),
@@ -305,22 +318,19 @@ fn sensitivity(ctx: &StudyCtx) -> Result<String, String> {
         Machine::issue(8).with_mem_ports(1),
         Machine::issue(8).with_fp_units(2),
         Machine::issue(8).with_mem_ports(2).with_fp_units(2),
-        slow_loads(4),
-        slow_loads(8),
+        Machine { latency: LatencyTable { load: 4, ..TABLE1 }, ..Machine::issue(8) },
+        Machine { latency: LatencyTable { load: 8, ..TABLE1 }, ..Machine::issue(8) },
     ];
+    let scenarios = machines.map(|machine| Scenario { label: machine.name(), machine });
+    let levels = [Level::Conv, Level::Lev2, Level::Lev4];
+    let sweep = ctx.sweep(&levels, &[1, 8], scenarios.to_vec())?;
 
     let mut out = String::new();
     out.push_str("machine                   Conv    Lev2    Lev4\n");
-    for machine in &machines {
-        let label = if machine.latency.load != 2 {
-            format!("issue-8/load{}", machine.latency.load)
-        } else {
-            machine.name()
-        };
-        let _ = write!(out, "{label:<22}");
-        for level in [Level::Conv, Level::Lev2, Level::Lev4] {
-            let mean = ctx.mean_speedup(|w| Ok(ctx.cache.evaluate(w, level, machine)?.cycles))?;
-            let _ = write!(out, " {mean:>6.2}x");
+    for (s, g) in sweep.scenarios.iter().zip(&sweep.grids) {
+        let _ = write!(out, "{:<22}", s.label);
+        for level in levels {
+            let _ = write!(out, " {:>6.2}x", ctx.grid_mean(g, level, 8)?);
         }
         let _ = writeln!(out);
     }
@@ -396,12 +406,6 @@ fn cache_sensitivity(ctx: &StudyCtx) -> Result<String, String> {
         }
     }
     let (perfect, mut cached_grids) = (&sweep.grids[0], sweep.grids[1..].iter());
-    let mean = |g: &Grid, level: Level, width: u32| {
-        ctx.mean_speedup(|w| {
-            let point = g.point(w.meta.name, level, width).expect("clean grid has every point");
-            Ok(point.cycles)
-        })
-    };
 
     let mut out = String::new();
     out.push_str("cache-sensitivity: transformation gains under a finite memory hierarchy\n");
@@ -415,7 +419,7 @@ fn cache_sensitivity(ctx: &StudyCtx) -> Result<String, String> {
     for &width in &widths {
         let _ = write!(out, "{:<30} {:>5} {:>7}", "perfect (upper bound)", width, "100.0");
         for &level in &levels {
-            let _ = write!(out, " {:>6.2}x", mean(perfect, level, width)?);
+            let _ = write!(out, " {:>6.2}x", ctx.grid_mean(perfect, level, width)?);
         }
         let _ = writeln!(out);
     }
@@ -432,10 +436,10 @@ fn cache_sensitivity(ctx: &StudyCtx) -> Result<String, String> {
                     .expect("clean grid must aggregate completely");
                 let _ = write!(out, "{:<30} {:>5} {:>7.1}", tag, width, hit * 100.0);
                 for &level in &levels {
-                    let _ = write!(out, " {:>6.2}x", mean(g, level, width)?);
+                    let _ = write!(out, " {:>6.2}x", ctx.grid_mean(g, level, width)?);
                 }
-                let retained = mean(g, top, width)? / mean(perfect, top, width)?;
-                let _ = writeln!(out, "   ({:.0}%)", retained * 100.0);
+                let kept = ctx.grid_mean(g, top, width)? / ctx.grid_mean(perfect, top, width)?;
+                let _ = writeln!(out, "   ({:.0}%)", kept * 100.0);
             }
         }
         let _ = writeln!(out);

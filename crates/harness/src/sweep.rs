@@ -2,21 +2,23 @@
 //! harness's one way to run grid points.
 //!
 //! A **sweep** crosses the evaluation grid (40 loops × levels × widths)
-//! with N *scenarios* — memory configurations and/or latency tables — in
-//! one call; the paper's grid is the one-scenario case (the
-//! [`SweepConfig`] defaults: every level, widths 1/2/4/8, perfect memory).
-//! Compared with one call per scenario it differs in two ways that matter
-//! at scale:
+//! with N *scenarios*, each a machine, in one call; the paper's grid is
+//! the one-scenario case (the [`SweepConfig`] defaults: every level,
+//! widths 1/2/4/8, the paper's machine). Compared with one call per
+//! scenario it differs in three ways that matter at scale:
 //!
-//! * **one scheduler, no barriers**: every (scenario, loop, level, width)
-//!   point goes into a single work-stealing pool, so a scenario whose
-//!   points are expensive (a cold cache, a slow latency table) is drained
-//!   by workers that finished a cheap scenario early, instead of
-//!   serializing behind a per-grid barrier;
+//! * **one scheduler, no barriers**: every point goes into a single
+//!   work-stealing pool, so a scenario whose points are expensive (a cold
+//!   cache, a slow latency table) is drained by workers that finished a
+//!   cheap scenario early, instead of serializing behind a per-grid
+//!   barrier;
 //! * **one artifact cache**: compilation depends only on the machine's
-//!   compile key, so all memory-config scenarios share compiled and
-//!   pre-decoded artifacts (latency-table scenarios get their own keys
-//!   automatically — the table is compile-relevant).
+//!   compile key, so memory-config scenarios share compiled and
+//!   pre-decoded artifacts;
+//! * **one backend front per item**: a work item is (front group,
+//!   workload, level), a front group being the scenarios one front serves
+//!   (`crate::compile::Front::key`), so superblock formation and the
+//!   dependence DAGs run once for every width of every scenario in it.
 //!
 //! The result splits back into one observably ordinary [`Grid`] per
 //! scenario, so every aggregation, figure and report works on sweep
@@ -32,41 +34,31 @@ use crate::steal::{self, StealStats};
 use ilpc_core::level::Level;
 use ilpc_guard::panic_message;
 use ilpc_ir::{Module, Opcode};
-use ilpc_machine::{LatencyTable, Machine, MemConfig, TABLE1};
+use ilpc_machine::{Machine, MemConfig};
 use ilpc_workloads::{build_all, check_scale, Workload, WorkloadMeta};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-/// One scenario of a sweep: a memory hierarchy, a latency table, and a
-/// vector length for the SLP subsystem.
+/// One scenario of a sweep: a label and the machine its points run on.
+/// The machine is a template: each point takes its issue width from
+/// [`SweepConfig::widths`], and every other field from here.
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    /// Display label (defaults to the memory config's name).
+    /// Display label.
     pub label: String,
-    pub mem: MemConfig,
-    pub latency: LatencyTable,
-    /// Vector length handed to the machine (`1` = scalar; only `Lev6`
-    /// reacts to it). Compile-relevant, so each VLEN gets its own
-    /// artifact-cache keys automatically.
-    pub vlen: u32,
+    pub machine: Machine,
 }
 
 impl Scenario {
-    /// A scenario varying only the memory hierarchy (Table 1 latencies).
+    /// The paper's machine with the memory hierarchy `mem`, labelled by it.
     pub fn mem(mem: MemConfig) -> Scenario {
-        Scenario { label: mem.name(), mem, latency: TABLE1, vlen: 1 }
+        Scenario { label: mem.name(), machine: Machine::base().with_mem(mem) }
     }
 
-    /// A scenario with an explicit latency table.
-    pub fn with_latency(label: impl Into<String>, mem: MemConfig, latency: LatencyTable) -> Scenario {
-        Scenario { label: label.into(), mem, latency, vlen: 1 }
-    }
-
-    /// A scenario varying only the vector length (perfect memory,
-    /// Table 1 latencies) — the axis the `vlen-sweep` harness crosses
-    /// with issue width.
+    /// The paper's machine with vector length `vlen` — the axis the
+    /// `vlen-sweep` study crosses with issue width.
     pub fn vlen(vlen: u32) -> Scenario {
-        Scenario { label: format!("v{vlen}"), mem: MemConfig::Perfect, latency: TABLE1, vlen }
+        Scenario { label: format!("v{vlen}"), machine: Machine::base().with_vlen(vlen) }
     }
 }
 
@@ -100,9 +92,7 @@ impl Default for SweepConfig {
             scale: 1.0,
             levels: Level::ALL.to_vec(),
             widths: vec![1, 2, 4, 8],
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
+            threads: steal::default_threads(),
             scenarios: vec![Scenario::mem(MemConfig::Perfect)],
             sabotage: None,
             artifacts: None,
@@ -143,36 +133,42 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<Sweep, GridConfigError> {
     let artifacts: Arc<ArtifactCache> =
         cfg.artifacts.clone().unwrap_or_else(|| Arc::new(ArtifactCache::new()));
 
-    // Work items: (scenario, workload, level), each evaluating every width
-    // in order — scenario-major so early scenarios warm the artifact cache
-    // for later ones. An item owns the backend front its widths share:
-    // superblock formation and the dependence DAGs run once for all of
-    // them, and the front is dropped with the item.
-    let mut items: Vec<(usize, usize, Level)> = Vec::new();
-    for (si, _) in cfg.scenarios.iter().enumerate() {
-        for (wi, _) in workloads.iter().enumerate() {
+    // Front groups: the scenarios one backend front serves, in order of
+    // first appearance.
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (si, s) in cfg.scenarios.iter().enumerate() {
+        let key = Front::key(&s.machine);
+        match groups.iter_mut().find(|g| Front::key(&cfg.scenarios[g[0]].machine) == key) {
+            Some(g) => g.push(si),
+            None => groups.push(vec![si]),
+        }
+    }
+    // Work items: (front group, workload, level), group-major so early
+    // groups warm the artifact cache for later ones. An item evaluates
+    // every width of every scenario in its group from the one front it
+    // owns; the front is dropped with the item.
+    let mut items: Vec<(&[usize], usize, Level)> = Vec::new();
+    for group in &groups {
+        for wi in 0..workloads.len() {
             for &level in &levels {
-                items.push((si, wi, level));
+                items.push((group, wi, level));
             }
         }
     }
 
-    let (results, steals) = steal::execute(&items, cfg.threads.max(1), |_, &(si, wi, level)| {
-        let scenario = &cfg.scenarios[si];
+    let (results, steals) = steal::execute(&items, cfg.threads.max(1), |_, &(group, wi, level)| {
         let w = &workloads[wi];
         let mut front = None;
-        widths
-            .iter()
-            .map(|&width| {
-                let machine = Machine {
-                    latency: scenario.latency,
-                    ..Machine::issue(width).with_mem(scenario.mem).with_vlen(scenario.vlen)
-                };
+        let mut points = Vec::with_capacity(group.len() * widths.len());
+        for &si in group {
+            for &width in &widths {
+                let machine = Machine { issue_width: width, ..cfg.scenarios[si].machine };
                 let sabotage = cfg.sabotage.as_ref();
                 let r = eval_point(w, level, width, &machine, sabotage, &artifacts, &mut front);
-                (si, (w.meta.name.to_string(), level, width), r)
-            })
-            .collect::<Vec<_>>()
+                points.push((si, (w.meta.name.to_string(), level, width), r));
+            }
+        }
+        points
     });
 
     // Split per scenario, preserving engine-observable ordering.
@@ -283,7 +279,7 @@ fn eval_point(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ilpc_machine::CacheParams;
+    use ilpc_machine::{CacheParams, LatencyTable, TABLE1};
 
     /// A mini two-scenario sweep: Conv/Lev2 × widths {1, 8}, perfect
     /// memory and the small cache, on four threads and a fresh cache.
@@ -364,7 +360,10 @@ mod tests {
         let sweep = run_sweep(&SweepConfig {
             scenarios: vec![
                 Scenario::mem(MemConfig::Perfect),
-                Scenario::with_latency("slow-fp", MemConfig::Perfect, slow_fp),
+                Scenario {
+                    label: "slow-fp".to_string(),
+                    machine: Machine { latency: slow_fp, ..Machine::base() },
+                },
             ],
             ..two_scenarios()
         })

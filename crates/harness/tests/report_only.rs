@@ -80,6 +80,17 @@ fn every_study_matches_its_golden() {
             let c = ctx.cache.counters();
             assert_eq!((c.rungs, c.ref_runs), (40 * 20, 40), "{c:?}");
         }
+        if id == "sensitivity" {
+            // One sweep: 8 machines x {Conv, Lev2, Lev4} x widths {1, 8},
+            // each point its own compile key, the bases read off its
+            // issue-1 points. The six machines with Table 1 latencies
+            // share one backend front per (nest, level); the two slow-load
+            // tables have one each: 3 x 40 x 3 fronts. Each nest's ladder
+            // is climbed once, Conv to Lev4: 5 nodes.
+            let c = ctx.cache.counters();
+            let counts = (c.compiles, c.hits, c.fronts, c.rungs, c.ref_runs);
+            assert_eq!(counts, (1920, 0, 360, 40 * 5, 40), "{c:?}");
+        }
     }
 }
 
@@ -118,6 +129,8 @@ fn cli_rejects_bad_arguments_and_selects_sections() {
     assert_rejected("report", exe, &["--only", "fault-campaign", "--verbose"]);
     assert_rejected("report", exe, &["--only", "swp", "--scale", "-1"]);
     assert_rejected("report", exe, &["--only", "summary", "--scale", "1e12"]);
+    // One past the bound: a larger thread count is a typo, not a request.
+    assert_rejected("report", exe, &["--only", "sensitivity", "--threads", "257"]);
 
     // The crate's other binary rejects a trailing value-taking flag, an
     // unparsable value and an unknown flag the same way: one `ilpc: …`

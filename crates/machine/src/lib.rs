@@ -309,7 +309,8 @@ impl Machine {
         h.finish()
     }
 
-    /// Short display name (`issue-4`, `issue-8/mem2`).
+    /// Short display name (`issue-4`, `issue-8/mem2`, `issue-8/load4` for a
+    /// load latency other than Table 1's).
     pub fn name(&self) -> String {
         let mut n = if self.issue_width == u32::MAX {
             "issue-inf".to_string()
@@ -324,6 +325,9 @@ impl Machine {
         }
         if self.fu.int_mul_div != u32::MAX {
             n.push_str(&format!("/mul{}", self.fu.int_mul_div));
+        }
+        if self.latency.load != TABLE1.load {
+            n.push_str(&format!("/load{}", self.latency.load));
         }
         if self.vlen > 1 {
             n.push_str(&format!("/v{}", self.vlen));
@@ -382,6 +386,8 @@ mod tests {
     #[test]
     fn configs() {
         assert_eq!(Machine::issue(4).name(), "issue-4");
+        let slow = Machine { latency: LatencyTable { load: 4, ..TABLE1 }, ..Machine::issue(8) };
+        assert_eq!(slow.name(), "issue-8/load4");
         assert_eq!(Machine::unlimited().name(), "issue-inf");
         assert_eq!(Machine::base().issue_width, 1);
         assert_eq!(Machine::issue(8).branch_slots, 1);

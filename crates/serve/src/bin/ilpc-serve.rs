@@ -18,7 +18,10 @@
 //! pool per sweep, default = cores), `--tcp ADDR` (serve TCP instead of
 //! stdin), `--pool N` (below), `--deadline-ms N` (pool per-request
 //! deadline), `--chaos SPEC` (seeded fault injection, stdin worker mode
-//! only — see `ilpc_serve::chaos`).
+//! only — see `ilpc_serve::chaos`). `--workers` and `--sweep-threads`
+//! above `ilpc_harness::steal::MAX_THREADS` (256) and `--pool` above
+//! `ilpc_serve::pool::MAX_SHARDS` (64) are usage errors, rejected before
+//! anything is spawned.
 //!
 //! Pool mode (`--pool N`) re-execs this binary N times as worker shards
 //! and supervises them: health pings, per-request deadlines (typed
@@ -34,6 +37,8 @@
 //! and failed evaluations come back as typed error replies, and a full
 //! queue rejects with `overloaded` instead of buffering without bound.
 
+use ilpc_harness::steal::MAX_THREADS;
+use ilpc_serve::pool::MAX_SHARDS;
 use ilpc_serve::{pool_lines, serve_lines, serve_tcp, ChaosPlan, PoolConfig, ServeConfig};
 use ilpc_testkit::cli::Args;
 
@@ -53,6 +58,16 @@ fn main() {
     let chaos: Option<String> = args.opt("--chaos");
     args.set("--deadline-ms", &mut pool.deadline_ms);
     args.finish();
+    let limits = [
+        ("--workers", cfg.workers, MAX_THREADS),
+        ("--sweep-threads", cfg.sweep_threads, MAX_THREADS),
+        ("--pool", shards.unwrap_or(0), MAX_SHARDS),
+    ];
+    for (flag, n, max) in limits {
+        if n > max {
+            args.fail(&format!("{flag} {n} is above the limit of {max}"));
+        }
+    }
 
     match (tcp, shards) {
         (Some(_), Some(_)) => args.fail("--tcp and --pool are mutually exclusive"),

@@ -54,6 +54,11 @@ use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+/// The most worker shards `ilpc-serve --pool` may start: each is a process
+/// with its own `--workers` threads, so a larger value is a usage error
+/// rather than a fork storm.
+pub const MAX_SHARDS: usize = 64;
+
 /// Pool tuning knobs.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
@@ -366,7 +371,7 @@ impl Pool {
         if let Json::Obj(m) = &mut body {
             m.insert("id".to_string(), Json::num(internal as f64));
         }
-        let deadline_ms = self.now_ms() + self.cfg.deadline_ms;
+        let deadline_ms = self.now_ms().saturating_add(self.cfg.deadline_ms);
         self.jobs.insert(
             internal,
             PoolJob {

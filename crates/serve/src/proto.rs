@@ -17,6 +17,10 @@
 //! {"id":6,"op":"status"}
 //! ```
 //!
+//! A key the op does not read (`"mems"` on a `simulate`, `"scael"`) is a
+//! `bad-request` naming it, in a batch's sub-requests too: a misspelt
+//! field must not be served as if it had been left out.
+//!
 //! `ping` and `status` are answered immediately without queue admission
 //! (a health probe must not bounce off a full queue); the pool front end
 //! (`--pool N`) answers them itself with per-shard supervision state.
@@ -152,6 +156,15 @@ fn parse_request_inner(v: &Json, in_batch: bool) -> Result<Request, ReqError> {
         .get("op")
         .and_then(Json::as_str)
         .ok_or_else(|| bad("missing or non-string \"op\""))?;
+    let known: &[&str] = match op {
+        "compile" => &["id", "op", "workload", "level", "width", "vlen", "scale", "lint"],
+        "simulate" => &["id", "op", "workload", "level", "width", "vlen", "scale", "mem"],
+        "sweep" => &["id", "op", "scale", "levels", "widths", "mems", "sabotage"],
+        "batch" => &["id", "op", "requests"],
+        "ping" | "status" => &["id", "op"],
+        other => return Err(bad(format!("unknown op {other:?}"))),
+    };
+    known_keys(v, "request", known)?;
     let op = match op {
         "compile" => {
             let (workload, level, width, vlen, scale) = point_fields(v)?;
@@ -229,7 +242,7 @@ fn parse_request_inner(v: &Json, in_batch: bool) -> Result<Request, ReqError> {
                 .collect::<Result<Vec<_>, _>>()?;
             Op::Batch(parsed)
         }
-        other => return Err(bad(format!("unknown op {other:?}"))),
+        _ => unreachable!("every op has a key list above"),
     };
     Ok(Request { id, op })
 }
@@ -589,6 +602,41 @@ mod tests {
             let (kind, detail) = parse_request(&parse(line).unwrap()).unwrap_err();
             assert_eq!(kind, ErrorKind::BadRequest, "{line}");
             assert!(detail.contains(needle), "{line}: {detail}");
+        }
+    }
+
+    /// A key outside its op's list is rejected by name, one misspelling
+    /// per op and one inside a batch; the request shapes the ledger sends
+    /// (`benchmark/src/workload.rs`) still parse.
+    #[test]
+    fn unknown_request_keys_are_rejected() {
+        let point = r#""workload":"add","level":"Lev2","width":4"#;
+        let sim = format!(r#""op":"simulate",{point}"#);
+        for (line, key) in [
+            (format!(r#"{{"op":"compile",{point},"lnit":true}}"#), "lnit"),
+            (format!(r#"{{{sim},"mems":[{{"kind":"perfect"}}]}}"#), "mems"),
+            (r#"{"op":"sweep","scael":1.0}"#.to_string(), "scael"),
+            (r#"{"op":"ping","ids":1}"#.to_string(), "ids"),
+            (r#"{"op":"status","verbose":true}"#.to_string(), "verbose"),
+            (format!(r#"{{"op":"batch","requests":[{{{sim}}}],"deadline":9}}"#), "deadline"),
+            (format!(r#"{{"op":"batch","requests":[{{{sim},"scael":1.0}}]}}"#), "scael"),
+        ] {
+            let (kind, detail) = parse_request(&parse(&line).unwrap()).unwrap_err();
+            assert_eq!(kind, ErrorKind::BadRequest, "{line}");
+            assert_eq!(detail, format!("unknown request key {key:?}"), "{line}");
+        }
+
+        let levels = r#""levels":["Conv","Lev1","Lev2","Lev3","Lev4","Lev6"]"#;
+        let mems = r#""mems":[{"kind":"perfect"}]"#;
+        let cache = r#""kind":"cache","line_words":4,"sets":16,"ways":2,"load_miss":30"#;
+        let sub = format!(r#"{{"id":0,{sim},"scale":0.05}}"#);
+        for line in [
+            format!(r#"{{"id":1,"op":"sweep","scale":1,{levels},"widths":[1,8],{mems}}}"#),
+            format!(r#"{{"id":2,{sim},"vlen":4,"scale":4,"mem":{{{cache},"store_miss":30}}}}"#),
+            format!(r#"{{"id":3,"op":"compile",{point},"scale":0.25,"lint":true}}"#),
+            format!(r#"{{"id":4,"op":"batch","requests":[{sub}]}}"#),
+        ] {
+            parse_request(&parse(&line).unwrap()).unwrap_or_else(|e| panic!("{line}: {e:?}"));
         }
     }
 

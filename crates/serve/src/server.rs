@@ -57,8 +57,8 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
-        let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-        ServeConfig { workers: 2, queue: 64, sweep_threads: cpus, chaos: None }
+        let sweep_threads = ilpc_harness::steal::default_threads();
+        ServeConfig { workers: 2, queue: 64, sweep_threads, chaos: None }
     }
 }
 

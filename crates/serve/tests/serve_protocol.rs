@@ -6,7 +6,8 @@ mod contract;
 
 use ilpc_serve::server::MAX_SCALES;
 use ilpc_serve::{
-    parse, pool_script, serve_lines, serve_script, serve_tcp, Json, PoolConfig, ServeConfig,
+    parse, pool_lines, pool_script, serve_lines, serve_script, serve_tcp, Json, PoolConfig,
+    ServeConfig,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::sync::{Arc, Mutex};
@@ -151,6 +152,39 @@ fn absurd_cache_geometry_is_refused_and_the_server_lives() {
             }
         }
     }
+}
+
+/// The pool adds the deadline to its clock with a saturating add: at
+/// `u64::MAX` a request gets its normal reply, not an overflow panic
+/// (debug) or a wrapped deadline that times every request out (release).
+/// The request arrives 20 ms after the pool starts, so its clock is past 0.
+#[test]
+fn pool_deadline_at_u64_max_serves_the_request() {
+    struct Late(std::io::Cursor<&'static [u8]>, bool);
+    impl std::io::Read for Late {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if !std::mem::replace(&mut self.1, true) {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+            self.0.read(buf)
+        }
+    }
+    let pool = PoolConfig {
+        shards: 1,
+        worker_exe: env!("CARGO_BIN_EXE_ilpc-serve").into(),
+        deadline_ms: u64::MAX,
+        ..Default::default()
+    };
+    let sim = br#"{"id":1,"op":"simulate","workload":"add","level":"Conv","width":1,"scale":0.02}"#;
+    let mut out = Vec::new();
+    let mut input = BufReader::new(Late(std::io::Cursor::new(sim), false));
+    pool_lines(&pool, &mut input, &mut out).unwrap();
+    let lines: Vec<String> = String::from_utf8(out).unwrap().lines().map(str::to_string).collect();
+    let replies = index_replies(&lines);
+    assert_eq!(replies.len(), 1, "{replies:?}");
+    let (id, ok, payload) = &replies[0];
+    assert_eq!((id, *ok), (&Json::num(1.0), true), "{payload:?}");
+    assert!(payload.get("cycles").and_then(Json::as_f64).is_some_and(|c| c > 0.0), "{payload:?}");
 }
 
 /// An oversized request line is rejected with a typed error and bounded
@@ -589,6 +623,11 @@ fn binaries_reject_bad_command_lines_with_usage() {
         // Supervision tuning is `PoolConfig::default()`, not a flag.
         &["--pool", "2", "--retry", "3"],
         &["--seed", "7"],
+        // One past each bound, rejected before anything is spawned.
+        &["--workers", "257"],
+        &["--sweep-threads", "257"],
+        &["--pool", "65"],
+        &["--pool", "2", "--workers", "257"],
     ] {
         ilpc_testkit::cli::assert_rejected("ilpc-serve", serve, args);
     }

@@ -113,10 +113,11 @@ for w in $workloads; do
 done
 
 echo "== study smokes (report --only, held to their goldens) =="
-# Six sections of the one results binary end-to-end: the paper's worked
+# Seven sections of the one results binary end-to-end: the paper's worked
 # examples cycle for cycle, the transformation ablation (14 sets through
 # the artifact cache's trie; `cargo test` holds its golden in debug only),
-# a quick cache sweep (accesses == hits + misses
+# the eight restricted machines (one sweep), a quick cache sweep
+# (accesses == hits + misses
 # on every point, one compile per artifact), Lev6 across VLEN {1,4} x
 # width {1,8} (VLEN=1 cycle-identical to Lev4), 120 seeded faults against
 # the transformation firewall (zero silent escapes: wrong architectural
@@ -134,10 +135,17 @@ study_smoke() { # <golden> <report args...>
 }
 study_smoke paper-examples --only paper-examples
 study_smoke ablation --only ablation --scale 0.05
+study_smoke sensitivity --only sensitivity --scale 0.05
 study_smoke cache-sensitivity_quick --only cache-sensitivity --scale 0.02 --quick
 study_smoke vlen-sweep_quick --only vlen-sweep --quick
 study_smoke fault-campaign_quick --only fault-campaign --quick
 study_smoke lint_quick --only lint --quick
+# A sweep's output must not depend on its scheduler: one thread and two
+# print the same bytes.
+report=./target/release/report
+cmp <("$report" --only sensitivity --scale 0.05 --threads 1 2>/dev/null) \
+  <("$report" --only sensitivity --scale 0.05 --threads 2 2>/dev/null)
+echo "ok: report --only sensitivity --scale 0.05: --threads 1 == --threads 2"
 
 echo "== ilpc-serve smoke (JSON-lines over stdin) =="
 # The evaluation service end-to-end: a simulate, a malformed line, two
@@ -190,8 +198,9 @@ echo "== served sweep smoke (cold ladder vs warm cache) =="
 # worker, so the four requests run in order.
 #
 # The fourth sweeps widths [1,2,4,8] x mems [perfect, cache sets 16]: a
-# sweep work item is (scenario, workload, level) and evaluates all its
-# widths, yet every width is still its own artifact key and lookup. The
+# sweep work item is (front group, workload, level), here both scenarios
+# (memory is not part of a backend front) and all their widths, yet every
+# point is still its own artifact key and lookup. The
 # cache counters are cumulative per server scale, so after it:
 #   compiles = 480 (request 1) + 40 nests x 6 levels x widths {2,4} = 960
 #   hits     = 480 (request 2) + 1 (the simulate) + the fourth's lookups,

@@ -14,6 +14,7 @@
 //! compiled from scratch proves the cache's trie does not either.
 
 use ilp_compiler::harness::{ArtifactCache, Grid, GridError, PointError};
+use ilp_compiler::machine::{LatencyTable, TABLE1};
 use ilp_compiler::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -197,7 +198,9 @@ fn sweep_equals_sequential_reference_on_full_grid() {
 
 /// The sweep climbs each nest's level ladder once and places every width's
 /// artifact from one backend front per (nest, level); compiling each point
-/// from scratch with [`evaluate`] must give bit-equal points.
+/// from scratch with [`evaluate`] must give bit-equal points. Then the
+/// same for scenarios that share a front across FU limits and memory, and
+/// for a latency table and a `vlen` that each need a front of their own.
 #[test]
 fn sweep_equals_compile_from_scratch_on_mini_grid() {
     let (levels, widths) = (vec![Level::Conv, Level::Lev2], vec![1u32, 8]);
@@ -223,4 +226,49 @@ fn sweep_equals_compile_from_scratch_on_mini_grid() {
             }
         }
     }
+
+    // Five machines in one sweep. The paper's machine, one memory port,
+    // and two FP units behind a finite cache form one front group; load
+    // latency 4 and vlen 4 are a group each. Lev6 is where vlen changes
+    // the code, so a front shared across vlens would place scalar code for
+    // the vlen-4 points. The vlen-4 scenario sits between members of the
+    // first group: a grouping that ignored it would rebuild the front
+    // twice per item, and the front count below would show it.
+    let with = |label: &str, machine: Machine| Scenario { label: label.to_string(), machine };
+    let load4 = LatencyTable { load: 4, ..TABLE1 };
+    let scenarios = vec![
+        Scenario::mem(MemConfig::Perfect),
+        Scenario::vlen(4),
+        with("mem1", Machine::base().with_mem_ports(1)),
+        with("load4", Machine { latency: load4, ..Machine::base() }),
+        with("fp2/small", Machine::base().with_fp_units(2).with_cache(CacheParams::small())),
+    ];
+    let levels = vec![Level::Conv, Level::Lev6];
+    let sweep = run_sweep(&SweepConfig {
+        scale: SCALE,
+        levels: levels.clone(),
+        widths: widths.clone(),
+        threads: 4,
+        scenarios: scenarios.clone(),
+        ..SweepConfig::default()
+    })
+    .expect("valid config");
+    let workloads = build_all(SCALE);
+    for (s, grid) in scenarios.iter().zip(&sweep.grids) {
+        assert!(grid.errors.is_empty(), "{}: {:#?}", s.label, grid.errors);
+        assert_eq!(grid.completed(), 40 * levels.len() * widths.len(), "{}", s.label);
+        for w in &workloads {
+            for &level in &levels {
+                for &width in &widths {
+                    let machine = Machine { issue_width: width, ..s.machine };
+                    let scratch = evaluate(w, level, &machine).expect("clean point");
+                    let got = grid.point(w.meta.name, level, width);
+                    let at = format!("{} {} {level} issue-{width}", s.label, w.meta.name);
+                    assert_eq!(got, Some(&scratch), "{at}");
+                }
+            }
+        }
+    }
+    // One front per work item (front group, nest, level).
+    assert_eq!(sweep.cache.fronts, (3 * 40 * levels.len()) as u64, "{:?}", sweep.cache);
 }
