@@ -2,8 +2,8 @@
 //!
 //! A sweep point is (workload, level, machine) — but compilation only
 //! depends on the machine's *compile key* ([`Machine::compile_key`]: issue
-//! width, FU limits, latency table, load speculativity), never on the
-//! memory hierarchy, which retimes execution without changing code. A
+//! width, FU limits below it, latency table, load speculativity), never on
+//! the memory hierarchy, which retimes execution without changing code. A
 //! cache-sensitivity sweep over N memory configurations therefore
 //! re-compiles (and re-decodes, and re-interprets the reference program
 //! for) every grid point N times for byte-identical artifacts.

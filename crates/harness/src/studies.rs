@@ -185,8 +185,7 @@ impl StudyCtx {
     }
 
     /// Sweep this context's catalog on its threads and cache; a failed
-    /// point fails the study. A first scenario on the paper's machine
-    /// measures the bases.
+    /// point fails the study.
     fn sweep(
         &self,
         levels: &[Level],
@@ -203,16 +202,10 @@ impl StudyCtx {
             ..SweepConfig::default()
         })
         .map_err(|e| e.to_string())?;
-        let mut grids = sweep.grids.iter().zip(&sweep.scenarios);
-        if let Some((g, s)) = grids.find(|(g, _)| !g.errors.is_empty()) {
-            return Err(format!("scenario {}: {:#?}", s.label, g.errors));
+        match sweep.grids.iter().zip(&sweep.scenarios).find(|(g, _)| !g.errors.is_empty()) {
+            Some((g, s)) => Err(format!("scenario {}: {:#?}", s.label, g.errors)),
+            None => Ok(sweep),
         }
-        if (Machine { issue_width: 1, ..sweep.scenarios[0].machine }) == Machine::base() {
-            let g = &sweep.grids[0];
-            let bases = self.workloads.iter().map(|w| point(g, w, Level::Conv, 1));
-            let _ = self.bases.set(bases.collect());
-        }
-        Ok(sweep)
     }
 
     /// [`StudyCtx::mean_speedup`] of a clean grid's points at (`level`, `width`).
@@ -308,8 +301,7 @@ fn ablation(ctx: &StudyCtx) -> Result<String, String> {
 /// issue-8 processor's functional units are restricted — the "more
 /// restricted processor model" the paper alludes to when discussing
 /// strength reduction. Memory ports are the binding resource for the
-/// unrolled DOALL loops; FP units bind the expanded reductions. One sweep
-/// at widths {1, 8}, the issue-1 points only for the sweep's base.
+/// unrolled DOALL loops; FP units bind the expanded reductions.
 fn sensitivity(ctx: &StudyCtx) -> Result<String, String> {
     let machines = [
         Machine::issue(8),

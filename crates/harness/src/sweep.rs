@@ -13,12 +13,15 @@
 //!   cheap scenario early, instead of serializing behind a per-grid
 //!   barrier;
 //! * **one artifact cache**: compilation depends only on the machine's
-//!   compile key, so memory-config scenarios share compiled and
-//!   pre-decoded artifacts;
+//!   compile key, so scenarios that differ in memory, or in FU limits that
+//!   cannot bind at a width, share compiled and pre-decoded artifacts;
 //! * **one backend front per item**: a work item is (front group,
-//!   workload, level), a front group being the scenarios one front serves
-//!   (`crate::compile::Front::key`), so superblock formation and the
-//!   dependence DAGs run once for every width of every scenario in it.
+//!   workload, level), a front group being the scenarios on one memory
+//!   hierarchy that one front serves (`crate::compile::Front::key`), so
+//!   superblock formation and the dependence DAGs run once for every width
+//!   of every scenario in it. Scenarios that differ only in memory already
+//!   share artifacts through the cache, so they keep an item each and a
+//!   cold cache's points still spread across idle workers.
 //!
 //! The result splits back into one observably ordinary [`Grid`] per
 //! scenario, so every aggregation, figure and report works on sweep
@@ -133,12 +136,15 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<Sweep, GridConfigError> {
     let artifacts: Arc<ArtifactCache> =
         cfg.artifacts.clone().unwrap_or_else(|| Arc::new(ArtifactCache::new()));
 
-    // Front groups: the scenarios one backend front serves, in order of
-    // first appearance.
+    // Front groups: the scenarios on one memory hierarchy that one backend
+    // front serves, in order of first appearance.
+    let group_key = |si: usize| {
+        let m = &cfg.scenarios[si].machine;
+        (Front::key(m), m.mem)
+    };
     let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (si, s) in cfg.scenarios.iter().enumerate() {
-        let key = Front::key(&s.machine);
-        match groups.iter_mut().find(|g| Front::key(&cfg.scenarios[g[0]].machine) == key) {
+    for si in 0..cfg.scenarios.len() {
+        match groups.iter_mut().find(|g| group_key(g[0]) == group_key(si)) {
             Some(g) => g.push(si),
             None => groups.push(vec![si]),
         }
@@ -157,15 +163,22 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<Sweep, GridConfigError> {
     }
 
     let (results, steals) = steal::execute(&items, cfg.threads.max(1), |_, &(group, wi, level)| {
-        let w = &workloads[wi];
+        let (w, sabotage) = (&workloads[wi], cfg.sabotage.as_ref());
         let mut front = None;
-        let mut points = Vec::with_capacity(group.len() * widths.len());
+        // A point whose compile key an earlier point of the item has (on
+        // the group's one memory hierarchy) runs the same artifact the same
+        // way, as a restricted machine does at a width its FU limits cannot
+        // bind: it takes that point's result.
+        let mut points: Vec<(usize, _, Machine, Result<EvalPoint, PointError>)> = Vec::new();
         for &si in group {
             for &width in &widths {
                 let machine = Machine { issue_width: width, ..cfg.scenarios[si].machine };
-                let sabotage = cfg.sabotage.as_ref();
-                let r = eval_point(w, level, width, &machine, sabotage, &artifacts, &mut front);
-                points.push((si, (w.meta.name.to_string(), level, width), r));
+                let key = machine.compile_key();
+                let r = match points.iter().find(|p| p.2 == key) {
+                    Some(twin) => twin.3.clone(),
+                    None => eval_point(w, level, width, &machine, sabotage, &artifacts, &mut front),
+                };
+                points.push((si, (w.meta.name.to_string(), level, width), key, r));
             }
         }
         points
@@ -173,7 +186,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<Sweep, GridConfigError> {
 
     // Split per scenario, preserving engine-observable ordering.
     let mut buckets: Vec<Vec<_>> = cfg.scenarios.iter().map(|_| Vec::new()).collect();
-    for (si, key, r) in results.into_iter().flatten() {
+    for (si, key, _, r) in results.into_iter().flatten() {
         buckets[si].push((key, r));
     }
     let grids = buckets
@@ -215,13 +228,8 @@ pub(crate) fn validate_axes(
     // Dedupe preserving first-occurrence order: duplicates would
     // double-evaluate points and silently overwrite map entries.
     fn dedup<T: Copy + PartialEq>(xs: &[T]) -> Vec<T> {
-        let mut seen = Vec::new();
-        for &x in xs {
-            if !seen.contains(&x) {
-                seen.push(x);
-            }
-        }
-        seen
+        let firsts = xs.iter().enumerate().filter(|&(i, x)| !xs[..i].contains(x));
+        firsts.map(|(_, &x)| x).collect()
     }
     Ok((dedup(levels), dedup(widths)))
 }

@@ -290,12 +290,23 @@ impl Machine {
     ///
     /// Code generation depends on issue width, FU limits, the latency
     /// table (list scheduling) and load speculativity — but never on the
-    /// data-memory hierarchy, which only retimes execution. Two machines
-    /// with equal compile keys are guaranteed to compile any workload to
-    /// the same module, so memory-hierarchy sweeps can share one compiled
-    /// (and pre-decoded) artifact per key.
+    /// data-memory hierarchy, which only retimes execution, nor on a class
+    /// limit at or above the issue width, which cannot bind (the issue
+    /// slots run out first), so the key clamps each limit to the width.
+    /// Two machines with equal compile keys are guaranteed to compile any
+    /// workload to the same module, so memory-hierarchy sweeps, and
+    /// restricted machines at narrow widths, share one compiled (and
+    /// pre-decoded) artifact per key.
     pub fn compile_key(&self) -> Machine {
-        Machine { mem: MemConfig::Perfect, ..*self }
+        let bind = |limit: u32| limit.min(self.issue_width);
+        let fu = FuLimits {
+            int_alu: bind(self.fu.int_alu),
+            int_mul_div: bind(self.fu.int_mul_div),
+            fp: bind(self.fu.fp),
+            mem: bind(self.fu.mem),
+            vec: bind(self.fu.vec),
+        };
+        Machine { mem: MemConfig::Perfect, fu, ..*self }
     }
 
     /// Stable in-process hash of [`Machine::compile_key`] — the
@@ -409,6 +420,18 @@ mod tests {
         );
         let slow_fp = Machine { latency: LatencyTable { fp_alu: 9, ..TABLE1 }, ..base };
         assert_ne!(base.compile_config_hash(), slow_fp.compile_config_hash());
+    }
+
+    #[test]
+    fn compile_key_ignores_fu_limits_that_cannot_bind() {
+        let base = Machine::issue(1);
+        for m in [base.with_mem_ports(1), base.with_fp_units(2).with_mul_units(4)] {
+            assert_eq!(base.compile_key(), m.compile_key());
+        }
+        let (wide, narrow) = (Machine::issue(8), Machine::issue(8).with_mem_ports(2));
+        assert_eq!(wide.compile_key(), wide.with_mem_ports(8).compile_key());
+        assert_ne!(wide.compile_key(), narrow.compile_key());
+        assert_ne!(narrow.compile_key(), narrow.with_mem_ports(1).compile_key());
     }
 
     #[test]

@@ -156,17 +156,10 @@ fn parse_request_inner(v: &Json, in_batch: bool) -> Result<Request, ReqError> {
         .get("op")
         .and_then(Json::as_str)
         .ok_or_else(|| bad("missing or non-string \"op\""))?;
-    let known: &[&str] = match op {
-        "compile" => &["id", "op", "workload", "level", "width", "vlen", "scale", "lint"],
-        "simulate" => &["id", "op", "workload", "level", "width", "vlen", "scale", "mem"],
-        "sweep" => &["id", "op", "scale", "levels", "widths", "mems", "sabotage"],
-        "batch" => &["id", "op", "requests"],
-        "ping" | "status" => &["id", "op"],
-        other => return Err(bad(format!("unknown op {other:?}"))),
-    };
-    known_keys(v, "request", known)?;
     let op = match op {
         "compile" => {
+            let known = ["id", "op", "workload", "level", "width", "vlen", "scale", "lint"];
+            known_keys(v, "request", &known)?;
             let (workload, level, width, vlen, scale) = point_fields(v)?;
             let lint = match v.get("lint") {
                 None => false,
@@ -177,6 +170,8 @@ fn parse_request_inner(v: &Json, in_batch: bool) -> Result<Request, ReqError> {
             Op::Compile { workload, level, width, vlen, scale, lint }
         }
         "simulate" => {
+            let known = ["id", "op", "workload", "level", "width", "vlen", "scale", "mem"];
+            known_keys(v, "request", &known)?;
             let (workload, level, width, vlen, scale) = point_fields(v)?;
             let mem = match v.get("mem") {
                 None => MemConfig::Perfect,
@@ -185,6 +180,8 @@ fn parse_request_inner(v: &Json, in_batch: bool) -> Result<Request, ReqError> {
             Op::Simulate { workload, level, width, vlen, scale, mem }
         }
         "sweep" => {
+            let known = ["id", "op", "scale", "levels", "widths", "mems", "sabotage"];
+            known_keys(v, "request", &known)?;
             let scale = opt_f64(v, "scale")?.unwrap_or(0.05);
             let levels = match v.get("levels") {
                 None => Level::ALL.to_vec(),
@@ -223,9 +220,16 @@ fn parse_request_inner(v: &Json, in_batch: bool) -> Result<Request, ReqError> {
             };
             Op::Sweep { scale, levels, widths, mems, sabotage }
         }
-        "ping" => Op::Ping,
-        "status" => Op::Status,
+        "ping" => {
+            known_keys(v, "request", &["id", "op"])?;
+            Op::Ping
+        }
+        "status" => {
+            known_keys(v, "request", &["id", "op"])?;
+            Op::Status
+        }
         "batch" => {
+            known_keys(v, "request", &["id", "op", "requests"])?;
             if in_batch {
                 return Err(bad("nested \"batch\" requests are not allowed"));
             }
@@ -242,7 +246,7 @@ fn parse_request_inner(v: &Json, in_batch: bool) -> Result<Request, ReqError> {
                 .collect::<Result<Vec<_>, _>>()?;
             Op::Batch(parsed)
         }
-        _ => unreachable!("every op has a key list above"),
+        other => return Err(bad(format!("unknown op {other:?}"))),
     };
     Ok(Request { id, op })
 }

@@ -117,8 +117,7 @@ echo "== study smokes (report --only, held to their goldens) =="
 # examples cycle for cycle, the transformation ablation (14 sets through
 # the artifact cache's trie; `cargo test` holds its golden in debug only),
 # the eight restricted machines (one sweep), a quick cache sweep
-# (accesses == hits + misses
-# on every point, one compile per artifact), Lev6 across VLEN {1,4} x
+# (accesses == hits + misses on every point, one compile per artifact), Lev6 across VLEN {1,4} x
 # width {1,8} (VLEN=1 cycle-identical to Lev4), 120 seeded faults against
 # the transformation firewall (zero silent escapes: wrong architectural
 # results with nothing flagged) and the static lint audit of 240 healthy
@@ -198,10 +197,10 @@ echo "== served sweep smoke (cold ladder vs warm cache) =="
 # worker, so the four requests run in order.
 #
 # The fourth sweeps widths [1,2,4,8] x mems [perfect, cache sets 16]: a
-# sweep work item is (front group, workload, level), here both scenarios
-# (memory is not part of a backend front) and all their widths, yet every
-# point is still its own artifact key and lookup. The
-# cache counters are cumulative per server scale, so after it:
+# sweep work item is (front group, workload, level); a front group has one
+# memory hierarchy, so here each scenario is its own group and its item
+# evaluates all its widths, yet every width is still its own artifact key
+# and lookup. The cache counters are cumulative per server scale, so after it:
 #   compiles = 480 (request 1) + 40 nests x 6 levels x widths {2,4} = 960
 #   hits     = 480 (request 2) + 1 (the simulate) + the fourth's lookups,
 #              40 x 6 x 4 widths x 2 mems = 1920, less its 480 compiles
