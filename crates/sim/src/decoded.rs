@@ -50,10 +50,13 @@
 //!   from a replay program of 16-byte steps with constant address terms
 //!   folded into displacements and each branch turned into an exit check —
 //!   make their accesses through the memory model, and add the learned
-//!   cycle and instruction deltas; a different path or latency is rewound
-//!   — registers from a checkpoint taken once per batch of blocks, memory,
-//!   cache contents and counters — and stepped (see `Steady`, and
-//!   DESIGN §14).
+//!   cycle and instruction deltas. Every block of a batch but its last runs
+//!   the program pruned of the steps the next block cannot observe (dead
+//!   values, stores a later store of the block overwrites; under a cache a
+//!   dead load or store keeps its accesses), so each batch ends in the
+//!   stepping engine's state. A different path or latency is rewound —
+//!   registers from a checkpoint taken once per batch, memory, cache
+//!   contents and counters — and stepped (see `Steady`, and DESIGN §14).
 //!
 //! The legacy interpreter survives behind the `oracle` feature (off by
 //! default) as `reference::simulate_limited_reference`; the differential
@@ -69,6 +72,7 @@ const VL: u32 = MAX_VLEN as u32;
 use ilpc_machine::{fu_kind, FuKind, LatencyTable, Machine, MemConfig};
 use ilpc_mem::{Access, CacheMem, MemModel, MemStats, PerfectMem};
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 
 // Trap reasons — the exact strings the legacy engine reports.
 const R_MISSING_DST: u8 = 0;
@@ -1254,6 +1258,7 @@ fn engine<M: MemModel, const FU: bool>(
                     branch_profile,
                     mem: stats,
                     replayed_insts: steady.insts,
+                    elided_insts: steady.elided,
                 });
             }
             DOp::Trap(r) => {
@@ -1396,6 +1401,31 @@ enum Rop {
     /// has no negation: NaN fails both `<` and `>=`).
     LeaveIf(Cond),
     LeaveUnless(Cond),
+    /// The `n` accesses alone of a load or store whose value is dead (a
+    /// pruned program's, under a model that returns latencies), from the
+    /// address `Load` / `Load2` would compute.
+    LoadAccess(u8),
+    LoadAccess2(u8),
+    StoreAccess(u8),
+    StoreAccess2(u8),
+}
+
+impl Rop {
+    /// A memory op's access kind, lanes and whether its address keeps two
+    /// register terms.
+    fn memory(self) -> Option<(Access, u8, bool)> {
+        Some(match self {
+            Rop::Load => (Access::Load, 1, false),
+            Rop::Load2 => (Access::Load, 1, true),
+            Rop::VLoad(n) | Rop::LoadAccess(n) => (Access::Load, n, false),
+            Rop::VLoad2(n) | Rop::LoadAccess2(n) => (Access::Load, n, true),
+            Rop::Store => (Access::Store, 1, false),
+            Rop::Store2 => (Access::Store, 1, true),
+            Rop::VStore(n) | Rop::StoreAccess(n) => (Access::Store, n, false),
+            Rop::VStore2(n) | Rop::StoreAccess2(n) => (Access::Store, n, true),
+            _ => return None,
+        })
+    }
 }
 
 /// One step of a replay program: only what replay reads. 16 bytes.
@@ -1411,6 +1441,54 @@ struct Step {
 }
 
 const _: () = assert!(std::mem::size_of::<Step>() == 16);
+
+impl Step {
+    /// The words the step reads, up to three runs of the file (a memory
+    /// op's register address terms first, a store's value last), and the
+    /// words it writes (a vector result: all `MAX_VLEN`; none for a store,
+    /// an access alone or an exit check). One match: the pruning pass
+    /// calls it on every step.
+    fn words(&self) -> ([Range<u32>; 3], Range<u32>) {
+        let (a, b, d) = (self.a, self.b, self.d);
+        const NONE: Range<u32> = 0..0;
+        let (one, lanes) = (|x: u32| x..x + 1, |x: u32, n: u8| x..x + n as u32);
+        let vector = d..d + VL;
+        match self.op {
+            Rop::Load => ([one(a), NONE, NONE], one(d)),
+            Rop::Load2 => ([one(a), one(b), NONE], one(d)),
+            Rop::VLoad(_) | Rop::VSplat(_) => ([one(a), NONE, NONE], vector),
+            Rop::VLoad2(_) => ([one(a), one(b), NONE], vector),
+            Rop::LoadAccess(_) | Rop::StoreAccess(_) => ([one(a), NONE, NONE], NONE),
+            Rop::LoadAccess2(_) | Rop::StoreAccess2(_) => ([one(a), one(b), NONE], NONE),
+            Rop::Store => ([one(a), NONE, one(d)], NONE),
+            Rop::Store2 => ([one(a), one(b), one(d)], NONE),
+            Rop::VStore(n) => ([one(a), NONE, lanes(d, n)], NONE),
+            Rop::VStore2(n) => ([one(a), one(b), lanes(d, n)], NONE),
+            Rop::VAdd(n) | Rop::VMul(n) => ([lanes(a, n), lanes(b, n), NONE], vector),
+            Rop::VReduce(n) => ([lanes(a, n), NONE, NONE], one(d)),
+            Rop::LeaveEq
+            | Rop::LeaveNe
+            | Rop::LeaveLt
+            | Rop::LeaveLe
+            | Rop::LeaveGt
+            | Rop::LeaveGe
+            | Rop::LeaveIf(_)
+            | Rop::LeaveUnless(_) => ([one(a), one(b), NONE], NONE),
+            // Scalar ops (a one-source op's unused `b` too).
+            _ => ([one(a), one(b), NONE], one(d)),
+        }
+    }
+}
+
+/// A replay program: the steps of one block, in path order, and the
+/// displacement of each two-term memory step among them, in order.
+struct Program {
+    steps: Vec<Step>,
+    disps: Vec<i64>,
+    /// Steps of the template's full program this one leaves out or runs
+    /// as accesses alone (0 for the full program).
+    elided: u64,
+}
 
 /// Steps a batch of replayed blocks spans at most (or one block). The
 /// words a template writes are checkpointed once per batch, and a block
@@ -1508,9 +1586,11 @@ struct Template {
     pending: Pending,
     /// The block's replay program: its value-carrying records and
     /// conditional branches (gotos and jumps are implied by the order).
-    steps: Vec<Step>,
-    /// The displacement of each two-term memory step, in order.
-    disps: Vec<i64>,
+    full: Program,
+    /// `full` without the steps the next block cannot observe (see
+    /// `prune`), derived when the template first runs a batch of more than
+    /// one block; every block of a batch but the last runs it.
+    pruned: Option<Program>,
     /// The distinct register words the block writes, ascending.
     writes: Vec<u32>,
     /// `(pc, taken)` of each conditional branch on the path (the profile;
@@ -1584,9 +1664,11 @@ struct Steady {
     /// memory words its stores replaced, oldest first.
     saved: Vec<u64>,
     replaced: Vec<(usize, u64)>,
-    /// Totals retired by the fast path (`SimResult::replayed_insts`, and
-    /// the loads and stores a model that always hits never saw).
+    /// Totals retired by the fast path (`SimResult::replayed_insts` and
+    /// `elided_insts`, and the loads and stores a model that always hits
+    /// never saw).
     insts: u64,
+    elided: u64,
     loads: u64,
     stores: u64,
 }
@@ -1656,12 +1738,12 @@ impl Steady {
         if let Some(t) = self.period().and_then(|k| self.learn(p, k)) {
             self.template = Some(t);
         }
-        let Some(t) = self.template.take() else { return };
+        let Some(mut t) = self.template.take() else { return };
         if t.header != header || self.window.back().is_some_and(|a| a.pending != t.pending) {
             self.template = Some(t);
             return;
         }
-        let (n, stop) = self.fast_forward(&t, memsys, limits, &mut live);
+        let (n, stop) = self.fast_forward(&mut t, memsys, limits, &mut live);
         #[cfg(test)]
         if n > 0 {
             PERIODS.with_borrow_mut(|v| v.push(t.period));
@@ -1772,8 +1854,8 @@ impl Steady {
         (pc == from.header).then(|| Template {
             header: from.header,
             pending: w[m].pending.clone(),
-            steps,
-            disps,
+            full: Program { steps, disps, elided: 0 },
+            pruned: None,
             writes,
             branches,
             lats: block.flat_map(|a| a.lats.iter().copied()).collect(),
@@ -1797,10 +1879,12 @@ impl Steady {
     /// undoable span; a block that leaves rewinds the whole batch
     /// (registers from the checkpoint, memory words from the replaced-word
     /// log, newest first, the model by `undo`) and re-runs the batch's
-    /// completed blocks.
+    /// completed blocks. Every block of a batch but its last runs the
+    /// pruned program, so the state at each batch boundary, where a rewind
+    /// re-runs from and stepping resumes, is the stepping engine's.
     fn fast_forward<M: MemModel>(
         &mut self,
-        t: &Template,
+        t: &mut Template,
         memsys: &mut M,
         limits: SimLimits,
         live: &mut Live<'_>,
@@ -1812,19 +1896,23 @@ impl Steady {
             .min(room(limits.max_dyn_insts.saturating_sub(*live.dyn_insts), t.insts));
         let (mut n, mut stop) = (0u64, Stop::Budget);
         self.saved.resize(t.writes.len(), 0);
-        let most = (BATCH_STEPS / t.steps.len().max(1)).max(1) as u64;
+        let most = (BATCH_STEPS / t.full.steps.len().max(1)).max(1) as u64;
         let log = most.min(fit) as usize * t.stores as usize;
         if self.replaced.len() < log {
             self.replaced.resize(log, (0, 0));
         }
         while n < fit {
             let blocks = (n / 16).clamp(1, most).min(fit - n);
+            if blocks > 1 && t.pruned.is_none() {
+                t.pruned = Some(prune(&t.full, &t.writes, self.timed));
+            }
             memsys.begin();
             for (w, &x) in self.saved.iter_mut().zip(&t.writes) {
                 *w = live.file[x as usize];
             }
-            match replay(t, blocks, live.file, live.mem, &mut self.replaced, memsys) {
-                Ok(()) => n += blocks,
+            let outcome = replay(t, blocks, live.file, live.mem, &mut self.replaced, memsys);
+            let (done, left) = match outcome {
+                Ok(()) => (blocks, None),
                 Err((done, logged, why)) => {
                     for &(x, w) in self.replaced[..logged].iter().rev() {
                         live.mem[x] = w;
@@ -1837,11 +1925,16 @@ impl Steady {
                         let replaced = &mut self.replaced;
                         let again = replay(t, done, live.file, live.mem, replaced, memsys);
                         debug_assert!(again.is_ok(), "a replayed block is a function of its state");
-                        n += done;
                     }
-                    stop = why;
-                    break;
+                    (done, Some(why))
                 }
+            };
+            n += done;
+            // Every block of a batch but its last ran the pruned program.
+            self.elided += done.saturating_sub(1) * t.pruned.as_ref().map_or(0, |p| p.elided);
+            if let Some(why) = left {
+                stop = why;
+                break;
             }
         }
         if n == 0 {
@@ -1865,12 +1958,126 @@ impl Steady {
     }
 }
 
+/// `full` without the steps whose results the next block cannot observe,
+/// found in a forward and a backward pass over the block:
+/// - live-out is the words the block reads before it writes them: the
+///   next block's live-in, whichever program it runs;
+/// - a store is dead when later stores of the block write every word it
+///   writes and no live load between them may read one. Two addresses are
+///   the same word when their register terms are the same words, written
+///   as often in the block before each, and their displacements agree; a
+///   load through any other terms may alias;
+/// - a load, scalar or vector op is dead when none of the words it writes
+///   is live; an exit check never is.
+///
+/// Under a `timed` model a dead load or store keeps its accesses, so the
+/// model sees the same ones in the same order, and its address terms stay
+/// live. Only the words the block writes are tracked: any other, a
+/// constant-pool word included, holds one value throughout the block.
+fn prune(full: &Program, writes: &[u32], timed: bool) -> Program {
+    /// A memory step's address: its register terms, each with the number
+    /// of earlier writes to it in the block (a one-term address's second
+    /// is unused), and its displacement.
+    type Addr = ([(u32, u32); 2], i64);
+    let lanes = |&(terms, disp): &Addr, n: u8| {
+        (0..n as i64).map(move |l| (terms, disp.wrapping_add(l)))
+    };
+    let top = writes.last().map_or(0, |&x| x as usize + 1);
+    let tracked = |x: &u32| (*x as usize) < top;
+    // Forward: the live-out, and each memory step's address.
+    let (mut defs, mut live) = (vec![0u32; top], vec![false; top]);
+    let (mut disps, mut addrs) = (full.disps.iter(), Vec::new());
+    for s in &full.steps {
+        let (reads, wrote) = s.words();
+        for r in reads {
+            for x in r.filter(tracked) {
+                live[x as usize] |= defs[x as usize] == 0;
+            }
+        }
+        if let Some((_, _, two)) = s.op.memory() {
+            let term = |x: u32| (x, defs.get(x as usize).copied().unwrap_or(0));
+            addrs.push(match two {
+                true => ([term(s.a), term(s.b)], disps.next().copied().unwrap_or(0)),
+                false => ([term(s.a), (u32::MAX, 0)], s.b as i32 as i64),
+            });
+        }
+        for x in wrote {
+            defs[x as usize] += 1;
+        }
+    }
+    // Backward: the kept steps, and the words later kept stores write
+    // that no live load since may read.
+    let mut overwritten: Vec<Addr> = Vec::new();
+    let (mut steps, mut kept_disps, mut elided) = (Vec::new(), Vec::new(), 0);
+    for s in full.steps.iter().rev() {
+        let (reads, wrote) = s.words();
+        let memory = s.op.memory().map(|(kind, n, two)| {
+            (kind, n, two, addrs.pop().unwrap_or_default())
+        });
+        let dead = match memory {
+            Some((Access::Store, n, _, addr)) => {
+                lanes(&addr, n).all(|w| overwritten.contains(&w))
+            }
+            // An exit check writes nothing and is never dead.
+            _ => !wrote.is_empty() && !wrote.clone().any(|x| live[x as usize]),
+        };
+        let mut step = *s;
+        let reads = if dead {
+            elided += 1;
+            let Some((kind, n, two, _)) = memory.filter(|_| timed) else {
+                continue;
+            };
+            step.op = match (kind, two) {
+                (Access::Load, false) => Rop::LoadAccess(n),
+                (Access::Load, true) => Rop::LoadAccess2(n),
+                (Access::Store, false) => Rop::StoreAccess(n),
+                (Access::Store, true) => Rop::StoreAccess2(n),
+            };
+            // Its address terms alone.
+            &reads[..2]
+        } else {
+            for x in wrote {
+                live[x as usize] = false;
+            }
+            match memory {
+                // It may read any word but those its own terms name at
+                // other displacements.
+                Some((Access::Load, n, _, addr)) => {
+                    overwritten.retain(|w| w.0 == addr.0 && !lanes(&addr, n).any(|v| v == *w))
+                }
+                Some((Access::Store, n, _, addr)) => {
+                    for w in lanes(&addr, n) {
+                        if !overwritten.contains(&w) {
+                            overwritten.push(w);
+                        }
+                    }
+                }
+                _ => {}
+            }
+            &reads[..]
+        };
+        for r in reads {
+            for x in r.clone().filter(tracked) {
+                live[x as usize] = true;
+            }
+        }
+        if let Some((_, _, true, (_, disp))) = memory {
+            kept_disps.push(disp);
+        }
+        steps.push(step);
+    }
+    steps.reverse();
+    kept_disps.reverse();
+    Program { steps, disps: kept_disps, elided }
+}
+
 /// Run `blocks` blocks of `t`'s replay program, values only, making their
 /// accesses through `memsys` and logging each memory word a store replaces
-/// to `replaced`. At a step that leaves the path, or an access whose
-/// latency differs from the template's, it stops and returns the blocks
-/// completed before it, the entries logged and which it was; it undoes
-/// nothing.
+/// to `replaced`: the pruned program, if the template has one, but for the
+/// last block, which runs the full one. At a step that leaves the path, or
+/// an access whose latency differs from the template's, it stops and
+/// returns the blocks completed before it, the entries logged and which it
+/// was; it undoes nothing.
 fn replay<M: MemModel>(
     t: &Template,
     blocks: u64,
@@ -1880,10 +2087,12 @@ fn replay<M: MemModel>(
     memsys: &mut M,
 ) -> Result<(), (u64, usize, Stop)> {
     let timed = !memsys.always_hits();
+    let pruned = t.pruned.as_ref().unwrap_or(&t.full);
     let mut logged = 0;
     for done in 0..blocks {
+        let program = if done + 1 < blocks { pruned } else { &t.full };
         let mut lats = t.lats.iter();
-        let mut disps = t.disps.iter();
+        let mut disps = program.disps.iter();
         macro_rules! leave {
             ($why:expr) => {
                 return Err((done, logged, $why))
@@ -1908,7 +2117,7 @@ fn replay<M: MemModel>(
                 access!(Access::Store, addr);
             }};
         }
-        for s in &t.steps {
+        for s in &program.steps {
             let (a, b, d) = (s.a as usize, s.b as usize, s.d as usize);
             // A memory step's address: one register term and the
             // displacement in `b`, or two and the next of `disps`.
@@ -1934,12 +2143,19 @@ fn replay<M: MemModel>(
                     file[d..d + VL as usize].copy_from_slice(&v);
                 }};
             }
+            // The accesses of `$n` lanes from `$addr`.
+            macro_rules! lanes {
+                ($kind:expr, $addr:expr, $n:expr) => {{
+                    let addr = $addr;
+                    for l in 0..$n as i64 {
+                        access!($kind, addr.wrapping_add(l));
+                    }
+                }};
+            }
             macro_rules! vload {
                 ($addr:expr, $n:expr) => {{
                     let (addr, n) = ($addr, $n);
-                    for l in 0..n as i64 {
-                        access!(Access::Load, addr.wrapping_add(l));
-                    }
+                    lanes!(Access::Load, addr, n);
                     set_vector!(vload(mem, addr, n));
                 }};
             }
@@ -2012,6 +2228,10 @@ fn replay<M: MemModel>(
                         leave!(Stop::Path);
                     }
                 }
+                Rop::LoadAccess(n) => lanes!(Access::Load, at!(), n),
+                Rop::LoadAccess2(n) => lanes!(Access::Load, at!(2), n),
+                Rop::StoreAccess(n) => lanes!(Access::Store, at!(), n),
+                Rop::StoreAccess2(n) => lanes!(Access::Store, at!(2), n),
             }
         }
     }

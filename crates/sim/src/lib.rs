@@ -75,6 +75,10 @@ pub struct SimResult {
     /// Of `dyn_insts`, those retired by the decoded engine's steady-state
     /// fast path (always 0 from `reference`).
     pub replayed_insts: u64,
+    /// Of `replayed_insts`, those whose values the fast path left
+    /// uncomputed: the dead steps of a pruned replay program, which run
+    /// as their accesses alone under a cache (always 0 from `reference`).
+    pub elided_insts: u64,
 }
 
 /// Simulation failure.
@@ -714,8 +718,8 @@ mod tests {
                 assert_eq!(f.memory, o.memory, "memory image");
                 assert_eq!(f.branch_profile, o.branch_profile, "branch profile");
                 assert_eq!(f.mem, o.mem, "mem stats");
-                assert_eq!(o.replayed_insts, 0);
-                assert!(f.replayed_insts <= f.dyn_insts);
+                assert_eq!((o.replayed_insts, o.elided_insts), (0, 0));
+                assert!(f.elided_insts <= f.replayed_insts && f.replayed_insts <= f.dyn_insts);
             }
             (Err(f), Err(o)) => assert_eq!(f, o),
             _ => panic!("engines disagree: {fast:?} vs {oracle:?}"),
@@ -1171,6 +1175,171 @@ mod tests {
             let b0 = n + 1;
             assert_eq!(r.memory[b0 + n + last], r.memory[last]);
             assert_eq!(r.memory[1], r.memory[b0 + last]);
+        }
+    }
+
+    /// Run `m` from `mem` on both engines and hold them equal (`agree`):
+    /// under perfect memory and a direct-mapped cache of 64 four-word
+    /// lines, each with room to spare (the loop leaves on its exit branch)
+    /// and with either budget at exactly what the run needs (the last
+    /// fast-forward stops on the budget, a block short of the exit). A word
+    /// loaded every iteration from past a 1000-word array shares a line's
+    /// set with the array every 256 iterations, where a replayed block
+    /// leaves on a latency. Returns the roomy runs' results.
+    fn every_way_of_leaving(m: &Module, mem: Vec<u64>) -> [SimResult; 2] {
+        let cache = CacheParams::new(4, 64, 1, 30, 10);
+        [Machine::issue(4), Machine::issue(4).with_cache(cache)].map(|machine| {
+            let roomy = SimLimits::cycles(1_000_000);
+            let r = agree(m, &machine, mem.clone(), roomy).unwrap();
+            for tight in [
+                SimLimits {
+                    max_cycles: r.cycles - 1,
+                    ..roomy
+                },
+                // Halt is checked against the budget before it is uncounted.
+                SimLimits {
+                    max_dyn_insts: r.dyn_insts + 1,
+                    ..roomy
+                },
+            ] {
+                agree(m, &machine, mem.clone(), tight).unwrap();
+            }
+            r
+        })
+    }
+
+    /// A top-tested loop over a 1000-word array `A` followed by the word
+    /// `K`, whose `body` the caller fills; it then steps `i` and jumps back
+    /// to the exit check. Returns the module, `body`, `exit` and `[i, A, K]`
+    /// with `A` and `K` as operands.
+    fn top_tested_loop() -> (Module, BlockId, BlockId, Reg, [Operand; 2]) {
+        let mut m = Module::new("t");
+        let a = m.symtab.declare("A", 1000, RegClass::Int);
+        let k = m.symtab.declare("K", 1, RegClass::Int);
+        m.symtab.declare("OUT", 1, RegClass::Int);
+        let f = &mut m.func;
+        let i = f.new_reg(RegClass::Int);
+        let entry = f.add_block("entry");
+        let head = f.add_block("head");
+        let body = f.add_block("body");
+        let step = f.add_block("step");
+        let exit = f.add_block("exit");
+        f.block_mut(entry)
+            .insts
+            .push(Inst::mov(i, Operand::ImmI(0)));
+        f.block_mut(head)
+            .insts
+            .push(Inst::br(Cond::Ge, i.into(), Operand::ImmI(1000), exit));
+        f.block_mut(step).insts.extend([
+            Inst::alu(Opcode::Add, i, i.into(), Operand::ImmI(1)),
+            Inst::jump(head),
+        ]);
+        (m, body, exit, i, [Operand::Sym(a), Operand::Sym(k)])
+    }
+
+    /// A batch's last block runs the full replay program: `t = A[i] · K`
+    /// is written before it is read, never stored in the loop and stored to
+    /// `OUT` after it, so every block but a batch's last leaves it out. The
+    /// loop tests its exit first, so the value `OUT` gets is the one the
+    /// last replayed block left, not one a stepped iteration recomputed.
+    #[test]
+    fn steady_state_pruned_blocks_end_each_batch_on_the_full_program() {
+        let (mut m, body, exit, i, [a, k]) = top_tested_loop();
+        let out = Operand::Sym(SymId(2));
+        let f = &mut m.func;
+        let [t, x] = [(); 2].map(|_| f.new_reg(RegClass::Int));
+        f.block_mut(body).insts.extend([
+            Inst::load(t, a, i.into(), MemLoc::affine(SymId(0), 1, 0)),
+            Inst::load(x, k, Operand::ImmI(0), MemLoc::affine(SymId(1), 0, 0)),
+            Inst::alu(Opcode::Mul, t, t.into(), x.into()),
+        ]);
+        f.block_mut(exit).insts.extend([
+            Inst::store(
+                out,
+                Operand::ImmI(0),
+                t.into(),
+                MemLoc::affine(SymId(2), 0, 0),
+            ),
+            Inst::halt(),
+        ]);
+        let mem: Vec<u64> = (0..1000).chain([3, 0]).collect();
+        for r in every_way_of_leaving(&m, mem) {
+            assert_eq!(r.memory[1001], 999 * 3);
+            assert!(
+                r.replayed_insts * 10 > r.dyn_insts * 8 && r.elided_insts > 0,
+                "{r:?}"
+            );
+        }
+    }
+
+    /// A store is left out only if no live load before the store that
+    /// overwrites it may read its word: `A[i] = 0` is left out, but
+    /// `A[i] = i`, overwritten by `A[i] = s`, is kept, for the load between
+    /// them reads it through `p`, another register holding the same
+    /// address.
+    #[test]
+    fn steady_state_keeps_a_store_a_load_through_another_register_reads() {
+        let (mut m, body, exit, i, [a, k]) = top_tested_loop();
+        let f = &mut m.func;
+        let [p, x, y, s] = [(); 4].map(|_| f.new_reg(RegClass::Int));
+        let elem = MemLoc::affine(SymId(0), 1, 0);
+        f.block_mut(body).insts.extend([
+            Inst::alu(Opcode::Add, p, a, i.into()),
+            Inst::store(a, i.into(), Operand::ImmI(0), elem),
+            Inst::store(a, i.into(), i.into(), elem),
+            Inst::load(x, p.into(), Operand::ImmI(0), MemLoc::opaque(SymId(0))),
+            Inst::load(y, k, Operand::ImmI(0), MemLoc::affine(SymId(1), 0, 0)),
+            Inst::alu(Opcode::Add, s, s.into(), x.into()),
+            Inst::alu(Opcode::Add, s, s.into(), y.into()),
+            Inst::store(a, i.into(), s.into(), elem),
+        ]);
+        f.block_mut(exit).insts.push(Inst::halt());
+        let mem: Vec<u64> = (0..1000).map(|w| 7 * w + 1).chain([2, 0]).collect();
+        for r in every_way_of_leaving(&m, mem) {
+            // s = Σ (j + 2) over j ≤ 999.
+            assert_eq!(r.memory[999], (0..1000).map(|j| j + 2).sum::<u64>());
+            assert!(
+                r.replayed_insts * 10 > r.dyn_insts * 8 && r.elided_insts > 0,
+                "{r:?}"
+            );
+        }
+    }
+
+    /// Under a cache a dead load still makes its access, so the register
+    /// its address comes from stays live: here `q = i + 8`, computed for a
+    /// load of `A[q]` whose value nothing reads and nowhere else. (A dead
+    /// store's address terms are those of the store that overwrites it,
+    /// which keeps them live anyway.) Were `q` left stale, the access
+    /// would hit where the template missed, and the fast path would leave
+    /// each block it replays on that latency instead of retiring it.
+    #[test]
+    fn steady_state_keeps_the_address_of_a_dead_access() {
+        let (mut m, body, exit, i, [a, _]) = top_tested_loop();
+        let out = Operand::Sym(SymId(2));
+        let f = &mut m.func;
+        let [q, junk, x, s] = [(); 4].map(|_| f.new_reg(RegClass::Int));
+        f.block_mut(body).insts.extend([
+            Inst::alu(Opcode::Add, q, i.into(), Operand::ImmI(8)),
+            Inst::load(junk, a, q.into(), MemLoc::affine(SymId(0), 1, 8)),
+            Inst::load(x, a, i.into(), MemLoc::affine(SymId(0), 1, 0)),
+            Inst::alu(Opcode::Add, s, s.into(), x.into()),
+        ]);
+        f.block_mut(exit).insts.extend([
+            Inst::store(
+                out,
+                Operand::ImmI(0),
+                s.into(),
+                MemLoc::affine(SymId(2), 0, 0),
+            ),
+            Inst::halt(),
+        ]);
+        let mem: Vec<u64> = (0..1002).collect();
+        for r in every_way_of_leaving(&m, mem) {
+            assert_eq!(r.memory[1001], (0..1000).sum::<u64>());
+            assert!(
+                r.replayed_insts * 10 > r.dyn_insts * 8 && r.elided_insts > 0,
+                "{r:?}"
+            );
         }
     }
 

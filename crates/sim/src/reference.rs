@@ -490,6 +490,7 @@ pub fn simulate_limited_reference(
                         branch_profile,
                         mem: memsys.stats(),
                         replayed_insts: 0,
+                        elided_insts: 0,
                     });
                 }
                 Opcode::Nop => unreachable!(),

@@ -59,10 +59,12 @@ cargo test -q --offline
 echo "== simulator tests in release =="
 # The suite above is a debug build; the ledger measures release code,
 # which has no debug assertions and no overflow checks. The simulator's
-# unit tests and the 840-point engine differential run again as the
-# ledger's binaries are built.
+# unit tests, the 840-point engine differential and the fast path's pinned
+# coverage (replayed and elided instructions, which notice a replay that
+# loses blocks without a wrong result) run again as the ledger's binaries
+# are built.
 cargo test -q --release --offline -p ilpc-sim
-cargo test -q --release --offline --test engine_differential
+cargo test -q --release --offline --test engine_differential --test steady_state_coverage
 
 echo "== ledger smoke (BENCHMARK.json's command, each workload, --quick) =="
 # The benchmark the pipeline judges a change by, invoked as the driver
