@@ -327,7 +327,9 @@ impl Oracle {
     }
 }
 
-/// Firewall configuration. The default enables every protection.
+/// Firewall configuration. The default enables every protection. Panic
+/// containment is not a setting: a step's body and its checks always run
+/// under `catch_unwind`.
 #[derive(Debug, Clone, Copy)]
 pub struct GuardConfig {
     /// Run the IR verifier after every step (release builds included).
@@ -338,9 +340,6 @@ pub struct GuardConfig {
     /// Run the static pass-delta lints (`ilpc_lint::delta`) after every
     /// step, before the differential spot-check.
     pub static_lints: bool,
-    /// Contain pass panics with `catch_unwind`. Disable to let panics
-    /// propagate (useful under a debugger).
-    pub catch_panics: bool,
     /// Maximum static instructions a step may leave behind; exceeding it is
     /// a [`BudgetExceeded`](GuardErrorKind::BudgetExceeded) failure
     /// (catches runaway unrolling/expansion before it eats the machine).
@@ -353,7 +352,6 @@ impl Default for GuardConfig {
             verify: true,
             differential: true,
             static_lints: true,
-            catch_panics: true,
             max_insts: 1 << 20,
         }
     }
@@ -461,13 +459,9 @@ impl<'a> Guard<'a> {
                 check(&cfg, oracle, m, record, name)
             }
         };
-        let error = if cfg.catch_panics {
-            catch_unwind(AssertUnwindSafe(|| run(m))).unwrap_or_else(|payload| {
-                Some(GuardError::new(GuardErrorKind::PassPanic, panic_message(payload)))
-            })
-        } else {
-            run(m)
-        };
+        let error = catch_unwind(AssertUnwindSafe(|| run(m))).unwrap_or_else(|payload| {
+            Some(GuardError::new(GuardErrorKind::PassPanic, panic_message(payload)))
+        });
 
         match error {
             None => {

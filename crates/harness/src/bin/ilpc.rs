@@ -17,7 +17,6 @@ use ilpc_core::level::Level;
 use ilpc_harness::compile::compile;
 use ilpc_harness::run::run_compiled;
 use ilpc_machine::Machine;
-use ilpc_sched::schedule_insts;
 use ilpc_sim::simulate;
 use ilpc_testkit::cli;
 use ilpc_workloads::{build, check_scale, table2};
@@ -123,14 +122,22 @@ fn main() {
         "trace" => {
             let w = workload(&args, &cli);
             let c = compile(&w, args.level, &machine);
-            let lv = ilpc_analysis::Liveness::compute(&c.module.func);
+            // The artifact's own list schedule; a block without one prints
+            // its code alone.
             for &bid in c.module.func.layout_order() {
                 let b = c.module.func.block(bid);
                 println!("B{} ({}):", bid.0, b.label);
-                let sched =
-                    schedule_insts(&b.insts, &machine, &|t| lv.live_in(t).clone());
-                for (inst, t) in sched.insts.iter().zip(&sched.times) {
-                    println!("  IT {t:>4}  {inst}");
+                match c.schedules.get(bid.0 as usize).and_then(Option::as_ref) {
+                    Some(s) => {
+                        for (inst, t) in s.insts.iter().zip(&s.times) {
+                            println!("  IT {t:>4}  {inst}");
+                        }
+                    }
+                    None => {
+                        for inst in &b.insts {
+                            println!("           {inst}");
+                        }
+                    }
                 }
             }
         }

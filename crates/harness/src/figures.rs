@@ -286,11 +286,11 @@ pub fn render_report(grid: &Grid) -> String {
 /// Per-loop speedup/register dump (useful for EXPERIMENTS.md appendices).
 pub fn render_per_loop(grid: &Grid, width: u32) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<12} {:>9} {:>6} | {:>7} {:>7} {:>7} {:>7} {:>7} | {:>5}",
-        "loop", "type", "conds", "Conv", "Lev1", "Lev2", "Lev3", "Lev4", "regs4"
-    );
+    let _ = write!(out, "{:<12} {:>9} {:>6} |", "loop", "type", "conds");
+    for level in Level::ALL {
+        let _ = write!(out, " {:>7}", level.name());
+    }
+    let _ = writeln!(out, " | {:>5}", "regs4");
     for m in &grid.meta {
         let _ = write!(
             out,
@@ -321,11 +321,11 @@ pub fn render_summary(grid: &Grid) -> String {
     let all = || names(Subset::All);
 
     let _ = writeln!(out, "== Average speedups over issue-1 Conv ==");
-    let _ = writeln!(
-        out,
-        "{:<8} {:>7} {:>7} {:>7} {:>7} {:>7}",
-        "config", "Conv", "Lev1", "Lev2", "Lev3", "Lev4"
-    );
+    let _ = write!(out, "{:<8}", "config");
+    for level in Level::ALL {
+        let _ = write!(out, " {:>7}", level.name());
+    }
+    let _ = writeln!(out);
     for width in [2u32, 4, 8] {
         let _ = write!(out, "issue-{width:<2}");
         for level in Level::ALL {

@@ -28,6 +28,7 @@
 //! in-order evaluation of the same points (`tests/sweep_engine_differential.rs`).
 
 use std::collections::VecDeque;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -84,61 +85,64 @@ where
 
     let steals = AtomicU64::new(0);
     let stolen = AtomicU64::new(0);
-    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
 
+    // Each worker returns its `(index, result)` pairs through its join
+    // handle; a worker's panic resumes here, in the caller. The vector is
+    // sized before the workers start (DESIGN §15 says why).
+    let mut collected: Vec<(usize, R)> = Vec::with_capacity(n);
     std::thread::scope(|scope| {
-        for me in 0..threads {
-            let eval = &eval;
-            let results = &results;
-            let steals = &steals;
-            let stolen = &stolen;
-            scope.spawn(move || {
-                let mut local: Vec<(usize, R)> = Vec::new();
-                'work: loop {
-                    // Drain our own deque from the front.
-                    let mine = {
-                        let mut dq = lock(&deques[me]);
-                        dq.pop_front()
-                    };
-                    if let Some(i) = mine {
-                        local.push((i, eval(i, &items[i])));
-                        continue;
-                    }
-                    // Empty: try to steal half of someone else's backlog.
-                    for step in 1..threads {
-                        let victim = (me + step) % threads;
-                        let grabbed = {
-                            let mut v = lock(&deques[victim]);
-                            let take = v.len().div_ceil(2);
-                            if take == 0 {
-                                continue;
-                            }
-                            // Steal the *back* half: the items farthest
-                            // from the victim's working front.
-                            let split_at = v.len() - take;
-                            v.split_off(split_at)
+        let workers: Vec<_> = (0..threads)
+            .map(|me| {
+                let eval = &eval;
+                let steals = &steals;
+                let stolen = &stolen;
+                scope.spawn(move || {
+                    let mut local: Vec<(usize, R)> = Vec::new();
+                    'work: loop {
+                        // Drain our own deque from the front.
+                        let mine = {
+                            let mut dq = lock(&deques[me]);
+                            dq.pop_front()
                         };
-                        steals.fetch_add(1, Ordering::Relaxed);
-                        stolen.fetch_add(grabbed.len() as u64, Ordering::Relaxed);
-                        let mut dq = lock(&deques[me]);
-                        *dq = grabbed;
-                        drop(dq);
-                        continue 'work;
+                        if let Some(i) = mine {
+                            local.push((i, eval(i, &items[i])));
+                            continue;
+                        }
+                        // Empty: try to steal half of someone else's backlog.
+                        for step in 1..threads {
+                            let victim = (me + step) % threads;
+                            let grabbed = {
+                                let mut v = lock(&deques[victim]);
+                                let take = v.len().div_ceil(2);
+                                if take == 0 {
+                                    continue;
+                                }
+                                // Steal the *back* half: the items farthest
+                                // from the victim's working front.
+                                let split_at = v.len() - take;
+                                v.split_off(split_at)
+                            };
+                            steals.fetch_add(1, Ordering::Relaxed);
+                            stolen.fetch_add(grabbed.len() as u64, Ordering::Relaxed);
+                            let mut dq = lock(&deques[me]);
+                            *dq = grabbed;
+                            drop(dq);
+                            continue 'work;
+                        }
+                        // Every deque we could see was empty. Any remaining
+                        // work is already claimed by (and will be finished by)
+                        // another worker, so exiting is safe: items leave a
+                        // deque only when a worker commits to executing them.
+                        break;
                     }
-                    // Every deque we could see was empty. Any remaining
-                    // work is already claimed by (and will be finished by)
-                    // another worker, so exiting is safe: items leave a
-                    // deque only when a worker commits to executing them.
-                    break;
-                }
-                // One merge per worker; `lock` recovers from a sibling's
-                // poisoning.
-                lock(&results).extend(local);
-            });
+                    local
+                })
+            })
+            .collect();
+        for w in workers {
+            collected.extend(w.join().unwrap_or_else(|p| resume_unwind(p)));
         }
     });
-
-    let mut collected = results.into_inner().unwrap_or_else(|p| p.into_inner());
     debug_assert_eq!(collected.len(), n, "scheduler lost or duplicated items");
     collected.sort_unstable_by_key(|(i, _)| *i);
     let out = collected.into_iter().map(|(_, r)| r).collect();
@@ -149,8 +153,8 @@ where
     (out, stats)
 }
 
-/// Lock a mutex, recovering from poisoning: deque and result state stay
-/// consistent because every mutation is a single push/pop/extend.
+/// Lock a mutex, recovering from poisoning: a deque stays consistent
+/// because every mutation is a single pop, split or assignment.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }

@@ -6,8 +6,12 @@
 //! * operand slot shapes match the opcode (e.g. stores have a value operand,
 //!   branches have a target, ALU destinations exist);
 //! * register classes are consistent (no `f` register fed to an integer add,
-//!   branch compares same-class operands, load/store value class matches the
-//!   symbol's element class);
+//!   branch compares same-class scalar operands, a `mov`, load or store
+//!   moves a scalar, load/store value class matches the symbol's element
+//!   class);
+//! * only value-producing instructions have a destination (no store,
+//!   branch, jump or halt writes a register);
+//! * a symbol operand or memory tag names a declared symbol;
 //! * branch targets exist in the layout;
 //! * the last layout block cannot fall off the end of the function;
 //! * no block appears twice in the layout;
@@ -24,9 +28,9 @@ use crate::reg::RegClass;
 /// what it always has — guard incident text is unchanged.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyError {
-    /// Stable error class: `reg-range`, `dangling-target`, `target-shape`,
-    /// `operand-shape`, `class-mismatch`, `mem-tag`, `lane-count`,
-    /// `cfg-fallthrough`, `no-entry`, `dup-block`.
+    /// Stable error class: `reg-range`, `unknown-sym`, `dangling-target`,
+    /// `target-shape`, `operand-shape`, `class-mismatch`, `mem-tag`,
+    /// `lane-count`, `cfg-fallthrough`, `no-entry`, `dup-block`.
     pub code: &'static str,
     pub block: BlockId,
     pub index: usize,
@@ -75,6 +79,20 @@ pub fn verify_inst(
         if r.id >= f.vreg_count(r.class) {
             return err("reg-range", b, i, format!("register {r} out of allocated range"));
         }
+    }
+    // Symbol operands name declared symbols.
+    if let Some(module) = m {
+        for o in inst.src {
+            if let Operand::Sym(s) = o {
+                if s.0 as usize >= module.symtab.len() {
+                    return err("unknown-sym", b, i, format!("operand names undeclared symbol {s}"));
+                }
+            }
+        }
+    }
+    // Only value-producing instructions write a register.
+    if inst.dst.is_some() && (inst.op.is_control() || inst.op.is_mem_write()) {
+        return err("operand-shape", b, i, format!("{} has a destination", inst.op));
     }
     // Branch targets exist.
     if let Some(t) = inst.target {
@@ -128,6 +146,9 @@ pub fn verify_inst(
                 message: "mov without dst".into(),
             })?;
             check_class("mov src", inst.src[0], d.class, b, i)?;
+            if d.class == RegClass::Vec {
+                return err("class-mismatch", b, i, "mov of a vector register".into());
+            }
         }
         Add | Sub | And | Or | Xor | Shl | Shr | Mul | Div | Rem | FAdd | FSub
         | FMul | FDiv => {
@@ -163,6 +184,9 @@ pub fn verify_inst(
                 index: i,
                 message: "load without dst".into(),
             })?;
+            if d.class == RegClass::Vec {
+                return err("class-mismatch", b, i, "load into a vector register".into());
+            }
             check_class("base", inst.src[0], RegClass::Int, b, i)?;
             check_class("offset", inst.src[1], RegClass::Int, b, i)?;
             let mem = inst.mem.ok_or_else(|| VerifyError {
@@ -180,8 +204,12 @@ pub fn verify_inst(
         Store => {
             check_class("base", inst.src[0], RegClass::Int, b, i)?;
             check_class("offset", inst.src[1], RegClass::Int, b, i)?;
-            if !inst.src[2].is_some() {
-                return err("operand-shape", b, i, "store without value".into());
+            match inst.src[2].class() {
+                None => return err("operand-shape", b, i, "store without value".into()),
+                Some(RegClass::Vec) => {
+                    return err("class-mismatch", b, i, "store of a vector register".into())
+                }
+                Some(_) => {}
             }
             let mem = inst.mem.ok_or_else(|| VerifyError {
                 code: "mem-tag",
@@ -281,6 +309,9 @@ pub fn verify_inst(
             let c2 = inst.src[1].class();
             if c1.is_none() || c1 != c2 {
                 return err("class-mismatch", b, i, "branch compares mismatched classes".into());
+            }
+            if c1 == Some(RegClass::Vec) {
+                return err("class-mismatch", b, i, "branch compares vector registers".into());
             }
         }
         Jump | Halt | Nop => {}
@@ -583,6 +614,42 @@ mod tests {
             corrupt(&mut m);
             let res = verify_module(&m);
             assert!(res.is_err(), "{name}: corruption slipped past the verifier");
+        }
+    }
+
+    /// What the simulator cannot run is rejected here, with its code and
+    /// coordinates: a symbol operand naming no symbol, a vector register
+    /// moved, compared, loaded into or stored as a scalar, and a
+    /// destination on an instruction that writes no register.
+    #[test]
+    fn rejects_what_no_engine_can_execute() {
+        fn at(m: &mut Module, b: u32) -> &mut Vec<Inst> {
+            &mut m.func.block_mut(BlockId(b)).insts
+        }
+        let (entry, body, exit) = (BlockId(0), BlockId(1), BlockId(2));
+        type Corrupt = fn(&mut Module, Reg);
+        let cases: [(Corrupt, &str, BlockId, usize); 9] = [
+            (|m, _| at(m, 1)[0].src[0] = Operand::Sym(SymId(9)), "unknown-sym", body, 0),
+            (|m, v| at(m, 0)[0] = Inst::mov(v, v.into()), "class-mismatch", entry, 0),
+            (|m, v| at(m, 1)[3].src[..2].fill(v.into()), "class-mismatch", body, 3),
+            (|m, v| at(m, 1)[0].dst = Some(v), "class-mismatch", body, 0),
+            (|m, v| at(m, 2)[0].src[2] = v.into(), "class-mismatch", exit, 0),
+            (|m, _| at(m, 2)[0].dst = Some(Reg::int(0)), "operand-shape", exit, 0),
+            (|m, _| at(m, 1)[3].dst = Some(Reg::int(0)), "operand-shape", body, 3),
+            (|m, _| at(m, 2)[1].dst = Some(Reg::int(0)), "operand-shape", exit, 1),
+            (
+                |m, _| at(m, 0).push(Inst { dst: Some(Reg::int(0)), ..Inst::jump(BlockId(2)) }),
+                "operand-shape",
+                entry,
+                2,
+            ),
+        ];
+        for (corrupt, code, block, index) in cases {
+            let mut m = wellformed_loop();
+            let v = m.func.new_reg(RegClass::Vec);
+            corrupt(&mut m, v);
+            let e = verify_module(&m).unwrap_err();
+            assert_eq!((e.code, e.block, e.index), (code, block, index), "{e}");
         }
     }
 

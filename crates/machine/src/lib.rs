@@ -252,12 +252,6 @@ impl Machine {
         self
     }
 
-    /// Restrict the number of integer multiply/divide units.
-    pub fn with_mul_units(mut self, units: u32) -> Machine {
-        self.fu.int_mul_div = units;
-        self
-    }
-
     /// Replace the memory hierarchy (default: [`MemConfig::Perfect`]).
     pub fn with_mem(mut self, mem: MemConfig) -> Machine {
         self.mem = mem;
@@ -425,7 +419,9 @@ mod tests {
     #[test]
     fn compile_key_ignores_fu_limits_that_cannot_bind() {
         let base = Machine::issue(1);
-        for m in [base.with_mem_ports(1), base.with_fp_units(2).with_mul_units(4)] {
+        let fp_and_mul = base.with_fp_units(2);
+        let fp_and_mul = Machine { fu: FuLimits { int_mul_div: 4, ..fp_and_mul.fu }, ..fp_and_mul };
+        for m in [base.with_mem_ports(1), fp_and_mul] {
             assert_eq!(base.compile_key(), m.compile_key());
         }
         let (wide, narrow) = (Machine::issue(8), Machine::issue(8).with_mem_ports(2));

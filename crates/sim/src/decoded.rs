@@ -11,9 +11,9 @@
 //!   time is permanently 0, so the interlock loop is three array reads —
 //!   no `Operand` matching, no `Option` unwrapping.
 //! * **Packed records.** The per-record fields the run loop touches every
-//!   dynamic instruction (dispatch kind, flags, FU class, latency, operand
-//!   and destination indices, branch target) live in one 28-byte `Slot`,
-//!   so fetching an instruction is a single bounds-checked load from one
+//!   dynamic instruction (dispatch kind, FU class, latency, operand and
+//!   destination indices, branch target) live in one 28-byte `Slot`, so
+//!   fetching an instruction is a single bounds-checked load from one
 //!   array instead of a dozen. Cold fields (addressing displacement,
 //!   memory tags, source coordinates) stay in side arrays indexed by pc.
 //! * **Fused dispatch.** The opcode is decoded all the way down: `Add` and
@@ -23,17 +23,17 @@
 //!   latency table ([`DecodedProgram`] records which table it was built
 //!   for; running it under a machine with a different table is a logic
 //!   error caught by a debug assertion).
-//! * **Validation.** Structural errors (missing destination register,
-//!   missing memory tag, wrong-class operands, out-of-range register ids)
-//!   are found at decode time but reported *lazily*: a malformed
-//!   instruction decodes to a trap record that returns the exact legacy
-//!   [`SimError::Malformed`] when — and only when — control reaches it.
-//!   Trap records keep the real operand indices, latency and FU class, so
-//!   interlock timing up to the error is also bit-identical.
-//! * **Control flow.** Branch targets are pre-resolved instruction
-//!   indices. Each block ends in a zero-cost `Goto` (fall-through to the
-//!   layout successor) or `FellOff` record, reproducing the legacy
-//!   block-walking loop including detached-block dead ends.
+//! * **Validation.** None of its own: [`decode`] runs the IR verifier
+//!   ([`verify_module`]) once, and a module it rejects decodes to a program
+//!   whose every run returns the verifier's first error as
+//!   [`SimError::Malformed`] before any cycle. In a verified module every
+//!   register id, symbol, memory tag and branch target is in range and
+//!   every operand has the class its opcode reads, so the engine has
+//!   nothing left to check.
+//! * **Control flow.** The layout is decoded in order, so falling through
+//!   to the next layout block is falling through to the next record.
+//!   Branch targets are pre-resolved record indices; a verified layout's
+//!   last block ends in a jump or halt, so control never runs off the end.
 //! * **Branch profiling.** Dense per-instruction executed/taken counter
 //!   arrays indexed by pc; the `SimResult` profile map is built once at
 //!   exit from the non-zero entries.
@@ -64,8 +64,9 @@
 //! the full evaluation grid.
 
 use crate::{SimError, SimLimits, SimResult};
-use ilpc_ir::inst::MAX_VLEN;
-use ilpc_ir::{BlockId, Cond, MemLoc, Module, Opcode, Operand, RegClass, SymId};
+use ilpc_ir::inst::{Inst, MAX_VLEN};
+use ilpc_ir::verify::verify_module;
+use ilpc_ir::{Cond, MemLoc, Module, Opcode, Operand, RegClass, SymId};
 
 /// Vector register stride in the unified file (words per vector register).
 const VL: u32 = MAX_VLEN as u32;
@@ -74,49 +75,11 @@ use ilpc_mem::{Access, CacheMem, MemModel, MemStats, PerfectMem};
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 
-// Trap reasons — the exact strings the legacy engine reports.
-const R_MISSING_DST: u8 = 0;
-const R_MISSING_TAG: u8 = 1;
-const R_MISSING_TARGET: u8 = 2;
-const R_EMPTY: u8 = 3;
-const R_UNKNOWN_SYM: u8 = 4;
-const R_FLT_WHERE_INT: u8 = 5;
-const R_INT_WHERE_FLT: u8 = 6;
-const R_WRITE_MISMATCH: u8 = 7;
-const R_MIXED_BRANCH: u8 = 8;
-const R_RANGE: u8 = 9;
-const R_VEC_WHERE_SCALAR: u8 = 10;
-const R_SCALAR_WHERE_VEC: u8 = 11;
-
-const TRAP_REASONS: [&str; 12] = [
-    "missing destination register",
-    "missing memory tag",
-    "missing branch target",
-    "reading empty operand",
-    "unknown symbol operand",
-    "float operand where integer expected",
-    "integer operand where float expected",
-    "class mismatch on register write",
-    "mixed-class branch comparison",
-    "register id out of range",
-    "vector register where scalar expected",
-    "scalar operand where vector expected",
-];
-
-// `target` sentinels for branches whose target only matters when taken.
-const TARGET_MISSING: u32 = u32::MAX;
-const TARGET_OOB: u32 = u32::MAX - 1;
-
-// Per-record flags.
-const F_HAS_DST: u8 = 1 << 0;
-const F_IS_BRANCH: u8 = 1 << 1;
-const F_IS_LOAD: u8 = 1 << 2;
-
-/// Dispatch kind of one decoded record. Operand classes are validated at
-/// decode time, so execution needs no per-class operand checks: `Mov`,
-/// `Load` and `Store` move raw 64-bit images. Arithmetic is fully fused —
-/// one variant per operation — so the run loop dispatches exactly once
-/// per dynamic instruction.
+/// Dispatch kind of one decoded record. The verifier holds every operand
+/// to the class its opcode reads, so execution needs no per-class operand
+/// checks: `Mov`, `Load` and `Store` move raw 64-bit images. Arithmetic is
+/// fully fused — one variant per operation — so the run loop dispatches
+/// exactly once per dynamic instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DOp {
     // Two-source integer ALU ops.
@@ -141,8 +104,7 @@ enum DOp {
     CvtFI,
     Load,
     Store,
-    // Vector (SLP) operations; the payload is the live lane count,
-    // clamped to MAX_VLEN at decode time.
+    // Vector (SLP) operations; the payload is the live lane count.
     VAdd(u8),
     VMul(u8),
     VSplat(u8),
@@ -155,18 +117,6 @@ enum DOp {
     BrF(Cond),
     Jump,
     Halt,
-    /// Zero-cost fall-through redirect to `target` (end of block).
-    Goto,
-    /// Control fell off the end of the block (no layout successor).
-    FellOff,
-    /// Structurally invalid instruction caught before the legacy engine's
-    /// interlock stage (out-of-range register id, load without a memory
-    /// tag): errors immediately when reached.
-    TrapEarly(u8),
-    /// Structurally invalid instruction caught at the legacy engine's
-    /// execute stage: goes through interlocks, slot accounting and budget
-    /// checks first, then errors — preserving error precedence.
-    Trap(u8),
 }
 
 /// The hot per-record fields, packed so the run loop fetches one record
@@ -174,17 +124,16 @@ enum DOp {
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     op: DOp,
-    flags: u8,
-    /// Functional-unit index (0 IntAlu, 1 IntMulDiv, 2 Fp, 3 Mem,
-    /// 4 branch/none — slot 4 is never limited).
+    /// Functional-unit index (0 IntAlu, 1 IntMulDiv, 2 Fp, 3 Mem, 4 Vec,
+    /// 5 branch/none — slot 5 is never limited).
     fu: u8,
     lat: u32,
     a: u32,
     b: u32,
     c: u32,
-    /// Destination register file index (valid when `F_HAS_DST`).
+    /// Destination register file index (0 for an op without one).
     dst: u32,
-    /// Branch / jump / goto target pc (or a `TARGET_*` sentinel).
+    /// Branch / jump target pc.
     target: u32,
 }
 
@@ -199,7 +148,7 @@ pub struct DecodedProgram {
     ext: Vec<i64>,
     /// Memory disambiguation tag (loads/stores; dummy elsewhere).
     tags: Vec<MemLoc>,
-    /// `(block id, instruction index)` for error reports and the branch
+    /// `(block id, instruction index)` of each record, for the branch
     /// profile.
     coord: Vec<(u32, u32)>,
     /// Initial unified register file: `int vregs ++ flt vregs ++ consts`.
@@ -211,10 +160,13 @@ pub struct DecodedProgram {
     mem_words: usize,
     /// Latency table the program was decoded against.
     latency: LatencyTable,
+    /// The verifier's first error, for a module it rejects (whose program
+    /// has no records): every run returns it before any cycle.
+    malformed: Option<SimError>,
 }
 
 impl DecodedProgram {
-    /// Number of decoded records (instructions + block terminators).
+    /// Number of decoded records (one per non-`nop` instruction).
     pub fn num_records(&self) -> usize {
         self.code.len()
     }
@@ -227,15 +179,6 @@ impl DecodedProgram {
     /// The latency table baked into this program at decode time.
     pub fn latency(&self) -> &LatencyTable {
         &self.latency
-    }
-
-    fn malformed(&self, pc: usize, reason: u8) -> SimError {
-        let (block, index) = self.coord[pc];
-        SimError::Malformed {
-            block: BlockId(block),
-            index: index as usize,
-            reason: TRAP_REASONS[reason as usize],
-        }
     }
 }
 
@@ -258,38 +201,6 @@ impl Pool {
     }
 }
 
-/// One resolved operand slot: a file index plus the value class it
-/// provides (`None` class/`err` for unresolvable slots — empty or
-/// unknown-symbol operands keep the legacy reason string).
-struct Rslot {
-    idx: u32,
-    class: Option<RegClass>,
-    err: Option<u8>,
-}
-
-fn slot_ok(s: &Rslot) -> Result<(), u8> {
-    match s.err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
-}
-
-fn slot_class(s: &Rslot, want: RegClass) -> Result<(), u8> {
-    slot_ok(s)?;
-    if s.class == Some(want) {
-        Ok(())
-    } else {
-        Err(match (want, s.class) {
-            // Scalar accessors surface a vector register before any
-            // int/float distinction — mirror the legacy reason exactly.
-            (RegClass::Int | RegClass::Flt, Some(RegClass::Vec)) => R_VEC_WHERE_SCALAR,
-            (RegClass::Int, _) => R_FLT_WHERE_INT,
-            (RegClass::Flt, _) => R_INT_WHERE_FLT,
-            (RegClass::Vec, _) => R_SCALAR_WHERE_VEC,
-        })
-    }
-}
-
 fn fu_idx(kind: FuKind) -> u8 {
     match kind {
         FuKind::IntAlu => 0,
@@ -301,9 +212,10 @@ fn fu_idx(kind: FuKind) -> u8 {
     }
 }
 
-/// Fused [`DOp`] for a validated two-source integer ALU opcode.
-fn int_dop(op: Opcode) -> DOp {
-    match op {
+/// The fused [`DOp`] of a verified instruction other than `nop`.
+fn dop(inst: &Inst) -> DOp {
+    let n = inst.lanes;
+    match inst.op {
         Opcode::Add => DOp::Add,
         Opcode::Sub => DOp::Sub,
         Opcode::And => DOp::And,
@@ -314,84 +226,73 @@ fn int_dop(op: Opcode) -> DOp {
         Opcode::Mul => DOp::Mul,
         Opcode::Div => DOp::Div,
         Opcode::Rem => DOp::Rem,
-        _ => unreachable!("int_dop on non-integer opcode {op}"),
-    }
-}
-
-/// Fused [`DOp`] for a validated two-source float ALU opcode.
-fn flt_dop(op: Opcode) -> DOp {
-    match op {
         Opcode::FAdd => DOp::FAdd,
         Opcode::FSub => DOp::FSub,
         Opcode::FMul => DOp::FMul,
         Opcode::FDiv => DOp::FDiv,
-        _ => unreachable!("flt_dop on non-float opcode {op}"),
+        Opcode::Mov => DOp::Mov,
+        Opcode::CvtIF => DOp::CvtIF,
+        Opcode::CvtFI => DOp::CvtFI,
+        Opcode::Load => DOp::Load,
+        Opcode::Store => DOp::Store,
+        Opcode::VAdd => DOp::VAdd(n),
+        Opcode::VMul => DOp::VMul(n),
+        Opcode::VSplat => DOp::VSplat(n),
+        Opcode::VReduce => DOp::VReduce(n),
+        Opcode::VLoad => DOp::VLoad(n),
+        Opcode::VStore => DOp::VStore(n),
+        // The verifier holds both compared operands to one scalar class.
+        Opcode::Br(c) if inst.src[0].class() == Some(RegClass::Flt) => DOp::BrF(c),
+        Opcode::Br(c) => DOp::BrI(c),
+        Opcode::Jump => DOp::Jump,
+        Opcode::Halt => DOp::Halt,
+        Opcode::Nop => unreachable!("decode skips nops"),
     }
-}
-
-/// One decoded record in assembly order (split into the hot [`Slot`]
-/// array and the cold side arrays at the end of [`decode`]).
-struct Rec {
-    op: DOp,
-    flags: u8,
-    fu: u8,
-    lat: u32,
-    dst: u32,
-    target: u32,
-    a: u32,
-    b: u32,
-    c: u32,
-    ext: i64,
-    tag: MemLoc,
-    coord: (u32, u32),
 }
 
 /// Lower `m` into a [`DecodedProgram`] for `machine`'s latency table.
 ///
-/// Decode never rejects a module: structurally invalid instructions
-/// become trap records that reproduce the legacy engine's lazy
-/// `SimError::Malformed` (an invalid instruction on a never-executed path
-/// is harmless, exactly as before).
+/// A module [`verify_module`] rejects decodes to a program with no
+/// records that carries the verifier's first error: [`simulate_decoded`]
+/// returns it as [`SimError::Malformed`] (the verifier's `code` as the
+/// reason) before any cycle. Decode itself checks nothing. Only the
+/// layout is decoded: a verified module's branches target layout blocks,
+/// so a block outside it is never reached.
 pub fn decode(m: &Module, machine: &Machine) -> DecodedProgram {
-    let f = &m.func;
     let (bases, mem_words) = m.symtab.layout();
+    let mut p = DecodedProgram {
+        code: Vec::new(),
+        ext: Vec::new(),
+        tags: Vec::new(),
+        coord: Vec::new(),
+        file_init: Vec::new(),
+        regs: 0,
+        mem_words,
+        latency: machine.latency,
+        malformed: None,
+    };
+    if let Err(e) = verify_module(m) {
+        p.malformed = Some(SimError::Malformed { block: e.block, index: e.index, reason: e.code });
+        return p;
+    }
+    let f = &m.func;
     let ni = f.vreg_count(RegClass::Int);
     let nf = f.vreg_count(RegClass::Flt);
     let nv = f.vreg_count(RegClass::Vec);
     // Vector registers occupy MAX_VLEN consecutive file words each; their
     // scoreboard entry is the first word's index.
-    let base_len = ni + nf + nv * VL;
-    // Panics on an empty layout, like the legacy engine's `f.entry()`.
-    let entry = f.entry();
+    p.regs = (ni + nf + nv * VL) as usize;
 
-    // Decode order: layout first-occurrences (entry first), then blocks
-    // outside the layout (branch targets mid-insertion / dead ends).
-    let nb = f.num_blocks();
-    let mut order: Vec<BlockId> = Vec::with_capacity(nb);
-    let mut seen = vec![false; nb];
-    for &b in f.layout_order() {
-        if !seen[b.0 as usize] {
-            seen[b.0 as usize] = true;
-            order.push(b);
-        }
-    }
-    for id in 0..nb {
-        if !seen[id] {
-            order.push(BlockId(id as u32));
-        }
-    }
-    debug_assert_eq!(order.first(), Some(&entry));
-
-    // Start pc of every block: live instructions + one terminator each.
-    let mut start = vec![0u32; nb];
+    // Start pc of every layout block (the entry's is 0): one record per
+    // live instruction.
+    let mut start = vec![0u32; f.num_blocks()];
     let mut n = 0u32;
-    for &b in &order {
+    for &b in f.layout_order() {
         start[b.0 as usize] = n;
-        let live = f.block(b).insts.iter().filter(|i| i.op != Opcode::Nop).count();
-        n += live as u32 + 1;
+        n += f.block(b).insts.iter().filter(|i| i.op != Opcode::Nop).count() as u32;
     }
 
-    let mut pool = Pool { map: HashMap::new(), vals: Vec::new(), base: base_len };
+    let mut pool = Pool { map: HashMap::new(), vals: Vec::new(), base: p.regs as u32 };
     let const0 = pool.intern(0);
     let unified = |r: ilpc_ir::Reg| -> u32 {
         match r.class {
@@ -400,346 +301,48 @@ pub fn decode(m: &Module, machine: &Machine) -> DecodedProgram {
             RegClass::Vec => ni + nf + r.id * VL,
         }
     };
-    let mut resolve = |o: Operand| -> Rslot {
+    // An unused operand slot reads the constant 0 (ready at cycle 0).
+    let mut resolve = |o: Operand| -> u32 {
         match o {
-            Operand::None => Rslot { idx: const0, class: None, err: Some(R_EMPTY) },
-            Operand::Reg(r) => {
-                // Range-checked by the caller's early stage.
-                Rslot { idx: unified(r), class: Some(r.class), err: None }
-            }
-            Operand::ImmI(v) => {
-                Rslot { idx: pool.intern(v as u64), class: Some(RegClass::Int), err: None }
-            }
-            Operand::ImmF(v) => {
-                Rslot { idx: pool.intern(v.to_bits()), class: Some(RegClass::Flt), err: None }
-            }
-            Operand::Sym(s) => match bases.get(s.0 as usize) {
-                Some(&b) => Rslot {
-                    idx: pool.intern(b as i64 as u64),
-                    class: Some(RegClass::Int),
-                    err: None,
-                },
-                None => Rslot { idx: const0, class: None, err: Some(R_UNKNOWN_SYM) },
-            },
+            Operand::None => const0,
+            Operand::Reg(r) => unified(r),
+            Operand::ImmI(v) => pool.intern(v as u64),
+            Operand::ImmF(v) => pool.intern(v.to_bits()),
+            Operand::Sym(s) => pool.intern(bases[s.0 as usize] as i64 as u64),
         }
     };
 
     let dummy_tag = MemLoc::opaque(SymId(0));
-    let mut recs: Vec<Rec> = Vec::with_capacity(n as usize);
-
-    for &bid in &order {
-        let block = f.block(bid);
-        for (idx, inst) in block.insts.iter().enumerate() {
+    p.code.reserve(n as usize);
+    p.ext.reserve(n as usize);
+    p.tags.reserve(n as usize);
+    p.coord.reserve(n as usize);
+    for &bid in f.layout_order() {
+        for (idx, inst) in f.block(bid).insts.iter().enumerate() {
             if inst.op == Opcode::Nop {
                 continue;
             }
-            let mut rec = Rec {
-                op: DOp::Halt, // placeholder, always overwritten below
-                flags: 0,
+            p.code.push(Slot {
+                op: dop(inst),
                 fu: fu_idx(fu_kind(inst)),
                 lat: machine.latency.of(inst),
-                dst: 0,
-                target: 0,
-                a: const0,
-                b: const0,
-                c: const0,
-                ext: inst.ext,
-                tag: inst.mem.unwrap_or(dummy_tag),
-                coord: (bid.0, idx as u32),
-            };
-            if inst.op.is_branch() {
-                rec.flags |= F_IS_BRANCH;
-            }
-
-            // Errors the legacy engine finds before its execute stage
-            // (interlock register-range checks, a load's tag lookup for
-            // the alias stall): these fire immediately on reach, before
-            // slot accounting and budget checks.
-            let mut early: Option<u8> = None;
-            let class_count = |c: RegClass| match c {
-                RegClass::Int => ni,
-                RegClass::Flt => nf,
-                RegClass::Vec => nv,
-            };
-            for o in inst.src {
-                if let Operand::Reg(r) = o {
-                    if r.id >= class_count(r.class) {
-                        early = Some(R_RANGE);
-                        break;
-                    }
-                }
-            }
-            if early.is_none() {
-                if let Some(d) = inst.dst {
-                    if d.id >= class_count(d.class) {
-                        early = Some(R_RANGE);
-                    }
-                }
-            }
-            if early.is_none() && inst.op.is_mem_read() && inst.mem.is_none() {
-                early = Some(R_MISSING_TAG);
-            }
-            if let Some(r) = early {
-                rec.op = DOp::TrapEarly(r);
-                recs.push(rec);
-                continue;
-            }
-
-            // From here on every register operand is range-valid; resolve
-            // all slots (trap records keep real indices so interlock and
-            // WAW timing stay identical up to the error).
-            if let Some(d) = inst.dst {
-                rec.dst = unified(d);
-                rec.flags |= F_HAS_DST;
-            }
-            let s0 = resolve(inst.src[0]);
-            let s1 = resolve(inst.src[1]);
-            let s2 = resolve(inst.src[2]);
-            rec.a = s0.idx;
-            rec.b = s1.idx;
-            rec.c = s2.idx;
-            if inst.op.is_mem_read() {
-                rec.flags |= F_IS_LOAD;
-            }
-
-            // Validate in the legacy engine's execute-stage order, so a
-            // multiply-malformed instruction reports the same reason.
-            let lanes = inst.lanes.min(MAX_VLEN);
-            let decoded: Result<DOp, u8> = (|| match inst.op {
-                Opcode::Mov => {
-                    slot_ok(&s0)?;
-                    // The legacy scalar operand read rejects a vector
-                    // register before the destination is examined.
-                    if s0.class == Some(RegClass::Vec) {
-                        return Err(R_VEC_WHERE_SCALAR);
-                    }
-                    let d = inst.dst.ok_or(R_MISSING_DST)?;
-                    if s0.class != Some(d.class) {
-                        return Err(R_WRITE_MISMATCH);
-                    }
-                    Ok(DOp::Mov)
-                }
-                Opcode::Add
-                | Opcode::Sub
-                | Opcode::And
-                | Opcode::Or
-                | Opcode::Xor
-                | Opcode::Shl
-                | Opcode::Shr
-                | Opcode::Mul
-                | Opcode::Div
-                | Opcode::Rem => {
-                    slot_class(&s0, RegClass::Int)?;
-                    slot_class(&s1, RegClass::Int)?;
-                    let d = inst.dst.ok_or(R_MISSING_DST)?;
-                    if d.class != RegClass::Int {
-                        return Err(R_WRITE_MISMATCH);
-                    }
-                    Ok(int_dop(inst.op))
-                }
-                Opcode::FAdd | Opcode::FSub | Opcode::FMul | Opcode::FDiv => {
-                    slot_class(&s0, RegClass::Flt)?;
-                    slot_class(&s1, RegClass::Flt)?;
-                    let d = inst.dst.ok_or(R_MISSING_DST)?;
-                    if d.class != RegClass::Flt {
-                        return Err(R_WRITE_MISMATCH);
-                    }
-                    Ok(flt_dop(inst.op))
-                }
-                Opcode::CvtIF => {
-                    slot_class(&s0, RegClass::Int)?;
-                    let d = inst.dst.ok_or(R_MISSING_DST)?;
-                    if d.class != RegClass::Flt {
-                        return Err(R_WRITE_MISMATCH);
-                    }
-                    Ok(DOp::CvtIF)
-                }
-                Opcode::CvtFI => {
-                    slot_class(&s0, RegClass::Flt)?;
-                    let d = inst.dst.ok_or(R_MISSING_DST)?;
-                    if d.class != RegClass::Int {
-                        return Err(R_WRITE_MISMATCH);
-                    }
-                    Ok(DOp::CvtFI)
-                }
-                Opcode::Load => {
-                    // Legacy checks the destination before the address.
-                    let d = inst.dst.ok_or(R_MISSING_DST)?;
-                    slot_class(&s0, RegClass::Int)?;
-                    slot_class(&s1, RegClass::Int)?;
-                    if d.class == RegClass::Vec {
-                        return Err(R_WRITE_MISMATCH);
-                    }
-                    Ok(DOp::Load)
-                }
-                Opcode::Store => {
-                    slot_class(&s0, RegClass::Int)?;
-                    slot_class(&s1, RegClass::Int)?;
-                    slot_ok(&s2)?;
-                    if s2.class == Some(RegClass::Vec) {
-                        return Err(R_VEC_WHERE_SCALAR);
-                    }
-                    if inst.mem.is_none() {
-                        return Err(R_MISSING_TAG);
-                    }
-                    Ok(DOp::Store)
-                }
-                Opcode::Br(c) => {
-                    slot_ok(&s0)?;
-                    if s0.class == Some(RegClass::Vec) {
-                        return Err(R_VEC_WHERE_SCALAR);
-                    }
-                    slot_ok(&s1)?;
-                    if s1.class == Some(RegClass::Vec) {
-                        return Err(R_VEC_WHERE_SCALAR);
-                    }
-                    match (s0.class, s1.class) {
-                        (Some(RegClass::Int), Some(RegClass::Int)) => Ok(DOp::BrI(c)),
-                        (Some(RegClass::Flt), Some(RegClass::Flt)) => Ok(DOp::BrF(c)),
-                        _ => Err(R_MIXED_BRANCH),
-                    }
-                }
-                Opcode::Jump => {
-                    // A jump always takes its target: a missing one errors
-                    // at the execute stage, like the legacy engine.
-                    if inst.target.is_none() {
-                        return Err(R_MISSING_TARGET);
-                    }
-                    Ok(DOp::Jump)
-                }
-                Opcode::VAdd | Opcode::VMul => {
-                    slot_class(&s0, RegClass::Vec)?;
-                    slot_class(&s1, RegClass::Vec)?;
-                    let d = inst.dst.ok_or(R_MISSING_DST)?;
-                    if d.class != RegClass::Vec {
-                        return Err(R_WRITE_MISMATCH);
-                    }
-                    Ok(if inst.op == Opcode::VAdd {
-                        DOp::VAdd(lanes)
-                    } else {
-                        DOp::VMul(lanes)
-                    })
-                }
-                Opcode::VSplat => {
-                    slot_class(&s0, RegClass::Flt)?;
-                    let d = inst.dst.ok_or(R_MISSING_DST)?;
-                    if d.class != RegClass::Vec {
-                        return Err(R_WRITE_MISMATCH);
-                    }
-                    Ok(DOp::VSplat(lanes))
-                }
-                Opcode::VReduce => {
-                    slot_class(&s0, RegClass::Vec)?;
-                    let d = inst.dst.ok_or(R_MISSING_DST)?;
-                    if d.class != RegClass::Flt {
-                        return Err(R_WRITE_MISMATCH);
-                    }
-                    Ok(DOp::VReduce(lanes))
-                }
-                Opcode::VLoad => {
-                    let d = inst.dst.ok_or(R_MISSING_DST)?;
-                    slot_class(&s0, RegClass::Int)?;
-                    slot_class(&s1, RegClass::Int)?;
-                    if d.class != RegClass::Vec {
-                        return Err(R_WRITE_MISMATCH);
-                    }
-                    Ok(DOp::VLoad(lanes))
-                }
-                Opcode::VStore => {
-                    slot_class(&s0, RegClass::Int)?;
-                    slot_class(&s1, RegClass::Int)?;
-                    slot_class(&s2, RegClass::Vec)?;
-                    if inst.mem.is_none() {
-                        return Err(R_MISSING_TAG);
-                    }
-                    Ok(DOp::VStore(lanes))
-                }
-                Opcode::Halt => Ok(DOp::Halt),
-                Opcode::Nop => unreachable!("nops are skipped above"),
-            })();
-
-            if matches!(inst.op, Opcode::Br(_) | Opcode::Jump) {
-                // Targets are resolved lazily at run time: a conditional
-                // branch with a missing target only errors when taken.
-                rec.target = match inst.target {
-                    None => TARGET_MISSING,
-                    Some(t) if (t.0 as usize) >= nb => TARGET_OOB,
-                    Some(t) => start[t.0 as usize],
-                };
-            }
-            rec.op = match decoded {
-                Ok(op) => op,
-                Err(r) => DOp::Trap(r),
-            };
-            recs.push(rec);
+                a: resolve(inst.src[0]),
+                b: resolve(inst.src[1]),
+                c: resolve(inst.src[2]),
+                dst: inst.dst.map_or(0, unified),
+                target: inst.target.map_or(0, |t| start[t.0 as usize]),
+            });
+            p.ext.push(inst.ext);
+            p.tags.push(inst.mem.unwrap_or(dummy_tag));
+            p.coord.push((bid.0, idx as u32));
         }
-
-        // Block terminator: fall through to the layout successor, or a
-        // dead end (detached block / end of layout).
-        recs.push(match f.fallthrough(bid) {
-            Some(next) => Rec {
-                op: DOp::Goto,
-                target: start[next.0 as usize],
-                flags: 0,
-                fu: 4,
-                lat: 0,
-                dst: 0,
-                a: const0,
-                b: const0,
-                c: const0,
-                ext: 0,
-                tag: dummy_tag,
-                coord: (bid.0, block.insts.len() as u32),
-            },
-            None => Rec {
-                op: DOp::FellOff,
-                target: 0,
-                flags: 0,
-                fu: 4,
-                lat: 0,
-                dst: 0,
-                a: const0,
-                b: const0,
-                c: const0,
-                ext: 0,
-                tag: dummy_tag,
-                coord: (bid.0, block.insts.len() as u32),
-            },
-        });
     }
-    debug_assert_eq!(recs.len(), n as usize);
+    debug_assert_eq!(p.code.len(), n as usize);
 
     // Unified initial file: vregs all zero (0u64 is both 0i64 and 0.0f64),
     // constants after.
-    let mut file_init = vec![0u64; base_len as usize];
-    file_init.extend_from_slice(&pool.vals);
-
-    let mut p = DecodedProgram {
-        code: Vec::with_capacity(recs.len()),
-        ext: Vec::with_capacity(recs.len()),
-        tags: Vec::with_capacity(recs.len()),
-        coord: Vec::with_capacity(recs.len()),
-        file_init,
-        regs: base_len as usize,
-        mem_words,
-        latency: machine.latency,
-    };
-    for r in recs {
-        p.code.push(Slot {
-            op: r.op,
-            flags: r.flags,
-            fu: r.fu,
-            lat: r.lat,
-            a: r.a,
-            b: r.b,
-            c: r.c,
-            dst: r.dst,
-            target: r.target,
-        });
-        p.ext.push(r.ext);
-        p.tags.push(r.tag);
-        p.coord.push(r.coord);
-    }
+    p.file_init = vec![0u64; p.regs];
+    p.file_init.extend_from_slice(&pool.vals);
     p
 }
 
@@ -747,13 +350,17 @@ pub fn decode(m: &Module, machine: &Machine) -> DecodedProgram {
 ///
 /// `machine` supplies the *runtime* parameters — issue width, branch
 /// slots, FU limits and memory hierarchy; the latency table must be the
-/// one the program was decoded with.
+/// one the program was decoded with. A program decoded from a module the
+/// verifier rejects returns its error before any cycle.
 pub fn simulate_decoded(
     p: &DecodedProgram,
     machine: &Machine,
     init_mem: Vec<u64>,
     limits: SimLimits,
 ) -> Result<SimResult, SimError> {
+    if let Some(e) = &p.malformed {
+        return Err(e.clone());
+    }
     debug_assert_eq!(
         p.latency, machine.latency,
         "decoded program was built for a different latency table"
@@ -905,7 +512,7 @@ fn vload(mem: &[u64], addr: i64, n: u8) -> [u64; VL as usize] {
 }
 
 // The issue prologue (`issue!`) updates the slot/branch accounting in every
-// arm; arms that end the cycle themselves (taken branches, halt, trap) then
+// arm; arms that end the cycle themselves (taken branches, halt) then
 // overwrite or abandon those counters, which trips `unused_assignments`.
 #[allow(unused_assignments)]
 fn engine<M: MemModel, const FU: bool>(
@@ -929,16 +536,12 @@ fn engine<M: MemModel, const FU: bool>(
     // Dense per-pc branch counters; the profile map is built once at exit.
     let mut br_exec = vec![0u64; n];
     let mut br_taken = vec![0u64; n];
-    // Store history for the same-cycle alias stall, with the legacy push
-    // and drain behaviour byte-for-byte. Entries are pushed at their issue
-    // cycle, and the issue cursor never decreases, so timestamps are
-    // non-decreasing along the vector; `rs_start` tracks where the newest
-    // same-cycle run begins so a load scans only that suffix (older
-    // entries can never equal a candidate cycle `t >= cursor`), and
-    // `rs_last` mirrors that run's timestamp so the common no-store case
-    // is one compare.
-    let mut recent_stores: Vec<(MemLoc, u64)> = Vec::new();
-    let mut rs_start: usize = 0;
+    // The tags of the stores issued in cycle `rs_last`, for the same-cycle
+    // alias stall. The issue cursor never decreases, so a load (issued at
+    // or after the cursor) can only meet the newest cycle's stores: a
+    // store in a new cycle clears the set, and the common no-store case is
+    // one compare.
+    let mut recent_stores: Vec<MemLoc> = Vec::new();
     let mut rs_last: u64 = u64::MAX;
 
     let issue_width = machine.issue_width.max(1);
@@ -962,28 +565,24 @@ fn engine<M: MemModel, const FU: bool>(
     // Under a model that always hits, every access costs 0 extra cycles
     // and the steady state records no latencies.
     let timed = !memsys.always_hits();
-    let mut steady = Steady::new(issue_width, timed);
+    let mut steady = Steady { timed, ..Steady::default() };
 
-    // Decode validated every index used below — operand and destination
-    // indices are in `0..file_len()` (an out-of-range register decodes to
-    // `TrapEarly`, which returns before the interlock stage), `pc` stays
-    // in `0..num_records()`, and the side arrays are built in lockstep
-    // with `code`. The bounds checks stay on regardless: leaving them out
-    // measured under 5 % on every workload (DESIGN §14).
+    // The verifier checked every index used below — operand and
+    // destination indices are in `0..file_len()`, `pc` stays in
+    // `0..num_records()` (the last layout block ends in a jump or halt),
+    // and the side arrays are built in lockstep with `code`. The bounds
+    // checks stay on regardless: leaving them out measured under 5 % on
+    // every workload (DESIGN §14).
     loop {
         let s = code[pc];
         let lat = s.lat as u64;
         let ai = s.a as usize;
         let bi = s.b as usize;
 
-        // Issue-stage prologue, expanded into each opcode's arm so the
-        // flag tests fold to constants wherever the opcode implies them
-        // (every ALU op has a destination, only loads alias-check, only
-        // branches consume a branch slot). Ops whose flags are *not*
-        // implied by the opcode — stores/branches/halt may carry a stray
-        // destination, a `Trap` record can carry any flags — pass the
-        // dynamic flag expression instead, so timing stays bit-for-bit
-        // with the legacy engine on malformed input too.
+        // Issue-stage prologue, expanded into each opcode's arm so its
+        // flags are constants: whether the op writes a register (the
+        // verifier leaves no destination on a store, branch, jump or
+        // halt), alias-checks as a load, or takes a branch slot.
         macro_rules! issue {
             ($has_dst:expr, $is_br:expr, $is_load:expr) => {{
                 // 1. Earliest issue by interlocks (RAW on sources, WAW on
@@ -1004,7 +603,7 @@ fn engine<M: MemModel, const FU: bool>(
                     // after one +1 nothing can: the legacy re-scan loop
                     // runs at most once.
                     let tag = &p.tags[pc];
-                    if recent_stores[rs_start..].iter().any(|(stag, _)| stag.may_alias(tag)) {
+                    if recent_stores.iter().any(|stag| stag.may_alias(tag)) {
                         t += 1;
                     }
                 }
@@ -1080,7 +679,7 @@ fn engine<M: MemModel, const FU: bool>(
         macro_rules! transfer {
             ($t:expr) => {{
                 let from = pc;
-                pc = taken_target(p, pc, s.target)?;
+                pc = s.target as usize;
                 cursor = $t + lat;
                 slots = 0;
                 br_used = 0;
@@ -1104,7 +703,7 @@ fn engine<M: MemModel, const FU: bool>(
         // A conditional branch `$op` (the record's own, with its condition).
         macro_rules! cond {
             ($op:expr) => {{
-                let t = issue!(s.flags & F_HAS_DST != 0, true, false);
+                let t = issue!(false, true, false);
                 let taken = branch($op, file[ai], file[bi]);
                 br_exec[pc] += 1;
                 steady.path.push(taken);
@@ -1115,32 +714,21 @@ fn engine<M: MemModel, const FU: bool>(
             }};
         }
 
-        // Track the newest same-cycle store run for the load-side scan;
-        // push/drain thresholds are the legacy ones.
+        // Add this store to the cycle's set, opening the set for a new
+        // cycle.
         macro_rules! record_store {
             ($t:expr) => {{
                 if rs_last != $t {
-                    rs_start = recent_stores.len();
+                    recent_stores.clear();
                     rs_last = $t;
                 }
-                recent_stores.push((p.tags[pc], $t));
-                if recent_stores.len() > 64 {
-                    recent_stores.drain(..32);
-                    rs_start = rs_start.saturating_sub(32);
-                }
+                recent_stores.push(p.tags[pc]);
             }};
         }
 
         // One fused dispatch per record: issue timing and execute live in
         // the same arm.
         match s.op {
-            DOp::Goto => {
-                // Control records consume no issue resources.
-                pc = s.target as usize;
-                continue;
-            }
-            DOp::FellOff => return Err(SimError::FellOffEnd(BlockId(p.coord[pc].0))),
-            DOp::TrapEarly(r) => return Err(p.malformed(pc, r)),
             DOp::Add => alu!(DOp::Add),
             DOp::Sub => alu!(DOp::Sub),
             DOp::And => alu!(DOp::And),
@@ -1170,7 +758,7 @@ fn engine<M: MemModel, const FU: bool>(
                 ready[d] = t + lat + extra;
             }
             DOp::Store => {
-                let t = issue!(s.flags & F_HAS_DST != 0, false, false);
+                let t = issue!(false, false, false);
                 let addr = address(&file, &s, p.ext[pc]);
                 poke(&mut mem, addr, file[s.c as usize]);
                 record_store!(t);
@@ -1210,7 +798,7 @@ fn engine<M: MemModel, const FU: bool>(
                 set_vector!(t + extra, vload(&mem, addr, lanes));
             }
             DOp::VStore(lanes) => {
-                let t = issue!(s.flags & F_HAS_DST != 0, false, false);
+                let t = issue!(false, false, false);
                 let addr = address(&file, &s, p.ext[pc]);
                 let ci = s.c as usize;
                 let mut extra = 0u64;
@@ -1232,12 +820,12 @@ fn engine<M: MemModel, const FU: bool>(
             DOp::BrI(c) => cond!(DOp::BrI(c)),
             DOp::BrF(c) => cond!(DOp::BrF(c)),
             DOp::Jump => {
-                let t = issue!(s.flags & F_HAS_DST != 0, true, false);
+                let t = issue!(false, true, false);
                 steady.path.push(true);
                 transfer!(t);
             }
             DOp::Halt => {
-                let t = issue!(s.flags & F_HAS_DST != 0, false, false);
+                let t = issue!(false, false, false);
                 dyn_insts -= 1; // halt is not work
                 let mut branch_profile = HashMap::new();
                 for (i, &e) in br_exec.iter().enumerate() {
@@ -1261,33 +849,8 @@ fn engine<M: MemModel, const FU: bool>(
                     elided_insts: steady.elided,
                 });
             }
-            DOp::Trap(r) => {
-                // Interlocks, slot accounting and budget checks all run
-                // before the execute-stage error fires, exactly like the
-                // legacy engine (CycleLimit beats Malformed).
-                let _t = issue!(
-                    s.flags & F_HAS_DST != 0,
-                    s.flags & F_IS_BRANCH != 0,
-                    s.flags & F_IS_LOAD != 0
-                );
-                return Err(p.malformed(pc, r));
-            }
         }
         pc += 1;
-    }
-}
-
-/// Resolve a taken branch's pre-decoded target into the new pc.
-fn taken_target(p: &DecodedProgram, pc: usize, target: u32) -> Result<usize, SimError> {
-    match target {
-        TARGET_MISSING => Err(p.malformed(pc, R_MISSING_TARGET)),
-        TARGET_OOB => {
-            // The legacy engine indexes the block table and panics; upper
-            // layers (grid, guard, campaign) contain panics per point.
-            let (block, index) = p.coord[pc];
-            panic!("branch target out of range at B{block}[{index}]")
-        }
-        t => Ok(t as usize),
     }
 }
 
@@ -1351,10 +914,9 @@ struct Arrival {
 }
 
 /// Operation of one replay step: the `DOp`s a template can hold, with no
-/// `Goto`, `Jump`, `Halt` or trap arm (a block's control flow is its
-/// order), memory ops split by how many register terms their address
-/// keeps, and each conditional branch turned into the check that leaves
-/// the block.
+/// `Jump` or `Halt` arm (a block's control flow is its order), memory ops
+/// split by how many register terms their address keeps, and each
+/// conditional branch turned into the check that leaves the block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Rop {
     Add,
@@ -1570,9 +1132,7 @@ fn compile_step(p: &DecodedProgram, pc: usize, taken: bool, disps: &mut Vec<i64>
         DOp::BrI(c) => leave(c),
         DOp::BrF(c) if taken => Rop::LeaveUnless(c),
         DOp::BrF(c) => Rop::LeaveIf(c),
-        DOp::Jump | DOp::Goto | DOp::Halt | DOp::FellOff | DOp::Trap(_) | DOp::TrapEarly(_) => {
-            unreachable!("{:?} is never a template op", s.op)
-        }
+        DOp::Jump | DOp::Halt => unreachable!("{:?} is never a template op", s.op),
     };
     let d = if matches!(s.op, DOp::Store | DOp::VStore(_)) { s.c } else { s.dst };
     Step { op, a, b, d }
@@ -1633,11 +1193,6 @@ struct Live<'a> {
 /// Steady-state detection and the values-only fast path.
 #[derive(Default)]
 struct Steady {
-    /// The store-alias history drains its 32 oldest entries past 64, which
-    /// cuts into a same-cycle run longer than 32 and makes its timing
-    /// depend on the history's length. A run is bounded by the issue width
-    /// and by a block's stores, so past 32 of both no template forms.
-    wide: bool,
     /// The memory model returns latencies: they are recorded, and even
     /// period 1 needs two blocks to show them repeat.
     timed: bool,
@@ -1674,10 +1229,6 @@ struct Steady {
 }
 
 impl Steady {
-    fn new(issue_width: u32, timed: bool) -> Steady {
-        Steady { wide: issue_width > 32, timed, ..Steady::default() }
-    }
-
     /// Record one access's extra latency: a path outcome like a branch's,
     /// and always 0 (so not recorded) when the model is not `timed`.
     #[inline(always)]
@@ -1804,10 +1355,6 @@ impl Steady {
         let w = &self.window;
         let m = w.len() - 1;
         let (from, to) = (w[m - k].mark, w[m].mark);
-        let stores = to.stores - from.stores;
-        if self.wide && stores > 32 {
-            return None;
-        }
         let block = w.range(m + 1 - k..);
         let insts = to.dyn_insts - from.dyn_insts;
         let mut steps = Vec::with_capacity(insts as usize);
@@ -1818,7 +1365,6 @@ impl Steady {
         while outcomes.len() > 0 {
             let s = *p.code.get(pc)?;
             pc = match s.op {
-                DOp::Goto => s.target as usize,
                 DOp::BrI(_) | DOp::BrF(_) | DOp::Jump => {
                     let taken = *outcomes.next()?;
                     if s.op != DOp::Jump {
@@ -1832,7 +1378,7 @@ impl Steady {
                     }
                 }
                 // A stepped iteration cannot have passed these.
-                DOp::Halt | DOp::FellOff | DOp::Trap(_) | DOp::TrapEarly(_) => return None,
+                DOp::Halt => return None,
                 _ => {
                     let step = compile_step(p, pc, false, &mut disps);
                     match step.op {
@@ -1864,7 +1410,7 @@ impl Steady {
             cycles: to.cursor - from.cursor,
             insts,
             loads: to.loads - from.loads,
-            stores,
+            stores: to.stores - from.stores,
         })
     }
 
@@ -2349,7 +1895,7 @@ mod tests {
         for op in int_ops {
             for a in ints {
                 for b in ints {
-                    let got = scalar(int_dop(op), a as u64, b as u64) as i64;
+                    let got = scalar(dop(&Inst::new(op)), a as u64, b as u64) as i64;
                     assert_eq!(got, eval_int(op, a, b), "{op} {a} {b}");
                 }
             }
@@ -2370,7 +1916,7 @@ mod tests {
         for op in [Opcode::FAdd, Opcode::FSub, Opcode::FMul, Opcode::FDiv] {
             for a in flts {
                 for b in flts {
-                    let got = scalar(flt_dop(op), a.to_bits(), b.to_bits());
+                    let got = scalar(dop(&Inst::new(op)), a.to_bits(), b.to_bits());
                     assert_eq!(got, eval_flt(op, a, b).to_bits(), "{op} {a:?} {b:?}");
                 }
             }

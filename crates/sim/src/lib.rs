@@ -37,16 +37,17 @@
 //! ## Two engines, one specification
 //!
 //! [`simulate_limited`] runs the pre-decoded engine ([`decoded`]): a
-//! one-time [`decode`] pass lowers the module to flat struct-of-arrays
-//! records with pre-resolved operand indices, latencies and FU classes, and
-//! the hot loop runs over those with index-addressed scoreboards; under
-//! perfect memory, loop iterations in a timing steady state run through its
-//! values-only fast path. The
-//! original tree-walking interpreter survives unchanged in `reference`
-//! (compiled for this crate's tests and under cargo feature `oracle`, off
-//! by default) as the executable specification; the differential suite
-//! proves both engines cycle- and result-identical across the full
-//! evaluation grid.
+//! one-time [`decode`] pass runs the IR verifier
+//! (`ilpc_ir::verify::verify_module`) and lowers the module to flat
+//! struct-of-arrays records with pre-resolved operand indices, latencies
+//! and FU classes, and the hot loop runs over those with index-addressed
+//! scoreboards; loop iterations in a timing steady state run through its
+//! values-only fast path. A module the verifier rejects is a
+//! [`SimError::Malformed`] before any cycle. The original tree-walking
+//! interpreter survives in `reference` (compiled for this crate's tests
+//! and under cargo feature `oracle`, off by default) as the executable
+//! specification for verified modules; the differential suite proves both
+//! engines cycle- and result-identical across the full evaluation grid.
 
 #![forbid(unsafe_code)]
 
@@ -92,10 +93,11 @@ pub enum SimError {
     DynInstLimit(u64),
     /// Control fell off the end of a block with no fall-through.
     FellOffEnd(BlockId),
-    /// An instruction is structurally invalid (e.g. a hand-edited or
-    /// truncated `.ilpc` module, or a corrupted pass output): missing
-    /// destination register, memory tag or branch target, an empty or
-    /// wrong-class operand, or an out-of-range register id.
+    /// The module fails the IR verifier (e.g. a hand-edited or truncated
+    /// `.ilpc` module, or a corrupted pass output): its first error's
+    /// coordinates, with the verifier's `code` (`reg-range`,
+    /// `operand-shape`, `class-mismatch`, `mem-tag`, ...) as the reason.
+    /// [`simulate_decoded`] returns it before any cycle.
     Malformed {
         block: BlockId,
         index: usize,
@@ -425,7 +427,8 @@ mod tests {
     }
 
     /// A hand-edited/truncated module (missing dst, memory tag or branch
-    /// target) must surface as `SimError::Malformed`, not a panic.
+    /// target) surfaces as the verifier's `SimError::Malformed`, with the
+    /// coordinates and code of its first fault, not a panic.
     #[test]
     fn malformed_module_is_a_structured_error() {
         let build = |tamper: fn(&mut Inst)| {
@@ -446,20 +449,15 @@ mod tests {
             f.block_mut(blk).insts = insts;
             m
         };
-        let cases: [(fn(&mut Inst), &str); 3] = [
-            (|i| i.dst = None, "missing destination register"),
-            (|i| i.mem = None, "missing memory tag"),
-            (|i| i.target = None, "missing branch target"),
+        let cases: [(fn(&mut Inst), usize, &str); 3] = [
+            (|i| i.dst = None, 0, "operand-shape"),
+            (|i| i.mem = None, 0, "mem-tag"),
+            (|i| i.target = None, 2, "target-shape"),
         ];
-        for (tamper, want) in cases {
+        for (tamper, index, reason) in cases {
             let m = build(tamper);
-            match simulate(&m, &Machine::issue(2), vec![0; 8], 1000) {
-                Err(SimError::Malformed { block, reason, .. }) => {
-                    assert_eq!(block, BlockId(0));
-                    assert_eq!(reason, want);
-                }
-                other => panic!("expected Malformed({want}), got {other:?}"),
-            }
+            let err = simulate(&m, &Machine::issue(2), vec![0; 8], 1000).unwrap_err();
+            assert_eq!(err, SimError::Malformed { block: BlockId(0), index, reason });
         }
     }
 
@@ -486,10 +484,10 @@ mod tests {
         assert_eq!(SimLimits::cycles(u64::MAX).max_dyn_insts, u64::MAX);
     }
 
-    /// Wrong-class and empty operands surface as `SimError::Malformed`
-    /// (previously panics): an empty ALU slot, a float register fed to an
-    /// integer add, a class-mismatched write, a mixed-class branch compare,
-    /// and an out-of-range register id.
+    /// Wrong-class and empty operands surface as the verifier's
+    /// `SimError::Malformed` (once panics): an empty ALU slot, a float
+    /// register fed to an integer add, a class-mismatched write, a
+    /// mixed-class branch compare, and an out-of-range register id.
     #[test]
     fn operand_and_class_corruption_is_a_structured_error() {
         let run = |edit: fn(&mut Inst, Reg, Reg)| {
@@ -517,15 +515,16 @@ mod tests {
             f.block_mut(blk).insts = insts;
             simulate(&m, &Machine::issue(2), vec![0], 1000)
         };
-        let cases: [(fn(&mut Inst, Reg, Reg), &str); 5] = [
-            (|i, _, _| i.src[0] = Operand::None, "reading empty operand"),
+        let cases: [(fn(&mut Inst, Reg, Reg), usize, &str); 5] = [
+            (|i, _, _| i.src[0] = Operand::None, 2, "operand-shape"),
             (
                 |i, _, rf| {
                     if i.op == Opcode::Add {
                         i.src[0] = rf.into();
                     }
                 },
-                "float operand where integer expected",
+                2,
+                "class-mismatch",
             ),
             (
                 |i, _, rf| {
@@ -533,7 +532,8 @@ mod tests {
                         i.dst = Some(rf);
                     }
                 },
-                "class mismatch on register write",
+                2,
+                "class-mismatch",
             ),
             (
                 |i, _, rf| {
@@ -541,7 +541,8 @@ mod tests {
                         i.src[0] = rf.into();
                     }
                 },
-                "mixed-class branch comparison",
+                3,
+                "class-mismatch",
             ),
             (
                 |i, _, _| {
@@ -549,15 +550,135 @@ mod tests {
                         i.dst = Some(Reg::int(4096));
                     }
                 },
-                "register id out of range",
+                2,
+                "reg-range",
             ),
         ];
-        for (edit, want) in cases {
-            match run(edit) {
-                Err(SimError::Malformed { reason, .. }) => assert_eq!(reason, want),
-                other => panic!("expected Malformed({want}), got {other:?}"),
+        for (edit, index, reason) in cases {
+            let err = run(edit).unwrap_err();
+            assert_eq!(err, SimError::Malformed { block: BlockId(0), index, reason });
+        }
+    }
+
+    /// Every way a module could once trap in the engine — one case per
+    /// reason the decoder used to record — plus a branch to a block that
+    /// does not exist and a function with no layout (both panics once) is
+    /// rejected by the verifier before any cycle, through all three entry
+    /// points, with the fault's coordinates and the verifier's code.
+    #[test]
+    fn malformed_modules_are_rejected_before_any_cycle() {
+        let build = || {
+            let mut m = Module::new("t");
+            let a = m.symtab.declare("A", 8, RegClass::Flt);
+            let out = m.symtab.declare("out", 1, RegClass::Int);
+            let f = &mut m.func;
+            let (ri, rf, rv) =
+                (f.new_reg(RegClass::Int), f.new_reg(RegClass::Flt), f.new_reg(RegClass::Vec));
+            let b = f.add_block("b");
+            f.block_mut(b).insts = vec![
+                Inst::mov(ri, Operand::ImmI(3)),
+                Inst::mov(rf, Operand::ImmF(1.5)),
+                Inst::alu(Opcode::Add, ri, ri.into(), Operand::ImmI(1)),
+                Inst::alu(Opcode::FAdd, rf, rf.into(), rf.into()),
+                Inst::load(rf, Operand::Sym(a), Operand::ImmI(0), MemLoc::affine(a, 1, 0)),
+                Inst::vsplat(rv, rf.into(), 4),
+                Inst::vec_alu(Opcode::VAdd, rv, rv.into(), rv.into(), 4),
+                Inst::br(Cond::Lt, ri.into(), Operand::ImmI(0), b),
+                Inst::store(Operand::Sym(out), Operand::ImmI(0), ri.into(), MemLoc::affine(out, 0, 0)),
+                Inst::halt(),
+            ];
+            m
+        };
+        let machine = Machine::issue(2);
+        let healthy = simulate(&build(), &machine, vec![0; 9], 1000).unwrap();
+        assert_eq!(healthy.memory[8], 4);
+        type Corrupt = fn(&mut [Inst]);
+        let cases: [(&str, Corrupt, usize, &str); 13] = [
+            ("missing destination", |i| i[2].dst = None, 2, "operand-shape"),
+            ("missing memory tag", |i| i[4].mem = None, 4, "mem-tag"),
+            ("missing branch target", |i| i[7].target = None, 7, "target-shape"),
+            ("empty operand", |i| i[3].src[1] = Operand::None, 3, "operand-shape"),
+            ("unknown symbol", |i| i[4].src[0] = Operand::Sym(SymId(9)), 4, "unknown-sym"),
+            ("float where integer", |i| i[2].src[1] = Operand::ImmF(1.0), 2, "class-mismatch"),
+            ("integer where float", |i| i[3].src[1] = Operand::ImmI(1), 3, "class-mismatch"),
+            ("write class", |i| i[2].dst = i[1].dst, 2, "class-mismatch"),
+            ("mixed branch", |i| i[7].src[1] = Operand::ImmF(0.0), 7, "class-mismatch"),
+            ("register range", |i| i[2].src[0] = Reg::int(4096).into(), 2, "reg-range"),
+            ("vector where scalar", |i| i[0] = Inst::mov(i[5].dst.unwrap(), i[6].src[0]), 0, "class-mismatch"),
+            ("scalar where vector", |i| i[6].src[1] = i[3].src[0], 6, "class-mismatch"),
+            ("target out of range", |i| i[7].target = Some(BlockId(7)), 7, "dangling-target"),
+        ];
+        let mut modules: Vec<(&str, Module, SimError)> = cases
+            .into_iter()
+            .map(|(what, corrupt, index, reason)| {
+                let mut m = build();
+                corrupt(&mut m.func.block_mut(BlockId(0)).insts);
+                (what, m, SimError::Malformed { block: BlockId(0), index, reason })
+            })
+            .collect();
+        let mut empty = build();
+        empty.func.layout.clear();
+        let no_entry = SimError::Malformed { block: BlockId(0), index: 0, reason: "no-entry" };
+        modules.push(("empty layout", empty, no_entry));
+        let limits = SimLimits::cycles(1000);
+        for (what, m, want) in modules {
+            let program = decode(&m, &machine);
+            assert_eq!(program.num_records(), 0, "{what}");
+            let runs = [
+                simulate(&m, &machine, vec![0; 9], 1000),
+                simulate_limited(&m, &machine, vec![0; 9], limits),
+                simulate_decoded(&program, &machine, vec![0; 9], limits),
+            ];
+            for run in runs {
+                assert_eq!(run.unwrap_err(), want, "{what}");
             }
         }
+    }
+
+    /// Only the stores of a load's own cycle can delay it, all of them. On
+    /// a 128-wide machine 65 independent stores and then a load issue in
+    /// cycle 0; the load aliases the first store alone, so both engines
+    /// hold it to cycle 1 however many stores followed that one. Run 50
+    /// times in a loop, the same block is a steady-state template of 66
+    /// stores, replayed and equal to the oracle.
+    #[test]
+    fn a_load_meets_every_store_of_its_cycle() {
+        let build = |looped: bool| {
+            let mut m = Module::new("t");
+            let a = m.symtab.declare("A", 66, RegClass::Int);
+            let f = &mut m.func;
+            let (i, x) = (f.new_reg(RegClass::Int), f.new_reg(RegClass::Int));
+            let entry = f.add_block("entry");
+            let body = f.add_block("body");
+            let exit = f.add_block("exit");
+            f.block_mut(entry).insts.push(Inst::mov(i, Operand::ImmI(0)));
+            let at = |k: i64| (Operand::Sym(a), Operand::ImmI(k), MemLoc::affine(a, 0, k));
+            let store = |k: i64, v: Operand| {
+                let (base, off, tag) = at(k);
+                Inst::store(base, off, v, tag)
+            };
+            let (base, off, tag) = at(0);
+            let insts = &mut f.block_mut(body).insts;
+            insts.extend((0..65).map(|k| store(k, Operand::ImmI(k + 1))));
+            insts.push(Inst::load(x, base, off, tag));
+            insts.push(store(65, x.into()));
+            if looped {
+                insts.push(Inst::alu(Opcode::Add, i, i.into(), Operand::ImmI(1)));
+                insts.push(Inst::br(Cond::Lt, i.into(), Operand::ImmI(50), body));
+            }
+            f.block_mut(exit).insts.push(Inst::halt());
+            m
+        };
+        let machine = Machine::issue(128);
+        let limits = SimLimits::cycles(10_000);
+        let once = agree(&build(false), &machine, vec![0; 66], limits).unwrap();
+        // The load at cycle 1 reads the first store; its use waits a load
+        // latency more.
+        assert_eq!(once.memory[65], 1);
+        let load = machine.latency.load as u64;
+        assert_eq!(once.cycles, 1 + load + 1);
+        let looped = agree(&build(true), &machine, vec![0; 66], limits).unwrap();
+        assert!(looped.replayed_insts > 0, "{looped:?}");
     }
 
     /// A streaming-sum module over `A[0..n]` (serial FP accumulation).
@@ -776,21 +897,25 @@ mod tests {
         (m, side)
     }
 
-    /// A malformed record on a path first taken in iteration 77 traps
-    /// exactly as stepping does: the iteration that leaves the template's
-    /// path is rewound and stepped.
+    /// A malformed record on a path first taken in iteration 77 is
+    /// rejected before the first cycle, not when control reaches it: the
+    /// run that would replay 76 iterations first returns the verifier's
+    /// error even with no budget for a single instruction.
     #[test]
     fn steady_state_leaves_for_a_late_trap() {
         let (mut m, side) = loop_with_late_side_exit();
-        let healthy = agree(&m, &Machine::issue(4), vec![0], SimLimits::cycles(10_000)).unwrap();
+        let machine = Machine::issue(4);
+        let healthy = agree(&m, &machine, vec![0], SimLimits::cycles(10_000)).unwrap();
         assert_eq!(healthy.memory, vec![77]);
         assert!(healthy.replayed_insts > 0);
+        let nothing = SimLimits { max_cycles: 0, max_dyn_insts: 0 };
+        let starved = simulate_limited(&m, &machine, vec![0], nothing).unwrap_err();
+        assert_eq!(starved, SimError::DynInstLimit(0));
         m.func.block_mut(side).insts[0].mem = None;
-        let err = agree(&m, &Machine::issue(4), vec![0], SimLimits::cycles(10_000)).unwrap_err();
-        assert_eq!(
-            err,
-            SimError::Malformed { block: side, index: 0, reason: "missing memory tag" }
-        );
+        let want = SimError::Malformed { block: side, index: 0, reason: "mem-tag" };
+        for limits in [SimLimits::cycles(10_000), nothing] {
+            assert_eq!(simulate_limited(&m, &machine, vec![0], limits).unwrap_err(), want);
+        }
     }
 
     /// A search loop leaving mid-body on a match at element 200: results,

@@ -32,7 +32,7 @@ struct Cpu {
     ready: [Vec<u64>; 3],
     bases: Vec<usize>,
     mem: Vec<u64>,
-    /// Stores issued recently: `(tag, issue_time)`.
+    /// The stores of the newest cycle that issued one: `(tag, issue_time)`.
     recent_stores: Vec<(MemLoc, u64)>,
     cycles: u64,
     dyn_insts: u64,
@@ -130,23 +130,21 @@ impl Cpu {
             .ok_or("register id out of range")
     }
 
+    /// Add a store issued at `t` to the stores of its cycle: issue never
+    /// goes back, so no later load can meet an earlier cycle's store.
+    fn record_store(&mut self, tag: MemLoc, t: u64) {
+        if self.recent_stores.last().is_some_and(|&(_, ts)| ts != t) {
+            self.recent_stores.clear();
+        }
+        self.recent_stores.push((tag, t));
+    }
+
     /// Effective address of a memory instruction.
     fn address(&self, inst: &Inst) -> Result<i64, &'static str> {
         let base = self.int_operand(inst.src[0])?;
         let off = self.int_operand(inst.src[1])?;
         Ok(base.wrapping_add(off).wrapping_add(inst.ext))
     }
-}
-
-/// Execute `m` with the legacy interpreter, with a cycle budget and the
-/// default work watchdog (see [`SimLimits::cycles`]).
-pub fn simulate_reference(
-    m: &Module,
-    machine: &Machine,
-    init_mem: Vec<u64>,
-    max_cycles: u64,
-) -> Result<SimResult, SimError> {
-    simulate_limited_reference(m, machine, init_mem, SimLimits::cycles(max_cycles))
 }
 
 /// Execute `m` with the legacy interpreter under explicit limits.
@@ -348,10 +346,7 @@ pub fn simulate_limited_reference(
                         cpu.mem[addr as usize] = val.to_bits();
                     }
                     let tag = mem_tag()?;
-                    cpu.recent_stores.push((tag, t));
-                    if cpu.recent_stores.len() > 64 {
-                        cpu.recent_stores.drain(..32);
-                    }
+                    cpu.record_store(tag, t);
                     // A store miss blocks in-order issue until the
                     // write-allocate fill completes (extra = 0 under
                     // perfect memory: bit-for-bit legacy timing).
@@ -426,10 +421,7 @@ pub fn simulate_limited_reference(
                         extra = extra.max(memsys.access(Access::Store, a as u64));
                     }
                     let tag = mem_tag()?;
-                    cpu.recent_stores.push((tag, t));
-                    if cpu.recent_stores.len() > 64 {
-                        cpu.recent_stores.drain(..32);
-                    }
+                    cpu.record_store(tag, t);
                     if extra > 0 {
                         cursor = t + extra;
                         slots = 0;
