@@ -104,6 +104,15 @@ impl CacheParams {
         CacheParams::new(4, 16, 2, 30, 10)
     }
 
+    /// Lines over both levels (sets × ways each, after normalization).
+    pub fn lines(&self) -> u64 {
+        let lines = |g: CacheGeometry| {
+            let g = g.normalized();
+            u64::from(g.sets) * u64::from(g.ways)
+        };
+        lines(self.l1) + self.l2.map_or(0, |l2| lines(l2.geom))
+    }
+
     /// Short display name (`L1:4x16x2/m30` or `...+L2:8x64x4/h8`).
     pub fn name(&self) -> String {
         let g = self.l1.normalized();
@@ -246,6 +255,50 @@ impl Level {
     fn line_base(&self, l: Line) -> u64 {
         l.tag << self.line_shift
     }
+
+    /// The lines a move of `delta` words is, if it is a whole number of
+    /// them (as a wrapping count: only its low `64 − line_shift` bits
+    /// matter).
+    fn lines_in(&self, delta: u64) -> Option<u64> {
+        let whole = delta & ((1 << self.line_shift) - 1) == 0;
+        whole.then_some(((delta as i64) >> self.line_shift) as u64)
+    }
+
+    /// Where the line `l` is `k` lines on: a tag is a line address, so it
+    /// moves modulo the tag width, `64 − line_shift` bits, as the word
+    /// addresses it stands for wrap past 2⁶⁴.
+    fn moved(&self, l: Line, k: u64) -> Line {
+        Line { tag: l.tag.wrapping_add(k) & (u64::MAX >> self.line_shift), ..l }
+    }
+
+    /// Lines of `lines` the sets of a move of `k` lines rotate by: a tag's
+    /// set is its low bits, so set `s` moves to set `s + k mod sets`, its
+    /// ways in the same order.
+    fn rotation(&self, k: u64) -> usize {
+        (k & self.set_mask) as usize * self.ways
+    }
+
+    /// Whether the contents are `before` moved `k` lines on. Lines are
+    /// equal when both are invalid (an invalid line's tag and dirty bit
+    /// are never read), or both valid with the same tag and dirty bit.
+    fn is_moved(&self, before: &[Line], k: u64) -> bool {
+        let r = self.rotation(k);
+        let now = self.lines[r..].iter().chain(&self.lines[..r]);
+        before.len() == self.lines.len()
+            && now.zip(before).all(|(n, &b)| {
+                let b = self.moved(b, k);
+                n.valid == b.valid && (b.valid == 0 || (n.tag == b.tag && n.dirty == b.dirty))
+            })
+    }
+
+    /// Move the contents `k` lines on.
+    fn shift(&mut self, k: u64) {
+        let r = self.rotation(k);
+        self.lines.rotate_right(r);
+        for i in 0..self.lines.len() {
+            self.lines[i] = self.moved(self.lines[i], k);
+        }
+    }
 }
 
 /// Put `front` at way 0 of `slots`, moving every way down one; returns the
@@ -286,7 +339,20 @@ pub struct CacheMem {
     /// Inverses of the undoable span's accesses, oldest first, and the
     /// statistics when it began.
     journal: Vec<Undo>,
-    mark: MemStats,
+    begun: MemStats,
+    marked: Marked,
+}
+
+/// What [`MemModel::mark`] kept and [`MemModel::repeats`] found.
+#[derive(Debug, Clone, Default)]
+struct Marked {
+    /// The L1's lines, then the L2's (empty before the first mark).
+    lines: Vec<Line>,
+    stats: MemStats,
+    /// The move that repeated, and the statistics gained by the accesses
+    /// between the mark and the repeat.
+    delta: u64,
+    gained: MemStats,
 }
 
 impl CacheMem {
@@ -297,7 +363,8 @@ impl CacheMem {
             l2: params.l2.map(|p| Level::new(p.geom)),
             stats: MemStats::default(),
             journal: Vec::new(),
-            mark: MemStats::default(),
+            begun: MemStats::default(),
+            marked: Marked::default(),
         }
     }
 
@@ -403,7 +470,7 @@ impl MemModel for CacheMem {
 
     fn begin(&mut self) {
         self.journal.clear();
-        self.mark = self.stats;
+        self.begun = self.stats;
     }
 
     #[inline]
@@ -418,12 +485,46 @@ impl MemModel for CacheMem {
                 _ => self.l1.revert(u.set, u.fill),
             }
         }
-        self.stats = self.mark;
+        self.stats = self.begun;
+    }
+
+    fn mark(&mut self) {
+        let m = &mut self.marked;
+        m.lines.clear();
+        m.lines.extend_from_slice(&self.l1.lines);
+        if let Some(l2) = &self.l2 {
+            m.lines.extend_from_slice(&l2.lines);
+        }
+        m.stats = self.stats;
+    }
+
+    fn repeats(&mut self, delta: u64) -> bool {
+        let m = &mut self.marked;
+        let (b1, b2) = m.lines.split_at(self.l1.lines.len().min(m.lines.len()));
+        let level = |l: &Level, before: &[Line]| {
+            l.lines_in(delta).is_some_and(|k| l.is_moved(before, k))
+        };
+        let held =
+            level(&self.l1, b1) && self.l2.as_ref().map_or(b2.is_empty(), |l2| level(l2, b2));
+        if held {
+            m.delta = delta;
+            m.gained = self.stats.since(&m.stats);
+        }
+        held
+    }
+
+    fn advance(&mut self, blocks: u64) {
+        let delta = blocks.wrapping_mul(self.marked.delta);
+        for l in std::iter::once(&mut self.l1).chain(&mut self.l2) {
+            l.shift(l.lines_in(delta).expect("a repeat moves whole lines"));
+        }
+        self.stats.merge_times(&self.marked.gained, blocks);
     }
 
     fn reset(&mut self) {
         self.stats = MemStats::default();
         self.journal.clear();
+        self.marked = Marked::default();
         self.l1.clear();
         if let Some(l2) = &mut self.l2 {
             l2.clear();

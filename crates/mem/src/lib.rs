@@ -25,6 +25,13 @@
 //! The configuration type [`MemConfig`] is plain copyable data; it lives on
 //! `ilpc_machine::Machine` so a machine description fully determines
 //! timing. [`MemConfig::build`] instantiates the model it describes.
+//!
+//! Besides answering accesses, a model can take back an undoable span of
+//! them ([`MemModel::begin`] / [`MemModel::undo`]) and, for a simulator
+//! replaying a loop whose accesses move by a fixed stride each block, say
+//! whether its contents repeat moved on ([`MemModel::mark`] /
+//! [`MemModel::repeats`]) and then be moved on in one step instead of
+//! being asked ([`MemModel::advance`]).
 
 #![forbid(unsafe_code)]
 
@@ -73,6 +80,33 @@ pub trait MemModel {
     /// Restore contents and statistics to what they were at the last
     /// [`MemModel::begin`].
     fn undo(&mut self);
+
+    /// Keep a copy of the contents and statistics for
+    /// [`MemModel::repeats`] to compare with.
+    fn mark(&mut self);
+
+    /// Whether the contents are those of the last [`MemModel::mark`] moved
+    /// `delta` words on (wrapping): every line of every level, with its
+    /// tag, valid and dirty bits. If so, the model keeps `delta` and the
+    /// statistics gained since the mark, for [`MemModel::advance`].
+    ///
+    /// A model whose answers depend only on which lines it holds, in which
+    /// order, answers accesses moved `delta` on from contents moved `delta`
+    /// on as it answered the originals, when `delta` is a whole number of
+    /// lines at every level (else the answer is no). So if the accesses
+    /// made between the mark and this call are repeated moved `delta` on,
+    /// they return the same latencies, gain the same statistics, and leave
+    /// the contents moved `delta` further: the repeat holds again, and a
+    /// caller that checks its accesses are so moved need not make them.
+    /// Always false for a model without contents.
+    fn repeats(&mut self, delta: u64) -> bool;
+
+    /// Stand for `blocks` repeats of the accesses the last
+    /// [`MemModel::repeats`] that held found: move the contents
+    /// `blocks × delta` words on and add `blocks` times the statistics.
+    /// An [`MemModel::undo`] before the next [`MemModel::begin`] does not
+    /// take it back.
+    fn advance(&mut self, blocks: u64);
 
     /// Clear statistics and cache contents.
     fn reset(&mut self);
@@ -123,6 +157,16 @@ impl MemModel for PerfectMem {
     }
 
     fn undo(&mut self) {}
+
+    // A simulator never asks memory without contents to repeat: it skips
+    // the accesses (see `always_hits`).
+    fn mark(&mut self) {}
+
+    fn repeats(&mut self, _delta: u64) -> bool {
+        false
+    }
+
+    fn advance(&mut self, _blocks: u64) {}
 
     fn reset(&mut self) {
         self.stats = MemStats::default();
@@ -181,6 +225,16 @@ impl MemConfig {
     /// True for the default 100 %-hit configuration.
     pub fn is_perfect(&self) -> bool {
         matches!(self, MemConfig::Perfect)
+    }
+
+    /// Lines the model keeps, over all its levels (0 for perfect memory):
+    /// what one [`MemModel::mark`] copies and one [`MemModel::repeats`]
+    /// compares.
+    pub fn lines(&self) -> u64 {
+        match self {
+            MemConfig::Perfect => 0,
+            MemConfig::Cache(p) => p.lines(),
+        }
     }
 }
 

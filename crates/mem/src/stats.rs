@@ -53,15 +53,32 @@ impl MemStats {
 
     /// Merge another run's counters into this one (grid aggregation).
     pub fn merge(&mut self, other: &MemStats) {
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.load_misses += other.load_misses;
-        self.store_misses += other.store_misses;
-        self.evictions += other.evictions;
-        self.writebacks += other.writebacks;
-        self.miss_cycles += other.miss_cycles;
-        self.l2_accesses += other.l2_accesses;
-        self.l2_misses += other.l2_misses;
+        self.merge_times(other, 1);
+    }
+
+    /// Add `times` copies of `other`'s counters to these.
+    pub fn merge_times(&mut self, other: &MemStats, times: u64) {
+        *self = self.zip(other, |a, b| a + b * times);
+    }
+
+    /// The counters gained since `earlier`, a snapshot of the same run.
+    pub fn since(&self, earlier: &MemStats) -> MemStats {
+        self.zip(earlier, |a, b| a - b)
+    }
+
+    /// `f` applied field by field.
+    fn zip(&self, other: &MemStats, f: impl Fn(u64, u64) -> u64) -> MemStats {
+        MemStats {
+            loads: f(self.loads, other.loads),
+            stores: f(self.stores, other.stores),
+            load_misses: f(self.load_misses, other.load_misses),
+            store_misses: f(self.store_misses, other.store_misses),
+            evictions: f(self.evictions, other.evictions),
+            writebacks: f(self.writebacks, other.writebacks),
+            miss_cycles: f(self.miss_cycles, other.miss_cycles),
+            l2_accesses: f(self.l2_accesses, other.l2_accesses),
+            l2_misses: f(self.l2_misses, other.l2_misses),
+        }
     }
 }
 
@@ -84,5 +101,9 @@ mod tests {
         sum.merge(&a);
         assert_eq!(sum.accesses(), 30);
         assert_eq!(sum.misses(), 8);
+        let mut thrice = a;
+        thrice.merge_times(&a, 2);
+        assert_eq!(thrice.since(&a), sum);
+        assert_eq!(sum.since(&sum), MemStats::default());
     }
 }

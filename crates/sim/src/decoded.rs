@@ -40,7 +40,10 @@
 //! * **Memory hierarchy.** The run loop is generic over
 //!   [`ilpc_mem::MemModel`] and monomorphized per configuration, so the
 //!   perfect-memory path inlines to two counter increments instead of a
-//!   virtual call per access.
+//!   virtual call per access. The fast path below asks a cache for every
+//!   access of a block until the cache's contents repeat moved on by the
+//!   blocks' stride; then it moves the cache instead
+//!   ([`MemModel::repeats`], [`MemModel::advance`]).
 //! * **Steady-state fast path.** A block of loop iterations that starts
 //!   from the timing state an earlier block started from, takes the same
 //!   branch path, and whose accesses return the same extra latencies,
@@ -57,6 +60,12 @@
 //!   stepping engine's state. A different path or latency is rewound —
 //!   registers from a checkpoint taken once per batch, memory, cache
 //!   contents and counters — and stepped (see `Steady`, and DESIGN §14).
+//!   Under a cache, once a block's accesses are a reference block's moved
+//!   on by Δ words and the cache holds what it held before the reference
+//!   moved Δ on, later blocks check each address against the reference's
+//!   moved on and leave the cache alone; it is moved over them once when
+//!   the fast-forward ends (see `Shift`, and DESIGN §14 "Moving the
+//!   cache").
 //!
 //! The legacy interpreter survives behind the `oracle` feature (off by
 //! default) as `reference::simulate_limited_reference`; the differential
@@ -565,7 +574,7 @@ fn engine<M: MemModel, const FU: bool>(
     // Under a model that always hits, every access costs 0 extra cycles
     // and the steady state records no latencies.
     let timed = !memsys.always_hits();
-    let mut steady = Steady { timed, ..Steady::default() };
+    let mut steady = Steady { timed, lines: machine.mem.lines(), ..Steady::default() };
 
     // The verifier checked every index used below — operand and
     // destination indices are in `0..file_len()`, `pc` stays in
@@ -847,6 +856,7 @@ fn engine<M: MemModel, const FU: bool>(
                     mem: stats,
                     replayed_insts: steady.insts,
                     elided_insts: steady.elided,
+                    moved_accesses: steady.moved,
                 });
             }
         }
@@ -864,8 +874,9 @@ fn engine<M: MemModel, const FU: bool>(
 // block along its path, whose accesses return its latencies, costs exactly
 // its deltas. Those run values-only, from a replay program compiled when
 // the template is learned. They still make every access, in order, and
-// check each returned latency the way they check a branch outcome. DESIGN
-// §14 "Steady-state fast path" has the argument.
+// check each returned latency the way they check a branch outcome, until
+// a cache's contents repeat moved on (`Shift`). DESIGN §14 "Steady-state
+// fast path" has the argument.
 
 /// The timing state at a loop-header arrival with cursor `C`: every
 /// scoreboard entry still busy at `C`, as `(file index, ready − C)` in
@@ -1159,6 +1170,9 @@ struct Template {
     /// The extra latency of each access, in order (empty under a memory
     /// model that always hits).
     lats: Vec<u64>,
+    /// The word address of each access of the last reference block (see
+    /// `Shift`), in order.
+    refs: Vec<u64>,
     /// Iterations per block (the tests read it).
     #[cfg(test)]
     period: usize,
@@ -1173,10 +1187,73 @@ struct Template {
 enum Stop {
     /// No room in the budgets for another block.
     Budget,
-    /// A branch left the template's path.
+    /// A branch left the template's path, or a moving block's access was
+    /// not the reference's moved on.
     Path,
     /// An access returned a latency other than the template's.
     Latency,
+}
+
+/// Where a fast-forward stands in moving the memory model instead of
+/// asking it.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+enum Phase {
+    /// Blocks ask the model.
+    #[default]
+    Asking,
+    /// The model was marked before this block, the reference (the first
+    /// of its batch), whose addresses are recorded.
+    Recording,
+    /// The reference is done: the next block's first access sets Δ, and
+    /// the model is asked whether its contents are those at the mark moved
+    /// Δ on.
+    Testing,
+    /// They were: block `j` after the reference makes the reference's
+    /// accesses moved `j·Δ` on, checked, without the model.
+    Moving,
+}
+
+/// One fast-forward's attempt to move the memory model over its blocks
+/// instead of asking it (DESIGN §14 "Moving the cache"). Under a cache
+/// whose answers depend only on the lines it holds, a block whose accesses
+/// are the reference's moved `j·Δ` on, run from contents moved `j·Δ` on,
+/// returns the reference's latencies and leaves the contents moved `Δ`
+/// further. So once the test holds, induction carries it over every later
+/// block whose accesses check, across batches; the model stays untouched
+/// until the fast-forward ends and moves it on once.
+#[derive(Clone, Copy, Default)]
+struct Shift {
+    phase: Phase,
+    /// Words a block moves the accesses on by, wrapping.
+    delta: u64,
+    /// Blocks run in phase `Moving`.
+    moved: u64,
+    /// Accesses asked of the model since the fast-forward began or an
+    /// attempt failed. Marking and testing cost a pass over the model's
+    /// `lines`, so an attempt starts once `asked` reaches them.
+    asked: u64,
+    lines: u64,
+}
+
+impl Shift {
+    /// An access at `addr` while the reference is recorded or tested;
+    /// whether the block it belongs to now moves.
+    #[cold]
+    fn watch<M: MemModel>(&mut self, addr: u64, refs: &mut Vec<u64>, memsys: &mut M) -> bool {
+        match self.phase {
+            Phase::Recording => refs.push(addr),
+            Phase::Testing => {
+                let delta = addr.wrapping_sub(refs[0]);
+                if memsys.repeats(delta) {
+                    (self.phase, self.delta) = (Phase::Moving, delta);
+                    return true;
+                }
+                (self.phase, self.asked) = (Phase::Asking, 0);
+            }
+            Phase::Asking | Phase::Moving => {}
+        }
+        false
+    }
 }
 
 /// What a fast-forward reads and advances, borrowed from the stepping loop.
@@ -1196,6 +1273,8 @@ struct Steady {
     /// The memory model returns latencies: they are recorded, and even
     /// period 1 needs two blocks to show them repeat.
     timed: bool,
+    /// The lines the memory model keeps (`MemConfig::lines`).
+    lines: u64,
     /// The last arrivals at one header, oldest first. The first one's
     /// `path` and `lats` belong to no iteration of the window.
     window: VecDeque<Arrival>,
@@ -1219,11 +1298,12 @@ struct Steady {
     /// memory words its stores replaced, oldest first.
     saved: Vec<u64>,
     replaced: Vec<(usize, u64)>,
-    /// Totals retired by the fast path (`SimResult::replayed_insts` and
-    /// `elided_insts`, and the loads and stores a model that always hits
-    /// never saw).
+    /// Totals retired by the fast path (`SimResult::replayed_insts`,
+    /// `elided_insts` and `moved_accesses`, and the loads and stores a
+    /// model that always hits never saw).
     insts: u64,
     elided: u64,
+    moved: u64,
     loads: u64,
     stores: u64,
 }
@@ -1405,6 +1485,7 @@ impl Steady {
             writes,
             branches,
             lats: block.flat_map(|a| a.lats.iter().copied()).collect(),
+            refs: Vec::new(),
             #[cfg(test)]
             period: k,
             cycles: to.cursor - from.cursor,
@@ -1428,6 +1509,11 @@ impl Steady {
     /// completed blocks. Every block of a batch but its last runs the
     /// pruned program, so the state at each batch boundary, where a rewind
     /// re-runs from and stepping resumes, is the stepping engine's.
+    ///
+    /// Under a timed model, blocks stop asking it once its contents repeat
+    /// moved on (see `Shift`); a rewind restores the attempt to where the
+    /// batch began it, and the model is moved over the blocks that did not
+    /// ask it when the fast-forward ends.
     fn fast_forward<M: MemModel>(
         &mut self,
         t: &mut Template,
@@ -1441,6 +1527,7 @@ impl Steady {
         let fit = room(limits.max_cycles.saturating_sub(*live.cursor), t.cycles)
             .min(room(limits.max_dyn_insts.saturating_sub(*live.dyn_insts), t.insts));
         let (mut n, mut stop) = (0u64, Stop::Budget);
+        let mut shift = Shift { lines: self.lines, ..Shift::default() };
         self.saved.resize(t.writes.len(), 0);
         let most = (BATCH_STEPS / t.full.steps.len().max(1)).max(1) as u64;
         let log = most.min(fit) as usize * t.stores as usize;
@@ -1456,7 +1543,9 @@ impl Steady {
             for (w, &x) in self.saved.iter_mut().zip(&t.writes) {
                 *w = live.file[x as usize];
             }
-            let outcome = replay(t, blocks, live.file, live.mem, &mut self.replaced, memsys);
+            let begun = shift;
+            let replaced = &mut self.replaced;
+            let outcome = replay(t, blocks, live.file, live.mem, replaced, memsys, &mut shift);
             let (done, left) = match outcome {
                 Ok(()) => (blocks, None),
                 Err((done, logged, why)) => {
@@ -1467,9 +1556,10 @@ impl Steady {
                         live.file[x as usize] = w;
                     }
                     memsys.undo();
+                    shift = begun;
                     if done > 0 {
                         let replaced = &mut self.replaced;
-                        let again = replay(t, done, live.file, live.mem, replaced, memsys);
+                        let again = replay(t, done, live.file, live.mem, replaced, memsys, &mut shift);
                         debug_assert!(again.is_ok(), "a replayed block is a function of its state");
                     }
                     (done, Some(why))
@@ -1482,6 +1572,10 @@ impl Steady {
                 stop = why;
                 break;
             }
+        }
+        if shift.phase == Phase::Moving {
+            memsys.advance(shift.moved);
+            self.moved += shift.moved * t.refs.len() as u64;
         }
         if n == 0 {
             return (0, stop);
@@ -1618,25 +1712,42 @@ fn prune(full: &Program, writes: &[u32], timed: bool) -> Program {
 }
 
 /// Run `blocks` blocks of `t`'s replay program, values only, making their
-/// accesses through `memsys` and logging each memory word a store replaces
+/// accesses through `memsys` (or, once `shift` moves, checking them against
+/// the reference block's) and logging each memory word a store replaces
 /// to `replaced`: the pruned program, if the template has one, but for the
 /// last block, which runs the full one. At a step that leaves the path, or
-/// an access whose latency differs from the template's, it stops and
-/// returns the blocks completed before it, the entries logged and which it
-/// was; it undoes nothing.
+/// an access whose latency differs from the template's or that is not the
+/// reference's moved on, it stops and returns the blocks completed before
+/// it, the entries logged and which it was; it undoes nothing.
 fn replay<M: MemModel>(
-    t: &Template,
+    t: &mut Template,
     blocks: u64,
     file: &mut [u64],
     mem: &mut [u64],
     replaced: &mut [(usize, u64)],
     memsys: &mut M,
+    shift: &mut Shift,
 ) -> Result<(), (u64, usize, Stop)> {
     let timed = !memsys.always_hits();
     let pruned = t.pruned.as_ref().unwrap_or(&t.full);
+    let accesses = t.lats.len() as u64;
     let mut logged = 0;
     for done in 0..blocks {
         let program = if done + 1 < blocks { pruned } else { &t.full };
+        // An attempt marks the model as a batch begins, the batch's first
+        // block the reference: a rewind to the batch's start then finds the
+        // mark and the reference as the batch found them.
+        let due = shift.phase == Phase::Asking && shift.asked >= shift.lines;
+        if timed && done == 0 && accesses > 0 && due {
+            memsys.mark();
+            t.refs.clear();
+            shift.phase = Phase::Recording;
+        }
+        // In phase `Moving`, access `next` of the block is the reference's
+        // moved `off` on.
+        let mut moving = shift.phase == Phase::Moving;
+        let mut off = shift.delta.wrapping_mul(shift.moved + 1);
+        let mut next = 0;
         let mut lats = t.lats.iter();
         let mut disps = program.disps.iter();
         macro_rules! leave {
@@ -1644,13 +1755,28 @@ fn replay<M: MemModel>(
                 return Err((done, logged, $why))
             };
         }
-        // The real access; its latency is checked like a branch outcome.
+        // The real access, its latency checked like a branch outcome; or,
+        // while the block moves, its address.
         macro_rules! access {
-            ($kind:expr, $addr:expr) => {
-                if timed && lats.next() != Some(&memsys.access_undoable($kind, $addr as u64)) {
-                    leave!(Stop::Latency);
+            ($kind:expr, $addr:expr) => {{
+                let addr = $addr as u64;
+                if timed {
+                    if !moving && shift.phase != Phase::Asking {
+                        // A block that starts moving is the first after
+                        // the reference.
+                        moving = shift.watch(addr, &mut t.refs, memsys);
+                        off = shift.delta;
+                    }
+                    if moving {
+                        if t.refs.get(next).map(|r| r.wrapping_add(off)) != Some(addr) {
+                            leave!(Stop::Path);
+                        }
+                        next += 1;
+                    } else if lats.next() != Some(&memsys.access_undoable($kind, addr)) {
+                        leave!(Stop::Latency);
+                    }
                 }
-            };
+            }};
         }
         // A store of `$v` at `$addr`, logging the word it replaces.
         macro_rules! store {
@@ -1780,6 +1906,14 @@ fn replay<M: MemModel>(
                 Rop::StoreAccess2(n) => lanes!(Access::Store, at!(2), n),
             }
         }
+        match shift.phase {
+            _ if !timed => {}
+            Phase::Asking => shift.asked += accesses,
+            Phase::Recording => shift.phase = Phase::Testing,
+            Phase::Testing => {}
+            Phase::Moving if next == t.refs.len() => shift.moved += 1,
+            Phase::Moving => leave!(Stop::Path),
+        }
     }
     Ok(())
 }
@@ -1793,11 +1927,19 @@ mod tests {
     use ilpc_mem::CacheParams;
 
     /// A cache that checks, at every undoable access, that its journal
-    /// holds no more entries than the span has made accesses.
+    /// holds no more entries than the span has made accesses, and counts
+    /// its marks.
     struct Watch {
         cache: CacheMem,
         span: usize,
         within: bool,
+        marks: usize,
+    }
+
+    impl Watch {
+        fn new(params: CacheParams) -> Watch {
+            Watch { cache: CacheMem::new(params), span: 0, within: true, marks: 0 }
+        }
     }
 
     impl MemModel for Watch {
@@ -1820,6 +1962,16 @@ mod tests {
         fn undo(&mut self) {
             self.cache.undo();
         }
+        fn mark(&mut self) {
+            self.marks += 1;
+            self.cache.mark();
+        }
+        fn repeats(&mut self, delta: u64) -> bool {
+            self.cache.repeats(delta)
+        }
+        fn advance(&mut self, blocks: u64) {
+            self.cache.advance(blocks);
+        }
         fn reset(&mut self) {
             self.cache.reset();
         }
@@ -1828,15 +1980,8 @@ mod tests {
         }
     }
 
-    /// The largest associativity a client may configure, in one set of
-    /// 2^16 ways, through the engine: a streamed array misses into the
-    /// set's front every fourth iteration and a scalar's line is pulled
-    /// back from way 1 every iteration. Blocks are replayed and the loop's
-    /// exit undone, every observable equals the oracle's, and the journal
-    /// never outgrows the accesses of one block.
-    #[test]
-    fn steady_state_cache_journal_stays_per_access_in_a_2_to_the_16_way_set() {
-        let n = 512;
+    /// `B[0] += A[i]` over `A[0..n]`, the sum kept in memory.
+    fn stream_module(n: usize) -> Module {
         let mut m = Module::new("t");
         let a = m.symtab.declare("A", n, RegClass::Int);
         let b = m.symtab.declare("B", 1, RegClass::Int);
@@ -1855,19 +2000,55 @@ mod tests {
             Inst::br(Cond::Lt, i.into(), Operand::ImmI(n as i64), body),
         ]);
         f.block_mut(exit).insts.push(Inst::halt());
-        let params = CacheParams::new(4, 1, 1 << 16, 30, 10);
-        let machine = Machine::issue(4).with_cache(params);
-        let mem: Vec<u64> = (0..=n as u64).collect();
+        m
+    }
+
+    /// Run `m` through `watch` and the oracle on `watch`'s cache; assert
+    /// they agree on every observable and return the engine's result.
+    fn watched(m: &Module, watch: &mut Watch, mem: Vec<u64>) -> SimResult {
+        let machine = Machine::issue(4).with_cache(*watch.cache.params());
         let limits = SimLimits::cycles(1_000_000);
-        let mut watch = Watch { cache: CacheMem::new(params), span: 0, within: true };
-        let fast = run(&decode(&m, &machine), &machine, mem.clone(), limits, &mut watch).unwrap();
-        let oracle = simulate_limited_reference(&m, &machine, mem, limits).unwrap();
+        let fast = run(&decode(m, &machine), &machine, mem.clone(), limits, watch).unwrap();
+        let oracle = simulate_limited_reference(m, &machine, mem, limits).unwrap();
         assert_eq!(
             (fast.cycles, fast.dyn_insts, &fast.memory, &fast.branch_profile, fast.mem),
             (oracle.cycles, oracle.dyn_insts, &oracle.memory, &oracle.branch_profile, oracle.mem)
         );
+        fast
+    }
+
+    /// The largest associativity a client may configure, in one set of
+    /// 2^16 ways, through the engine: a streamed array misses into the
+    /// set's front every fourth iteration and a scalar's line is pulled
+    /// back from way 1 every iteration. Blocks are replayed and the loop's
+    /// exit undone, every observable equals the oracle's, and the journal
+    /// never outgrows the accesses of one block.
+    #[test]
+    fn steady_state_cache_journal_stays_per_access_in_a_2_to_the_16_way_set() {
+        let n = 512;
+        let mut watch = Watch::new(CacheParams::new(4, 1, 1 << 16, 30, 10));
+        let fast = watched(&stream_module(n), &mut watch, (0..=n as u64).collect());
         assert!(fast.replayed_insts * 2 > fast.dyn_insts, "{fast:?}");
         assert!(watch.within, "the journal outgrew a block's accesses");
+    }
+
+    /// The largest geometry `ilpc-serve` admits (2^20 sets of 2^10-word
+    /// lines, `proto::MAX_CACHE_*`): a run with fewer accesses than it has
+    /// lines never marks it, a 16 MiB copy, and equals the oracle. The
+    /// pool's cache, on the same run, is marked: every mark is paid for by
+    /// at least as many accesses as it copies lines.
+    #[test]
+    fn steady_state_cache_the_largest_geometry_is_not_marked_on_a_short_run() {
+        let n = 8192;
+        let m = stream_module(n);
+        let mem: Vec<u64> = (0..=n as u64).collect();
+        let mut largest = Watch::new(CacheParams::new(1 << 10, 1 << 20, 1, 30, 10));
+        let r = watched(&m, &mut largest, mem.clone());
+        assert!(r.replayed_insts * 2 > r.dyn_insts, "{r:?}");
+        assert_eq!((largest.marks, r.moved_accesses), (0, 0));
+        let mut pool = Watch::new(CacheParams::new(4, 16, 2, 30, 30));
+        let r = watched(&m, &mut pool, mem);
+        assert!(pool.marks > 0 && pool.marks as u64 * 32 <= r.mem.accesses(), "{}", pool.marks);
     }
 
     /// The engine's `scalar` computes on raw register images with its own

@@ -80,6 +80,11 @@ pub struct SimResult {
     /// uncomputed: the dead steps of a pruned replay program, which run
     /// as their accesses alone under a cache (always 0 from `reference`).
     pub elided_insts: u64,
+    /// Of `mem`'s accesses, those the fast path moved the memory model
+    /// over instead of making: once a cache's contents repeat moved on by
+    /// the blocks' stride, their latencies and counters are known (always
+    /// 0 from `reference` and under perfect memory).
+    pub moved_accesses: u64,
 }
 
 /// Simulation failure.
@@ -839,8 +844,12 @@ mod tests {
                 assert_eq!(f.memory, o.memory, "memory image");
                 assert_eq!(f.branch_profile, o.branch_profile, "branch profile");
                 assert_eq!(f.mem, o.mem, "mem stats");
-                assert_eq!((o.replayed_insts, o.elided_insts), (0, 0));
+                assert_eq!((o.replayed_insts, o.elided_insts, o.moved_accesses), (0, 0, 0));
                 assert!(f.elided_insts <= f.replayed_insts && f.replayed_insts <= f.dyn_insts);
+                assert!(f.moved_accesses <= f.mem.accesses());
+                if machine.mem.is_perfect() {
+                    assert_eq!(f.moved_accesses, 0);
+                }
             }
             (Err(f), Err(o)) => assert_eq!(f, o),
             _ => panic!("engines disagree: {fast:?} vs {oracle:?}"),
@@ -918,12 +927,9 @@ mod tests {
         }
     }
 
-    /// A search loop leaving mid-body on a match at element 200: results,
-    /// cycles, profile and memory counters equal the oracle's, and most of
-    /// the scan ran on the fast path.
-    #[test]
-    fn steady_state_search_loop_exits_mid_body() {
-        let n = 256;
+    /// A search of `A[0..n]` for -5 that leaves mid-body on a match and
+    /// stores the index found (or -1) to `out`, after `A`.
+    fn search_module(n: usize) -> Module {
         let mut m = Module::new("search");
         let a = m.symtab.declare("A", n, RegClass::Int);
         let out = m.symtab.declare("out", 1, RegClass::Int);
@@ -949,6 +955,16 @@ mod tests {
             Inst::store(Operand::Sym(out), Operand::ImmI(0), i.into(), MemLoc::affine(out, 0, 0)),
             Inst::halt(),
         ]);
+        m
+    }
+
+    /// A search loop leaving mid-body on a match at element 200: results,
+    /// cycles, profile and memory counters equal the oracle's, and most of
+    /// the scan ran on the fast path.
+    #[test]
+    fn steady_state_search_loop_exits_mid_body() {
+        let n = 256;
+        let m = search_module(n);
         let mut mem: Vec<u64> = (0..=n as u64).collect();
         mem[200] = -5i64 as u64;
         for machine in [Machine::issue(1), Machine::issue(8)] {
@@ -1177,6 +1193,92 @@ mod tests {
         assert_eq!(r.memory[12 * 37], (0..12 * 37).sum::<u64>());
         assert!(r.replayed_insts * 2 > r.dyn_insts, "{r:?}");
         assert!(periods().len() >= 12, "every row replays");
+    }
+
+    /// `out[0] = Σ A[X[i]]` over `n` iterations, where `X[i] = i` for the
+    /// first `affine` of them and a quadratic scramble after: the path
+    /// never changes, but the gathered addresses stop moving by the blocks'
+    /// stride. Blocks that stopped asking the cache check each address, so
+    /// the first scrambled one leaves, and the cache answers the rest
+    /// itself: a block that trusted its addresses would carry on moving the
+    /// cache and report the stream's misses for the scramble's.
+    #[test]
+    fn steady_state_cache_moves_until_an_index_array_stops_being_affine() {
+        let (n, affine) = (1024usize, 600usize);
+        let mut m = Module::new("gather");
+        let x = m.symtab.declare("X", n, RegClass::Int);
+        let a = m.symtab.declare("A", n, RegClass::Int);
+        let out = m.symtab.declare("out", 1, RegClass::Int);
+        let f = &mut m.func;
+        let [i, j, y, s] = [(); 4].map(|_| f.new_reg(RegClass::Int));
+        let entry = f.add_block("entry");
+        let body = f.add_block("body");
+        let exit = f.add_block("exit");
+        f.block_mut(entry).insts.extend([
+            Inst::mov(i, Operand::ImmI(0)),
+            Inst::mov(s, Operand::ImmI(0)),
+        ]);
+        f.block_mut(body).insts.extend([
+            Inst::load(j, Operand::Sym(x), i.into(), MemLoc::affine(x, 1, 0)),
+            Inst::load(y, Operand::Sym(a), j.into(), MemLoc::opaque(a)),
+            Inst::alu(Opcode::Add, s, s.into(), y.into()),
+            Inst::alu(Opcode::Add, i, i.into(), Operand::ImmI(1)),
+            Inst::br(Cond::Lt, i.into(), Operand::ImmI(n as i64), body),
+        ]);
+        f.block_mut(exit).insts.extend([
+            Inst::store(Operand::Sym(out), Operand::ImmI(0), s.into(), MemLoc::affine(out, 0, 0)),
+            Inst::halt(),
+        ]);
+        let index = |k: usize| if k < affine { k } else { (k * k * 7 + 3) % n };
+        let mut mem: Vec<u64> = (0..n).map(|k| index(k) as u64).collect();
+        mem.extend((0..n as u64).map(|k| 3 * k));
+        mem.push(0);
+        for params in [CacheParams::small(), CacheParams::new(4, 64, 4, 12, 12)] {
+            let machine = Machine::issue(4).with_cache(params);
+            let r = agree(&m, &machine, mem.clone(), SimLimits::cycles(1_000_000)).unwrap();
+            assert_eq!(r.memory[2 * n], (0..n).map(|k| 3 * index(k) as u64).sum::<u64>());
+            // Two accesses an iteration, moved over only while affine.
+            let moved = r.moved_accesses;
+            assert!(moved > 0 && moved <= 2 * affine as u64, "{params:?}: {r:?}");
+        }
+    }
+
+    /// The search loop under a cache, its match so far in that the blocks
+    /// before it stopped asking the cache in batches of dozens: the exit
+    /// falls in a batch that began moving. The batch is rewound to its
+    /// start, its completed blocks re-run moving (counted once), the cache
+    /// moved over them and the exit stepped. Each match position puts the
+    /// exit at another point of a block.
+    #[test]
+    fn steady_state_cache_exit_inside_a_moving_batch() {
+        let n = 4096;
+        let m = search_module(n);
+        let machine = Machine::issue(2).with_cache(CacheParams::small());
+        for at in 3001..3005 {
+            let mut mem: Vec<u64> = (0..=n as u64).collect();
+            mem[at] = -5i64 as u64;
+            let r = agree(&m, &machine, mem, SimLimits::cycles(1_000_000)).unwrap();
+            assert_eq!(r.memory[n], at as u64);
+            assert!(r.moved_accesses * 10 > r.mem.accesses() * 9, "{r:?}");
+        }
+    }
+
+    /// A stream of loads and stores through an L1 and an L2 (dirty L1
+    /// victims land in the L2): both levels' contents move, and the
+    /// counters of both come out as the oracle's.
+    #[test]
+    fn steady_state_cache_moves_two_levels() {
+        let m = nest_module(1, 2000, true);
+        for params in [
+            CacheParams::small().with_l2(8, 32, 2, 6),
+            CacheParams::new(4, 8, 2, 30, 10).with_l2(4, 64, 4, 6),
+        ] {
+            let machine = Machine::issue(4).with_cache(params);
+            let r = agree(&m, &machine, (0..4001).collect(), SimLimits::cycles(1_000_000)).unwrap();
+            assert!(r.mem.l2_accesses > 0 && r.mem.writebacks > 0, "{r:?}");
+            // The larger L2 repeats only once the stream has filled it.
+            assert!(r.moved_accesses * 2 > r.mem.accesses(), "{params:?}: {r:?}");
+        }
     }
 
     /// A loop whose path alternates (odd iterations run a multiply the

@@ -483,6 +483,7 @@ pub fn simulate_limited_reference(
                         mem: memsys.stats(),
                         replayed_insts: 0,
                         elided_insts: 0,
+                        moved_accesses: 0,
                     });
                 }
                 Opcode::Nop => unreachable!(),

@@ -62,8 +62,10 @@ echo "== simulator tests in release =="
 # unit tests, the 840-point engine differential and the fast path's pinned
 # coverage (replayed and elided instructions, which notice a replay that
 # loses blocks without a wrong result) run again as the ledger's binaries
-# are built. So do the IR crate's: every decode runs its verifier.
-cargo test -q --release --offline -p ilpc-sim -p ilpc-ir
+# are built. So do the IR crate's: every decode runs its verifier. And the
+# memory model's: the fast path moves a cache instead of asking it, and
+# its tests hold the move to the accesses it stands for.
+cargo test -q --release --offline -p ilpc-sim -p ilpc-ir -p ilpc-mem
 cargo test -q --release --offline --test engine_differential --test steady_state_coverage
 
 echo "== ledger smoke (BENCHMARK.json's command, each workload, --quick) =="
